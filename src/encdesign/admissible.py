@@ -12,7 +12,7 @@ comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 from .core import DesignConfig, ResponseType
@@ -38,9 +38,13 @@ def is_admissible(config: DesignConfig, rt: ResponseType) -> bool:
 class AdmissibleSet:
     config: DesignConfig
     types: tuple[ResponseType, ...]
+    _members: frozenset[ResponseType] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_members", frozenset(self.types))
 
     def __contains__(self, rt: ResponseType) -> bool:
-        return rt in set(self.types)
+        return rt in self._members
 
     def __len__(self) -> int:
         return len(self.types)
@@ -49,21 +53,25 @@ class AdmissibleSet:
 def enumerate_admissible(
     config: DesignConfig, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> AdmissibleSet:
-    """Brute-force filter of all J^|Z| candidate vectors, in lexicographic
-    order. The closed-form counts are a tested property of the output, not
-    trusted by the implementation."""
-    m = len(config.z_support)
-    total = config.J**m
-    if total > cap:
-        raise CapacityError(
-            f"enumeration would scan {total} vectors, cap is {cap}"
-        )
-    types = tuple(
-        rt
-        for d in product(range(config.J), repeat=m)
-        if is_admissible(config, rt := ResponseType(d))
-    )
-    return AdmissibleSet(config, types)
+    """Every admissible type, in lexicographic order, generated directly
+    as a default choice times a compliance subset: each instrument value
+    either complies or falls back to the default (the choice taken at
+    z = 0 when J0 > 0). The diagonal and other types reachable from
+    several defaults are emitted once. The cap bounds the number of types
+    emitted (``closed_form_count``); the count itself is a tested
+    property of the output, not used to build it."""
+    count = closed_form_count(config)
+    if count > cap:
+        raise CapacityError(f"enumeration would emit {count} types, cap is {cap}")
+    zs = config.z_support
+    vectors = set()
+    for j in range(config.J):
+        if config.J0 == 0:
+            options = [{z, j} for z in zs]
+        else:
+            options = [{j}] + [{z, j} for z in zs[1:]]
+        vectors.update(product(*options))
+    return AdmissibleSet(config, tuple(ResponseType(d) for d in sorted(vectors)))
 
 
 def default_choice(config: DesignConfig, rt: ResponseType) -> frozenset[int]:

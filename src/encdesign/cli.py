@@ -251,7 +251,12 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("enumerate", help="list the admissible response types")
     design_args(p)
-    p.add_argument("--cap", type=int, default=admissible.DEFAULT_ENUMERATION_CAP)
+    p.add_argument(
+        "--cap",
+        type=int,
+        default=admissible.DEFAULT_ENUMERATION_CAP,
+        help="largest number of types to emit (exit 4 above it)",
+    )
 
     p = sub.add_parser("inequalities", help="emit the inequality family")
     design_args(p)

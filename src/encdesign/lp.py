@@ -3,16 +3,20 @@
 Decides whether a table is the pushforward of some measure on the
 admissible set by solving the linear system (one nonnegative mass per
 admissible response type, one equality per table coordinate) over exact
-rationals with Bland's pivoting rule. No tolerances, no external solver:
-the matrices are tiny at desk scale and exactness keeps the oracle's
-verdict unambiguous. Cross-validates the inequality check and the
-constructive witness; it shares no code path with either.
+rationals with Bland's pivoting rule. The pivots are integer-preserving
+(fraction-free, Bareiss-style): the right-hand side is scaled to integers
+and every division is exact, so no cell is ever reduced by a gcd, yet the
+pivot sequence and the certificate are those of the rational tableau.
+No tolerances, no external solver: exactness keeps the oracle's verdict
+unambiguous. Cross-validates the inequality check and the constructive
+witness; it shares no code path with either.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
+from math import lcm
 
 from .admissible import enumerate_admissible
 from .core import ONE, ZERO, ObservedDistribution, ResponseMeasure
@@ -26,53 +30,73 @@ def _phase_one(columns: list[list[int]], b: list[Fraction], m: int) -> list[Frac
     """Feasibility of Ax = b, x >= 0 for a 0/1 matrix A given column-wise
     (columns[v] lists the rows where variable v has a 1) with b >= 0.
 
-    Phase-one simplex over Fractions with Bland's rule: minimize the sum
-    of one artificial variable per row. Returns the structural solution
-    when the optimum is zero, None otherwise.
+    Phase-one simplex with Bland's rule: minimize the sum of one
+    artificial variable per row. Returns the structural solution when the
+    optimum is zero, None otherwise.
+
+    The tableau holds integers: b is scaled by the common denominator L
+    of its entries, and every row (objective included) is stored as D
+    times the rational tableau row, where D is the previous pivot (the
+    determinant of the current basis, always positive). A pivot on entry
+    p rewrites every other row as (a*p - f*q) // D, an exact division
+    (Bareiss 1968), keeps the pivot row and sets D = p. Because every row
+    carries the same positive factor, the sign tests and the
+    cross-multiplied ratio comparisons are those of the rational tableau:
+    the pivot sequence, the final basis and the solution are unchanged.
+
+    Only the artificial columns (D times the basis inverse) and the
+    right-hand side are stored. A structural column is the sum of the
+    artificial columns of the rows it touches; its objective entry is that
+    sum in the objective row less D per row. Bland's rule prices the
+    columns in order and stops at the first negative one.
     """
     n = len(columns)
-    width = n + m + 1
-    tableau = []
-    for i in range(m):
-        row = [ZERO] * width
-        row[n + i] = ONE
-        row[-1] = b[i]
-        tableau.append(row)
-    for v, rows in enumerate(columns):
-        for i in rows:
-            tableau[i][v] = ONE
-    # reduced costs for the artificial basis: -(column sums), value -(sum b)
-    obj = [ZERO] * width
-    for v, rows in enumerate(columns):
-        obj[v] = -Fraction(len(rows))
-    obj[-1] = -sum(b, ZERO)
+    scale = lcm(*(v.denominator for v in b))
+    # row i: the m artificial columns, then the scaled right-hand side
+    tableau = [
+        [int(i == k) for k in range(m)] + [v.numerator * (scale // v.denominator)]
+        for i, v in enumerate(b)
+    ]
+    # objective row of the artificial basis: 0 on its columns, value -(sum b)
+    obj = [0] * m + [-sum(row[-1] for row in tableau)]
     basis = list(range(n, n + m))
+    det = 1
+
+    def entry(row, v):
+        return sum(map(row.__getitem__, columns[v])) if v < n else row[v - n]
 
     while True:
-        enter = next((c for c in range(n + m) if obj[c] < 0), None)
+        priced = [a - det for a in obj[:m]]
+        costs = chain((sum(map(priced.__getitem__, rows)) for rows in columns), obj[:m])
+        enter, f = next(((v, c) for v, c in enumerate(costs) if c < 0), (None, 0))
         if enter is None:
             break
+        coeffs = [entry(row, enter) for row in tableau]
         leave = None
-        best = None
-        for i in range(m):
-            coeff = tableau[i][enter]
+        for i, coeff in enumerate(coeffs):
             if coeff > 0:
-                ratio = tableau[i][-1] / coeff
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+                if leave is None:
+                    leave = i
+                    continue
+                # ratio of row i against the best ratio so far, both
+                # denominators positive
+                here = tableau[i][-1] * coeffs[leave]
+                best = tableau[leave][-1] * coeff
+                if here < best or (here == best and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             raise RuntimeError("phase-one objective unbounded; constraint bug")
-        pivot = tableau[leave][enter]
-        tableau[leave] = [v / pivot for v in tableau[leave]]
         prow = tableau[leave]
-        for i in range(m):
-            if i != leave and tableau[i][enter] != 0:
-                f = tableau[i][enter]
-                tableau[i] = [a - f * p for a, p in zip(tableau[i], prow)]
-        if obj[enter] != 0:
-            f = obj[enter]
-            obj = [a - f * p for a, p in zip(obj, prow)]
+        pivot = coeffs[leave]
+        for i, g in enumerate(coeffs):
+            if i == leave:
+                continue
+            if g:
+                tableau[i] = [(a * pivot - g * q) // det for a, q in zip(tableau[i], prow)]
+            elif pivot != det:
+                tableau[i] = [a * pivot // det for a in tableau[i]]
+        obj = [(a * pivot - f * q) // det for a, q in zip(obj, prow)]
+        det = pivot
         basis[leave] = enter
 
     if obj[-1] != 0:
@@ -80,7 +104,7 @@ def _phase_one(columns: list[list[int]], b: list[Fraction], m: int) -> list[Frac
     x = [ZERO] * n
     for i, v in enumerate(basis):
         if v < n:
-            x[v] = tableau[i][-1]
+            x[v] = Fraction(tableau[i][-1], det * scale)
     return x
 
 

@@ -258,12 +258,12 @@ def construct_outcome(
     target's outcome coordinate; the other coordinates are filled with
     the product of the mixing weights.
     """
-    from .admissible import enumerate_admissible
+    from .admissible import closed_form_count
     from itertools import product as iproduct
 
     config = PY.config
     ys = PY.y_support
-    n_types = len(enumerate_admissible(config).types)
+    n_types = closed_form_count(config)
     if n_types * len(ys) ** config.J > cap:
         raise CapacityError(
             f"witness table would hold up to {n_types * len(ys) ** config.J} entries, cap is {cap}"

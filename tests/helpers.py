@@ -1,14 +1,18 @@
-"""Deterministic random generators for exact tables and measures."""
+"""Deterministic random generators for exact tables and measures, and
+the slow reference implementations kept as oracles for the fast paths."""
 
 from fractions import Fraction
 from itertools import product
 from random import Random
 
-from encdesign.admissible import enumerate_admissible
+from encdesign.admissible import enumerate_admissible, is_admissible
 from encdesign.core import (
+    ONE,
+    ZERO,
     DesignConfig,
     ObservedDistribution,
     ResponseMeasure,
+    ResponseType,
     pushforward,
 )
 from encdesign.inequalities import OutcomeDistribution
@@ -103,3 +107,71 @@ def random_outcome_table(
             for j in range(config.J)
         }
     return OutcomeDistribution(config, tuple(y_support), cells)
+
+
+def phase_one_fraction(columns: list[list[int]], b: list[Fraction], m: int) -> list[Fraction] | None:
+    """Oracle for ``lp._phase_one``: the same phase-one simplex with
+    Bland's rule on a tableau of Fractions, normalized on every pivot."""
+    n = len(columns)
+    width = n + m + 1
+    tableau = []
+    for i in range(m):
+        row = [ZERO] * width
+        row[n + i] = ONE
+        row[-1] = b[i]
+        tableau.append(row)
+    for v, rows in enumerate(columns):
+        for i in rows:
+            tableau[i][v] = ONE
+    # reduced costs for the artificial basis: -(column sums), value -(sum b)
+    obj = [ZERO] * width
+    for v, rows in enumerate(columns):
+        obj[v] = -Fraction(len(rows))
+    obj[-1] = -sum(b, ZERO)
+    basis = list(range(n, n + m))
+
+    while True:
+        enter = next((c for c in range(n + m) if obj[c] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            coeff = tableau[i][enter]
+            if coeff > 0:
+                ratio = tableau[i][-1] / coeff
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            raise RuntimeError("phase-one objective unbounded; constraint bug")
+        pivot = tableau[leave][enter]
+        tableau[leave] = [v / pivot for v in tableau[leave]]
+        prow = tableau[leave]
+        for i in range(m):
+            if i != leave and tableau[i][enter] != 0:
+                f = tableau[i][enter]
+                tableau[i] = [a - f * p for a, p in zip(tableau[i], prow)]
+        if obj[enter] != 0:
+            f = obj[enter]
+            obj = [a - f * p for a, p in zip(obj, prow)]
+        basis[leave] = enter
+
+    if obj[-1] != 0:
+        return None
+    x = [ZERO] * n
+    for i, v in enumerate(basis):
+        if v < n:
+            x[v] = tableau[i][-1]
+    return x
+
+
+def admissible_by_filter(config: DesignConfig) -> tuple[ResponseType, ...]:
+    """Oracle for ``enumerate_admissible``: filter all J^|Z| candidate
+    vectors through ``is_admissible``, in lexicographic order."""
+    m = len(config.z_support)
+    return tuple(
+        rt
+        for d in product(range(config.J), repeat=m)
+        if is_admissible(config, rt := ResponseType(d))
+    )
