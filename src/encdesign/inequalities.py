@@ -11,10 +11,12 @@ rationals; no tolerance parameter exists in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
-from typing import Mapping
+from math import lcm
+from typing import Callable, Mapping
 
 from .core import ONE, ZERO, DesignConfig, ObservedDistribution, as_fraction, _validate_pz
 from .errors import CapacityError
@@ -44,11 +46,25 @@ class InequalitySpec:
         return total
 
 
-@dataclass(frozen=True)
+Violations = tuple[tuple[InequalitySpec, Fraction], ...]
+
+
+@dataclass(frozen=True, eq=False)
 class CheckReport:
+    """The verdict of a check, its smallest slack, and on demand the
+    violated inequalities with their (negative) slacks in family order.
+
+    ``violations`` is computed the first time it is read: the selector
+    family holds (J-1)^J inequalities, and the verdict never needs them.
+    """
+
     passed: bool
-    violations: tuple[tuple[InequalitySpec, Fraction], ...]
     min_slack: Fraction
+    list_violations: Callable[[], Violations] = field(repr=False)
+
+    @cached_property
+    def violations(self) -> Violations:
+        return self.list_violations()
 
     @classmethod
     def from_slacks(cls, slacks) -> "CheckReport":
@@ -58,8 +74,8 @@ class CheckReport:
         violations = tuple((s, v) for s, v in slacks if v < 0)
         return cls(
             passed=not violations,
-            violations=violations,
             min_slack=min(v for _, v in slacks),
+            list_violations=lambda: violations,
         )
 
 
@@ -103,10 +119,99 @@ def generate(
 def check(
     P: ObservedDistribution, full: bool = False, cap: int = DEFAULT_FAMILY_CAP
 ) -> CheckReport:
-    """Evaluate the family exactly. The family is sharp, so a passing
-    table is consistent with the model, not merely unrejected."""
-    specs = generate(P.config, full=full, cap=cap)
-    return CheckReport.from_slacks((s, s.slack(P)) for s in specs)
+    """Decide the table against its sharp family exactly. The family is
+    sharp, so a passing table is consistent with the model, not merely
+    unrejected.
+
+    The selector family (no base state, or ``full=True``) is never built:
+    its largest left-hand side is the sum over choices of the largest
+    p(z, j) on the targeted set, so the verdict and ``min_slack`` take
+    O(J * |Z|). ``cap`` bounds the violations listed when the report's
+    ``violations`` is read; more than ``cap`` raise CapacityError there.
+    """
+    config = P.config
+    if config.J0 and not full:
+        specs = generate(config)
+        return CheckReport.from_slacks((s, s.slack(P)) for s in specs)
+    # integer form: every p(z, j) scaled by the common denominator L
+    scale = lcm(*(v.denominator for row in P.rows.values() for v in row))
+    scaled = {
+        z: [v.numerator * (scale // v.denominator) for v in row] for z, row in P.rows.items()
+    }
+    levels = [[(z, scaled[z][j]) for z in config.targeted_set(j)] for j in range(config.J)]
+    # hi[j], lo[j]: the largest and smallest sum over choices j, j+1, ...
+    hi, lo = [0], [0]
+    for level in reversed(levels):
+        values = [v for _, v in level]
+        hi.append(hi[-1] + max(values))
+        lo.append(lo[-1] + min(values))
+    hi.reverse()
+    lo.reverse()
+
+    def list_violations() -> Violations:
+        if _count_violated(levels, hi, lo, scale, cap) > cap:
+            raise CapacityError(f"check would emit more than {cap} violations")
+        return tuple(
+            (
+                InequalitySpec(
+                    lhs=tuple((z, j) for j, z in enumerate(selector)),
+                    bound=ONE,
+                    selector=selector,
+                    tag="selector",
+                ),
+                Fraction(scale - total, scale),
+            )
+            for selector, total in _violated_selectors(levels, hi, scale)
+        )
+
+    return CheckReport(
+        passed=hi[0] <= scale,
+        min_slack=Fraction(scale - hi[0], scale),
+        list_violations=list_violations,
+    )
+
+
+def _count_violated(levels, hi, lo, bound, limit) -> int:
+    """How many selectors sum past ``bound``, counted up to the first
+    total above ``limit``. A subtree whose smallest completion already
+    violates is counted whole, by its size."""
+    sizes = [1]
+    for level in reversed(levels):
+        sizes.append(sizes[-1] * len(level))
+    sizes.reverse()
+    count = 0
+    stack = [(0, 0)]
+    while stack:
+        j, prefix = stack.pop()
+        if prefix + hi[j] <= bound:
+            continue
+        if prefix + lo[j] > bound:
+            count += sizes[j]
+            if count > limit:
+                break
+            continue
+        stack.extend((j + 1, prefix + v) for _, v in levels[j])
+    return count
+
+
+def _violated_selectors(levels, hi, bound):
+    """Every selector whose sum exceeds ``bound``, with that sum, in the
+    order of ``itertools.product`` over the levels. Depth first; a subtree
+    is dropped when its prefix plus the largest completion is at most
+    ``bound``."""
+    J = len(levels)
+    stack = [(0, 0, ())]
+    while stack:
+        j, prefix, selector = stack.pop()
+        if prefix + hi[j] <= bound:
+            continue
+        if j == J:
+            yield selector, prefix
+            continue
+        # pushed in reverse so the first value of the level is visited first
+        stack.extend(
+            (j + 1, prefix + v, selector + (z,)) for z, v in reversed(levels[j])
+        )
 
 
 def encouragement_specs(config: DesignConfig) -> tuple[InequalitySpec, ...]:

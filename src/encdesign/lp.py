@@ -111,21 +111,26 @@ def _phase_one(columns: list[list[int]], b: list[Fraction], m: int) -> list[Frac
 def _solve_table(variables, coord_of_var, coords, rhs_of_coord, cap):
     """Shared feasibility driver: one equality per coordinate except the
     last one of each instrument slice (implied by the slice total), plus
-    the normalization row."""
+    the normalization row. ``cap`` bounds the entries of the sparse
+    columns: with its m x (m+1) basis inverse, they are what the solver
+    stores."""
     kept = [c for c in coords if not c[-1]]
     m = len(kept) + 1
-    if len(variables) * m > cap:
-        raise CapacityError(
-            f"LP would have {len(variables)} variables and {m} rows, cap is {cap}"
-        )
     row_index = {c[0]: i for i, c in enumerate(kept)}
     columns = []
+    entries = 0
     for var in variables:
         rows = sorted(
             {row_index[c] for c in coord_of_var(var) if c in row_index}
         )
         rows.append(m - 1)  # normalization
         columns.append(rows)
+        entries += len(rows)
+        if entries > cap:
+            raise CapacityError(
+                f"LP columns would hold more than {cap} entries "
+                f"({len(variables)} variables, {m} rows)"
+            )
     b = [rhs_of_coord(c[0]) for c in kept] + [ONE]
     return _phase_one(columns, b, m)
 

@@ -15,7 +15,12 @@ from encdesign.core import (
     ResponseType,
     pushforward,
 )
-from encdesign.inequalities import OutcomeDistribution
+from encdesign.inequalities import (
+    DEFAULT_FAMILY_CAP,
+    CheckReport,
+    OutcomeDistribution,
+    generate,
+)
 from encdesign.witness import OutcomeResponseMeasure, pushforward_outcome
 
 
@@ -175,3 +180,12 @@ def admissible_by_filter(config: DesignConfig) -> tuple[ResponseType, ...]:
         for d in product(range(config.J), repeat=m)
         if is_admissible(config, rt := ResponseType(d))
     )
+
+
+def check_by_family(
+    P: ObservedDistribution, full: bool = False, cap: int = DEFAULT_FAMILY_CAP
+) -> CheckReport:
+    """Oracle for ``inequalities.check``: build the whole family and
+    evaluate the slack of every inequality in it."""
+    specs = generate(P.config, full=full, cap=cap)
+    return CheckReport.from_slacks((s, s.slack(P)) for s in specs)

@@ -18,16 +18,20 @@ from encdesign.cli import (
     measure_doc,
     outcome_measure_doc,
     read_csv,
+    report_doc,
     run,
     write_csv,
 )
-from encdesign.core import DesignConfig, ObservedDistribution
+from encdesign.core import DesignConfig, ObservedDistribution, pushforward
 from encdesign.simulate import MicroData
 from helpers import (
+    boundary_measure,
+    check_by_family,
     feasible_outcome_table,
     feasible_table,
     random_measure,
     random_outcome_measure,
+    random_table,
 )
 import numpy as np
 
@@ -84,6 +88,38 @@ def test_check_pass_and_fail(tmp_path, capsys):
     code, doc = run_json(capsys, ["check", "--input", bad])
     assert code == EXIT_VERDICT and not doc["passed"]
     assert doc["violations"][0]["slack"] == "-1/5"
+
+
+def test_check_stdout_matches_explicit_family(tmp_path, capsys):
+    rng = Random(31)
+    tables = [
+        load_distribution(write_json(tmp_path / "uniform.json", UNIFORM3)),
+        load_distribution(write_json(tmp_path / "violating.json", VIOLATING2)),
+    ]
+    for J, J0 in [(2, 0), (3, 0), (3, 1), (3, 2), (4, 0), (4, 2), (5, 0)]:
+        config = DesignConfig(J, J0)
+        for _ in range(2):
+            tables.append(feasible_table(config, rng))
+            tables.append(pushforward(boundary_measure(config, rng)))
+            tables.append(random_table(config, rng))
+    violated = 0
+    for i, P in enumerate(tables):
+        path = write_json(tmp_path / f"t{i}.json", distribution_doc(P))
+        want = check_by_family(P)
+        code = run(["check", "--input", path])
+        assert code == (EXIT_OK if want.passed else EXIT_VERDICT)
+        out = capsys.readouterr().out
+        assert out == json.dumps(report_doc(want), sort_keys=True, indent=2) + "\n"
+        violated += bool(want.violations)
+    assert violated >= 10
+
+
+def test_check_answers_eight_choices(tmp_path, capsys):
+    P = feasible_table(DesignConfig(8, 0), Random(37))
+    path = write_json(tmp_path / "p.json", distribution_doc(P))
+    code, doc = run_json(capsys, ["check", "--input", path])
+    assert code == EXIT_OK
+    assert doc["passed"] and doc["violations"] == []
 
 
 def test_check_rejects_float_probabilities(tmp_path, capsys):

@@ -71,6 +71,21 @@ def test_family_capacity_cap():
         generate(DesignConfig(9, 0), cap=10_000)
 
 
+def test_check_cap_refuses_before_building_specs(monkeypatch):
+    from encdesign import inequalities
+
+    P = random_table(DesignConfig(5, 0), Random(41))
+    report = check(P, cap=10)
+    assert not report.passed
+
+    def no_spec(*args, **kwargs):
+        raise AssertionError("a spec was built")
+
+    monkeypatch.setattr(inequalities, "InequalitySpec", no_spec)
+    with pytest.raises(CapacityError, match="would emit more than 10 violations"):
+        report.violations
+
+
 def test_check_perfect_compliance():
     report = check(perfect_compliance(3))
     assert report.passed

@@ -1,6 +1,7 @@
 """The fast exact paths against the slow reference implementations kept in
 ``helpers``: the integer-preserving simplex against the Fraction tableau,
-and direct admissible generation against the brute-force filter."""
+direct admissible generation against the brute-force filter, and the
+per-choice-maxima check against the explicit inequality family."""
 
 from fractions import Fraction as F
 from random import Random
@@ -10,9 +11,12 @@ import pytest
 from encdesign import lp
 from encdesign.admissible import enumerate_admissible
 from encdesign.core import DesignConfig, pushforward
+from encdesign.errors import CapacityError
+from encdesign.inequalities import check
 from helpers import (
     admissible_by_filter,
     boundary_measure,
+    check_by_family,
     feasible_outcome_table,
     feasible_table,
     phase_one_fraction,
@@ -99,3 +103,51 @@ def test_enumeration_matches_brute_force_filter():
         for J0 in range(J):
             config = DesignConfig(J, J0)
             assert enumerate_admissible(config).types == admissible_by_filter(config), (J, J0)
+
+
+@pytest.mark.parametrize(
+    "J, J0, full, copies",
+    [
+        (2, 0, False, 8),
+        (3, 0, False, 8),
+        (4, 0, False, 6),
+        (5, 0, False, 3),
+        (6, 0, False, 1),
+        (3, 1, True, 6),
+        (3, 2, True, 6),
+        (4, 2, True, 4),
+        (5, 2, True, 2),
+    ],
+)
+def test_check_matches_explicit_family(J, J0, full, copies):
+    config = DesignConfig(J, J0)
+    rng = Random(229 + 10 * J + J0)
+    verdicts, boundary = set(), 0
+    for P in _tables(config, rng, copies):
+        got = check(P, full=full)
+        want = check_by_family(P, full=full)
+        assert got.passed == want.passed
+        assert got.min_slack == want.min_slack and type(got.min_slack) is F
+        assert got.violations == want.violations
+        assert all(type(v) is F for _, v in got.violations)
+        verdicts.add(got.passed)
+        boundary += got.min_slack == 0
+    assert verdicts == {True, False}
+    assert boundary >= copies
+
+
+@pytest.mark.parametrize("J, J0, full", [(4, 0, False), (5, 0, False), (4, 2, True)])
+def test_check_cap_bounds_the_violations_listed(J, J0, full):
+    config = DesignConfig(J, J0)
+    rng = Random(233 + 10 * J + J0)
+    tried = 0
+    for _ in range(4):
+        P = random_table(config, rng)
+        want = check_by_family(P, full=full).violations
+        if not want:
+            continue
+        tried += 1
+        assert check(P, full=full, cap=len(want)).violations == want
+        with pytest.raises(CapacityError, match=f"more than {len(want) - 1} violations"):
+            check(P, full=full, cap=len(want) - 1).violations
+    assert tried
