@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Throughput comparison of the sampling kernel backends.
 
-Runs the same workloads through the numpy fallback and, when built, the
-compiled extension, and prints rows per workload. Invoke from the repo
-root:
+Runs the potential-type argmax through the numpy fallback and, when
+built, the compiled extension, and prints rows per second. Invoke from
+the repo root:
 
     python3 benchmarks/bench_kernels.py [--n 2000000] [--repeats 5]
 """
@@ -39,21 +39,6 @@ def bench_potential(n, J, repeats):
     return rows
 
 
-def bench_region(n, J, repeats):
-    rng = np.random.default_rng(1)
-    eps = rng.uniform(-9, 9, size=(n, J))
-    lhs = np.array([0] * (J - 1), dtype=np.int64)
-    rhs = np.arange(1, J, dtype=np.int64)
-    offs = np.zeros(J - 1)
-    rows = {}
-    for name, impl in kernels.available_backends().items():
-        rows[name] = time_call(
-            lambda: kernels.region_accept(eps, lhs, rhs, offs, impl=impl),
-            repeats,
-        )
-    return rows
-
-
 def report(label, n, rows):
     print(f"\n{label} (n = {n:,})")
     python = rows["python"]
@@ -76,7 +61,6 @@ def main():
     if kernels.BACKEND != "compiled":
         print("compiled extension not built; timing the fallback only")
     report("potential-type argmax", args.n, bench_potential(args.n, args.J, args.repeats))
-    report("region acceptance", args.n, bench_region(args.n, args.J, args.repeats))
 
 
 if __name__ == "__main__":

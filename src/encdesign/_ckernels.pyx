@@ -1,5 +1,5 @@
 # cython: boundscheck=False, wraparound=False, language_level=3
-"""Compiled sampling kernels; mirrors _kernels_py bit for bit."""
+"""Compiled argmax kernel; mirrors _kernels_py.potential_type_codes bit for bit."""
 
 from libc.stdint cimport int64_t
 
@@ -39,18 +39,3 @@ def potential_type_codes(double[:, ::1] eps, double[::1] betas,
             if tied:
                 tie[i] = 1
     return d_arr, tie_arr.astype(bool)
-
-
-def region_accept(double[:, ::1] eps, int64_t[::1] lhs, int64_t[::1] rhs,
-                  double[::1] offsets):
-    cdef Py_ssize_t n = eps.shape[0]
-    cdef Py_ssize_t c = lhs.shape[0]
-    out_arr = np.ones(n, dtype=np.uint8)
-    cdef unsigned char[::1] out = out_arr
-    cdef Py_ssize_t i, k
-    for i in range(n):
-        for k in range(c):
-            if not (eps[i, lhs[k]] + offsets[k] > eps[i, rhs[k]]):
-                out[i] = 0
-                break
-    return out_arr.astype(bool)

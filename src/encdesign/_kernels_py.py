@@ -1,8 +1,8 @@
 """Pure-numpy implementations of the sampling kernels.
 
-Kept in lockstep with the compiled versions in ``_ckernels.pyx``: both use
-the same float64 additions and strict comparisons, so their outputs are
-bit-identical on the same input.
+``potential_type_codes`` is kept in lockstep with the compiled version in
+``_ckernels.pyx``: both use the same float64 additions and strict
+comparisons, so their outputs are bit-identical on the same input.
 """
 
 import numpy as np

@@ -1,12 +1,12 @@
 """Sampling kernels with a compiled fast path.
 
 The Cython extension is optional: when it is missing, the numpy fallback
-is used instead. Each kernel dispatches to whichever backend measures
-faster for its workload shape (the compiled argmax loop wins by several
-times; the numpy constraint check wins at small constraint counts). Both
-backends compute the same float64 operations in the same order, so
-results are bit-identical either way; tests assert this whenever the
-compiled backend is present. ``benchmarks/`` compares their throughput.
+is used instead. The compiled extension carries only the argmax kernel
+``potential_type_codes``, whose per-row loop it runs several times
+faster; both backends compute the same float64 operations in the same
+order, so results are bit-identical either way, and tests assert this
+whenever the compiled backend is present. ``benchmarks/`` compares their
+throughput. The region constraint check is numpy only.
 """
 
 import numpy as np
@@ -44,16 +44,11 @@ def potential_type_codes(eps, betas, z_targets, impl=None):
     return np.asarray(d), np.asarray(ties, dtype=bool)
 
 
-def region_accept(eps, lhs, rhs, offsets, impl=None):
-    """Acceptance mask for a system of strict pairwise shock constraints.
-
-    Defaults to the numpy backend: region systems carry only a handful of
-    constraints, where vectorized passes beat the compiled per-row loop
-    even at low acceptance rates (see benchmarks/bench_kernels.py).
-    """
+def region_accept(eps, lhs, rhs, offsets):
+    """Acceptance mask for a system of strict pairwise shock constraints
+    eps[:, lhs[k]] + offsets[k] > eps[:, rhs[k]]."""
     eps = np.ascontiguousarray(eps, dtype=np.float64)
     lhs = np.ascontiguousarray(lhs, dtype=np.int64)
     rhs = np.ascontiguousarray(rhs, dtype=np.int64)
     offsets = np.ascontiguousarray(offsets, dtype=np.float64)
-    impl = impl if impl is not None else _kernels_py
-    return np.asarray(impl.region_accept(eps, lhs, rhs, offsets), dtype=bool)
+    return np.asarray(_kernels_py.region_accept(eps, lhs, rhs, offsets), dtype=bool)

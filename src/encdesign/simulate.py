@@ -321,6 +321,77 @@ def build_epsilon_mixture(q: ResponseMeasure) -> RegionMixture:
     return RegionMixture(config, tuple(betas), M, tuple(components))
 
 
+def _difference_box(region: Region, M: float):
+    """The box lo < eps - eps[p] < hi (lo[p] = hi[p] = 0) holding every
+    difference vector of the region inside |eps| <= M, for the pivot p
+    at the interior point's largest shock. The bounds come from the
+    region's constraints on p: (p, k, c) gives eps[k] - eps[p] < c and
+    (k, p, c) gives eps[k] - eps[p] > -c; two shocks in the box differ
+    by at most 2M."""
+    J = len(region.interior)
+    p = int(np.argmax(region.interior))
+    lo = np.full(J, -2.0 * M)
+    hi = np.full(J, 2.0 * M)
+    lo[p] = hi[p] = 0.0
+    for a, b, c in zip(region.lhs, region.rhs, region.offsets):
+        if a == p:
+            hi[b] = min(hi[b], c)
+        elif b == p:
+            lo[a] = max(lo[a], -c)
+    return lo, hi
+
+
+def _sample_region(
+    rng: np.random.Generator,
+    region: Region,
+    M: float,
+    want: int,
+    min_acceptance: float,
+) -> np.ndarray:
+    """``want`` shocks uniform in region ∩ box, |eps| <= M.
+
+    Write eps = delta + s with delta = eps - eps[p]. A delta is feasible
+    for a shift interval [-M - min(delta), M - max(delta)] of length
+    2M - span(delta) (span over all coordinates, delta[p] = 0 included),
+    so the delta marginal of the uniform law has density proportional to
+    that length. Draw delta uniformly in the difference box, keep it with
+    probability (2M - span) / 2M, draw the shift uniformly on its
+    interval, and keep the rows that satisfy every region constraint and
+    the box."""
+    lhs = np.asarray(region.lhs, dtype=np.int64)
+    rhs = np.asarray(region.rhs, dtype=np.int64)
+    offs = np.asarray(region.offsets, dtype=np.float64)
+    lo, hi = _difference_box(region, M)
+    width = 2.0 * M
+    chunks = []
+    got = 0
+    proposed = 0
+    while got < want:
+        need = want - got
+        # the proposals the rows still needed take at the rate seen so
+        # far, plus one per row as margin; doubling until a row is kept
+        batch = need * proposed // got + need if got else 2 * max(need, proposed)
+        batch = min(batch, CHUNK_SIZE)
+        proposed += batch
+        delta = rng.uniform(lo, hi, size=(batch, len(lo)))
+        low = delta.min(axis=1)
+        high = delta.max(axis=1)
+        keep = rng.random(batch) * width < width - (high - low)
+        delta, low, high = delta[keep], low[keep], high[keep]
+        eps = delta + rng.uniform(-M - low, M - high)[:, None]
+        mask = kernels.region_accept(eps, lhs, rhs, offs)
+        mask &= (np.abs(eps) <= M).all(axis=1)
+        accepted = eps[mask][:need]
+        chunks.append(accepted)
+        got += len(accepted)
+        if proposed > 1e6 and got / proposed < min_acceptance:
+            raise RuntimeError(
+                f"rejection acceptance rate below {min_acceptance} for region "
+                f"{region.rtype.d}; adjust the bounding box"
+            )
+    return np.concatenate(chunks)
+
+
 def verify_mixture(
     mix: RegionMixture,
     q: ResponseMeasure,
@@ -328,10 +399,11 @@ def verify_mixture(
     seed: int,
     min_acceptance: float = 1e-6,
 ) -> float:
-    """Sample n shocks from the mixture (components by weight, points by
-    uniform-in-box rejection), push them through the utility argmax, and
-    return the largest absolute gap between realized type frequencies
-    and the target masses."""
+    """Sample n shocks from the mixture (components by weight, points
+    uniform in region ∩ box), push them through the utility argmax,
+    check that every point realizes its region's type, and return the
+    largest absolute gap between realized type frequencies and the
+    target masses."""
     config = mix.config
     z_support = np.asarray(config.z_support, dtype=np.int64)
     betas = np.asarray(mix.betas, dtype=np.float64)
@@ -343,37 +415,19 @@ def verify_mixture(
     for region, want in zip(mix.components, counts):
         if want == 0:
             continue
-        lhs = np.asarray(region.lhs, dtype=np.int64)
-        rhs = np.asarray(region.rhs, dtype=np.int64)
-        offs = np.asarray(region.offsets, dtype=np.float64)
+        expected = np.asarray(region.rtype.d, dtype=np.int64)
         got = 0
-        proposed = 0
-        batch = max(4096, 2 * want)
-        while got < want:
-            eps = rng.uniform(-mix.M, mix.M, size=(batch, config.J))
-            proposed += batch
-            mask = kernels.region_accept(eps, lhs, rhs, offs)
-            accepted = eps[mask][: want - got]
-            if len(accepted):
-                codes, ties = kernels.potential_type_codes(
-                    np.ascontiguousarray(accepted), betas, z_support
-                )
-                if ties.any():
-                    keep = ~ties
-                    codes = codes[keep]
-                    accepted = accepted[keep]
-                for row in codes:
-                    rt = ResponseType(tuple(int(v) for v in row))
-                    if rt != region.rtype:
-                        raise RuntimeError(
-                            f"region for {region.rtype.d} produced {rt.d}; region bug"
-                        )
-                got += len(codes)
-            if proposed > 1e6 and got / proposed < min_acceptance:
+        while got < want:  # tied rows are dropped and drawn again
+            eps = _sample_region(rng, region, mix.M, want - got, min_acceptance)
+            codes, ties = kernels.potential_type_codes(eps, betas, z_support)
+            codes = codes[~ties]
+            wrong = np.flatnonzero((codes != expected).any(axis=1))
+            if len(wrong):
+                produced = tuple(int(v) for v in codes[wrong[0]])
                 raise RuntimeError(
-                    f"rejection acceptance rate below {min_acceptance} for region "
-                    f"{region.rtype.d}; adjust the bounding box"
+                    f"region for {region.rtype.d} produced {produced}; region bug"
                 )
+            got += len(codes)
         freq[region.rtype] = freq.get(region.rtype, 0) + want
     types = set(freq) | set(q.mass)
     return max(

@@ -5,6 +5,9 @@ from fractions import Fraction
 from itertools import product
 from random import Random
 
+import numpy as np
+
+from encdesign import kernels
 from encdesign.admissible import enumerate_admissible, is_admissible
 from encdesign.core import (
     ONE,
@@ -21,6 +24,7 @@ from encdesign.inequalities import (
     OutcomeDistribution,
     generate,
 )
+from encdesign.simulate import Region, RegionMixture
 from encdesign.witness import OutcomeResponseMeasure, pushforward_outcome
 
 
@@ -189,3 +193,55 @@ def check_by_family(
     evaluate the slack of every inequality in it."""
     specs = generate(P.config, full=full, cap=cap)
     return CheckReport.from_slacks((s, s.slack(P)) for s in specs)
+
+
+def region_points_by_box_rejection(
+    mix: RegionMixture,
+    region: Region,
+    want: int,
+    rng: np.random.Generator,
+    min_acceptance: float = 1e-6,
+) -> np.ndarray:
+    """Oracle for ``simulate._sample_region``: ``want`` shocks uniform in
+    region ∩ box by drawing uniformly from the whole box [-M, M]^J and
+    keeping the draws that satisfy every region constraint. This is the
+    per-region loop ``verify_mixture`` ran before it sampled in
+    difference coordinates, type check and tie drop included; it returns
+    the points it accepted."""
+    config = mix.config
+    z_support = np.asarray(config.z_support, dtype=np.int64)
+    betas = np.asarray(mix.betas, dtype=np.float64)
+    points = []
+    lhs = np.asarray(region.lhs, dtype=np.int64)
+    rhs = np.asarray(region.rhs, dtype=np.int64)
+    offs = np.asarray(region.offsets, dtype=np.float64)
+    got = 0
+    proposed = 0
+    batch = max(4096, 2 * want)
+    while got < want:
+        eps = rng.uniform(-mix.M, mix.M, size=(batch, config.J))
+        proposed += batch
+        mask = kernels.region_accept(eps, lhs, rhs, offs)
+        accepted = eps[mask][: want - got]
+        if len(accepted):
+            codes, ties = kernels.potential_type_codes(
+                np.ascontiguousarray(accepted), betas, z_support
+            )
+            if ties.any():
+                keep = ~ties
+                codes = codes[keep]
+                accepted = accepted[keep]
+            for row in codes:
+                rt = ResponseType(tuple(int(v) for v in row))
+                if rt != region.rtype:
+                    raise RuntimeError(
+                        f"region for {region.rtype.d} produced {rt.d}; region bug"
+                    )
+            got += len(codes)
+            points.append(accepted)
+        if proposed > 1e6 and got / proposed < min_acceptance:
+            raise RuntimeError(
+                f"rejection acceptance rate below {min_acceptance} for region "
+                f"{region.rtype.d}; adjust the bounding box"
+            )
+    return np.concatenate(points)

@@ -57,12 +57,6 @@ def test_backends_bit_identical():
     d_p, t_p = kernels.potential_type_codes(eps, betas, targets, impl=backends["python"])
     assert np.array_equal(d_c, d_p)
     assert np.array_equal(t_c, t_p)
-    lhs = np.array([0, 1, 2])
-    rhs = np.array([1, 2, 3])
-    offs = np.array([0.3, -0.2, 1.0])
-    m_c = kernels.region_accept(eps, lhs, rhs, offs, impl=backends["compiled"])
-    m_p = kernels.region_accept(eps, lhs, rhs, offs, impl=backends["python"])
-    assert np.array_equal(m_c, m_p)
 
 
 @pytest.mark.skipif(

@@ -1,11 +1,13 @@
-"""The fast exact paths against the slow reference implementations kept in
+"""The fast paths against the slow reference implementations kept in
 ``helpers``: the integer-preserving simplex against the Fraction tableau,
-direct admissible generation against the brute-force filter, and the
-per-choice-maxima check against the explicit inequality family."""
+direct admissible generation against the brute-force filter, the
+per-choice-maxima check against the explicit inequality family, and the
+difference-coordinate region sampler against whole-box rejection."""
 
 from fractions import Fraction as F
 from random import Random
 
+import numpy as np
 import pytest
 
 from encdesign import lp
@@ -13,6 +15,12 @@ from encdesign.admissible import enumerate_admissible
 from encdesign.core import DesignConfig, pushforward
 from encdesign.errors import CapacityError
 from encdesign.inequalities import check
+from encdesign.simulate import (
+    _chunk_rng,
+    _difference_box,
+    _sample_region,
+    build_epsilon_mixture,
+)
 from helpers import (
     admissible_by_filter,
     boundary_measure,
@@ -20,8 +28,10 @@ from helpers import (
     feasible_outcome_table,
     feasible_table,
     phase_one_fraction,
+    random_measure,
     random_outcome_table,
     random_table,
+    region_points_by_box_rejection,
 )
 
 
@@ -151,3 +161,65 @@ def test_check_cap_bounds_the_violations_listed(J, J0, full):
         with pytest.raises(CapacityError, match=f"more than {len(want) - 1} violations"):
             check(P, full=full, cap=len(want) - 1).violations
     assert tried
+
+
+REGION_DESIGNS = [(2, 0), (3, 0), (3, 1), (4, 2)]
+
+
+def _mixtures(J, J0, copies):
+    rng = Random(307 + 10 * J + J0)
+    for _ in range(copies):
+        yield build_epsilon_mixture(random_measure(DesignConfig(J, J0), rng))
+
+
+@pytest.mark.parametrize("J, J0", REGION_DESIGNS)
+def test_difference_box_contains_interior_point(J, J0):
+    diagonal = 0
+    for mix in _mixtures(J, J0, 4):
+        for region in mix.components:
+            p = int(np.argmax(region.interior))
+            lo, hi = _difference_box(region, mix.M)
+            delta = np.asarray(region.interior) - region.interior[p]
+            others = np.arange(J) != p
+            assert lo[p] == hi[p] == 0.0
+            assert (lo[others] < delta[others]).all(), (region.rtype.d, lo, delta)
+            assert (delta[others] < hi[others]).all(), (region.rtype.d, hi, delta)
+            diagonal += region.rtype.d == tuple(range(J))
+    assert J0 or diagonal
+
+
+@pytest.mark.parametrize("J, J0", REGION_DESIGNS)
+def test_region_samples_satisfy_constraints_and_box(J, J0):
+    for copy, mix in enumerate(_mixtures(J, J0, 2)):
+        for i, region in enumerate(mix.components):
+            pts = _sample_region(_chunk_rng(313 + copy, i), region, mix.M, 500, 1e-6)
+            assert pts.shape == (500, J)
+            assert (np.abs(pts) <= mix.M).all()
+            for a, b, c in zip(region.lhs, region.rhs, region.offsets):
+                assert (pts[:, a] + c > pts[:, b]).all(), (region.rtype.d, a, b, c)
+
+
+def _ks_statistic(a, b):
+    """Two-sample Kolmogorov-Smirnov distance between empirical CDFs."""
+    a, b = np.sort(a), np.sort(b)
+    grid = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, grid, side="right") / len(a)
+    cdf_b = np.searchsorted(b, grid, side="right") / len(b)
+    return np.abs(cdf_a - cdf_b).max()
+
+
+# For two same-law samples of 4000 points each, the two-sample statistic
+# exceeds 2.4 * sqrt(2 / 4000) = 0.054 with probability about 1e-5.
+KS_POINTS = 4000
+KS_THRESHOLD = 0.06
+
+
+@pytest.mark.parametrize("J, J0", REGION_DESIGNS)
+def test_region_sampler_matches_box_rejection_in_law(J, J0):
+    mix = next(_mixtures(J, J0, 1))
+    for i, region in enumerate(mix.components):
+        new = _sample_region(_chunk_rng(317, i), region, mix.M, KS_POINTS, 1e-6)
+        old = region_points_by_box_rejection(mix, region, KS_POINTS, _chunk_rng(331, i))
+        for k in range(J):
+            stat = _ks_statistic(new[:, k], old[:, k])
+            assert stat < KS_THRESHOLD, (region.rtype.d, k, stat)

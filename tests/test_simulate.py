@@ -1,5 +1,6 @@
 """Random utility simulation and the region-mixture realization."""
 
+import dataclasses
 import math
 from fractions import Fraction as F
 from random import Random
@@ -18,6 +19,7 @@ from encdesign.simulate import (
     CHUNK_SIZE,
     RumSpec,
     TieError,
+    _chunk_rng,
     build_epsilon_mixture,
     potential_vector,
     simulate,
@@ -225,3 +227,32 @@ def test_mixture_weights_match_measure():
     q = random_measure(config, Random(77))
     mix = build_epsilon_mixture(q)
     assert {c.rtype: c.weight for c in mix.components} == dict(q.mass)
+
+
+def test_mixture_type_check_catches_swapped_region():
+    config = DesignConfig(3, 0)
+    q = random_measure(config, Random(79))
+    mix = build_epsilon_mixture(q)
+    first, second = mix.components[:2]
+    swapped = (
+        dataclasses.replace(first, rtype=second.rtype),
+        dataclasses.replace(second, rtype=first.rtype),
+    ) + mix.components[2:]
+    bad = dataclasses.replace(mix, components=swapped)
+    with pytest.raises(RuntimeError, match=r"region for .* produced .*; region bug"):
+        verify_mixture(bad, q, 20000, seed=11)
+
+
+def test_mixture_error_is_the_multinomial_gap():
+    rng = Random(83)
+    for J, J0 in [(2, 0), (3, 0), (3, 1), (4, 2)]:
+        q = random_measure(DesignConfig(J, J0), rng)
+        mix = build_epsilon_mixture(q)
+        n, seed = 3000, rng.randint(0, 10**6)
+        weights = np.array([float(c.weight) for c in mix.components])
+        counts = _chunk_rng(seed, 0).multinomial(n, weights / weights.sum())
+        want = max(
+            abs(int(c) / n - float(q.mass[region.rtype]))
+            for region, c in zip(mix.components, counts)
+        )
+        assert verify_mixture(mix, q, n, seed) == want, (J, J0)
