@@ -171,6 +171,37 @@ def write_csv(data: simulate.MicroData, path: str) -> None:
 
 
 def read_csv(path: str, want_y: bool) -> simulate.MicroData:
+    """Read a micro-data CSV with a header naming columns d, z and, with
+    ``want_y``, y, in any order among other columns.
+
+    The body is parsed in bulk by numpy when every field of every row is
+    an int64 literal. Any other file (quoted fields, whitespace-only or
+    short rows, non-integer or out-of-range values, a bad header or no
+    rows) is read row by row by ``_read_csv_rows``, which returns the
+    same arrays where both accept a file and raises the row-indexed
+    errors."""
+    import warnings
+
+    names = ("d", "z", "y") if want_y else ("d", "z")
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        header = next(csv.reader(fh), [])
+        column = {name: i for i, name in enumerate(header)}
+        if all(name in column for name in names):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")  # loadtxt warns on a body without rows
+                    body = np.loadtxt(fh, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
+            except (ValueError, Warning):
+                body = None
+            if body is not None and max(column[name] for name in names) < body.shape[1]:
+                d, z, *y = (np.ascontiguousarray(body[:, column[name]]) for name in names)
+                return simulate.MicroData(d, z, y[0] if want_y else None, provenance=path)
+    return _read_csv_rows(path, want_y)
+
+
+def _read_csv_rows(path: str, want_y: bool) -> simulate.MicroData:
+    """Read the CSV one row at a time: the fallback of ``read_csv``, and
+    the source of its header and row-indexed error messages."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or "d" not in reader.fieldnames or "z" not in reader.fieldnames:

@@ -79,6 +79,17 @@ class CheckReport:
         )
 
 
+def selector_family_size(config: DesignConfig, cap: int = DEFAULT_FAMILY_CAP) -> int:
+    """Number of selector tuples, prod_j |targeted_set(j)|; raises
+    CapacityError when it exceeds ``cap``."""
+    count = 1
+    for j in range(config.J):
+        count *= len(config.targeted_set(j))
+    if count > cap:
+        raise CapacityError(f"family would hold {count} inequalities, cap is {cap}")
+    return count
+
+
 def generate(
     config: DesignConfig, full: bool = False, cap: int = DEFAULT_FAMILY_CAP
 ) -> tuple[InequalitySpec, ...]:
@@ -91,11 +102,7 @@ def generate(
     family instead (the two are equivalent, which tests verify).
     """
     if config.J0 == 0 or full:
-        count = 1
-        for j in range(config.J):
-            count *= len(config.targeted_set(j))
-        if count > cap:
-            raise CapacityError(f"family would hold {count} inequalities, cap is {cap}")
+        selector_family_size(config, cap)
         specs = []
         for selector in product(*(config.targeted_set(j) for j in range(config.J))):
             lhs = tuple((selector[j], j) for j in range(config.J))
@@ -387,19 +394,29 @@ def brute_force_partition_check(
     return True
 
 
+def partition_family_size(
+    config: DesignConfig, y_support, cap: int = DEFAULT_FAMILY_CAP
+) -> int:
+    """Number of partition inequalities, prod_j |targeted_set(j)|^|Y|;
+    raises CapacityError as soon as the running product exceeds ``cap``."""
+    total = 1
+    for j in range(config.J):
+        total *= len(config.targeted_set(j)) ** len(y_support)
+        if total > cap:
+            raise CapacityError(f"would emit {total}+ inequalities, cap is {cap}")
+    return total
+
+
 def partition_family_specs(
     config: DesignConfig, y_support, cap: int = DEFAULT_FAMILY_CAP
 ) -> tuple[InequalitySpec, ...]:
     """Every partition inequality as an explicit spec; the finite moment
     family used by the statistical test when there is no base state."""
     ys = tuple(y_support)
+    partition_family_size(config, ys, cap)
     per_choice = []
-    total = 1
     for j in range(config.J):
         zs = config.targeted_set(j)
-        total *= len(zs) ** len(ys)
-        if total > cap:
-            raise CapacityError(f"would emit {total}+ inequalities, cap is {cap}")
         per_choice.append(
             [tuple((z, j, y) for z, y in zip(a, ys)) for a in product(zs, repeat=len(ys))]
         )

@@ -6,24 +6,41 @@ inequality family evaluated on arm-level frequencies, and the critical
 value comes from a Gaussian multiplier bootstrap of the recentred
 moments. Floating point is confined to this module; nothing here feeds
 back into the exact-arithmetic paths.
+
+Without a base state the family is a product over choices (one cell
+per choice for treatment tables, one cell per choice and outcome value
+for the partition family), with up to 10^6 members. Its weight rows are
+never materialised as a whole: ``test_model`` builds them from their
+index, block by block, and keeps only the per-moment slack and standard
+error and a running bootstrap maximum. Memory is O(B x block) plus the
+report; at J = 4 with three outcome values (531,477 moments, B = 99)
+the tracemalloc peak is about 56 MB.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import Mapping
 
 import numpy as np
 
 from .core import DesignConfig, ObservedDistribution
-from .inequalities import (
+# ``generate`` and ``partition_family_specs`` stay names of this module:
+# the benchmark's per-layer tracing (perfbench/tracing.py) wraps them
+# here. ``test_model`` calls ``generate`` for base-state designs only and
+# builds the partition family from indices, not through
+# ``partition_family_specs``.
+from .inequalities import (  # noqa: F401
     OutcomeDistribution,
     check,
     check_outcome,
     generate,
     generate_outcome,
+    partition_family_size,
     partition_family_specs,
+    selector_family_size,
 )
 from .simulate import MicroData
 
@@ -67,14 +84,22 @@ def estimate(
         raise ValueError(f"row {i}: instrument {z[i]} not in support {config.z_support}")
     ys = None
     if data.y is not None:
+        y = np.asarray(data.y)
         if y_support is not None:
             ys = tuple(int(v) for v in y_support)
-            allowed = set(ys)
-            for i, v in enumerate(data.y):
-                if int(v) not in allowed:
-                    raise ValueError(f"row {i}: outcome {v} not in support {ys}")
         else:
-            ys = tuple(int(v) for v in np.unique(data.y))
+            ys = tuple(int(v) for v in np.unique(y))
+        # each row's position in ys (the last one if ys repeats a value)
+        order = np.argsort(ys, kind="stable")
+        sorted_ys = np.asarray(ys, dtype=np.int64)[order]
+        at = np.searchsorted(sorted_ys, y, side="right") - 1
+        known = at >= 0
+        known[known] = sorted_ys[at[known]] == y[known]
+        bad_y = np.flatnonzero(~known)
+        if len(bad_y):
+            i = int(bad_y[0])
+            raise ValueError(f"row {i}: outcome {y[i]} not in support {ys}")
+        cell_code = d * len(ys) + order[at]
     arm_counts = {}
     cells = {}
     for zv in config.z_support:
@@ -86,11 +111,8 @@ def estimate(
         if ys is None:
             cells[zv] = np.bincount(d[arm], minlength=config.J).astype(float)
         else:
-            mat = np.zeros((config.J, len(ys)), dtype=float)
-            y_index = {v: i for i, v in enumerate(ys)}
-            for dv, yv in zip(d[arm], data.y[arm]):
-                mat[dv, y_index[int(yv)]] += 1
-            cells[zv] = mat
+            counts = np.bincount(cell_code[arm], minlength=config.J * len(ys))
+            cells[zv] = counts.reshape(config.J, len(ys)).astype(float)
     degenerate = tuple(zv for zv, c in arm_counts.items() if c == 1)
     return EstimatedTables(config, arm_counts, cells, ys, degenerate)
 
@@ -127,13 +149,40 @@ class TestReport:
         }
 
 
-def _moment_family(config, y_support):
-    if y_support is None:
-        return generate(config)
-    specs = list(generate_outcome(config, y_support))
-    if config.J0 == 0:
-        specs.extend(partition_family_specs(config, y_support))
-    return tuple(specs)
+def _block_rows(B: int) -> int:
+    """Moments per block: the largest power of two whose B x rows block
+    of bootstrap statistics fits in 2**20 doubles, and at least 8.
+
+    Every block then starts at a multiple of 8, and BLAS ``gemv`` (which
+    groups rows by eight) sums each row of W @ p in the same order as on
+    the whole family. A block start off that grid changes some slacks in
+    the last bit, and so does threaded ``gemv`` on the whole family."""
+    rows = max(1, (1 << 20) // B)
+    return max(8, 1 << (rows.bit_length() - 1))
+
+
+def _fill_product_rows(W: np.ndarray, options, first: int) -> None:
+    """Write rows ``first, first + 1, ...`` of a product family into the
+    zeroed block ``W``. A member picks one row of ``options[j]`` (cell
+    indices) for every choice j and puts weight 1 on those cells; members
+    are numbered as ``itertools.product`` numbers them, last choice
+    fastest."""
+    members = np.arange(first, first + len(W))
+    rows = np.arange(len(W))[:, None]
+    stride = 1
+    for opts in reversed(options):
+        W[rows, opts[(members // stride) % len(opts)]] = 1.0
+        stride *= len(opts)
+
+
+def _as_tuple(values: np.ndarray) -> tuple:
+    """The entries of ``values`` as a tuple of Python scalars.
+
+    A function of its own because tracemalloc records the calling line
+    of each of the ~10^6 floats made here, and Python 3.11 finds that
+    line by scanning the caller's line table: inside ``test_model`` the
+    conversion ran about 20 times slower under tracemalloc."""
+    return tuple(values.tolist())
 
 
 def test_model(
@@ -146,23 +195,29 @@ def test_model(
 ) -> TestReport:
     """Max studentized violation with a multiplier-bootstrap critical
     value. Rejects when the statistic exceeds the (1 - alpha) bootstrap
-    quantile of the recentred statistic."""
+    quantile of the recentred statistic.
+
+    The moments are the base-state family or the static outcome family,
+    built spec by spec, followed without a base state by the selector or
+    partition family, whose weight rows are built from their index.
+    Rows are processed in blocks of ``_block_rows(B)``; only one block
+    of W and of the B x moments bootstrap matrix exists at a time."""
     if B < 99:
         raise ValueError("need at least 99 bootstrap replications")
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie strictly between 0 and 1")
     use_y = data.y is not None
     est = estimate(data, config, y_support=y_support if use_y else None)
-    specs = _moment_family(config, est.y_support)
+    ys = est.y_support
 
-    # Flatten cells to a vector; each spec becomes a weight vector so the
+    # Flatten cells to a vector; each moment is a weight vector w and the
     # moment is w . p_hat - bound.
     coords = []
     for z in config.z_support:
-        if est.y_support is None:
+        if ys is None:
             coords.extend((z, j) for j in range(config.J))
         else:
-            coords.extend((z, j, y) for j in range(config.J) for y in est.y_support)
+            coords.extend((z, j, y) for j in range(config.J) for y in ys)
     index = {c: i for i, c in enumerate(coords)}
     n_cells = len(coords)
     p_vec = np.array([est.p_hat(*c) for c in coords])
@@ -171,25 +226,37 @@ def test_model(
     arm_n = np.array([est.arm_counts[z] for z in config.z_support], dtype=float)
     raw_counts = p_vec * arm_n[arm_of]
 
-    W = np.zeros((len(specs), n_cells))
-    bounds = np.zeros(len(specs))
-    for i, spec in enumerate(specs):
+    # Without a base state the selector or partition family follows the
+    # static rows: per choice, the cells each member may put weight on.
+    # The capacity check comes before any row is built.
+    n_product, options = 0, []
+    if config.J0 == 0:
+        if ys is None:
+            n_product = selector_family_size(config)
+        else:
+            n_product = partition_family_size(config, ys)
+        for j in range(config.J):
+            zs = config.targeted_set(j)
+            if ys is None:
+                options.append(np.array([[index[(z, j)]] for z in zs]))
+            else:
+                options.append(np.array([
+                    [index[(z, j, y)] for z, y in zip(a, ys)]
+                    for a in product(zs, repeat=len(ys))
+                ]))
+    if ys is None:
+        static = generate(config) if config.J0 else ()
+    else:
+        static = generate_outcome(config, ys)
+    n_static = len(static)
+    W_static = np.zeros((n_static, n_cells))
+    bounds_static = np.zeros(n_static)
+    for i, spec in enumerate(static):
         for c in spec.lhs:
-            W[i, index[c]] += 1.0
+            W_static[i, index[c]] += 1.0
         for c in spec.rhs:
-            W[i, index[c]] -= 1.0
-        bounds[i] = float(spec.bound)
-
-    violations = W @ p_vec - bounds
-    variances = np.zeros(len(specs))
-    for a in range(n_arms):
-        sel = arm_of == a
-        wp = W[:, sel] * p_vec[sel]
-        variances += ((W[:, sel] ** 2 * p_vec[sel]).sum(axis=1) - wp.sum(axis=1) ** 2) / arm_n[a]
-    se = np.sqrt(np.maximum(variances, 0.0))
-    floored = se < SE_FLOOR
-    se = np.maximum(se, SE_FLOOR)
-    statistic = float(np.max(violations / se))
+            W_static[i, index[c]] -= 1.0
+        bounds_static[i] = float(spec.bound)
 
     # Multiplier bootstrap. The moments depend on the data only through
     # per-cell multiplier sums, which are independent N(0, count) across
@@ -201,27 +268,59 @@ def test_model(
         sel = arm_of == a
         arm_total = S[:, sel].sum(axis=1, keepdims=True)
         G[:, sel] = (S[:, sel] - p_vec[sel] * arm_total) / arm_n[a]
-    t_star = (G @ W.T) / se
-    t_star = t_star.max(axis=1)
+
+    n_moments = n_static + n_product
+    violations = np.empty(n_moments)
+    se = np.empty(n_moments)
+    floored = np.empty(n_moments, dtype=bool)
+    t_star = np.full(B, -np.inf)
+    block = _block_rows(B)
+    for start in range(0, n_moments, block):
+        stop = min(start + block, n_moments)
+        W = np.zeros((stop - start, n_cells))
+        bounds = np.ones(stop - start)
+        if start < n_static:
+            top = min(stop, n_static)
+            W[: top - start] = W_static[start:top]
+            bounds[: top - start] = bounds_static[start:top]
+        if stop > n_static:
+            first = max(start, n_static)
+            _fill_product_rows(W[first - start:], options, first - n_static)
+
+        viol = W @ p_vec - bounds
+        variances = np.zeros(len(W))
+        for a in range(n_arms):
+            sel = arm_of == a
+            W_arm = W[:, sel]
+            wp = W_arm * p_vec[sel]
+            variances += ((W_arm ** 2 * p_vec[sel]).sum(axis=1) - wp.sum(axis=1) ** 2) / arm_n[a]
+        se_block = np.sqrt(np.maximum(variances, 0.0))
+        floored[start:stop] = se_block < SE_FLOOR
+        se_block = np.maximum(se_block, SE_FLOOR)
+        violations[start:stop] = viol
+        se[start:stop] = se_block
+        np.maximum(t_star, ((G @ W.T) / se_block).max(axis=1), out=t_star)
+
+    statistic = float(np.max(violations / se))
     k = min(B - 1, max(0, math.ceil((1 - alpha) * (B + 1)) - 1))
     critical = float(np.sort(t_star)[k])
     p_value = float((1 + (t_star >= statistic).sum()) / (B + 1))
 
     p_hat_out: dict = {}
     for z in config.z_support:
-        if est.y_support is None:
+        if ys is None:
             p_hat_out[str(z)] = [est.p_hat(z, j) for j in range(config.J)]
         else:
             p_hat_out[str(z)] = {
-                str(j): {str(y): est.p_hat(z, j, y) for y in est.y_support}
+                str(j): {str(y): est.p_hat(z, j, y) for y in ys}
                 for j in range(config.J)
             }
     return TestReport(
         arm_counts=dict(est.arm_counts),
         p_hat=p_hat_out,
-        slacks=tuple(float(-v) for v in violations),
-        standard_errors=tuple(float(v) for v in se),
-        floored=tuple(bool(f) for f in floored),
+        slacks=_as_tuple(-violations),
+        standard_errors=_as_tuple(se),
+        floored=_as_tuple(floored),
         statistic=statistic,
         critical_value=critical,
         p_value=p_value,

@@ -1,13 +1,15 @@
 """Deterministic random generators for exact tables and measures, and
 the slow reference implementations kept as oracles for the fast paths."""
 
+import csv
+import math
 from fractions import Fraction
 from itertools import product
 from random import Random
 
 import numpy as np
 
-from encdesign import kernels
+from encdesign import kernels, simulate
 from encdesign.admissible import enumerate_admissible, is_admissible
 from encdesign.core import (
     ONE,
@@ -23,8 +25,11 @@ from encdesign.inequalities import (
     CheckReport,
     OutcomeDistribution,
     generate,
+    generate_outcome,
+    partition_family_specs,
 )
-from encdesign.simulate import Region, RegionMixture
+from encdesign.simulate import MicroData, Region, RegionMixture
+from encdesign.stats import SE_FLOOR, EstimatedTables, TestReport, estimate
 from encdesign.witness import OutcomeResponseMeasure, pushforward_outcome
 
 
@@ -245,3 +250,183 @@ def region_points_by_box_rejection(
                 f"{region.rtype.d}; adjust the bounding box"
             )
     return np.concatenate(points)
+
+
+def estimate_by_rows(
+    data: MicroData, config: DesignConfig, y_support=None
+) -> EstimatedTables:
+    """Oracle for ``stats.estimate``: outcome cells counted one (d, y)
+    row at a time and the supplied outcome support checked row by row."""
+    d = np.asarray(data.d)
+    z = np.asarray(data.z)
+    bad_d = np.flatnonzero((d < 0) | (d >= config.J))
+    if len(bad_d):
+        i = int(bad_d[0])
+        raise ValueError(f"row {i}: treatment {d[i]} out of range for J={config.J}")
+    z_ok = np.zeros(len(z), dtype=bool)
+    for zv in config.z_support:
+        z_ok |= z == zv
+    bad_z = np.flatnonzero(~z_ok)
+    if len(bad_z):
+        i = int(bad_z[0])
+        raise ValueError(f"row {i}: instrument {z[i]} not in support {config.z_support}")
+    ys = None
+    if data.y is not None:
+        if y_support is not None:
+            ys = tuple(int(v) for v in y_support)
+            allowed = set(ys)
+            for i, v in enumerate(data.y):
+                if int(v) not in allowed:
+                    raise ValueError(f"row {i}: outcome {v} not in support {ys}")
+        else:
+            ys = tuple(int(v) for v in np.unique(data.y))
+    arm_counts = {}
+    cells = {}
+    for zv in config.z_support:
+        arm = z == zv
+        n_z = int(arm.sum())
+        if n_z == 0:
+            raise ValueError(f"no rows with instrument value {zv}")
+        arm_counts[zv] = n_z
+        if ys is None:
+            cells[zv] = np.bincount(d[arm], minlength=config.J).astype(float)
+        else:
+            mat = np.zeros((config.J, len(ys)), dtype=float)
+            y_index = {v: i for i, v in enumerate(ys)}
+            for dv, yv in zip(d[arm], data.y[arm]):
+                mat[dv, y_index[int(yv)]] += 1
+            cells[zv] = mat
+    degenerate = tuple(zv for zv, c in arm_counts.items() if c == 1)
+    return EstimatedTables(config, arm_counts, cells, ys, degenerate)
+
+
+def _moment_family(config, y_support):
+    if y_support is None:
+        return generate(config)
+    specs = list(generate_outcome(config, y_support))
+    if config.J0 == 0:
+        specs.extend(partition_family_specs(config, y_support))
+    return tuple(specs)
+
+
+def test_model_by_family(
+    data: MicroData,
+    config: DesignConfig,
+    alpha: float = 0.05,
+    B: int = 999,
+    seed: int = 0,
+    y_support=None,
+) -> TestReport:
+    """Oracle for ``stats.test_model``: every moment built as an
+    ``InequalitySpec``, the dense weight matrix W (moments x cells) filled
+    spec by spec, and the bootstrap maximum taken over the whole
+    B x moments matrix at once."""
+    if B < 99:
+        raise ValueError("need at least 99 bootstrap replications")
+    if not 0 < alpha < 1:
+        raise ValueError("alpha must lie strictly between 0 and 1")
+    use_y = data.y is not None
+    est = estimate(data, config, y_support=y_support if use_y else None)
+    specs = _moment_family(config, est.y_support)
+
+    # Flatten cells to a vector; each spec becomes a weight vector so the
+    # moment is w . p_hat - bound.
+    coords = []
+    for z in config.z_support:
+        if est.y_support is None:
+            coords.extend((z, j) for j in range(config.J))
+        else:
+            coords.extend((z, j, y) for j in range(config.J) for y in est.y_support)
+    index = {c: i for i, c in enumerate(coords)}
+    n_cells = len(coords)
+    p_vec = np.array([est.p_hat(*c) for c in coords])
+    arm_of = np.array([config.z_index(c[0]) for c in coords])
+    n_arms = len(config.z_support)
+    arm_n = np.array([est.arm_counts[z] for z in config.z_support], dtype=float)
+    raw_counts = p_vec * arm_n[arm_of]
+
+    W = np.zeros((len(specs), n_cells))
+    bounds = np.zeros(len(specs))
+    for i, spec in enumerate(specs):
+        for c in spec.lhs:
+            W[i, index[c]] += 1.0
+        for c in spec.rhs:
+            W[i, index[c]] -= 1.0
+        bounds[i] = float(spec.bound)
+
+    violations = W @ p_vec - bounds
+    variances = np.zeros(len(specs))
+    for a in range(n_arms):
+        sel = arm_of == a
+        wp = W[:, sel] * p_vec[sel]
+        variances += ((W[:, sel] ** 2 * p_vec[sel]).sum(axis=1) - wp.sum(axis=1) ** 2) / arm_n[a]
+    se = np.sqrt(np.maximum(variances, 0.0))
+    floored = se < SE_FLOOR
+    se = np.maximum(se, SE_FLOOR)
+    statistic = float(np.max(violations / se))
+
+    # Multiplier bootstrap. The moments depend on the data only through
+    # per-cell multiplier sums, which are independent N(0, count) across
+    # cells, so those sums are drawn directly.
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0)))
+    S = rng.normal(size=(B, n_cells)) * np.sqrt(raw_counts)
+    G = np.empty_like(S)
+    for a in range(n_arms):
+        sel = arm_of == a
+        arm_total = S[:, sel].sum(axis=1, keepdims=True)
+        G[:, sel] = (S[:, sel] - p_vec[sel] * arm_total) / arm_n[a]
+    t_star = (G @ W.T) / se
+    t_star = t_star.max(axis=1)
+    k = min(B - 1, max(0, math.ceil((1 - alpha) * (B + 1)) - 1))
+    critical = float(np.sort(t_star)[k])
+    p_value = float((1 + (t_star >= statistic).sum()) / (B + 1))
+
+    p_hat_out: dict = {}
+    for z in config.z_support:
+        if est.y_support is None:
+            p_hat_out[str(z)] = [est.p_hat(z, j) for j in range(config.J)]
+        else:
+            p_hat_out[str(z)] = {
+                str(j): {str(y): est.p_hat(z, j, y) for y in est.y_support}
+                for j in range(config.J)
+            }
+    return TestReport(
+        arm_counts=dict(est.arm_counts),
+        p_hat=p_hat_out,
+        slacks=tuple(float(-v) for v in violations),
+        standard_errors=tuple(float(v) for v in se),
+        floored=tuple(bool(f) for f in floored),
+        statistic=statistic,
+        critical_value=critical,
+        p_value=p_value,
+        reject=statistic > critical,
+        alpha=alpha,
+        B=B,
+        seed=seed,
+    )
+
+
+def read_csv_rows(path: str, want_y: bool) -> simulate.MicroData:
+    """Oracle for ``cli.read_csv``: every row parsed by ``csv.DictReader``
+    and ``int``, errors indexed by row."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or "d" not in reader.fieldnames or "z" not in reader.fieldnames:
+            raise ValueError("data file needs a header with at least columns d and z")
+        if want_y and "y" not in reader.fieldnames:
+            raise ValueError("outcome test requested but the data file has no y column")
+        d, z, y = [], [], []
+        for i, row in enumerate(reader):
+            try:
+                d.append(int(row["d"]))
+                z.append(int(row["z"]))
+                if want_y:
+                    y.append(int(row["y"]))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"row {i}: {exc}") from exc
+    return simulate.MicroData(
+        np.array(d, dtype=np.int64),
+        np.array(z, dtype=np.int64),
+        np.array(y, dtype=np.int64) if want_y else None,
+        provenance=path,
+    )

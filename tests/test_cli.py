@@ -2,7 +2,11 @@
 deterministic output."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 from random import Random
 
 from encdesign.cli import (
@@ -266,6 +270,31 @@ def test_test_command_with_outcomes(tmp_path, capsys):
     )
     assert code == EXIT_OK and not doc["reject"]
     assert len(doc["slacks"]) == 5  # four pointwise plus one partition moment
+
+
+def test_test_stdout_does_not_depend_on_blas_threads(tmp_path):
+    # 531,477 moments at (4,0) with |Y| = 3: one BLAS gemv over all of
+    # them split its rows differently with one and with two threads
+    from perfbench import inputs
+
+    config = DesignConfig(4, 0)
+    y, d, z = inputs.outcome_rows(config, (0, 1, 2), 100_000, inputs.rng_for(11, 0, (4, 0, 3)))
+    path = tmp_path / "y403.csv"
+    inputs.write_rows_csv(str(path), y, d, z)
+    src = str(Path(__file__).parent.parent / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "encdesign.cli", "test", "--data", str(path),
+             "--J", "4", "--J0", "0", "--y", "--B", "99", "--seed", "11"],
+            env=env, capture_output=True, timeout=300,
+        )
+        assert proc.returncode in (EXIT_OK, EXIT_VERDICT), proc.stderr
+        outputs.append(proc.stdout)
+    assert len(json.loads(outputs[0])["slacks"]) == 3 ** 12 + 36
+    assert outputs[0] == outputs[1]
 
 
 def test_usage_errors(capsys):

@@ -1,16 +1,19 @@
 """The fast paths against the slow reference implementations kept in
 ``helpers``: the integer-preserving simplex against the Fraction tableau,
 direct admissible generation against the brute-force filter, the
-per-choice-maxima check against the explicit inequality family, and the
-difference-coordinate region sampler against whole-box rejection."""
+per-choice-maxima check against the explicit inequality family, the
+difference-coordinate region sampler against whole-box rejection, and the
+block-streamed moment test and bincount cell counts against the explicit
+family and the per-row loop."""
 
+import tracemalloc
 from fractions import Fraction as F
 from random import Random
 
 import numpy as np
 import pytest
 
-from encdesign import lp
+from encdesign import lp, stats
 from encdesign.admissible import enumerate_admissible
 from encdesign.core import DesignConfig, pushforward
 from encdesign.errors import CapacityError
@@ -19,12 +22,14 @@ from encdesign.simulate import (
     _chunk_rng,
     _difference_box,
     _sample_region,
+    MicroData,
     build_epsilon_mixture,
 )
 from helpers import (
     admissible_by_filter,
     boundary_measure,
     check_by_family,
+    estimate_by_rows,
     feasible_outcome_table,
     feasible_table,
     phase_one_fraction,
@@ -33,6 +38,7 @@ from helpers import (
     random_table,
     region_points_by_box_rejection,
 )
+from helpers import test_model_by_family as model_test_by_family
 
 
 @pytest.fixture
@@ -223,3 +229,111 @@ def test_region_sampler_matches_box_rejection_in_law(J, J0):
         for k in range(J):
             stat = _ks_statistic(new[:, k], old[:, k])
             assert stat < KS_THRESHOLD, (region.rtype.d, k, stat)
+
+
+def _micro(J, J0, ny, n, seed):
+    """Rows with a uniform instrument, a treatment that complies with the
+    instrument 40% of the time and is uniform otherwise, and, with ``ny``,
+    a uniform outcome."""
+    rng = np.random.default_rng(seed)
+    config = DesignConfig(J, J0)
+    zs = np.asarray(config.z_support)
+    z = zs[rng.integers(0, len(zs), n)]
+    d = np.where(rng.random(n) < 0.4, z, rng.integers(0, J, n))
+    y = rng.integers(0, ny, n) if ny else None
+    return config, MicroData(d, z, y)
+
+
+MOMENT_DESIGNS = [
+    (2, 0, 0), (3, 0, 0), (4, 0, 0), (5, 0, 0), (6, 0, 0), (4, 2, 0), (6, 2, 0),
+    (3, 0, 2), (3, 0, 3), (3, 1, 3), (4, 2, 3), (4, 0, 2),
+    # 4,096 partition rows after 24 static rows: blocks of 1,024 at B=999
+    # put a boundary inside the partition family and leave a 24-row block
+    (3, 0, 4),
+]
+
+
+@pytest.mark.parametrize("B", [99, 999])
+@pytest.mark.parametrize("n", [300, 5000])
+@pytest.mark.parametrize("J, J0, ny", MOMENT_DESIGNS)
+def test_test_model_matches_explicit_family(J, J0, ny, n, B):
+    config, data = _micro(J, J0, ny, n, seed=1000 * J + 100 * J0 + 10 * ny + n)
+    got = stats.test_model(data, config, B=B, seed=B + n)
+    assert got == model_test_by_family(data, config, B=B, seed=B + n)
+
+
+def test_test_model_one_row_last_block():
+    # B = 40,000 gives blocks of 16 rows; the 81 selector rows at (4,0)
+    # leave a single row for the last block
+    config, data = _micro(4, 0, 0, 2000, seed=41)
+    assert stats._block_rows(40_000) == 16
+    got = stats.test_model(data, config, B=40_000, seed=2)
+    assert got == model_test_by_family(data, config, B=40_000, seed=2)
+
+
+@pytest.mark.parametrize(
+    "J, J0, ny, message",
+    [
+        (8, 0, 0, "family would hold 5764801 inequalities, cap is 1000000"),
+        (4, 0, 4, "would emit 43046721+ inequalities, cap is 1000000"),
+    ],
+)
+def test_test_model_cap_refuses_before_building_rows(monkeypatch, J, J0, ny, message):
+    config, data = _micro(J, J0, ny, 2000, seed=7)
+    with pytest.raises(CapacityError) as oracle:
+        model_test_by_family(data, config, B=99)
+    assert str(oracle.value) == message
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a moment row was built")
+
+    for name in ("_fill_product_rows", "generate", "generate_outcome"):
+        monkeypatch.setattr(stats, name, refuse)
+    with pytest.raises(CapacityError) as got:
+        stats.test_model(data, config, B=99)
+    assert str(got.value) == message
+
+
+def test_test_model_memory_is_one_block():
+    # the explicit family peaks at about 1.2 GB on this design
+    config, data = _micro(4, 0, 3, 20_000, seed=11)
+    tracemalloc.start()
+    try:
+        report = stats.test_model(data, config, B=99, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.slacks) == 3 ** 12 + 36
+    assert peak < 150e6
+
+
+def _same_tables(a, b):
+    assert a.arm_counts == b.arm_counts
+    assert a.y_support == b.y_support
+    assert a.degenerate_arms == b.degenerate_arms
+    assert list(a.cells) == list(b.cells)
+    for z in a.cells:
+        assert a.cells[z].dtype == b.cells[z].dtype
+        assert a.cells[z].shape == b.cells[z].shape
+        assert a.cells[z].tobytes() == b.cells[z].tobytes()
+
+
+@pytest.mark.parametrize(
+    "y_support", [None, (-2, 3, 5), (5, -2, 3, 9), (3, 5, 3, -2), (3, 5)]
+)
+@pytest.mark.parametrize("J, J0", [(3, 0), (4, 2)])
+def test_estimate_matches_row_counts(J, J0, y_support):
+    config, data = _micro(J, J0, 0, 3000, seed=J)
+    rng = np.random.default_rng(5)
+    y = np.asarray((-2, 3, 5))[rng.integers(0, 3, len(data))]
+    data = MicroData(data.d, data.z, y)
+    try:
+        want = estimate_by_rows(data, config, y_support=y_support)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            stats.estimate(data, config, y_support=y_support)
+        assert str(got.value) == str(exc)
+        return
+    _same_tables(stats.estimate(data, config, y_support=y_support), want)
+    plain = MicroData(data.d, data.z)
+    _same_tables(stats.estimate(plain, config), estimate_by_rows(plain, config))
