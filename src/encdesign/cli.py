@@ -31,6 +31,8 @@ EXIT_INPUT = 2
 EXIT_VERDICT = 3
 EXIT_CAPACITY = 4
 
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
 
 class UsageError(Exception):
     pass
@@ -158,16 +160,13 @@ def load_outcome_measure(path: str) -> OutcomeResponseMeasure:
 
 
 def write_csv(data: simulate.MicroData, path: str) -> None:
+    """Write the rows as a y,d,z (or d,z) CSV with LF line ends, the
+    body formatted in one pass over the columns as Python ints."""
+    columns = (data.y, data.d, data.z) if data.y is not None else (data.d, data.z)
+    line = ",".join(["{}"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        if data.y is not None:
-            writer.writerow(["y", "d", "z"])
-            for y, d, z in zip(data.y, data.d, data.z):
-                writer.writerow([int(y), int(d), int(z)])
-        else:
-            writer.writerow(["d", "z"])
-            for d, z in zip(data.d, data.z):
-                writer.writerow([int(d), int(z)])
+        fh.write("y,d,z\n" if data.y is not None else "d,z\n")
+        fh.write("".join(map(line.format, *(c.tolist() for c in columns))))
 
 
 def read_csv(path: str, want_y: bool) -> simulate.MicroData:
@@ -208,15 +207,20 @@ def _read_csv_rows(path: str, want_y: bool) -> simulate.MicroData:
             raise ValueError("data file needs a header with at least columns d and z")
         if want_y and "y" not in reader.fieldnames:
             raise ValueError("outcome test requested but the data file has no y column")
+        names = ("d", "z", "y") if want_y else ("d", "z")
         d, z, y = [], [], []
         for i, row in enumerate(reader):
             try:
-                d.append(int(row["d"]))
-                z.append(int(row["z"]))
-                if want_y:
-                    y.append(int(row["y"]))
+                values = [int(row[name]) for name in names]
+                for name, v in zip(names, values):
+                    if not INT64_MIN <= v <= INT64_MAX:
+                        raise ValueError(f"{name}={v} is outside the int64 range")
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"row {i}: {exc}") from exc
+            d.append(values[0])
+            z.append(values[1])
+            if want_y:
+                y.append(values[2])
     return simulate.MicroData(
         np.array(d, dtype=np.int64),
         np.array(z, dtype=np.int64),

@@ -4,12 +4,13 @@ the slow reference implementations kept as oracles for the fast paths."""
 import csv
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
+from math import lcm
 from random import Random
 
 import numpy as np
 
-from encdesign import kernels, simulate
+from encdesign import kernels, lp, simulate
 from encdesign.admissible import enumerate_admissible, is_admissible
 from encdesign.core import (
     ONE,
@@ -20,6 +21,7 @@ from encdesign.core import (
     ResponseType,
     pushforward,
 )
+from encdesign.errors import CapacityError
 from encdesign.inequalities import (
     DEFAULT_FAMILY_CAP,
     CheckReport,
@@ -102,6 +104,27 @@ def random_outcome_measure(
     )
 
 
+def sampled_outcome_table(
+    config: DesignConfig, y_support, rng: Random, count: int
+) -> OutcomeDistribution:
+    """Pushforward of a measure on ``count`` drawn (type, outcome vector)
+    pairs: each type is a default choice (the base state's choice when
+    J0 > 0) with every other entry complying with probability 1/2, so
+    nothing is enumerated."""
+    zs = config.z_support
+    mass = {}
+    for _ in range(count):
+        j = rng.randrange(config.J)
+        d = tuple(
+            j if (k == 0 and config.J0) or rng.random() < 0.5 else z for k, z in enumerate(zs)
+        )
+        key = (ResponseType(d), tuple(rng.choice(y_support) for _ in range(config.J)))
+        mass[key] = mass.get(key, 0) + rng.randint(1, 20)
+    total = sum(mass.values())
+    measure = {key: Fraction(w, total) for key, w in mass.items()}
+    return pushforward_outcome(OutcomeResponseMeasure(config, tuple(y_support), measure))
+
+
 def feasible_outcome_table(config: DesignConfig, y_support, rng: Random) -> OutcomeDistribution:
     return pushforward_outcome(random_outcome_measure(config, y_support, rng))
 
@@ -178,6 +201,218 @@ def phase_one_fraction(columns: list[list[int]], b: list[Fraction], m: int) -> l
         if v < n:
             x[v] = tableau[i][-1]
     return x
+
+
+def phase_one_scan(columns: list[list[int]], b: list[Fraction], m: int) -> list[Fraction] | None:
+    """Oracle for ``lp._phase_one``: the explicit-column simplex it
+    replaced, pricing every listed column on each pass.
+
+    Feasibility of Ax = b, x >= 0 for a 0/1 matrix A given column-wise
+    (columns[v] lists the rows where variable v has a 1) with b >= 0.
+
+    Phase-one simplex with Bland's rule: minimize the sum of one
+    artificial variable per row. Returns the structural solution when the
+    optimum is zero, None otherwise.
+
+    The tableau holds integers: b is scaled by the common denominator L
+    of its entries, and every row (objective included) is stored as D
+    times the rational tableau row, where D is the previous pivot (the
+    determinant of the current basis, always positive). A pivot on entry
+    p rewrites every other row as (a*p - f*q) // D, an exact division
+    (Bareiss 1968), keeps the pivot row and sets D = p. Because every row
+    carries the same positive factor, the sign tests and the
+    cross-multiplied ratio comparisons are those of the rational tableau:
+    the pivot sequence, the final basis and the solution are unchanged.
+
+    Only the artificial columns (D times the basis inverse) and the
+    right-hand side are stored. A structural column is the sum of the
+    artificial columns of the rows it touches; its objective entry is that
+    sum in the objective row less D per row. Bland's rule prices the
+    columns in order and stops at the first negative one.
+    """
+    n = len(columns)
+    scale = lcm(*(v.denominator for v in b))
+    # row i: the m artificial columns, then the scaled right-hand side
+    tableau = [
+        [int(i == k) for k in range(m)] + [v.numerator * (scale // v.denominator)]
+        for i, v in enumerate(b)
+    ]
+    # objective row of the artificial basis: 0 on its columns, value -(sum b)
+    obj = [0] * m + [-sum(row[-1] for row in tableau)]
+    basis = list(range(n, n + m))
+    det = 1
+
+    def entry(row, v):
+        return sum(map(row.__getitem__, columns[v])) if v < n else row[v - n]
+
+    while True:
+        priced = [a - det for a in obj[:m]]
+        costs = chain((sum(map(priced.__getitem__, rows)) for rows in columns), obj[:m])
+        enter, f = next(((v, c) for v, c in enumerate(costs) if c < 0), (None, 0))
+        if enter is None:
+            break
+        coeffs = [entry(row, enter) for row in tableau]
+        leave = None
+        for i, coeff in enumerate(coeffs):
+            if coeff > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                # ratio of row i against the best ratio so far, both
+                # denominators positive
+                here = tableau[i][-1] * coeffs[leave]
+                best = tableau[leave][-1] * coeff
+                if here < best or (here == best and basis[i] < basis[leave]):
+                    leave = i
+        if leave is None:
+            raise RuntimeError("phase-one objective unbounded; constraint bug")
+        prow = tableau[leave]
+        pivot = coeffs[leave]
+        for i, g in enumerate(coeffs):
+            if i == leave:
+                continue
+            if g:
+                tableau[i] = [(a * pivot - g * q) // det for a, q in zip(tableau[i], prow)]
+            elif pivot != det:
+                tableau[i] = [a * pivot // det for a in tableau[i]]
+        obj = [(a * pivot - f * q) // det for a, q in zip(obj, prow)]
+        det = pivot
+        basis[leave] = enter
+
+    if obj[-1] != 0:
+        return None
+    x = [ZERO] * n
+    for i, v in enumerate(basis):
+        if v < n:
+            x[v] = Fraction(tableau[i][-1], det * scale)
+    return x
+
+
+def _solve_table_by_scan(variables, coord_of_var, coords, rhs_of_coord, cap):
+    """Shared feasibility driver: one equality per coordinate except the
+    last one of each instrument slice (implied by the slice total), plus
+    the normalization row. ``cap`` bounds the entries of the sparse
+    columns: with its m x (m+1) basis inverse, they are what the solver
+    stores."""
+    kept = [c for c in coords if not c[-1]]
+    m = len(kept) + 1
+    row_index = {c[0]: i for i, c in enumerate(kept)}
+    columns = []
+    entries = 0
+    for var in variables:
+        rows = sorted(
+            {row_index[c] for c in coord_of_var(var) if c in row_index}
+        )
+        rows.append(m - 1)  # normalization
+        columns.append(rows)
+        entries += len(rows)
+        if entries > cap:
+            raise CapacityError(
+                f"LP columns would hold more than {cap} entries "
+                f"({len(variables)} variables, {m} rows)"
+            )
+    b = [rhs_of_coord(c[0]) for c in kept] + [ONE]
+    return phase_one_scan(columns, b, m)
+
+
+def feasible_by_scan(
+    P: ObservedDistribution, cap: int = 200_000
+) -> tuple[bool, ResponseMeasure | None]:
+    """Oracle for ``lp.feasible``: the LP over the enumerated admissible
+    set, solved by ``phase_one_scan``."""
+    config = P.config
+    types = enumerate_admissible(config).types
+    coords = []
+    for z in config.z_support:
+        for j in range(config.J):
+            coords.append(((z, j), j == config.J - 1))
+
+    def coord_of_var(rt):
+        return [(z, rt.d[i]) for i, z in enumerate(config.z_support)]
+
+    x = _solve_table_by_scan(types, coord_of_var, coords, lambda c: P.p(*c), cap)
+    if x is None:
+        return False, None
+    measure = ResponseMeasure(
+        config, {rt: v for rt, v in zip(types, x) if v > 0}
+    )
+    return True, measure
+
+
+def feasible_outcome_by_scan(PY: OutcomeDistribution, cap: int = 200_000) -> bool:
+    """Oracle for ``lp.feasible_outcome``: one listed variable per
+    (response type, outcome vector) pair, solved by ``phase_one_scan``."""
+    config = PY.config
+    ys = PY.y_support
+    types = enumerate_admissible(config).types
+    variables = [
+        (rt, yvec) for rt in types for yvec in product(ys, repeat=config.J)
+    ]
+    coords = []
+    for z in config.z_support:
+        cells = [(j, y) for j in range(config.J) for y in ys]
+        for idx, (j, y) in enumerate(cells):
+            coords.append(((z, j, y), idx == len(cells) - 1))
+
+    def coord_of_var(var):
+        rt, yvec = var
+        out = []
+        for i, z in enumerate(config.z_support):
+            j = rt.d[i]
+            out.append((z, j, yvec[j]))
+        return out
+
+    x = _solve_table_by_scan(variables, coord_of_var, coords, lambda c: PY.p(*c), cap)
+    return x is not None
+
+
+class ScanColumns:
+    """Explicit columns for ``lp._phase_one``: column v is the row list
+    ``columns[v]``, its key is v, and pricing scans the columns in order."""
+
+    def __init__(self, columns: list[list[int]]):
+        self.columns = columns
+
+    def rows(self, v: int) -> list[int]:
+        return self.columns[v]
+
+    def first_negative(self, priced: list[int]):
+        return next(
+            (v for v, rows in enumerate(self.columns) if sum(priced[r] for r in rows) < 0),
+            None,
+        )
+
+
+def phase_one_columns(columns: list[list[int]], b: list[Fraction], m: int) -> list[Fraction] | None:
+    """``lp._phase_one`` on explicit columns, with its solution spread
+    into one value per column as ``phase_one_fraction`` returns it."""
+    return solution_vector(lp._phase_one(ScanColumns(columns), b, m), range(len(columns)))
+
+
+def solution_vector(solution: dict | None, keys) -> list[Fraction] | None:
+    if solution is None:
+        return None
+    return [solution.get(key, ZERO) for key in keys]
+
+
+def type_column_keys(columns) -> list:
+    """Every column key of an ``lp._TypeColumns`` in column order, listed
+    from ``enumerate_admissible`` and ``itertools.product``."""
+    types = enumerate_admissible(columns.config).types
+    return [(rt.d, u) for rt in types for u in product(range(columns.ny), repeat=columns.J)]
+
+
+def first_negative_by_scan(columns, priced: list[int]):
+    """Oracle for ``_TypeColumns.first_negative``: the first listed key
+    whose column prices below zero."""
+    return next(
+        (
+            key
+            for key in type_column_keys(columns)
+            if sum(priced[r] for r in columns.rows(key)) < 0
+        ),
+        None,
+    )
 
 
 def admissible_by_filter(config: DesignConfig) -> tuple[ResponseType, ...]:
@@ -408,7 +643,7 @@ def test_model_by_family(
 
 def read_csv_rows(path: str, want_y: bool) -> simulate.MicroData:
     """Oracle for ``cli.read_csv``: every row parsed by ``csv.DictReader``
-    and ``int``, errors indexed by row."""
+    and ``int``, errors (including values outside int64) indexed by row."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or "d" not in reader.fieldnames or "z" not in reader.fieldnames:
@@ -422,6 +657,9 @@ def read_csv_rows(path: str, want_y: bool) -> simulate.MicroData:
                 z.append(int(row["z"]))
                 if want_y:
                     y.append(int(row["y"]))
+                for name, v in zip("dzy", (d[-1], z[-1], y[-1] if want_y else 0)):
+                    if not -(2**63) <= v < 2**63:
+                        raise ValueError(f"{name}={v} is outside the int64 range")
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"row {i}: {exc}") from exc
     return simulate.MicroData(
@@ -430,3 +668,17 @@ def read_csv_rows(path: str, want_y: bool) -> simulate.MicroData:
         np.array(y, dtype=np.int64) if want_y else None,
         provenance=path,
     )
+
+
+def write_csv_rows(data: simulate.MicroData, path: str) -> None:
+    """Oracle for ``cli.write_csv``: one ``csv.writer`` row per record."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        if data.y is not None:
+            writer.writerow(["y", "d", "z"])
+            for y, d, z in zip(data.y, data.d, data.z):
+                writer.writerow([int(y), int(d), int(z)])
+        else:
+            writer.writerow(["d", "z"])
+            for d, z in zip(data.d, data.z):
+                writer.writerow([int(d), int(z)])

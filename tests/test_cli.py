@@ -255,6 +255,15 @@ def test_test_command_exit_codes(tmp_path, capsys):
     assert code == EXIT_OK and not doc["reject"]
 
 
+def test_test_command_rejects_values_past_int64(tmp_path, capsys):
+    path = tmp_path / "big.csv"
+    path.write_text("d,z\n0,1\n99999999999999999999,0\n", encoding="utf-8")
+    code = run(["test", "--data", str(path), "--J", "2", "--J0", "0", "--B", "99"])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == "input error: row 1: d=99999999999999999999 is outside the int64 range\n"
+
+
 def test_test_command_with_outcomes(tmp_path, capsys):
     rng = np.random.default_rng(31)
     n = 1200

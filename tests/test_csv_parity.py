@@ -1,12 +1,14 @@
 """``cli.read_csv`` parses the body in bulk and falls back to the row-by-row
 reader on anything else; on every input both must give the same arrays or
-the same error as the row-by-row oracle."""
+the same error as the row-by-row oracle. ``cli.write_csv`` formats the body
+in one pass and must write the bytes of the row-by-row writer."""
 
 import numpy as np
 import pytest
 
 from encdesign import cli
-from helpers import read_csv_rows
+from encdesign.simulate import MicroData
+from helpers import read_csv_rows, write_csv_rows
 
 CORPUS = {
     "plain": "d,z\n0,1\n1,0\n2,2\n",
@@ -90,3 +92,42 @@ def test_read_csv_parses_integer_files_in_bulk(tmp_path, monkeypatch):
     assert data.z.tolist() == expected.z.tolist() == body[:, 1].tolist()
     assert data.y.tolist() == expected.y.tolist() == body[:, 2].tolist()
     assert data.d.flags.c_contiguous and data.y.flags.c_contiguous
+
+
+@pytest.mark.parametrize("past", ["past_int64", "negative_past_int64"])
+def test_values_past_int64_are_row_errors(tmp_path, past):
+    path = tmp_path / "big.csv"
+    path.write_bytes(CORPUS[past].encode("utf-8"))
+    value = CORPUS[past].split("\n")[1].split(",")[0]
+    with pytest.raises(ValueError, match=f"^row 0: d={value} is outside the int64 range$"):
+        cli.read_csv(str(path), False)
+
+
+def _micro_files(tmp_path, data):
+    new, old = tmp_path / "bulk.csv", tmp_path / "rows.csv"
+    cli.write_csv(data, str(new))
+    write_csv_rows(data, str(old))
+    return new.read_bytes(), old.read_bytes()
+
+
+@pytest.mark.parametrize("with_y", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 997])
+def test_write_csv_matches_row_writer(tmp_path, n, with_y):
+    rng = np.random.default_rng(n)
+    d = rng.integers(-3, 9, n)
+    z = rng.integers(-12, 4, n)
+    y = rng.integers(-(2**62), 2**62, n) if with_y else None
+    got, want = _micro_files(tmp_path, MicroData(d, z, y))
+    assert got == want
+    assert got.count(b"\n") == n + 1
+    if n > 2:
+        assert b"-" in got.split(b"\n", 1)[1]
+
+
+def test_write_csv_round_trips_int64_limits(tmp_path):
+    limits = np.array([-(2**63), 2**63 - 1, 0], dtype=np.int64)
+    data = MicroData(limits, limits[::-1].copy(), limits)
+    got, want = _micro_files(tmp_path, data)
+    assert got == want
+    back = cli.read_csv(str(tmp_path / "bulk.csv"), True)
+    assert back.d.tolist() == limits.tolist() and back.y.tolist() == limits.tolist()

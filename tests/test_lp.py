@@ -9,12 +9,13 @@ import pytest
 from encdesign.core import DesignConfig, ObservedDistribution, ResponseType, pushforward
 from encdesign.errors import CapacityError, ConstructionError
 from encdesign.inequalities import check, check_outcome
-from encdesign.lp import _phase_one, feasible, feasible_outcome
+from encdesign.lp import feasible, feasible_outcome
 from encdesign.witness import construct
 from helpers import (
     boundary_measure,
     feasible_outcome_table,
     feasible_table,
+    phase_one_columns,
     random_outcome_table,
     random_table,
 )
@@ -23,20 +24,20 @@ from helpers import (
 def test_phase_one_solves_tiny_feasible_system():
     # x0 + x1 = 1, x1 = 1/2
     columns = [[0], [0, 1]]
-    x = _phase_one(columns, [F(1), F(1, 2)], 2)
+    x = phase_one_columns(columns, [F(1), F(1, 2)], 2)
     assert x == [F(1, 2), F(1, 2)]
 
 
 def test_phase_one_detects_infeasible_system():
     # x0 = 1 and x0 = 1/2 cannot both hold with one variable
     columns = [[0, 1]]
-    assert _phase_one(columns, [F(1), F(1, 2)], 2) is None
+    assert phase_one_columns(columns, [F(1), F(1, 2)], 2) is None
 
 
 def test_phase_one_handles_redundant_rows():
     # x0 + x1 = 1 stated twice, plus x1 = 1/3
     columns = [[0, 1], [0, 1, 2]]
-    x = _phase_one(columns, [F(1), F(1), F(1, 3)], 3)
+    x = phase_one_columns(columns, [F(1), F(1), F(1, 3)], 3)
     assert x == [F(2, 3), F(1, 3)]
 
 

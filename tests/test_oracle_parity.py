@@ -1,10 +1,10 @@
 """The fast paths against the slow reference implementations kept in
-``helpers``: the integer-preserving simplex against the Fraction tableau,
-direct admissible generation against the brute-force filter, the
-per-choice-maxima check against the explicit inequality family, the
-difference-coordinate region sampler against whole-box rejection, and the
-block-streamed moment test and bincount cell counts against the explicit
-family and the per-row loop."""
+``helpers``: the integer-preserving simplex against the Fraction tableau
+and the explicit-column scan, direct admissible generation against the
+brute-force filter, the per-choice-maxima check against the explicit
+inequality family, the difference-coordinate region sampler against
+whole-box rejection, and the block-streamed moment test and bincount cell
+counts against the explicit family and the per-row loop."""
 
 import tracemalloc
 from fractions import Fraction as F
@@ -30,33 +30,44 @@ from helpers import (
     boundary_measure,
     check_by_family,
     estimate_by_rows,
+    feasible_by_scan,
+    feasible_outcome_by_scan,
     feasible_outcome_table,
     feasible_table,
+    phase_one_columns,
     phase_one_fraction,
+    phase_one_scan,
     random_measure,
     random_outcome_table,
     random_table,
     region_points_by_box_rejection,
+    solution_vector,
+    type_column_keys,
 )
 from helpers import test_model_by_family as model_test_by_family
 
 
 @pytest.fixture
 def phase_one_pairs(monkeypatch):
-    """Route every LP through both simplex implementations, requiring
-    identical results; returns one feasibility flag per LP solved."""
+    """Route every LP through the solver, the Fraction tableau and the
+    explicit-column scan, all three on the columns the solver prices,
+    requiring identical results; returns one feasibility flag per LP
+    solved."""
     seen = []
     fast = lp._phase_one
 
-    def both(columns, b, m):
+    def compared(columns, b, m):
         got = fast(columns, b, m)
-        want = phase_one_fraction(columns, b, m)
-        assert got == want
-        assert got is None or all(type(v) is F for v in got)
+        keys = type_column_keys(columns)
+        explicit = [columns.rows(key) for key in keys]
+        want = phase_one_fraction(explicit, b, m)
+        assert solution_vector(got, keys) == want
+        assert phase_one_scan(explicit, b, m) == want
+        assert got is None or all(type(v) is F for v in got.values())
         seen.append(got is not None)
         return got
 
-    monkeypatch.setattr(lp, "_phase_one", both)
+    monkeypatch.setattr(lp, "_phase_one", compared)
     return seen
 
 
@@ -95,8 +106,9 @@ def test_phase_one_matches_fraction_tableau_on_random_systems():
             b = [sum((x[v] for v in range(n) if i in columns[v]), F(0)) for i in range(m)]
         else:
             b = [F(rng.randint(0, 6), rng.randint(1, 7)) for _ in range(m)]
-        got = lp._phase_one(columns, b, m)
+        got = phase_one_columns(columns, b, m)
         assert got == phase_one_fraction(columns, b, m)
+        assert got == phase_one_scan(columns, b, m)
         verdicts.add(got is not None)
     assert verdicts == {True, False}
 
@@ -112,6 +124,44 @@ def test_feasible_outcome_matches_fraction_tableau(phase_one_pairs):
         lp.feasible_outcome(PY)
     assert len(phase_one_pairs) == 6
     assert any(phase_one_pairs)
+
+
+@pytest.mark.parametrize(
+    "J, J0, copies",
+    [(2, 0, 6), (3, 0, 6), (3, 1, 6), (3, 2, 6), (4, 0, 4), (4, 2, 4), (5, 0, 2), (5, 3, 2),
+     (6, 2, 1)],
+)
+def test_certificates_match_explicit_column_lp(J, J0, copies):
+    config = DesignConfig(J, J0)
+    rng = Random(421 + 10 * J + J0)
+    verdicts = set()
+    for P in _tables(config, rng, copies):
+        ok, cert = lp.feasible(P)
+        want_ok, want = feasible_by_scan(P)
+        assert ok == want_ok
+        if ok:
+            assert list(cert.mass.items()) == list(want.mass.items())
+        verdicts.add(ok)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize(
+    "J, J0, ys",
+    [(2, 0, (0, 1)), (2, 1, (4, -1, 2)), (3, 0, (0, 1)), (3, 1, (2, 0)), (3, 0, (5, 3, 4))],
+)
+def test_outcome_verdicts_match_explicit_column_lp(J, J0, ys):
+    config = DesignConfig(J, J0)
+    rng = Random(431 + 10 * J + J0 + len(ys))
+    verdicts = set()
+    for i in range(6):
+        if i % 2:
+            PY = feasible_outcome_table(config, ys, rng)
+        else:
+            PY = random_outcome_table(config, ys, rng)
+        got = lp.feasible_outcome(PY)
+        assert got == feasible_outcome_by_scan(PY)
+        verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 def test_enumeration_matches_brute_force_filter():
