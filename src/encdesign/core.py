@@ -15,6 +15,10 @@ from typing import Mapping
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+# The shock families ``simulate`` draws from, kept here so that the CLI
+# can offer them without loading numpy.
+EPS_FAMILIES = ("gumbel", "normal", "uniform")
+
 
 def as_fraction(value) -> Fraction:
     """Convert ``value`` to an exact Fraction.

@@ -10,6 +10,7 @@ over n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -19,6 +20,7 @@ import numpy as np
 from . import kernels
 from .admissible import default_choice, is_admissible
 from .core import (
+    EPS_FAMILIES,
     DesignConfig,
     ObservedDistribution,
     ResponseMeasure,
@@ -27,7 +29,6 @@ from .core import (
 )
 
 CHUNK_SIZE = 65536
-EPS_FAMILIES = ("gumbel", "normal", "uniform")
 
 
 class TieError(RuntimeError):
@@ -53,6 +54,8 @@ class RumSpec:
         if len(betas) != config.J:
             raise ValueError(f"need {config.J} encouragement sizes, got {len(betas)}")
         for j, b in enumerate(betas):
+            if not math.isfinite(b):
+                raise ValueError(f"encouragement size for choice {j} is not finite")
             if b < 0:
                 raise ValueError(f"encouragement size for choice {j} is negative")
             if j < config.J0 and b != 0:
@@ -404,6 +407,8 @@ def verify_mixture(
     check that every point realizes its region's type, and return the
     largest absolute gap between realized type frequencies and the
     target masses."""
+    if n < 1:
+        raise ValueError("draw count must be at least 1")
     config = mix.config
     z_support = np.asarray(config.z_support, dtype=np.int64)
     betas = np.asarray(mix.betas, dtype=np.float64)

@@ -2,6 +2,7 @@
 the slow reference implementations kept as oracles for the fast paths."""
 
 import csv
+import json
 import math
 from fractions import Fraction
 from itertools import chain, product
@@ -682,3 +683,9 @@ def write_csv_rows(data: simulate.MicroData, path: str) -> None:
             writer.writerow(["d", "z"])
             for d, z in zip(data.d, data.z):
                 writer.writerow([int(d), int(z)])
+
+
+def dumps_by_json(doc) -> str:
+    """Oracle for ``cli.dumps``: the stdlib encoder the CLI used before,
+    which cannot take its C path when ``indent`` is set."""
+    return json.dumps(doc, sort_keys=True, indent=2)

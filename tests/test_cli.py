@@ -9,6 +9,8 @@ from fractions import Fraction as F
 from pathlib import Path
 from random import Random
 
+import pytest
+
 from encdesign.cli import (
     EXIT_CAPACITY,
     EXIT_INPUT,
@@ -214,6 +216,46 @@ def test_simulate_pz_length_mismatch(capsys):
                 "--pz", "0.5,0.5", "--n", "10", "--seed", "1"])
     assert code == EXIT_INPUT
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("betas, choice", [("nan,1,1", 0), ("inf,1,1", 0), ("1,-inf,1", 1)])
+def test_simulate_rejects_non_finite_sizes(capsys, betas, choice):
+    code = run(["simulate", "--J", "3", "--betas", betas, "--pz", "1/3,1/3,1/3",
+                "--n", "1000", "--seed", "1"])
+    assert code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: encouragement size for choice {choice} is not finite\n"
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_mixture_verify_rejects_draw_counts_below_one(tmp_path, capsys, n):
+    src = tmp_path / "q.json"
+    src.write_text(json.dumps(measure_doc(random_measure(DesignConfig(2, 1), Random(9)))))
+    assert run(["mixture-verify", "--q", str(src), "--n", n, "--seed", "3"]) == EXIT_INPUT
+    assert capsys.readouterr().err == "input error: draw count must be at least 1\n"
+
+
+def test_exact_commands_do_not_import_numpy(tmp_path):
+    good = write_json(tmp_path / "good.json", UNIFORM3)
+    commands = [
+        ["check", "--input", good],
+        ["construct", "--input", good, "--output", str(tmp_path / "q.json")],
+        ["lp-check", "--input", good],
+        ["enumerate", "--J", "3"],
+    ]
+    script = (
+        "import sys\n"
+        "from encdesign.cli import run\n"
+        f"codes = [run(argv) for argv in {commands!r}]\n"
+        "sys.stderr.write(repr((codes, 'numpy' in sys.modules)))\n"
+    )
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.decode() == repr(([EXIT_OK] * 4, False))
 
 
 def test_mixture_verify_roundtrip(tmp_path, capsys):
