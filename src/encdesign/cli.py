@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -38,7 +39,6 @@ from .witness import OutcomeResponseMeasure
 # so the exact commands start without loading numpy.
 if TYPE_CHECKING:
     from .simulate import MicroData
-    from .stats import TestReport
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -54,6 +54,13 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A value such as "-inf,1,1" or "-0.5,1,1" is an option's argument,
+        # not an unknown option: widen argparse's negative-number test
+        # (digits only) to the prefixes Python's float() reads.
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
     def error(self, message):
         raise UsageError(message)
 
@@ -64,10 +71,6 @@ def _frac(value) -> Fraction:
             f"probability {value!r} is a JSON float; write it as a string to keep it exact"
         )
     return as_fraction(value)
-
-
-def _frac_str(f: Fraction) -> str:
-    return str(f)
 
 
 def _emit(doc) -> None:
@@ -244,18 +247,18 @@ def distribution_doc(table) -> dict:
         doc["y_support"] = list(table.y_support)
         doc["p"] = {
             str(z): {
-                str(j): {str(y): _frac_str(table.p(z, j, y)) for y in table.y_support}
+                str(j): {str(y): str(table.p(z, j, y)) for y in table.y_support}
                 for j in range(table.config.J)
             }
             for z in table.config.z_support
         }
     else:
         doc["p"] = {
-            str(z): {str(j): _frac_str(table.p(z, j)) for j in range(table.config.J)}
+            str(z): {str(j): str(table.p(z, j)) for j in range(table.config.J)}
             for z in table.config.z_support
         }
     if table.pz is not None:
-        doc["pz"] = {str(z): _frac_str(v) for z, v in table.pz.items()}
+        doc["pz"] = {str(z): str(v) for z, v in table.pz.items()}
     return doc
 
 
@@ -263,7 +266,7 @@ def measure_doc(q: ResponseMeasure) -> dict:
     return {
         "J": q.config.J,
         "J0": q.config.J0,
-        "mass": {",".join(map(str, rt.d)): _frac_str(m) for rt, m in q.mass.items()},
+        "mass": {",".join(map(str, rt.d)): str(m) for rt, m in q.mass.items()},
     }
 
 
@@ -284,7 +287,7 @@ def outcome_measure_doc(q: OutcomeResponseMeasure) -> dict:
         "J0": q.config.J0,
         "y_support": list(q.y_support),
         "mass": {
-            ",".join(map(str, rt.d)) + "|" + ",".join(map(str, yvec)): _frac_str(m)
+            ",".join(map(str, rt.d)) + "|" + ",".join(map(str, yvec)): str(m)
             for (rt, yvec), m in q.mass.items()
         },
     }
@@ -389,7 +392,7 @@ def spec_doc(spec: inequalities.InequalitySpec) -> dict:
     doc = {
         "lhs": [list(c) for c in spec.lhs],
         "rhs": [list(c) for c in spec.rhs],
-        "bound": _frac_str(spec.bound),
+        "bound": str(spec.bound),
         "tag": spec.tag,
     }
     if spec.selector is not None:
@@ -402,9 +405,9 @@ def spec_doc(spec: inequalities.InequalitySpec) -> dict:
 def report_doc(report: inequalities.CheckReport) -> dict:
     return {
         "passed": report.passed,
-        "min_slack": _frac_str(report.min_slack),
+        "min_slack": str(report.min_slack),
         "violations": [
-            {"spec": spec_doc(s), "slack": _frac_str(v)} for s, v in report.violations
+            {"spec": spec_doc(s), "slack": str(v)} for s, v in report.violations
         ],
     }
 
@@ -419,7 +422,7 @@ def trace_doc(trace: witness.ConstructionTrace) -> dict:
                 "target": e.target,
                 "step": e.step,
                 "type": list(e.rtype.d),
-                "mass": _frac_str(e.mass),
+                "mass": str(e.mass),
             }
             for e in trace.entries
         ],
@@ -644,14 +647,10 @@ def _dispatch(args) -> int:
         report = stats.test_model(
             data, config, alpha=args.alpha, B=args.B, seed=args.seed
         )
-        _emit(report_doc_stats(report))
+        _emit(report.to_dict())
         return EXIT_OK if not report.reject else EXIT_VERDICT
 
     raise UsageError(f"unknown command {args.command!r}")
-
-
-def report_doc_stats(report: TestReport) -> dict:
-    return report.to_dict()
 
 
 def run(argv) -> int:

@@ -1,47 +1,42 @@
-"""Sampling kernels with a compiled fast path.
+"""Sampling kernels, in numpy; there is one implementation of each.
 
-The Cython extension is optional: when it is missing, the numpy fallback
-is used instead. The compiled extension carries only the argmax kernel
-``potential_type_codes``, whose per-row loop it runs several times
-faster; both backends compute the same float64 operations in the same
-order, so results are bit-identical either way, and tests assert this
-whenever the compiled backend is present. ``benchmarks/`` compares their
-throughput. The region constraint check is numpy only.
+``potential_type_codes`` is the argmax of the additive random utility
+model under each instrument value; ``region_accept`` checks a system of
+strict pairwise shock constraints. Inputs are coerced to contiguous
+float64 and int64 arrays, so Python lists are accepted. ``BACKEND`` is
+a constant kept for the benchmark's environment stamp.
 """
 
 import numpy as np
 
-from . import _kernels_py
-
-try:
-    from . import _ckernels as _compiled
-except ImportError:
-    _compiled = None
-
-BACKEND = "compiled" if _compiled is not None else "python"
+# perfbench's environment stamp reads this (perfbench/harness.py).
+BACKEND = "python"
 
 
-def available_backends() -> dict:
-    backends = {"python": _kernels_py}
-    if _compiled is not None:
-        backends["compiled"] = _compiled
-    return backends
+def potential_type_codes(eps, betas, z_targets):
+    """Argmax choice under each instrument value, row by row.
 
-
-def _prepare(eps, betas, z_targets):
+    eps is (n, J), betas (J,), z_targets (m,) instrument values; the
+    instrument value z boosts choice z by betas[z]. Returns the (n, m)
+    int64 matrix of chosen treatments (the first index attaining the
+    maximum) and an (n,) tie mask marking rows where some top utility
+    was attained twice exactly.
+    """
     eps = np.ascontiguousarray(eps, dtype=np.float64)
     betas = np.ascontiguousarray(betas, dtype=np.float64)
     z_targets = np.ascontiguousarray(z_targets, dtype=np.int64)
-    return eps, betas, z_targets
-
-
-def potential_type_codes(eps, betas, z_targets, impl=None):
-    """Chosen treatment under each instrument value for a batch of utility
-    shocks; see _kernels_py.potential_type_codes for the contract."""
-    eps, betas, z_targets = _prepare(eps, betas, z_targets)
-    impl = impl if impl is not None else (_compiled or _kernels_py)
-    d, ties = impl.potential_type_codes(eps, betas, z_targets)
-    return np.asarray(d), np.asarray(ties, dtype=bool)
+    n = eps.shape[0]
+    d = np.empty((n, len(z_targets)), dtype=np.int64)
+    ties = np.zeros(n, dtype=bool)
+    rows = np.arange(n)
+    for t, z in enumerate(z_targets):
+        util = eps.copy()
+        util[:, z] += betas[z]
+        arg = util.argmax(axis=1)
+        d[:, t] = arg
+        top = util[rows, arg]
+        ties |= (util == top[:, None]).sum(axis=1) > 1
+    return d, ties
 
 
 def region_accept(eps, lhs, rhs, offsets):
@@ -51,4 +46,7 @@ def region_accept(eps, lhs, rhs, offsets):
     lhs = np.ascontiguousarray(lhs, dtype=np.int64)
     rhs = np.ascontiguousarray(rhs, dtype=np.int64)
     offsets = np.ascontiguousarray(offsets, dtype=np.float64)
-    return np.asarray(_kernels_py.region_accept(eps, lhs, rhs, offsets), dtype=bool)
+    mask = np.ones(eps.shape[0], dtype=bool)
+    for a, b, c in zip(lhs, rhs, offsets):
+        mask &= eps[:, a] + c > eps[:, b]
+    return mask

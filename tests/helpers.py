@@ -488,6 +488,33 @@ def region_points_by_box_rejection(
     return np.concatenate(points)
 
 
+def potential_type_codes_by_rows(eps, betas, z_targets) -> tuple[list[list[int]], list[bool]]:
+    """Oracle for ``kernels.potential_type_codes``: the per-row loop of the
+    former compiled kernel, in pure Python. Under each instrument value z
+    the utility of choice j is eps[i][j], plus betas[z] when j == z; the
+    code is the first index attaining the maximum, and a row is tied when
+    the final maximum under some z is attained twice."""
+    codes, ties = [], []
+    for row in eps:
+        row_codes, tied_row = [], False
+        for z in z_targets:
+            best = float(row[0]) + (float(betas[0]) if z == 0 else 0.0)
+            arg, tied = 0, False
+            for j in range(1, len(row)):
+                u = float(row[j])
+                if j == z:
+                    u = u + float(betas[j])
+                if u > best:
+                    best, arg, tied = u, j, False
+                elif u == best:
+                    tied = True
+            row_codes.append(arg)
+            tied_row = tied_row or tied
+        codes.append(row_codes)
+        ties.append(tied_row)
+    return codes, ties
+
+
 def estimate_by_rows(
     data: MicroData, config: DesignConfig, y_support=None
 ) -> EstimatedTables:

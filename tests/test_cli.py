@@ -228,6 +228,27 @@ def test_simulate_rejects_non_finite_sizes(capsys, betas, choice):
     assert captured.err == f"input error: encouragement size for choice {choice} is not finite\n"
 
 
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--betas", "-inf,1,1", "encouragement size for choice 0 is not finite"),
+        ("--betas", "-0.5,1,1", "encouragement size for choice 0 is negative"),
+        ("--pz", "-1,1,1", "pz[0] must be strictly positive, got -1"),
+    ],
+)
+@pytest.mark.parametrize("joined", [False, True])
+def test_simulate_reads_negative_looking_values(capsys, option, value, message, joined):
+    # "--betas -inf,1,1" must reach the input check like "--betas=-inf,1,1"
+    args = {"--betas": "1,1,1", "--pz": "1/3,1/3,1/3", option: value}
+    argv = ["simulate", "--J", "3", "--n", "100", "--seed", "1"]
+    for name, v in args.items():
+        argv += [f"{name}={v}"] if joined else [name, v]
+    assert run(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {message}\n"
+
+
 @pytest.mark.parametrize("n", ["0", "-1"])
 def test_mixture_verify_rejects_draw_counts_below_one(tmp_path, capsys, n):
     src = tmp_path / "q.json"
