@@ -73,6 +73,19 @@ def _frac(value) -> Fraction:
     return as_fraction(value)
 
 
+def _object(value, field: str) -> dict:
+    """``value`` when it is a JSON object; otherwise a ValueError that
+    names the field."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{field} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _load_object(path: str) -> dict:
+    with open(path, "r", encoding="utf-8") as fh:
+        return _object(json.load(fh), "the top level")
+
+
 def _emit(doc) -> None:
     sys.stdout.write(dumps(doc) + "\n")
 
@@ -213,26 +226,29 @@ def _bulk_float_texts(items) -> list[str]:
 def load_distribution(path: str):
     """Parse a distribution file into an exact table; the presence of
     y_support selects the outcome form."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _load_object(path)
     config = DesignConfig(int(doc["J"]), int(doc.get("J0", 0)))
     pz = None
     if "pz" in doc:
-        pz = {int(z): _frac(v) for z, v in doc["pz"].items()}
+        pz = {int(z): _frac(v) for z, v in _object(doc["pz"], "pz").items()}
+    p = _object(doc["p"], "p")
     if "y_support" in doc:
         ys = tuple(int(y) for y in doc["y_support"])
         cells = {
             int(z): {
-                int(j): {int(y): _frac(v) for y, v in by_y.items()}
-                for j, by_y in by_j.items()
+                int(j): {
+                    int(y): _frac(v)
+                    for y, v in _object(by_y, f'p["{z}"]["{j}"]').items()
+                }
+                for j, by_y in _object(by_j, f'p["{z}"]').items()
             }
-            for z, by_j in doc["p"].items()
+            for z, by_j in p.items()
         }
         return OutcomeDistribution(config, ys, cells, pz=pz)
     rows = {}
-    for z, by_j in doc["p"].items():
+    for z, by_j in p.items():
         row = [Fraction(0)] * config.J
-        for j, v in by_j.items():
+        for j, v in _object(by_j, f'p["{z}"]').items():
             j = int(j)
             if not 0 <= j < config.J:
                 raise ValueError(f"choice {j} out of range for J={config.J}")
@@ -271,12 +287,11 @@ def measure_doc(q: ResponseMeasure) -> dict:
 
 
 def load_measure(path: str) -> ResponseMeasure:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _load_object(path)
     config = DesignConfig(int(doc["J"]), int(doc.get("J0", 0)))
     mass = {
         ResponseType(tuple(int(v) for v in key.split(","))): _frac(m)
-        for key, m in doc["mass"].items()
+        for key, m in _object(doc["mass"], "mass").items()
     }
     return ResponseMeasure(config, mass)
 
@@ -294,12 +309,11 @@ def outcome_measure_doc(q: OutcomeResponseMeasure) -> dict:
 
 
 def load_outcome_measure(path: str) -> OutcomeResponseMeasure:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _load_object(path)
     config = DesignConfig(int(doc["J"]), int(doc.get("J0", 0)))
     ys = tuple(int(y) for y in doc["y_support"])
     mass = {}
-    for key, m in doc["mass"].items():
+    for key, m in _object(doc["mass"], "mass").items():
         d_part, y_part = key.split("|")
         rt = ResponseType(tuple(int(v) for v in d_part.split(",")))
         yvec = tuple(int(v) for v in y_part.split(","))

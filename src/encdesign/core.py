@@ -64,10 +64,6 @@ class DesignConfig:
             return tuple(range(self.J))
         return (0,) + tuple(range(self.J0, self.J))
 
-    @property
-    def choices(self) -> tuple[int, ...]:
-        return tuple(range(self.J))
-
     def z_index(self, z: int) -> int:
         """Position of instrument value z within the support."""
         if self.J0 == 0:

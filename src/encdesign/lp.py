@@ -11,14 +11,16 @@ with either.
 The LP never lists its columns. Bland's rule enters the first column, in
 the lexicographic order of the response types (and, for outcome tables,
 of the outcome vectors), whose reduced cost is negative. That cost sums
-one dual price per instrument value, and admissibility only asks each
-entry to be its own instrument value or the default choice, so the exact
-minimum over every type sharing a prefix is, for each default choice, a
-sum of per-position minima. A depth-first walk over positions, values in
-ascending order, enters the first subtree whose minimum is negative and
-so reaches the first negative column directly, in O(J * |Z| * |Y|) per
-pricing instead of a pass over every column (5,111 types at (10,0),
-times |Y|^J outcome vectors for outcome tables).
+one dual price per instrument value, and an admissible type is a default
+choice plus the set of instrument values it complies with: each entry is
+its own instrument value or the default. So under one default every
+entry has at most two values, and suffix sums of the cheaper one give the
+least cost of every completion of a prefix exactly. One greedy walk per
+default, each entry keeping its smaller value while some completion stays
+negative, finds that default's first negative type; the least of these
+is the entering type. That is O(J * |Z| * |Y|) per pricing instead of a
+pass over every column (5,111 types at (10,0), times |Y|^J outcome
+vectors for outcome tables).
 
 The pivots are integer-preserving (fraction-free, Bareiss-style): the
 right-hand side is scaled to integers and every division is exact, so no
@@ -35,7 +37,7 @@ is not bounded.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import repeat
 from math import lcm
 from operator import add
 
@@ -118,85 +120,56 @@ class _TypeColumns:
         costs a[k] if it complies and cells[k][j] if it takes the default
         j (the entry targeting j, and the base state, always take it).
 
-        The least cost over every type sharing a prefix is exact from the
-        suffix sums of min(a[k], cells[k][j]) per default j, so the walk
-        (positions in order, values ascending) enters only subtrees that
-        hold a negative type and never backtracks.
+        Under a fixed default j every entry chooses between at most two
+        values, and the suffix sums of its cheaper cost give the least
+        cost of every completion exactly. So the first type under j
+        follows greedily: each free entry keeps its smaller value when
+        some completion still falls below t, and takes the other one
+        otherwise. The first type overall is the least of these per
+        default; with a base state, entry 0 is the default itself, so the
+        first default that admits a type below t gives it.
         """
-        J, zs = self.J, self.zs
-        nz = len(zs)
-        # suffix[i][j]: least cost of the entries i.. under default j
+        J, zs, base = self.J, self.zs, self.base
+        # suffix[k][j]: least cost of the entries k.. under default j
         prev = [0] * J
         suffix = [prev]
-        for k in range(nz - 1, 0 if self.base else -1, -1):
-            ck, ak, z = cells[k], a[k], zs[k]
-            prev = list(map(add, prev, map(min, ck, repeat(ak))))
-            if ck[z] != ak:  # under default z the entry targeting z takes z
-                prev[z] += ck[z] - ak
+        for k in range(len(zs) - 1, -1, -1):
+            ck = cells[k]
+            if base and k == 0:  # the base state takes the default
+                prev = list(map(add, prev, ck))
+            else:
+                ak, z = a[k], zs[k]
+                prev = list(map(add, prev, map(min, ck, repeat(ak))))
+                if ck[z] != ak:  # under default z the entry targeting z takes z
+                    prev[z] += ck[z] - ak
             suffix.append(prev)
-        if self.base:
-            suffix.append(list(map(add, prev, cells[0])))
         suffix.reverse()
 
-        d = []
-        if self.base:
-            # the base state's entry is the default itself
-            j = next((j for j, s in enumerate(suffix[0]) if s < t), None)
-            if j is None:
-                return None
-            d.append(j)
-            c = cells[0][j]  # cost of the prefix
-        else:
-            # while every entry so far complies (z_i = i), any choice may
-            # still be the default; a default v < i also takes entry v,
-            # which then costs joins[v] more than complying (nothing more
-            # with one outcome, where a[v] is cells[v][v] itself)
-            if self.ny > 1:
-                joins = [ck[z] - ak for ck, z, ak in zip(cells, zs, a)]
-            else:
-                joins = [0] * nz
-            joined = any(joins)
-            c, j = 0, None
-            for i in range(nz):
-                tail = suffix[i + 1]
-                # bounds[v]: least cost of the entries i.. below value v
-                bounds = list(map(add, cells[i], tail))
-                if joined:
-                    bounds[:i] = map(add, bounds[:i], joins)
-                    low = min(map(add, tail, chain(joins[: i + 1], repeat(0))))
+        best = None
+        for j, total in enumerate(suffix[0]):
+            if total >= t:
+                continue
+            d, c = [], 0
+            for k, z in enumerate(zs):
+                take = cells[k][j]
+                if z == j or (base and k == 0):
+                    complies = False
+                elif z < j:  # complying comes first in the order
+                    complies = c + a[k] + suffix[k + 1][j] < t
                 else:
-                    low = min(tail)
-                bounds[i] = a[i] + low
-                limit = t - c
-                v = next((v for v, bound in enumerate(bounds) if bound < limit), None)
-                if v is None:
-                    return None  # only at the root: the bounds are exact
-                d.append(v)
-                if v == i:
-                    c += a[i]
+                    complies = c + take + suffix[k + 1][j] >= t
+                if complies:
+                    d.append(z)
+                    c += a[k]
                 else:
-                    j = v
-                    c += bounds[v] - tail[v]
-                    break
-            if j is None:
-                return tuple(d)
-        for i in range(len(d), nz):
-            z, tail = zs[i], suffix[i + 1]
-            take = c + cells[i][j]
-            comply = c + a[i]
-            if z == j:
-                takes = True
-            elif z < j:  # complying comes first in the order
-                takes = comply + tail[j] >= t
-            else:
-                takes = take + tail[j] < t
-            if takes:
-                d.append(j)
-                c = take
-            else:
-                d.append(z)
-                c = comply
-        return tuple(d)
+                    d.append(j)
+                    c += take
+            d = tuple(d)
+            if base:
+                return d
+            if best is None or d < best:
+                best = d
+        return best
 
     def _outcomes(self, d, w, t) -> tuple[int, ...]:
         """The first outcome vector, in product order, that makes type d's

@@ -261,7 +261,7 @@ def _region_constraints(config: DesignConfig, betas, rt: ResponseType):
     return cons
 
 
-def _interior_point(config: DesignConfig, betas, rt: ResponseType, M: float):
+def _interior_point(config: DesignConfig, betas, rt: ResponseType):
     J = config.J
     bmax = max(betas) if betas else 0.0
     defaults = default_choice(config, rt)
@@ -310,13 +310,11 @@ def build_epsilon_mixture(q: ResponseMeasure) -> RegionMixture:
     components = []
     for rt in support:
         cons = _region_constraints(config, betas, rt)
-        point = _interior_point(config, betas, rt, M)
+        point = _interior_point(config, betas, rt)
         if not _point_in_region(point, cons, M):
-            M *= 10
-            if not _point_in_region(point, cons, M):
-                raise RuntimeError(
-                    f"no interior point found for region of {rt.d}; construction bug"
-                )
+            raise RuntimeError(
+                f"no interior point found for region of {rt.d}; construction bug"
+            )
         lhs, rhs, offs = zip(*cons) if cons else ((), (), ())
         components.append(
             Region(rt, q.mass[rt], tuple(lhs), tuple(rhs), tuple(offs), point)

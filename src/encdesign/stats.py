@@ -63,12 +63,10 @@ class EstimatedTables:
         return float(cell) / self.arm_counts[z]
 
 
-def estimate(
-    data: MicroData, config: DesignConfig, y_support=None
-) -> EstimatedTables:
+def estimate(data: MicroData, config: DesignConfig) -> EstimatedTables:
     """Cell counts within each instrument arm. Every supported instrument
     value must appear; out-of-range rows are reported by index. The
-    outcome alphabet is inferred from the data unless supplied."""
+    outcome alphabet is the sorted set of outcomes in the data."""
     d = np.asarray(data.d)
     z = np.asarray(data.z)
     bad_d = np.flatnonzero((d < 0) | (d >= config.J))
@@ -85,21 +83,9 @@ def estimate(
     ys = None
     if data.y is not None:
         y = np.asarray(data.y)
-        if y_support is not None:
-            ys = tuple(int(v) for v in y_support)
-        else:
-            ys = tuple(int(v) for v in np.unique(y))
-        # each row's position in ys (the last one if ys repeats a value)
-        order = np.argsort(ys, kind="stable")
-        sorted_ys = np.asarray(ys, dtype=np.int64)[order]
-        at = np.searchsorted(sorted_ys, y, side="right") - 1
-        known = at >= 0
-        known[known] = sorted_ys[at[known]] == y[known]
-        bad_y = np.flatnonzero(~known)
-        if len(bad_y):
-            i = int(bad_y[0])
-            raise ValueError(f"row {i}: outcome {y[i]} not in support {ys}")
-        cell_code = d * len(ys) + order[at]
+        values = np.unique(y)
+        ys = tuple(int(v) for v in values)
+        cell_code = d * len(ys) + np.searchsorted(values, y)
     arm_counts = {}
     cells = {}
     for zv in config.z_support:
@@ -191,7 +177,6 @@ def test_model(
     alpha: float = 0.05,
     B: int = 999,
     seed: int = 0,
-    y_support=None,
 ) -> TestReport:
     """Max studentized violation with a multiplier-bootstrap critical
     value. Rejects when the statistic exceeds the (1 - alpha) bootstrap
@@ -206,8 +191,7 @@ def test_model(
         raise ValueError("need at least 99 bootstrap replications")
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    use_y = data.y is not None
-    est = estimate(data, config, y_support=y_support if use_y else None)
+    est = estimate(data, config)
     ys = est.y_support
 
     # Flatten cells to a vector; each moment is a weight vector w and the

@@ -515,11 +515,9 @@ def potential_type_codes_by_rows(eps, betas, z_targets) -> tuple[list[list[int]]
     return codes, ties
 
 
-def estimate_by_rows(
-    data: MicroData, config: DesignConfig, y_support=None
-) -> EstimatedTables:
+def estimate_by_rows(data: MicroData, config: DesignConfig) -> EstimatedTables:
     """Oracle for ``stats.estimate``: outcome cells counted one (d, y)
-    row at a time and the supplied outcome support checked row by row."""
+    row at a time."""
     d = np.asarray(data.d)
     z = np.asarray(data.z)
     bad_d = np.flatnonzero((d < 0) | (d >= config.J))
@@ -535,14 +533,7 @@ def estimate_by_rows(
         raise ValueError(f"row {i}: instrument {z[i]} not in support {config.z_support}")
     ys = None
     if data.y is not None:
-        if y_support is not None:
-            ys = tuple(int(v) for v in y_support)
-            allowed = set(ys)
-            for i, v in enumerate(data.y):
-                if int(v) not in allowed:
-                    raise ValueError(f"row {i}: outcome {v} not in support {ys}")
-        else:
-            ys = tuple(int(v) for v in np.unique(data.y))
+        ys = tuple(int(v) for v in np.unique(data.y))
     arm_counts = {}
     cells = {}
     for zv in config.z_support:
@@ -578,7 +569,6 @@ def test_model_by_family(
     alpha: float = 0.05,
     B: int = 999,
     seed: int = 0,
-    y_support=None,
 ) -> TestReport:
     """Oracle for ``stats.test_model``: every moment built as an
     ``InequalitySpec``, the dense weight matrix W (moments x cells) filled
@@ -588,8 +578,7 @@ def test_model_by_family(
         raise ValueError("need at least 99 bootstrap replications")
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    use_y = data.y is not None
-    est = estimate(data, config, y_support=y_support if use_y else None)
+    est = estimate(data, config)
     specs = _moment_family(config, est.y_support)
 
     # Flatten cells to a vector; each spec becomes a weight vector so the

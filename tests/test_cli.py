@@ -393,6 +393,49 @@ def test_out_of_range_choice_keys_are_input_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "command, option, doc, message",
+    [
+        ("check", "--input", {"J": 2, "J0": 0, "p": []}, "p must be a JSON object, got list"),
+        (
+            "check",
+            "--input",
+            {"J": 2, "J0": 0, "p": {"0": "1", "1": {"0": "1"}}},
+            'p["0"] must be a JSON object, got str',
+        ),
+        (
+            "check",
+            "--input",
+            {"J": 2, "J0": 0, "pz": ["1/2", "1/2"], "p": {"0": {"0": "1"}, "1": {"0": "1"}}},
+            "pz must be a JSON object, got list",
+        ),
+        (
+            "check-y",
+            "--input",
+            {"J": 2, "J0": 0, "y_support": [0, 1], "p": {"0": {"0": "1"}, "1": {"0": {"0": "1"}}}},
+            'p["0"]["0"] must be a JSON object, got str',
+        ),
+        (
+            "mixture-verify",
+            "--q",
+            {"J": 2, "J0": 1, "mass": [["0,1", "1"]]},
+            "mass must be a JSON object, got list",
+        ),
+        ("check", "--input", ["J", 2], "the top level must be a JSON object, got list"),
+    ],
+    ids=["p", "row", "pz", "outcome-map", "mass", "top-level"],
+)
+def test_non_object_json_fields_are_input_errors(tmp_path, capsys, command, option, doc, message):
+    path = write_json(tmp_path / "doc.json", doc)
+    argv = [command, option, path]
+    if command == "mixture-verify":
+        argv += ["--n", "10", "--seed", "1"]
+    assert run(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {message}\n"
+
+
 def test_zero_denominator_is_input_error(tmp_path, capsys):
     doc = {"J": 2, "J0": 0, "p": {"0": {"0": "1/0", "1": "0"}, "1": {"0": "1"}}}
     path = write_json(tmp_path / "zd.json", doc)

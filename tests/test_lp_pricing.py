@@ -9,12 +9,18 @@ from encdesign import lp
 from encdesign.core import DesignConfig
 from helpers import first_negative_by_scan, type_column_keys
 
-TREATMENT = [(J, J0) for J in range(2, 9) for J0 in (0, 1, 2) if J0 < J]
+# base states with several untargeted choices: (4,3) to (6,5)
+TREATMENT = [(J, J0) for J in range(2, 9) for J0 in (0, 1, 2) if J0 < J] + [
+    (4, 3),
+    (5, 3),
+    (6, 3),
+    (6, 5),
+]
 OUTCOME = [
     (J, J0, ny)
     for J, J0 in [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2), (4, 0), (4, 2)]
     for ny in (1, 2, 3)
-]
+] + [(4, 3, 2), (4, 3, 3)]
 
 
 def _duals(columns, rng):

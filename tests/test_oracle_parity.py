@@ -368,22 +368,16 @@ def _same_tables(a, b):
         assert a.cells[z].tobytes() == b.cells[z].tobytes()
 
 
-@pytest.mark.parametrize(
-    "y_support", [None, (-2, 3, 5), (5, -2, 3, 9), (3, 5, 3, -2), (3, 5)]
-)
+@pytest.mark.parametrize("y_support", [None, (-2, 3, 5)])
 @pytest.mark.parametrize("J, J0", [(3, 0), (4, 2)])
 def test_estimate_matches_row_counts(J, J0, y_support):
+    # y_support: the outcome alphabet the data is drawn from (None: no
+    # outcome column), which estimate must infer
     config, data = _micro(J, J0, 0, 3000, seed=J)
-    rng = np.random.default_rng(5)
-    y = np.asarray((-2, 3, 5))[rng.integers(0, 3, len(data))]
-    data = MicroData(data.d, data.z, y)
-    try:
-        want = estimate_by_rows(data, config, y_support=y_support)
-    except ValueError as exc:
-        with pytest.raises(ValueError) as got:
-            stats.estimate(data, config, y_support=y_support)
-        assert str(got.value) == str(exc)
-        return
-    _same_tables(stats.estimate(data, config, y_support=y_support), want)
-    plain = MicroData(data.d, data.z)
-    _same_tables(stats.estimate(plain, config), estimate_by_rows(plain, config))
+    if y_support is not None:
+        rng = np.random.default_rng(5)
+        y = np.asarray(y_support[::-1])[rng.integers(0, 3, len(data))]
+        data = MicroData(data.d, data.z, y)
+    got = stats.estimate(data, config)
+    assert got.y_support == y_support
+    _same_tables(got, estimate_by_rows(data, config))
