@@ -7,12 +7,20 @@ response types that comply with ever-larger prefixes of that ordering.
 The remaining mass lands on full compliance. Run on an infeasible table
 the same arithmetic produces a negative mass, which is reported rather
 than clamped: the negative mass is itself the diagnostic.
+
+The outcome witness runs on one integer scale: every cell and mixing
+weight is an integer over a common denominator, each completion of the
+unpinned outcomes carries a precomputed integer weight, and each mass
+becomes a Fraction once, at the end. ``OutcomeResponseMeasure`` checks
+each distinct response type once, however many outcome vectors it
+carries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 from typing import Mapping
 
 from .core import (
@@ -150,7 +158,9 @@ class OutcomeResponseMeasure:
     """Exact measure over (response type, potential-outcome vector) pairs.
 
     The outcome vector has one entry per choice; only admissible response
-    types may carry mass.
+    types may carry mass. Each distinct response type is validated once,
+    however many outcome vectors it carries, and the masses are summed on
+    the lcm of their denominators.
     """
 
     config: DesignConfig
@@ -161,27 +171,33 @@ class OutcomeResponseMeasure:
         from .core import as_fraction
         from .admissible import is_admissible
 
-        ys = set(self.y_support)
-        clean = {}
-        total = ZERO
+        config = self.config
+        ys = frozenset(self.y_support)
+        checked: set[ResponseType] = set()
+        clean: dict[tuple[ResponseType, tuple[int, ...]], Fraction] = {}
+        masses: list[Fraction] = []
         for (rt, yvec), m in self.mass.items():
             if not isinstance(rt, ResponseType):
                 rt = ResponseType(tuple(rt))
-            rt.validate(self.config)
-            if not is_admissible(self.config, rt):
-                raise ValueError(f"response type {rt.d} is not admissible")
-            yvec = tuple(int(y) for y in yvec)
-            if len(yvec) != self.config.J or any(y not in ys for y in yvec):
+            if rt not in checked:
+                rt.validate(config)
+                if not is_admissible(config, rt):
+                    raise ValueError(f"response type {rt.d} is not admissible")
+                checked.add(rt)
+            yvec = tuple(map(int, yvec))
+            if len(yvec) != config.J or not ys.issuperset(yvec):
                 raise ValueError(f"outcome vector {yvec} invalid for support {self.y_support}")
             m = as_fraction(m)
-            if m < 0:
+            if m.numerator < 0:
                 raise ValueError(f"negative mass on {(rt.d, yvec)}")
-            if m > 0:
+            if m.numerator:
                 key = (rt, yvec)
-                clean[key] = clean.get(key, ZERO) + m
-            total += m
-        if total != ONE:
-            raise ValueError(f"masses sum to {total}, not 1")
+                clean[key] = clean[key] + m if key in clean else m
+            masses.append(m)
+        scale = lcm(*(m.denominator for m in masses))
+        total = sum(m.numerator * (scale // m.denominator) for m in masses)
+        if total != scale:
+            raise ValueError(f"masses sum to {Fraction(total, scale)}, not 1")
         ordered = dict(sorted(clean.items(), key=lambda kv: (kv[0][0].d, kv[0][1])))
         object.__setattr__(self, "mass", ordered)
 
@@ -245,6 +261,15 @@ def lambda_weights(PY: OutcomeDistribution) -> dict[int, dict[int, Fraction]]:
     return out
 
 
+def _weighted_vectors(factors) -> list[tuple[tuple[int, ...], int]]:
+    """Every vector of the product of the ``{value: integer weight}`` maps,
+    in lexicographic order, with the product of its weights."""
+    out: list[tuple[tuple[int, ...], int]] = [((), 1)]
+    for factor in factors:
+        out = [(vec + (y,), w * f) for vec, w in out for y, f in factor.items()]
+    return out
+
+
 def construct_outcome(
     PY: OutcomeDistribution, cap: int = DEFAULT_TABLE_CAP
 ) -> OutcomeResponseMeasure:
@@ -257,9 +282,19 @@ def construct_outcome(
     response types at different outcome values). Step increments pin the
     target's outcome coordinate; the other coordinates are filled with
     the product of the mixing weights.
+
+    All of it runs on one integer scale. With L the lcm of the cell
+    denominators and ``lambda_weights(PY)[k][y] = num[k][y] / den[k]``,
+    every mass is an integer over D = L * prod(den). The nonzero
+    completions of a pinned choice j and outcome y, with their integer
+    weights ``den[j] * prod(num[k][y_k] for k != j)``, are listed once,
+    before the steps that share them, so a step only adds integer
+    products; each mass becomes a Fraction once, at the end. A negative
+    increment raises ConstructionError with its target, its step
+    (numbered as in ``diagnose``; None for a compliance remainder) and its
+    exact mass.
     """
     from .admissible import closed_form_count
-    from itertools import product as iproduct
 
     config = PY.config
     ys = PY.y_support
@@ -269,73 +304,82 @@ def construct_outcome(
             f"witness table would hold up to {n_types * len(ys) ** config.J} entries, cap is {cap}"
         )
     lam = lambda_weights(PY)
-    mass: dict[tuple[ResponseType, tuple[int, ...]], Fraction] = {}
-    completions = list(iproduct(ys, repeat=config.J - 1))
+    # scale is L; cell[z][j][y] and every density below are integers over it
+    scale = lcm(
+        *(v.denominator for by_j in PY.cells.values() for by_y in by_j.values() for v in by_y.values())
+    )
+    cell = {
+        z: {
+            j: {y: v.numerator * (scale // v.denominator) for y, v in by_y.items()}
+            for j, by_y in by_j.items()
+        }
+        for z, by_j in PY.cells.items()
+    }
+    den = [lcm(*(w.denominator for w in lam[k].values())) for k in range(config.J)]
+    num = [
+        {y: w.numerator * (den[k] // w.denominator) for y, w in lam[k].items() if w}
+        for k in range(config.J)
+    ]
+    total_scale = scale * prod(den)
+    acc: dict[ResponseType, dict[tuple[int, ...], int]] = {}
 
-    def spread(rtype: ResponseType, pinned_j: int, y: int, density: Fraction, where: str):
+    def add(rtype, completions, density):
+        bucket = acc.setdefault(rtype, {})
+        for yvec, weight in completions:
+            bucket[yvec] = bucket.get(yvec, 0) + density * weight
+
+    def spread(rtype, completions, density, target, step, y):
+        # step is None only for a compliance remainder (J0 > 0)
         if density < 0:
+            where = (
+                f"target {target}, step {step}, outcome {y}"
+                if step is not None
+                else f"compliance remainder (default {target}), outcome {y}"
+            )
+            density = Fraction(density, scale)
             raise ConstructionError(
                 f"construction assigns negative density {density} to {rtype.d} "
                 f"at {where}; the table violates the outcome check",
+                target=target,
+                step=step,
                 mass=density,
             )
-        if density == 0:
-            return
-        for combo in completions:
-            yvec = list(combo[:pinned_j]) + [y] + list(combo[pinned_j:])
-            weight = density
-            for k in range(config.J):
-                if k != pinned_j:
-                    weight *= lam[k][yvec[k]]
-            if weight == 0:
-                continue
-            key = (rtype, tuple(yvec))
-            mass[key] = mass.get(key, ZERO) + weight
+        if density > 0:
+            add(rtype, completions, density)
 
-    top_sum = ZERO
+    top_sum = 0
     for j in range(config.J):
+        factors = [num[k] for k in range(config.J)]
         for y in ys:
-            order = instrument_ordering(config, {z: PY.p(z, j, y) for z in config.z_support}, j)
-            spread(
-                _type_with_prefix(config, j, ()),
-                j,
-                y,
-                PY.p(order[0], j, y),
-                f"target {j}, step 1, outcome {y}",
-            )
+            factors[j] = {y: den[j]}
+            completions = _weighted_vectors(factors)
+            order = instrument_ordering(config, {z: cell[z][j][y] for z in config.z_support}, j)
+            spread(_type_with_prefix(config, j, ()), completions, cell[order[0]][j][y], j, 1, y)
             for ell in range(2, len(order)):
                 rtype = _type_with_prefix(config, j, order[: ell - 1])
-                inc = PY.p(order[ell - 1], j, y) - PY.p(order[ell - 2], j, y)
-                spread(rtype, j, y, inc, f"target {j}, step {ell}, outcome {y}")
-            top = PY.p(order[-2], j, y)
+                inc = cell[order[ell - 1]][j][y] - cell[order[ell - 2]][j][y]
+                spread(rtype, completions, inc, j, ell, y)
+            top = cell[order[-2]][j][y]
             if config.J0 > 0:
                 if j < config.J0:
-                    gap = PY.p(0, j, y) - top
-                    spread(
-                        _compliance_type(config, j),
-                        j,
-                        y,
-                        gap,
-                        f"compliance remainder (default {j}), outcome {y}",
-                    )
+                    gap = cell[0][j][y] - top
+                    spread(_compliance_type(config, j), completions, gap, j, None, y)
             else:
                 top_sum += top
     if config.J0 == 0:
-        remainder = ONE - top_sum
+        remainder = scale - top_sum
         if remainder < 0:
+            remainder = Fraction(remainder, scale)
             raise ConstructionError(
                 f"construction assigns negative mass {remainder} to full compliance; "
                 f"the table violates the outcome check",
                 mass=remainder,
             )
-        diag = _compliance_type(config, 0)
         if remainder > 0:
-            for yvec in iproduct(ys, repeat=config.J):
-                weight = remainder
-                for k in range(config.J):
-                    weight *= lam[k][yvec[k]]
-                if weight == 0:
-                    continue
-                key = (diag, tuple(yvec))
-                mass[key] = mass.get(key, ZERO) + weight
+            add(_compliance_type(config, 0), _weighted_vectors(num), remainder)
+    mass = {
+        (rtype, yvec): Fraction(n, total_scale)
+        for rtype, bucket in acc.items()
+        for yvec, n in bucket.items()
+    }
     return OutcomeResponseMeasure(config, ys, mass)

@@ -20,9 +20,10 @@ from encdesign.core import (
     ObservedDistribution,
     ResponseMeasure,
     ResponseType,
+    as_fraction,
     pushforward,
 )
-from encdesign.errors import CapacityError
+from encdesign.errors import CapacityError, ConstructionError
 from encdesign.inequalities import (
     DEFAULT_FAMILY_CAP,
     CheckReport,
@@ -33,7 +34,15 @@ from encdesign.inequalities import (
 )
 from encdesign.simulate import MicroData, Region, RegionMixture
 from encdesign.stats import SE_FLOOR, EstimatedTables, TestReport, estimate
-from encdesign.witness import OutcomeResponseMeasure, pushforward_outcome
+from encdesign.witness import (
+    DEFAULT_TABLE_CAP,
+    OutcomeResponseMeasure,
+    _compliance_type,
+    _type_with_prefix,
+    instrument_ordering,
+    lambda_weights,
+    pushforward_outcome,
+)
 
 
 def random_measure(config: DesignConfig, rng: Random, max_weight: int = 8) -> ResponseMeasure:
@@ -143,6 +152,27 @@ def random_outcome_table(
         cells[z] = {
             j: {y: Fraction(next(it), total) for y in y_support}
             for j in range(config.J)
+        }
+    return OutcomeDistribution(config, tuple(y_support), cells)
+
+
+def targeted_outcome_table(
+    config: DesignConfig, y_support, rng: Random, max_weight: int = 6, boost: int = 6
+) -> OutcomeDistribution:
+    """Random outcome table whose targeting cells (z = j) get ``boost``
+    extra weight, so that it usually passes the mixing-weight check and,
+    when infeasible, fails later: at a step, a compliance remainder or
+    the full-compliance remainder."""
+    cells = {}
+    for z in config.z_support:
+        weights = {
+            (j, y): rng.randint(0, max_weight) + (boost if j == z and z >= config.J0 else 0)
+            for j in range(config.J)
+            for y in y_support
+        }
+        total = sum(weights.values())
+        cells[z] = {
+            j: {y: Fraction(weights[j, y], total) for y in y_support} for j in range(config.J)
         }
     return OutcomeDistribution(config, tuple(y_support), cells)
 
@@ -705,3 +735,122 @@ def dumps_by_json(doc) -> str:
     """Oracle for ``cli.dumps``: the stdlib encoder the CLI used before,
     which cannot take its C path when ``indent`` is set."""
     return json.dumps(doc, sort_keys=True, indent=2)
+
+
+def outcome_measure_by_fractions(config: DesignConfig, y_support, mass) -> dict:
+    """Oracle for ``OutcomeResponseMeasure``'s checks: every key validated
+    on its own and the masses summed as Fractions. Returns the measure's
+    ordered mass dict, or raises the same ValueError."""
+    ys = set(y_support)
+    clean = {}
+    total = ZERO
+    for (rt, yvec), m in mass.items():
+        if not isinstance(rt, ResponseType):
+            rt = ResponseType(tuple(rt))
+        rt.validate(config)
+        if not is_admissible(config, rt):
+            raise ValueError(f"response type {rt.d} is not admissible")
+        yvec = tuple(int(y) for y in yvec)
+        if len(yvec) != config.J or any(y not in ys for y in yvec):
+            raise ValueError(f"outcome vector {yvec} invalid for support {tuple(y_support)}")
+        m = as_fraction(m)
+        if m < 0:
+            raise ValueError(f"negative mass on {(rt.d, yvec)}")
+        if m > 0:
+            key = (rt, yvec)
+            clean[key] = clean.get(key, ZERO) + m
+        total += m
+    if total != ONE:
+        raise ValueError(f"masses sum to {total}, not 1")
+    return dict(sorted(clean.items(), key=lambda kv: (kv[0][0].d, kv[0][1])))
+
+
+def construct_outcome_by_fractions(PY: OutcomeDistribution, cap: int = DEFAULT_TABLE_CAP) -> dict:
+    """Oracle for ``witness.construct_outcome``: every completion weight
+    recomputed as a product of Fraction mixing weights at every step.
+    Returns the witness's ordered mass dict, or raises the same
+    ConstructionError (message, target, step and mass)."""
+    from encdesign.admissible import closed_form_count
+
+    config = PY.config
+    ys = PY.y_support
+    n_types = closed_form_count(config)
+    if n_types * len(ys) ** config.J > cap:
+        raise CapacityError(
+            f"witness table would hold up to {n_types * len(ys) ** config.J} entries, cap is {cap}"
+        )
+    lam = lambda_weights(PY)
+    mass = {}
+    completions = list(product(ys, repeat=config.J - 1))
+
+    def spread(rtype, pinned_j, y, density, where, step):
+        if density < 0:
+            raise ConstructionError(
+                f"construction assigns negative density {density} to {rtype.d} "
+                f"at {where}; the table violates the outcome check",
+                target=pinned_j,
+                step=step,
+                mass=density,
+            )
+        if density == 0:
+            return
+        for combo in completions:
+            yvec = list(combo[:pinned_j]) + [y] + list(combo[pinned_j:])
+            weight = density
+            for k in range(config.J):
+                if k != pinned_j:
+                    weight *= lam[k][yvec[k]]
+            if weight == 0:
+                continue
+            key = (rtype, tuple(yvec))
+            mass[key] = mass.get(key, ZERO) + weight
+
+    top_sum = ZERO
+    for j in range(config.J):
+        for y in ys:
+            order = instrument_ordering(config, {z: PY.p(z, j, y) for z in config.z_support}, j)
+            spread(
+                _type_with_prefix(config, j, ()),
+                j,
+                y,
+                PY.p(order[0], j, y),
+                f"target {j}, step 1, outcome {y}",
+                1,
+            )
+            for ell in range(2, len(order)):
+                rtype = _type_with_prefix(config, j, order[: ell - 1])
+                inc = PY.p(order[ell - 1], j, y) - PY.p(order[ell - 2], j, y)
+                spread(rtype, j, y, inc, f"target {j}, step {ell}, outcome {y}", ell)
+            top = PY.p(order[-2], j, y)
+            if config.J0 > 0:
+                if j < config.J0:
+                    gap = PY.p(0, j, y) - top
+                    spread(
+                        _compliance_type(config, j),
+                        j,
+                        y,
+                        gap,
+                        f"compliance remainder (default {j}), outcome {y}",
+                        None,
+                    )
+            else:
+                top_sum += top
+    if config.J0 == 0:
+        remainder = ONE - top_sum
+        if remainder < 0:
+            raise ConstructionError(
+                f"construction assigns negative mass {remainder} to full compliance; "
+                f"the table violates the outcome check",
+                mass=remainder,
+            )
+        diag = _compliance_type(config, 0)
+        if remainder > 0:
+            for yvec in product(ys, repeat=config.J):
+                weight = remainder
+                for k in range(config.J):
+                    weight *= lam[k][yvec[k]]
+                if weight == 0:
+                    continue
+                key = (diag, tuple(yvec))
+                mass[key] = mass.get(key, ZERO) + weight
+    return outcome_measure_by_fractions(config, ys, mass)

@@ -3,11 +3,13 @@
 and the explicit-column scan, direct admissible generation against the
 brute-force filter, the per-choice-maxima check against the explicit
 inequality family, the difference-coordinate region sampler against
-whole-box rejection, and the block-streamed moment test and bincount cell
-counts against the explicit family and the per-row loop."""
+whole-box rejection, the block-streamed moment test and bincount cell
+counts against the explicit family and the per-row loop, and the
+integer-scale outcome witness against the Fraction construction."""
 
 import tracemalloc
 from fractions import Fraction as F
+from math import lcm, prod
 from random import Random
 
 import numpy as np
@@ -16,8 +18,8 @@ import pytest
 from encdesign import lp, stats
 from encdesign.admissible import enumerate_admissible
 from encdesign.core import DesignConfig, pushforward
-from encdesign.errors import CapacityError
-from encdesign.inequalities import check
+from encdesign.errors import CapacityError, ConstructionError
+from encdesign.inequalities import OutcomeDistribution, check
 from encdesign.simulate import (
     _chunk_rng,
     _difference_box,
@@ -25,10 +27,17 @@ from encdesign.simulate import (
     MicroData,
     build_epsilon_mixture,
 )
+from encdesign.witness import (
+    OutcomeResponseMeasure,
+    construct_outcome,
+    lambda_weights,
+    pushforward_outcome,
+)
 from helpers import (
     admissible_by_filter,
     boundary_measure,
     check_by_family,
+    construct_outcome_by_fractions,
     estimate_by_rows,
     feasible_by_scan,
     feasible_outcome_by_scan,
@@ -38,10 +47,12 @@ from helpers import (
     phase_one_fraction,
     phase_one_scan,
     random_measure,
+    random_outcome_measure,
     random_outcome_table,
     random_table,
     region_points_by_box_rejection,
     solution_vector,
+    targeted_outcome_table,
     type_column_keys,
 )
 from helpers import test_model_by_family as model_test_by_family
@@ -381,3 +392,102 @@ def test_estimate_matches_row_counts(J, J0, y_support):
     got = stats.estimate(data, config)
     assert got.y_support == y_support
     _same_tables(got, estimate_by_rows(data, config))
+
+
+def _same_outcome_witness(PY) -> bool:
+    """The witness (keys, order and values) or the ConstructionError
+    (message, target, step and mass) of both constructions; True when a
+    witness was built."""
+    try:
+        want = construct_outcome_by_fractions(PY)
+    except ConstructionError as err:
+        with pytest.raises(ConstructionError) as got:
+            construct_outcome(PY)
+        assert str(got.value) == str(err)
+        assert got.value.target == err.target
+        assert (got.value.step, got.value.mass) == (err.step, err.mass)
+        return False
+    got = construct_outcome(PY).mass
+    assert list(got.items()) == list(want.items())
+    assert all(type(m) is F for m in got.values())
+    return True
+
+
+@pytest.mark.parametrize(
+    "J, J0, ny",
+    [(2, 0, 2), (3, 0, 2), (3, 0, 3), (3, 1, 2), (3, 1, 3), (4, 2, 2), (4, 2, 3), (4, 0, 2),
+     (4, 0, 3), (5, 0, 2), (3, 0, 4), (5, 2, 2)],
+)
+def test_outcome_witness_matches_fraction_construction(J, J0, ny):
+    # the exact-y benchmark designs and their three table kinds, plus
+    # designs whose completion lists and common denominators are larger;
+    # the targeted tables reach the negative steps and remainders that
+    # random tables, failing the mixing weights first, never reach
+    from perfbench import inputs
+
+    config, ys = DesignConfig(J, J0), tuple(range(ny))
+    for kind in inputs.KINDS:
+        for i in range(3):
+            rng = inputs.rng_for("witness", J, J0, ny, kind, i)
+            built = _same_outcome_witness(inputs.outcome_table(config, ys, kind, rng))
+            assert built or kind == "random"
+    rng = Random(503 + 100 * J + 10 * J0 + ny)
+    for _ in range(6):
+        _same_outcome_witness(targeted_outcome_table(config, ys, rng))
+
+
+@pytest.mark.parametrize(
+    "J, J0, ys",
+    [(2, 1, (4, -1, 2)), (3, 1, (2, 0)), (3, 0, (5, 3, 4)), (3, 2, (1, 0, 2))],
+)
+def test_outcome_witness_matches_fraction_construction_on_unordered_supports(J, J0, ys):
+    config = DesignConfig(J, J0)
+    rng = Random(509 + 10 * J + J0)
+    built = set()
+    for i in range(12):
+        if i % 2:
+            PY = feasible_outcome_table(config, ys, rng)
+        else:
+            PY = random_outcome_table(config, ys, rng)
+        built.add(_same_outcome_witness(PY))
+    assert built == {True, False}
+
+
+def _coprime_measure(config, ys, rng):
+    """A random outcome measure rescaled so that its masses sit over the
+    coprime denominators 997, 1009 and 1013."""
+    q = random_outcome_measure(config, ys, rng)
+    keys = list(q.mass)
+    mass = {
+        key: F(rng.randint(1, 9), (997, 1009, 1013)[i % 3]) / (2 * len(keys))
+        for i, key in enumerate(keys)
+    }
+    mass[keys[-1]] += 1 - sum(mass.values())
+    return mass
+
+
+@pytest.mark.parametrize("J, J0, ys", [(3, 0, (0, 1)), (3, 1, (0, 1, 2)), (4, 2, (0, 1))])
+def test_outcome_witness_matches_fraction_construction_past_64_bits(J, J0, ys):
+    # masses and slices over large coprime denominators, so that the
+    # common scale L * prod(den) of the witness exceeds 2**64
+    config = DesignConfig(J, J0)
+    rng = Random(521 + 10 * J + J0)
+    feasible = pushforward_outcome(
+        OutcomeResponseMeasure(config, ys, _coprime_measure(config, ys, rng))
+    )
+    cells = {}
+    for z, den in zip(config.z_support, (997, 1009, 1013, 1019)):
+        weights = [rng.randint(1, 9) for _ in range(config.J * len(ys))]
+        weights[-1] += den - sum(weights)
+        it = iter(weights)
+        cells[z] = {j: {y: F(next(it), den) for y in ys} for j in range(config.J)}
+    for PY in (feasible, OutcomeDistribution(config, ys, cells)):
+        if _same_outcome_witness(PY):
+            lam = lambda_weights(PY)
+            scale = lcm(
+                *(v.denominator for z in PY.cells for by_y in PY.cells[z].values() for v in by_y.values())
+            )
+            dens = (lcm(*(w.denominator for w in lam[k].values())) for k in range(config.J))
+            assert scale * prod(dens) > 2**64
+        else:
+            assert PY is not feasible

@@ -1,6 +1,7 @@
 """Constructive sharpness: orderings, witness measures, traces, and the
 outcome construction."""
 
+import json
 from fractions import Fraction as F
 from random import Random
 
@@ -25,8 +26,10 @@ from encdesign.witness import (
     pushforward_outcome,
 )
 from helpers import (
+    construct_outcome_by_fractions,
     feasible_outcome_table,
     feasible_table,
+    outcome_measure_by_fractions,
     random_table,
 )
 
@@ -188,11 +191,22 @@ def test_diagnose_compliance_trace():
 
 
 def test_outcome_roundtrip_exact():
+    # (4,0)|Y|=2, (4,2)|Y|=3 and (3,0)|Y|=4 have the longest completion
+    # lists and the largest common denominators of the set
     rng = Random(79)
-    for J, J0, ny in [(2, 0, 2), (2, 1, 3), (3, 0, 2), (3, 1, 2), (3, 2, 3)]:
+    for J, J0, ny, copies in [
+        (2, 0, 2, 25),
+        (2, 1, 3, 25),
+        (3, 0, 2, 25),
+        (3, 1, 2, 25),
+        (3, 2, 3, 25),
+        (4, 0, 2, 10),
+        (4, 2, 3, 10),
+        (3, 0, 4, 10),
+    ]:
         config = DesignConfig(J, J0)
         ys = tuple(range(ny))
-        for _ in range(25):
+        for _ in range(copies):
             PY = feasible_outcome_table(config, ys, rng)
             qstar = construct_outcome(PY)
             assert pushforward_outcome(qstar).cells == PY.cells
@@ -276,16 +290,175 @@ def test_negative_mixing_weight_reported_as_construction_error():
     with pytest.raises(ConstructionError) as err:
         construct_outcome(PY)
     assert err.value.target == 1
+    assert err.value.step is None
     assert err.value.mass == F(-1, 10)
+
+
+def _outcome_table(J, J0, slices) -> OutcomeDistribution:
+    """|Y| = 2 table from per-z rows of (y=0, y=1) cell strings."""
+    config = DesignConfig(J, J0)
+    cells = {
+        z: {j: {y: F(v) for y, v in enumerate(row)} for j, row in enumerate(rows)}
+        for z, rows in zip(config.z_support, slices)
+    }
+    return OutcomeDistribution(config, (0, 1), cells)
+
+
+def _construct_outcome_error(PY) -> ConstructionError:
+    with pytest.raises(ConstructionError) as err:
+        construct_outcome(PY)
+    with pytest.raises(ConstructionError) as want:
+        construct_outcome_by_fractions(PY)
+    assert str(err.value) == str(want.value)
+    return err.value
+
+
+def test_construct_outcome_error_names_negative_step():
+    # base state below instrument 2 in choice 1's cells: the step that
+    # moves from z=2 to z=0 is negative
+    rows = [("1/12", "1/6"), ("1/6", "1/3"), ("1/12", "1/6")]
+    PY = _outcome_table(3, 1, [[("1/6", "1/3"), ("1/12", "1/6"), ("1/12", "1/6")], rows, rows])
+    err = _construct_outcome_error(PY)
+    assert str(err) == (
+        "construction assigns negative density -1/12 to (1, 1, 2) at target 1, step 2, "
+        "outcome 0; the table violates the outcome check"
+    )
+    assert (err.target, err.step, err.mass) == (1, 2, F(-1, 12))
+
+
+def test_construct_outcome_error_names_negative_compliance_remainder():
+    # J0 > 0: the untargeted choice 0 is more likely under z=1 than under
+    # the base state, so its compliance remainder is negative
+    PY = _outcome_table(
+        2, 1, [[("1/10", "2/5"), ("1/10", "2/5")], [("1/5", "1/5"), ("1/5", "2/5")]]
+    )
+    err = _construct_outcome_error(PY)
+    assert str(err) == (
+        "construction assigns negative density -1/10 to (0, 1) at compliance remainder "
+        "(default 0), outcome 0; the table violates the outcome check"
+    )
+    assert (err.target, err.step, err.mass) == (0, None, F(-1, 10))
+    # diagnose names the same default for the same remainder
+    (entry,) = [e for e in diagnose(PY.marginal()).entries if e.kind == "compliance"]
+    assert (entry.target, entry.step) == (err.target, err.step)
+
+
+def test_construct_outcome_error_names_negative_full_compliance():
+    # J0 = 0: every targeting cell ties the largest other cell, and the
+    # three largest cells sum past 1
+    q, o = ("1/4", "1/4"), ("0", "0")
+    PY = _outcome_table(3, 0, [[q, q, o], [o, q, q], [q, o, q]])
+    err = _construct_outcome_error(PY)
+    assert str(err) == (
+        "construction assigns negative mass -1/2 to full compliance; "
+        "the table violates the outcome check"
+    )
+    assert (err.target, err.step, err.mass) == (None, None, F(-1, 2))
+
+
+def test_construct_y_failure_keeps_its_stderr_line(tmp_path, capsys):
+    from encdesign.cli import EXIT_VERDICT, distribution_doc, run
+
+    rows = [("1/12", "1/6"), ("1/6", "1/3"), ("1/12", "1/6")]
+    PY = _outcome_table(3, 1, [[("1/6", "1/3"), ("1/12", "1/6"), ("1/12", "1/6")], rows, rows])
+    src = tmp_path / "py.json"
+    src.write_text(json.dumps(distribution_doc(PY)))
+    assert run(["construct-y", "--input", str(src)]) == EXIT_VERDICT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "construction failed: construction assigns negative density -1/12 to (1, 1, 2) at "
+        "target 1, step 2, outcome 0; the table violates the outcome check\n"
+    )
+
+
+def _measure_error(config, ys, mass) -> str:
+    """The ValueError of OutcomeResponseMeasure, which must be the one
+    the key-by-key Fraction checks raise."""
+    with pytest.raises(ValueError) as err:
+        OutcomeResponseMeasure(config, ys, mass)
+    with pytest.raises(ValueError) as want:
+        outcome_measure_by_fractions(config, ys, mass)
+    assert str(err.value) == str(want.value)
+    return str(err.value)
 
 
 def test_outcome_measure_validates():
     config = DesignConfig(2, 0)
-    with pytest.raises(ValueError):
-        OutcomeResponseMeasure(
-            config, (0, 1), {(ResponseType((1, 0)), (0, 0)): F(1)}
+    assert _measure_error(config, (0, 1), {(ResponseType((1, 0)), (0, 0)): F(1)}) == (
+        "response type (1, 0) is not admissible"
+    )
+    assert _measure_error(config, (0, 1), {(ResponseType((0, 0)), (0, 2)): F(1)}) == (
+        "outcome vector (0, 2) invalid for support (0, 1)"
+    )
+    # an outcome outside the support, or a vector of the wrong length,
+    # listed after a valid entry of the same type
+    for yvec in [(0, 2), (0,), (0, 1, 1)]:
+        mass = {(ResponseType((0, 0)), (0, 1)): F(1, 2), (ResponseType((0, 0)), yvec): F(1, 2)}
+        assert _measure_error(config, (0, 1), mass) == (
+            f"outcome vector {yvec} invalid for support (0, 1)"
         )
-    with pytest.raises(ValueError):
-        OutcomeResponseMeasure(
-            config, (0, 1), {(ResponseType((0, 0)), (0, 2)): F(1)}
-        )
+
+
+def test_outcome_measure_rejects_negative_mass():
+    config = DesignConfig(2, 0)
+    mass = {(ResponseType((0, 0)), (0, 1)): F(3, 2), (ResponseType((1, 1)), (1, 0)): F(-1, 2)}
+    assert _measure_error(config, (0, 1), mass) == "negative mass on ((1, 1), (1, 0))"
+
+
+@pytest.mark.parametrize("total", [F(3, 2), F(1, 2), F(0)])
+def test_outcome_measure_rejects_masses_not_summing_to_one(total):
+    config = DesignConfig(2, 0)
+    mass = {
+        (ResponseType((0, 0)), (0, 1)): total / 3,
+        (ResponseType((0, 1)), (1, 1)): total / 3,
+        ((1, 1), (1, 0)): total / 3,
+        ((1, 1), (0, 0)): 0,
+    }
+    assert _measure_error(config, (0, 1), mass) == f"masses sum to {total}, not 1"
+
+
+def test_outcome_measure_rejects_invalid_type_vectors():
+    config = DesignConfig(2, 0)
+    assert _measure_error(config, (0, 1), {((0, 0, 1), (0, 1)): F(1)}) == (
+        "response type has 3 entries, support has 2"
+    )
+    assert _measure_error(config, (0, 1), {((0, 2), (0, 1)): F(1)}) == (
+        "treatment value 2 out of range for J=2"
+    )
+
+
+def test_outcome_measure_checks_every_type_it_has_not_seen():
+    # (1, 0) is inadmissible at (2,0): it must be caught after admissible
+    # entries, after an entry of the same default, and on a zero mass
+    config = DesignConfig(2, 0)
+    good, bad = ResponseType((0, 1)), ResponseType((1, 0))
+    message = "response type (1, 0) is not admissible"
+    cases = [
+        {(good, (0, 0)): F(1, 2), (good, (1, 1)): F(1, 4), (bad, (0, 1)): F(1, 4)},
+        {(ResponseType((1, 1)), (0, 0)): F(1, 2), ((1, 0), (0, 0)): F(1, 2)},
+        {(good, (0, 0)): F(1), (bad, (1, 1)): 0},
+        {(bad, (0, 0)): F(1, 2), (bad, (1, 1)): F(1, 2)},
+    ]
+    for mass in cases:
+        assert _measure_error(config, (0, 1), mass) == message
+
+
+def test_outcome_measure_merges_equal_keys():
+    # the same key once as a tuple and once as a ResponseType (with a
+    # string mass): one entry with the summed mass; a zero mass is dropped
+    config = DesignConfig(2, 0)
+    rt = ResponseType((0, 1))
+    mass = {
+        ((0, 1), (1, 0)): F(1, 3),
+        ((0, 0), (1, 1)): 0,
+        (rt, (1, 0)): "1/6",
+        (ResponseType((1, 1)), (0, 1)): F(1, 2),
+    }
+    q = OutcomeResponseMeasure(config, (0, 1), mass)
+    assert list(q.mass.items()) == [
+        ((rt, (1, 0)), F(1, 2)),
+        ((ResponseType((1, 1)), (0, 1)), F(1, 2)),
+    ]
+    assert list(q.mass.items()) == list(outcome_measure_by_fractions(config, (0, 1), mass).items())
+    assert all(type(k[0]) is ResponseType and type(m) is F for k, m in q.mass.items())
