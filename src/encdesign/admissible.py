@@ -12,7 +12,7 @@ comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 from .core import DesignConfig, ResponseType
@@ -38,13 +38,9 @@ def is_admissible(config: DesignConfig, rt: ResponseType) -> bool:
 class AdmissibleSet:
     config: DesignConfig
     types: tuple[ResponseType, ...]
-    _members: frozenset[ResponseType] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_members", frozenset(self.types))
 
     def __contains__(self, rt: ResponseType) -> bool:
-        return rt in self._members
+        return rt in self.types
 
     def __len__(self) -> int:
         return len(self.types)

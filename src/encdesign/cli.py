@@ -81,9 +81,64 @@ def _object(value, field: str) -> dict:
     return value
 
 
+def _int(value, field: str) -> int:
+    """``value`` when it is a JSON integer (not true or false); otherwise
+    a ValueError that names the field."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field} must be a JSON integer, got {type(value).__name__}")
+    return value
+
+
+def _int_list(value, field: str) -> tuple[int, ...]:
+    """``value`` when it is a JSON list of integers, as a tuple."""
+    if not isinstance(value, list):
+        raise ValueError(f"{field} must be a JSON list, got {type(value).__name__}")
+    return tuple(_int(v, f"{field}[{i}]") for i, v in enumerate(value))
+
+
+def _keyed(value, field: str, parse=int) -> dict:
+    """The JSON object ``value`` with its keys read by ``parse``. Two keys
+    that read the same ("0" and "00") raise a ValueError naming the
+    field, since one would silently overwrite the other."""
+    out = {}
+    texts = {}
+    for text, item in _object(value, field).items():
+        key = parse(text)
+        if key in out:
+            raise ValueError(f'{field} keys "{texts[key]}" and "{text}" both read as {key}')
+        out[key] = item
+        texts[key] = text
+    return out
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    """The integers of a comma-joined witness key such as "0,1"."""
+    return tuple(int(v) for v in text.split(","))
+
+
+def _outcome_key(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The type and outcome vectors of a "types|outcomes" witness key."""
+    d_part, y_part = text.split("|")
+    return _ints(d_part), _ints(y_part)
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a key written twice is a ValueError."""
+    doc = {}
+    for text, item in pairs:
+        if text in doc:
+            raise ValueError(f'key "{text}" appears twice in one JSON object')
+        doc[text] = item
+    return doc
+
+
 def _load_object(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return _object(json.load(fh), "the top level")
+        return _object(json.load(fh, object_pairs_hook=_unique_keys), "the top level")
+
+
+def _design(doc: dict) -> DesignConfig:
+    return DesignConfig(_int(doc["J"], "J"), _int(doc.get("J0", 0), "J0"))
 
 
 def _emit(doc) -> None:
@@ -227,20 +282,17 @@ def load_distribution(path: str):
     """Parse a distribution file into an exact table; the presence of
     y_support selects the outcome form."""
     doc = _load_object(path)
-    config = DesignConfig(int(doc["J"]), int(doc.get("J0", 0)))
+    config = _design(doc)
     pz = None
     if "pz" in doc:
-        pz = {int(z): _frac(v) for z, v in _object(doc["pz"], "pz").items()}
-    p = _object(doc["p"], "p")
+        pz = {z: _frac(v) for z, v in _keyed(doc["pz"], "pz").items()}
+    p = _keyed(doc["p"], "p")
     if "y_support" in doc:
-        ys = tuple(int(y) for y in doc["y_support"])
+        ys = _int_list(doc["y_support"], "y_support")
         cells = {
-            int(z): {
-                int(j): {
-                    int(y): _frac(v)
-                    for y, v in _object(by_y, f'p["{z}"]["{j}"]').items()
-                }
-                for j, by_y in _object(by_j, f'p["{z}"]').items()
+            z: {
+                j: {y: _frac(v) for y, v in _keyed(by_y, f'p["{z}"]["{j}"]').items()}
+                for j, by_y in _keyed(by_j, f'p["{z}"]').items()
             }
             for z, by_j in p.items()
         }
@@ -248,12 +300,11 @@ def load_distribution(path: str):
     rows = {}
     for z, by_j in p.items():
         row = [Fraction(0)] * config.J
-        for j, v in _object(by_j, f'p["{z}"]').items():
-            j = int(j)
+        for j, v in _keyed(by_j, f'p["{z}"]').items():
             if not 0 <= j < config.J:
                 raise ValueError(f"choice {j} out of range for J={config.J}")
             row[j] = _frac(v)
-        rows[int(z)] = tuple(row)
+        rows[z] = tuple(row)
     return ObservedDistribution(config, rows, pz=pz)
 
 
@@ -288,11 +339,8 @@ def measure_doc(q: ResponseMeasure) -> dict:
 
 def load_measure(path: str) -> ResponseMeasure:
     doc = _load_object(path)
-    config = DesignConfig(int(doc["J"]), int(doc.get("J0", 0)))
-    mass = {
-        ResponseType(tuple(int(v) for v in key.split(","))): _frac(m)
-        for key, m in _object(doc["mass"], "mass").items()
-    }
+    config = _design(doc)
+    mass = {ResponseType(d): _frac(m) for d, m in _keyed(doc["mass"], "mass", _ints).items()}
     return ResponseMeasure(config, mass)
 
 
@@ -310,14 +358,12 @@ def outcome_measure_doc(q: OutcomeResponseMeasure) -> dict:
 
 def load_outcome_measure(path: str) -> OutcomeResponseMeasure:
     doc = _load_object(path)
-    config = DesignConfig(int(doc["J"]), int(doc.get("J0", 0)))
-    ys = tuple(int(y) for y in doc["y_support"])
-    mass = {}
-    for key, m in _object(doc["mass"], "mass").items():
-        d_part, y_part = key.split("|")
-        rt = ResponseType(tuple(int(v) for v in d_part.split(",")))
-        yvec = tuple(int(v) for v in y_part.split(","))
-        mass[(rt, yvec)] = _frac(m)
+    config = _design(doc)
+    ys = _int_list(doc["y_support"], "y_support")
+    mass = {
+        (ResponseType(d), yvec): _frac(m)
+        for (d, yvec), m in _keyed(doc["mass"], "mass", _outcome_key).items()
+    }
     return OutcomeResponseMeasure(config, ys, mass)
 
 

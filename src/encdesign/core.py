@@ -221,20 +221,3 @@ def pushforward(
     return ObservedDistribution(
         config, {z: tuple(row) for z, row in rows.items()}, pz=pz
     )
-
-
-def mix(
-    lam: Fraction, q1: ResponseMeasure, q2: ResponseMeasure
-) -> ResponseMeasure:
-    """Convex combination lam*q1 + (1-lam)*q2 of two measures."""
-    lam = as_fraction(lam)
-    if not 0 <= lam <= 1:
-        raise ValueError("mixing weight must lie in [0, 1]")
-    if q1.config != q2.config:
-        raise ValueError("measures built on different designs")
-    mass: dict[ResponseType, Fraction] = {}
-    for rt, m in q1.mass.items():
-        mass[rt] = mass.get(rt, ZERO) + lam * m
-    for rt, m in q2.mass.items():
-        mass[rt] = mass.get(rt, ZERO) + (ONE - lam) * m
-    return ResponseMeasure(q1.config, mass)

@@ -4,9 +4,8 @@ Two families: selector inequalities (one conditional choice probability
 per choice, summed, bounded by 1) for designs without a base state, and
 the reduced pairwise family (no instrument value beats the base state)
 when a base state exists. The outcome extension adds per-cell pointwise
-dominance plus a partition inequality, with a literal brute-force
-enumeration of all partitions kept as an independent oracle. Slacks are
-rationals; no tolerance parameter exists in this module.
+dominance plus a partition inequality. Slacks are rationals; no
+tolerance parameter exists in this module.
 """
 
 from __future__ import annotations
@@ -221,20 +220,6 @@ def _violated_selectors(levels, hi, bound):
         )
 
 
-def encouragement_specs(config: DesignConfig) -> tuple[InequalitySpec, ...]:
-    """The implied pairwise form P{D=j | Z=k} <= P{D=j | Z=j} for every
-    targeted choice j and other instrument value k."""
-    specs = []
-    for j in range(config.J0, config.J):
-        for k in config.z_support:
-            if k == j:
-                continue
-            specs.append(
-                InequalitySpec(lhs=((k, j),), rhs=((j, j),), pair=(j, k), tag="encourage")
-            )
-    return tuple(specs)
-
-
 @dataclass(frozen=True)
 class OutcomeDistribution:
     """Exact table of P{Y=y, D=j | Z=z} over a finite outcome alphabet.
@@ -346,18 +331,6 @@ def partition_reduction_spec(PY: OutcomeDistribution) -> InequalitySpec:
     return InequalitySpec(lhs=tuple(lhs), bound=ONE, tag="partition-max")
 
 
-def partition_check(PY: OutcomeDistribution) -> CheckReport:
-    """The partition side of the outcome characterization on its own:
-    the max-form reduction when there is no base state, the base
-    dominance subfamily otherwise. Equivalent to brute-force partition
-    enumeration, which tests verify."""
-    if PY.config.J0 == 0:
-        spec = partition_reduction_spec(PY)
-        return CheckReport.from_slacks([(spec, spec.slack(PY))])
-    specs = [s for s in generate_outcome(PY.config, PY.y_support) if s.tag == "outcome-base"]
-    return CheckReport.from_slacks((s, s.slack(PY)) for s in specs)
-
-
 def check_outcome(PY: OutcomeDistribution) -> CheckReport:
     """Full outcome check: the static pointwise family plus, without a
     base state, the partition reduction."""
@@ -366,32 +339,6 @@ def check_outcome(PY: OutcomeDistribution) -> CheckReport:
         spec = partition_reduction_spec(PY)
         slacks.append((spec, spec.slack(PY)))
     return CheckReport.from_slacks(slacks)
-
-
-def brute_force_partition_check(
-    PY: OutcomeDistribution, cap: int = DEFAULT_FAMILY_CAP
-) -> bool:
-    """Literal oracle: enumerate every tuple of partitions (each outcome
-    value assigned to one allowed instrument value, independently per
-    choice) and check the partition inequality for each one."""
-    config = PY.config
-    ys = PY.y_support
-    per_choice_sums = []
-    total = 1
-    for j in range(config.J):
-        zs = config.targeted_set(j)
-        count = len(zs) ** len(ys)
-        total *= count
-        if total > cap:
-            raise CapacityError(f"would enumerate {total}+ partition tuples, cap is {cap}")
-        sums = []
-        for assignment in product(zs, repeat=len(ys)):
-            sums.append(sum((PY.p(z, j, y) for z, y in zip(assignment, ys)), ZERO))
-        per_choice_sums.append(sums)
-    for combo in product(*per_choice_sums):
-        if sum(combo, ZERO) > ONE:
-            return False
-    return True
 
 
 def partition_family_size(

@@ -31,10 +31,6 @@ from .core import (
 CHUNK_SIZE = 65536
 
 
-class TieError(RuntimeError):
-    """Two utilities tied exactly; the draw must be resampled."""
-
-
 @dataclass(frozen=True)
 class RumSpec:
     """A simulated random utility model: encouragement sizes, shock
@@ -132,21 +128,6 @@ def _draw_eps(rng: np.random.Generator, k: int, spec: RumSpec) -> np.ndarray:
     )
 
 
-def potential_vector(config: DesignConfig, betas, eps) -> ResponseType:
-    """The response type realized by one shock vector: at each instrument
-    value, the boosted argmax. Raises TieError on an exact tie (a
-    probability-zero event under continuous shocks)."""
-    eps = np.asarray(eps, dtype=np.float64).reshape(1, -1)
-    if eps.shape[1] != config.J:
-        raise ValueError(f"need {config.J} shocks")
-    codes, ties = kernels.potential_type_codes(
-        eps, np.asarray(betas, dtype=np.float64), np.asarray(config.z_support)
-    )
-    if ties[0]:
-        raise TieError("exact utility tie; resample the shock vector")
-    return ResponseType(tuple(int(v) for v in codes[0]))
-
-
 def _codes_for(eps: np.ndarray, betas: np.ndarray, z_support: np.ndarray, rng, redraw) -> np.ndarray:
     """Kernel call with tie resampling: tied rows get fresh shocks from
     the same stream until none remain."""
@@ -175,7 +156,9 @@ def simulate(spec: RumSpec) -> SimulationResult:
     z_out = np.empty(spec.n, dtype=np.int64)
     type_counts: dict[ResponseType, int] = {}
     m = len(z_support)
-    code_weights = np.array([config.J ** (m - 1 - i) for i in range(m)], dtype=np.int64)
+    # a type packs into one base-J integer; past int64 it packs into Python ints
+    code_dtype = np.int64 if config.J**m <= 2**63 else object
+    code_weights = np.array([config.J ** (m - 1 - i) for i in range(m)], dtype=code_dtype)
     filled = 0
     chunk_index = 0
     while filled < spec.n:

@@ -26,16 +26,13 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import DesignConfig, ObservedDistribution
+from .core import DesignConfig
 # ``generate`` and ``partition_family_specs`` stay names of this module:
 # the benchmark's per-layer tracing (perfbench/tracing.py) wraps them
 # here. ``test_model`` calls ``generate`` for base-state designs only and
 # builds the partition family from indices, not through
 # ``partition_family_specs``.
 from .inequalities import (  # noqa: F401
-    OutcomeDistribution,
-    check,
-    check_outcome,
     generate,
     generate_outcome,
     partition_family_size,
@@ -313,13 +310,3 @@ def test_model(
         B=B,
         seed=seed,
     )
-
-
-def population_decision(table) -> bool:
-    """The infinite-sample limit of the test: feeding an exact table
-    reduces the decision to the exact check's verdict. True = reject."""
-    if isinstance(table, OutcomeDistribution):
-        return not check_outcome(table).passed
-    if isinstance(table, ObservedDistribution):
-        return not check(table).passed
-    raise TypeError("expected an exact treatment or outcome table")

@@ -273,8 +273,8 @@ def _weighted_vectors(factors) -> list[tuple[tuple[int, ...], int]]:
 def construct_outcome(
     PY: OutcomeDistribution, cap: int = DEFAULT_TABLE_CAP
 ) -> OutcomeResponseMeasure:
-    """Materialize the outcome witness as a dense table over
-    (response type, outcome vector).
+    """Build the outcome witness: its positive masses over (response
+    type, outcome vector). Zero masses are not stored.
 
     Per target choice and outcome cell, instrument values are ordered by
     ascending cell probability (same forced placements as the no-outcome

@@ -1,5 +1,8 @@
-"""Deterministic random generators for exact tables and measures, and
-the slow reference implementations kept as oracles for the fast paths."""
+"""Deterministic random generators for exact tables and measures, the
+slow reference implementations kept as oracles for the fast paths, and
+the exponential or test-only definitions the package does not need:
+brute-force partition enumeration, the implied encouragement form, the
+partition check on its own and the convex mixture of two measures."""
 
 import csv
 import json
@@ -27,10 +30,12 @@ from encdesign.errors import CapacityError, ConstructionError
 from encdesign.inequalities import (
     DEFAULT_FAMILY_CAP,
     CheckReport,
+    InequalitySpec,
     OutcomeDistribution,
     generate,
     generate_outcome,
     partition_family_specs,
+    partition_reduction_spec,
 )
 from encdesign.simulate import MicroData, Region, RegionMixture
 from encdesign.stats import SE_FLOOR, EstimatedTables, TestReport, estimate
@@ -464,6 +469,75 @@ def check_by_family(
     evaluate the slack of every inequality in it."""
     specs = generate(P.config, full=full, cap=cap)
     return CheckReport.from_slacks((s, s.slack(P)) for s in specs)
+
+
+def brute_force_partition_check(
+    PY: OutcomeDistribution, cap: int = DEFAULT_FAMILY_CAP
+) -> bool:
+    """Literal oracle: enumerate every tuple of partitions (each outcome
+    value assigned to one allowed instrument value, independently per
+    choice) and check the partition inequality for each one."""
+    config = PY.config
+    ys = PY.y_support
+    per_choice_sums = []
+    total = 1
+    for j in range(config.J):
+        zs = config.targeted_set(j)
+        count = len(zs) ** len(ys)
+        total *= count
+        if total > cap:
+            raise CapacityError(f"would enumerate {total}+ partition tuples, cap is {cap}")
+        sums = []
+        for assignment in product(zs, repeat=len(ys)):
+            sums.append(sum((PY.p(z, j, y) for z, y in zip(assignment, ys)), ZERO))
+        per_choice_sums.append(sums)
+    for combo in product(*per_choice_sums):
+        if sum(combo, ZERO) > ONE:
+            return False
+    return True
+
+
+def encouragement_specs(config: DesignConfig) -> tuple[InequalitySpec, ...]:
+    """The implied pairwise form P{D=j | Z=k} <= P{D=j | Z=j} for every
+    targeted choice j and other instrument value k."""
+    specs = []
+    for j in range(config.J0, config.J):
+        for k in config.z_support:
+            if k == j:
+                continue
+            specs.append(
+                InequalitySpec(lhs=((k, j),), rhs=((j, j),), pair=(j, k), tag="encourage")
+            )
+    return tuple(specs)
+
+
+def partition_check(PY: OutcomeDistribution) -> CheckReport:
+    """The partition side of the outcome characterization on its own:
+    the max-form reduction when there is no base state, the base
+    dominance subfamily otherwise. Equivalent to brute-force partition
+    enumeration, which tests verify."""
+    if PY.config.J0 == 0:
+        spec = partition_reduction_spec(PY)
+        return CheckReport.from_slacks([(spec, spec.slack(PY))])
+    specs = [s for s in generate_outcome(PY.config, PY.y_support) if s.tag == "outcome-base"]
+    return CheckReport.from_slacks((s, s.slack(PY)) for s in specs)
+
+
+def mix(
+    lam: Fraction, q1: ResponseMeasure, q2: ResponseMeasure
+) -> ResponseMeasure:
+    """Convex combination lam*q1 + (1-lam)*q2 of two measures."""
+    lam = as_fraction(lam)
+    if not 0 <= lam <= 1:
+        raise ValueError("mixing weight must lie in [0, 1]")
+    if q1.config != q2.config:
+        raise ValueError("measures built on different designs")
+    mass: dict[ResponseType, Fraction] = {}
+    for rt, m in q1.mass.items():
+        mass[rt] = mass.get(rt, ZERO) + lam * m
+    for rt, m in q2.mass.items():
+        mass[rt] = mass.get(rt, ZERO) + (ONE - lam) * m
+    return ResponseMeasure(q1.config, mass)
 
 
 def region_points_by_box_rejection(

@@ -24,21 +24,17 @@ from encdesign.core import (
     pushforward,
 )
 from encdesign.errors import ConstructionError
-from encdesign.inequalities import (
-    brute_force_partition_check,
-    check,
-    generate,
-    generate_outcome,
-    partition_check,
-)
+from encdesign.inequalities import check, generate, generate_outcome
 from encdesign.lp import feasible
 from encdesign.simulate import RumSpec, build_epsilon_mixture, simulate, verify_mixture
 from encdesign.stats import test_model as run_model_test
 from encdesign.witness import construct, construct_outcome, pushforward_outcome
 from helpers import (
     boundary_measure,
+    brute_force_partition_check,
     feasible_outcome_table,
     feasible_table,
+    partition_check,
     random_measure,
     random_outcome_table,
     random_table,

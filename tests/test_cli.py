@@ -422,8 +422,62 @@ def test_out_of_range_choice_keys_are_input_errors(tmp_path, capsys):
             "mass must be a JSON object, got list",
         ),
         ("check", "--input", ["J", 2], "the top level must be a JSON object, got list"),
+        (
+            "check",
+            "--input",
+            {"J": 2.7, "J0": 0, "p": {"0": {"0": "1"}, "1": {"0": "1"}}},
+            "J must be a JSON integer, got float",
+        ),
+        (
+            "check",
+            "--input",
+            {"J": True, "J0": 0, "p": {"0": {"0": "1"}, "1": {"0": "1"}}},
+            "J must be a JSON integer, got bool",
+        ),
+        (
+            "mixture-verify",
+            "--q",
+            {"J": 2, "J0": 1.0, "mass": {"0,1": "1"}},
+            "J0 must be a JSON integer, got float",
+        ),
+        (
+            "check-y",
+            "--input",
+            {
+                "J": 2,
+                "J0": 0,
+                "y_support": "01",
+                "p": {"0": {"0": {"0": "1"}}, "1": {"0": {"0": "1"}}},
+            },
+            "y_support must be a JSON list, got str",
+        ),
+        (
+            "check",
+            "--input",
+            {"J": 2, "J0": 0, "p": {"0": {"0": "1"}, "00": {"0": "1"}, "1": {"0": "1"}}},
+            'p keys "0" and "00" both read as 0',
+        ),
+        (
+            "mixture-verify",
+            "--q",
+            {"J": 2, "J0": 1, "mass": {"0,1": "1/2", "00,1": "1/2"}},
+            'mass keys "0,1" and "00,1" both read as (0, 1)',
+        ),
     ],
-    ids=["p", "row", "pz", "outcome-map", "mass", "top-level"],
+    ids=[
+        "p",
+        "row",
+        "pz",
+        "outcome-map",
+        "mass",
+        "top-level",
+        "J-float",
+        "J-bool",
+        "J0-float",
+        "y_support-str",
+        "repeated-row",
+        "repeated-type",
+    ],
 )
 def test_non_object_json_fields_are_input_errors(tmp_path, capsys, command, option, doc, message):
     path = write_json(tmp_path / "doc.json", doc)
@@ -434,6 +488,15 @@ def test_non_object_json_fields_are_input_errors(tmp_path, capsys, command, opti
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"input error: {message}\n"
+
+
+def test_key_written_twice_is_input_error(tmp_path, capsys):
+    path = tmp_path / "twice.json"
+    path.write_text('{"J": 2, "J0": 0, "p": {"0": {"0": "1"}, "0": {"1": "1"}, "1": {"0": "1"}}}')
+    assert run(["check", "--input", str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == 'input error: key "0" appears twice in one JSON object\n'
 
 
 def test_zero_denominator_is_input_error(tmp_path, capsys):

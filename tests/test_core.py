@@ -14,11 +14,10 @@ from encdesign.core import (
     ResponseMeasure,
     ResponseType,
     as_fraction,
-    mix,
     observation_map,
     pushforward,
 )
-from helpers import random_measure
+from helpers import mix, random_measure
 
 
 def test_config_supports():

@@ -10,18 +10,18 @@ from encdesign.core import DesignConfig, ObservedDistribution, pushforward
 from encdesign.errors import CapacityError
 from encdesign.inequalities import (
     OutcomeDistribution,
-    brute_force_partition_check,
     check,
     check_outcome,
-    encouragement_specs,
     generate,
     generate_outcome,
-    partition_check,
     partition_family_specs,
 )
 from helpers import (
+    brute_force_partition_check,
+    encouragement_specs,
     feasible_outcome_table,
     feasible_table,
+    partition_check,
     random_measure,
     random_outcome_table,
     random_table,

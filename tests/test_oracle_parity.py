@@ -9,6 +9,7 @@ integer-scale outcome witness against the Fraction construction."""
 
 import tracemalloc
 from fractions import Fraction as F
+from itertools import product
 from math import lcm, prod
 from random import Random
 
@@ -16,8 +17,8 @@ import numpy as np
 import pytest
 
 from encdesign import lp, stats
-from encdesign.admissible import enumerate_admissible
-from encdesign.core import DesignConfig, pushforward
+from encdesign.admissible import enumerate_admissible, is_admissible
+from encdesign.core import DesignConfig, ResponseType, pushforward
 from encdesign.errors import CapacityError, ConstructionError
 from encdesign.inequalities import OutcomeDistribution, check
 from encdesign.simulate import (
@@ -179,7 +180,13 @@ def test_enumeration_matches_brute_force_filter():
     for J in range(2, 7):
         for J0 in range(J):
             config = DesignConfig(J, J0)
-            assert enumerate_admissible(config).types == admissible_by_filter(config), (J, J0)
+            admissible = enumerate_admissible(config)
+            assert admissible.types == admissible_by_filter(config), (J, J0)
+            if J > 5:
+                continue
+            for d in product(range(J), repeat=len(config.z_support)):
+                rt = ResponseType(d)
+                assert (rt in admissible) == is_admissible(config, rt), (J, J0, d)
 
 
 @pytest.mark.parametrize(

@@ -2,12 +2,14 @@
 
 import dataclasses
 import math
+from collections import Counter
 from fractions import Fraction as F
 from random import Random
 
 import numpy as np
 import pytest
 
+from encdesign import kernels
 from encdesign.admissible import (
     default_choice,
     is_admissible,
@@ -18,10 +20,9 @@ from encdesign.inequalities import check
 from encdesign.simulate import (
     CHUNK_SIZE,
     RumSpec,
-    TieError,
     _chunk_rng,
+    _draw_eps,
     build_epsilon_mixture,
-    potential_vector,
     simulate,
     verify_mixture,
 )
@@ -41,16 +42,17 @@ def make_spec(J, J0, betas, n=20000, seed=1, eps="gumbel", **kw):
     )
 
 
+def potential_vectors(config, betas, eps):
+    """The response type of each shock row; no row may tie."""
+    codes, ties = kernels.potential_type_codes(eps, betas, config.z_support)
+    assert not ties.any()
+    return [ResponseType(row) for row in codes.tolist()]
+
+
 def test_potential_vector_examples():
     config = DesignConfig(3, 0)
-    assert potential_vector(config, (0, 0, 0), (3, 1, 2)).d == (0, 0, 0)
-    assert potential_vector(config, (0, 5, 0), (3, 1, 2)).d == (0, 1, 0)
-
-
-def test_potential_vector_tie_raises():
-    config = DesignConfig(2, 0)
-    with pytest.raises(TieError):
-        potential_vector(config, (0, 0), (1.0, 1.0))
+    assert potential_vectors(config, (0, 0, 0), [(3, 1, 2)])[0].d == (0, 0, 0)
+    assert potential_vectors(config, (0, 5, 0), [(3, 1, 2)])[0].d == (0, 1, 0)
 
 
 def test_potential_vector_always_admissible():
@@ -58,19 +60,16 @@ def test_potential_vector_always_admissible():
     for J, J0 in [(2, 0), (3, 0), (3, 1), (3, 2), (4, 0)]:
         config = DesignConfig(J, J0)
         betas = tuple(0.0 if j < J0 else float(rng.uniform(0, 2)) for j in range(J))
-        for _ in range(300):
-            rt = potential_vector(config, betas, rng.normal(size=J))
+        for rt in potential_vectors(config, betas, rng.normal(size=(300, J))):
             assert is_admissible(config, rt)
 
 
 def test_realized_default_contains_shock_argmax():
     rng = np.random.default_rng(7)
     config = DesignConfig(3, 0)
-    betas = (0.8, 1.4, 0.3)
-    for _ in range(300):
-        eps = rng.gumbel(size=3)
-        rt = potential_vector(config, betas, eps)
-        assert int(np.argmax(eps)) in default_choice(config, rt)
+    eps = rng.gumbel(size=(300, 3))
+    for row, rt in zip(eps, potential_vectors(config, (0.8, 1.4, 0.3), eps)):
+        assert int(np.argmax(row)) in default_choice(config, rt)
 
 
 def test_rum_spec_validation():
@@ -115,6 +114,25 @@ def test_simulate_realized_types_admissible_and_counts_add_up():
         for rt in res.type_counts:
             assert is_admissible(config, rt)
         assert check(res.table).min_slack >= F(-4) / int(math.isqrt(res.n))
+
+
+def test_simulate_packs_types_past_int64():
+    # 17^17 > 2^63: a packed type code no longer fits in int64
+    res = simulate(make_spec(17, 0, (1.0,) * 17, n=100, seed=1))
+    config = DesignConfig(17, 0)
+    assert sum(res.type_counts.values()) == 100
+    for rt in res.type_counts:
+        assert is_admissible(config, rt)
+
+
+def test_simulate_type_counts_match_row_decode_at_sixteen_choices():
+    # 16^16 = 2^64: packed into int64 the largest codes would wrap
+    spec = make_spec(16, 0, (1.0,) * 16, n=500, seed=3)
+    res = simulate(spec)
+    eps = _draw_eps(_chunk_rng(spec.seed, 0), spec.n, spec)
+    codes, ties = kernels.potential_type_codes(eps, spec.betas, spec.config.z_support)
+    assert not ties.any()
+    assert res.type_counts == dict(Counter(ResponseType(row) for row in codes.tolist()))
 
 
 def test_strong_encouragement_forces_compliance():

@@ -8,10 +8,8 @@ import pytest
 
 from encdesign.core import DesignConfig, ObservedDistribution
 from encdesign.simulate import MicroData, RumSpec, simulate
-from encdesign.stats import estimate, population_decision
+from encdesign.stats import estimate
 from encdesign.stats import test_model as run_model_test
-from helpers import feasible_table, random_table
-from random import Random
 
 
 def draw_from_table(P: ObservedDistribution, n: int, rng) -> MicroData:
@@ -169,13 +167,3 @@ def test_outcome_family_used_when_y_present():
     # targeted set is a singleton at J=2, so only one partition exists
     assert len(report.slacks) == 4 + 1
 
-
-def test_population_limit_matches_exact_check():
-    rng = Random(29)
-    for J, J0 in [(2, 0), (3, 0), (3, 1)]:
-        config = DesignConfig(J, J0)
-        for i in range(20):
-            P = feasible_table(config, rng) if i % 2 else random_table(config, rng)
-            from encdesign.inequalities import check
-
-            assert population_decision(P) == (not check(P).passed)

@@ -30,6 +30,7 @@ from helpers import (
     feasible_outcome_table,
     feasible_table,
     outcome_measure_by_fractions,
+    partition_check,
     random_table,
 )
 
@@ -283,8 +284,6 @@ def test_negative_mixing_weight_reported_as_construction_error():
         1: {0: {0: F(2, 10), 1: F(2, 10)}, 1: {0: F(2, 10), 1: F(4, 10)}},
     }
     PY = OutcomeDistribution(config, (0, 1), cells)
-    from encdesign.inequalities import partition_check
-
     assert partition_check(PY).passed
     assert not check_outcome(PY).passed
     with pytest.raises(ConstructionError) as err:
