@@ -2,11 +2,13 @@
 
 Subcommands wrap every operation in the package and emit deterministic
 JSON on stdout (sorted keys, canonical "a/b" rationals) so identical
-invocations produce byte-identical output. Probabilities in input files
-must be strings or integers; JSON floats are rejected because they have
-already lost exactness. Exit codes: 0 success/pass, 1 usage error,
-2 input or validation error, 3 negative model or statistical verdict,
-4 capacity cap exceeded.
+invocations produce byte-identical output. The exact commands (check,
+construct, lp-check) take a treatment table or, when the file has
+y_support, an outcome table, and run the matching oracle. Probabilities
+in input files must be strings or integers; JSON floats are rejected
+because they have already lost exactness. Exit codes: 0 success/pass,
+1 usage error, 2 input or validation error, 3 negative model or
+statistical verdict, 4 capacity cap exceeded.
 """
 
 from __future__ import annotations
@@ -114,12 +116,6 @@ def _keyed(value, field: str, parse=int) -> dict:
 def _ints(text: str) -> tuple[int, ...]:
     """The integers of a comma-joined witness key such as "0,1"."""
     return tuple(int(v) for v in text.split(","))
-
-
-def _outcome_key(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The type and outcome vectors of a "types|outcomes" witness key."""
-    d_part, y_part = text.split("|")
-    return _ints(d_part), _ints(y_part)
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -356,17 +352,6 @@ def outcome_measure_doc(q: OutcomeResponseMeasure) -> dict:
     }
 
 
-def load_outcome_measure(path: str) -> OutcomeResponseMeasure:
-    doc = _load_object(path)
-    config = _design(doc)
-    ys = _int_list(doc["y_support"], "y_support")
-    mass = {
-        (ResponseType(d), yvec): _frac(m)
-        for (d, yvec), m in _keyed(doc["mass"], "mass", _outcome_key).items()
-    }
-    return OutcomeResponseMeasure(config, ys, mass)
-
-
 def write_csv(data: MicroData, path: str) -> None:
     """Write the rows as a y,d,z (or d,z) CSV with LF line ends, the
     body formatted in one pass over the columns as Python ints."""
@@ -513,7 +498,7 @@ def _build_parser() -> _Parser:
     design_args(p)
     p.add_argument("--full", action="store_true", help="unreduced selector family")
 
-    for name in ("check", "lp-check", "check-y", "lp-check-y"):
+    for name in ("check", "lp-check"):
         p = sub.add_parser(name)
         p.add_argument("--input", required=True)
 
@@ -521,10 +506,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--output")
     p.add_argument("--trace", action="store_true")
-
-    p = sub.add_parser("construct-y", help="build the outcome witness measure")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output")
 
     p = sub.add_parser("simulate", help="draw micro-data from a random utility model")
     design_args(p)
@@ -548,18 +529,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--B", type=int, default=999)
     p.add_argument("--seed", type=int, default=0)
     return parser
-
-
-def _require_treatment(table):
-    if isinstance(table, OutcomeDistribution):
-        raise ValueError("this command needs a treatment-only table; use the -y variant")
-    return table
-
-
-def _require_outcome(table):
-    if not isinstance(table, OutcomeDistribution):
-        raise ValueError("this command needs an outcome table with y_support")
-    return table
 
 
 def _dispatch(args) -> int:
@@ -591,41 +560,31 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "check":
-        table = _require_treatment(load_distribution(args.input))
-        report = inequalities.check(table)
-        _emit(report_doc(report))
-        return EXIT_OK if report.passed else EXIT_VERDICT
-
-    if args.command == "check-y":
-        table = _require_outcome(load_distribution(args.input))
-        report = inequalities.check_outcome(table)
+        table = load_distribution(args.input)
+        if isinstance(table, OutcomeDistribution):
+            report = inequalities.check_outcome(table)
+        else:
+            report = inequalities.check(table)
         _emit(report_doc(report))
         return EXIT_OK if report.passed else EXIT_VERDICT
 
     if args.command == "construct":
-        table = _require_treatment(load_distribution(args.input))
+        table = load_distribution(args.input)
+        outcome = isinstance(table, OutcomeDistribution)
+        if outcome and args.trace:
+            raise UsageError("--trace needs a treatment table")
         doc = {}
         if args.trace:
             doc["trace"] = trace_doc(witness.diagnose(table))
         try:
-            q = witness.construct(table)
+            q = witness.construct_outcome(table) if outcome else witness.construct(table)
         except ConstructionError as exc:
             if args.trace:
                 doc["error"] = str(exc)
                 _emit(doc)
                 return EXIT_VERDICT
             raise
-        doc["witness"] = measure_doc(q)
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(dumps(doc["witness"]) + "\n")
-        _emit(doc)
-        return EXIT_OK
-
-    if args.command == "construct-y":
-        table = _require_outcome(load_distribution(args.input))
-        q = witness.construct_outcome(table)
-        doc = {"witness": outcome_measure_doc(q)}
+        doc["witness"] = outcome_measure_doc(q) if outcome else measure_doc(q)
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(dumps(doc["witness"]) + "\n")
@@ -633,18 +592,15 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "lp-check":
-        table = _require_treatment(load_distribution(args.input))
-        ok, certificate = lp.feasible(table)
+        table = load_distribution(args.input)
+        if isinstance(table, OutcomeDistribution):
+            ok, certificate = lp.feasible_outcome(table), None
+        else:
+            ok, certificate = lp.feasible(table)
         doc = {"feasible": ok}
         if certificate is not None:
             doc["certificate"] = measure_doc(certificate)
         _emit(doc)
-        return EXIT_OK if ok else EXIT_VERDICT
-
-    if args.command == "lp-check-y":
-        table = _require_outcome(load_distribution(args.input))
-        ok = lp.feasible_outcome(table)
-        _emit({"feasible": ok})
         return EXIT_OK if ok else EXIT_VERDICT
 
     if args.command == "simulate":

@@ -8,6 +8,7 @@ representation ("0.3" becomes 3/10, not the nearest double).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -53,6 +54,12 @@ class DesignConfig:
     J0: int = 0
 
     def __post_init__(self):
+        for field in ("J", "J0"):
+            value = getattr(self, field)
+            # operator.index takes exactly the integer types (bool aside)
+            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+                raise TypeError(f"{field} must be an integer, got {type(value).__name__}")
+            object.__setattr__(self, field, operator.index(value))
         if self.J < 2:
             raise ValueError(f"J must be at least 2, got {self.J}")
         if not 0 <= self.J0 <= self.J - 1:

@@ -122,21 +122,19 @@ def generate(
     return tuple(specs)
 
 
-def check(
-    P: ObservedDistribution, full: bool = False, cap: int = DEFAULT_FAMILY_CAP
-) -> CheckReport:
+def check(P: ObservedDistribution, cap: int = DEFAULT_FAMILY_CAP) -> CheckReport:
     """Decide the table against its sharp family exactly. The family is
     sharp, so a passing table is consistent with the model, not merely
     unrejected.
 
-    The selector family (no base state, or ``full=True``) is never built:
+    Without a base state the selector family is never built:
     its largest left-hand side is the sum over choices of the largest
     p(z, j) on the targeted set, so the verdict and ``min_slack`` take
     O(J * |Z|). ``cap`` bounds the violations listed when the report's
     ``violations`` is read; more than ``cap`` raise CapacityError there.
     """
     config = P.config
-    if config.J0 and not full:
+    if config.J0:
         specs = generate(config)
         return CheckReport.from_slacks((s, s.slack(P)) for s in specs)
     # integer form: every p(z, j) scaled by the common denominator L

@@ -192,13 +192,10 @@ def test_model(
     ys = est.y_support
 
     # Flatten cells to a vector; each moment is a weight vector w and the
-    # moment is w . p_hat - bound.
-    coords = []
-    for z in config.z_support:
-        if ys is None:
-            coords.extend((z, j) for j in range(config.J))
-        else:
-            coords.extend((z, j, y) for j in range(config.J) for y in ys)
+    # moment is w . p_hat - bound. A treatment cell (z, j) is an outcome
+    # cell (z, j, y) without its y.
+    tails = [()] if ys is None else [(y,) for y in ys]
+    coords = [(z, j, *t) for z in config.z_support for j in range(config.J) for t in tails]
     index = {c: i for i, c in enumerate(coords)}
     n_cells = len(coords)
     p_vec = np.array([est.p_hat(*c) for c in coords])
@@ -216,15 +213,13 @@ def test_model(
             n_product = selector_family_size(config)
         else:
             n_product = partition_family_size(config, ys)
-        for j in range(config.J):
-            zs = config.targeted_set(j)
-            if ys is None:
-                options.append(np.array([[index[(z, j)]] for z in zs]))
-            else:
-                options.append(np.array([
-                    [index[(z, j, y)] for z, y in zip(a, ys)]
-                    for a in product(zs, repeat=len(ys))
-                ]))
+        options = [
+            np.array([
+                [index[(z, j, *t)] for z, t in zip(a, tails)]
+                for a in product(config.targeted_set(j), repeat=len(tails))
+            ])
+            for j in range(config.J)
+        ]
     if ys is None:
         static = generate(config) if config.J0 else ()
     else:

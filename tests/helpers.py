@@ -2,7 +2,8 @@
 slow reference implementations kept as oracles for the fast paths, and
 the exponential or test-only definitions the package does not need:
 brute-force partition enumeration, the implied encouragement form, the
-partition check on its own and the convex mixture of two measures."""
+partition check on its own, the convex mixture of two measures and the
+reader of outcome witness files."""
 
 import csv
 import json
@@ -16,6 +17,7 @@ import numpy as np
 
 from encdesign import kernels, lp, simulate
 from encdesign.admissible import enumerate_admissible, is_admissible
+from encdesign.cli import _design, _frac, _int_list, _ints, _keyed, _load_object
 from encdesign.core import (
     ONE,
     ZERO,
@@ -809,6 +811,23 @@ def dumps_by_json(doc) -> str:
     """Oracle for ``cli.dumps``: the stdlib encoder the CLI used before,
     which cannot take its C path when ``indent`` is set."""
     return json.dumps(doc, sort_keys=True, indent=2)
+
+
+def _outcome_key(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The type and outcome vectors of a "types|outcomes" witness key."""
+    d_part, y_part = text.split("|")
+    return _ints(d_part), _ints(y_part)
+
+
+def load_outcome_measure(path: str) -> OutcomeResponseMeasure:
+    doc = _load_object(path)
+    config = _design(doc)
+    ys = _int_list(doc["y_support"], "y_support")
+    mass = {
+        (ResponseType(d), yvec): _frac(m)
+        for (d, yvec), m in _keyed(doc["mass"], "mass", _outcome_key).items()
+    }
+    return OutcomeResponseMeasure(config, ys, mass)
 
 
 def outcome_measure_by_fractions(config: DesignConfig, y_support, mass) -> dict:

@@ -20,7 +20,6 @@ from encdesign.cli import (
     distribution_doc,
     load_distribution,
     load_measure,
-    load_outcome_measure,
     measure_doc,
     outcome_measure_doc,
     read_csv,
@@ -35,8 +34,10 @@ from helpers import (
     check_by_family,
     feasible_outcome_table,
     feasible_table,
+    load_outcome_measure,
     random_measure,
     random_outcome_measure,
+    random_outcome_table,
     random_table,
 )
 import numpy as np
@@ -172,27 +173,59 @@ def test_outcome_commands(tmp_path, capsys):
     rng = Random(5)
     PY = feasible_outcome_table(DesignConfig(2, 1), (0, 1), rng)
     src = write_json(tmp_path / "py.json", distribution_doc(PY))
-    code, doc = run_json(capsys, ["check-y", "--input", src])
+    code, doc = run_json(capsys, ["check", "--input", src])
     assert code == EXIT_OK and doc["passed"]
     out = tmp_path / "qy.json"
-    code, doc = run_json(capsys, ["construct-y", "--input", src, "--output", str(out)])
+    code, doc = run_json(capsys, ["construct", "--input", src, "--output", str(out)])
     assert code == EXIT_OK
     qstar = load_outcome_measure(str(out))
     from encdesign.witness import pushforward_outcome
 
     assert pushforward_outcome(qstar).cells == PY.cells
-    code, doc = run_json(capsys, ["lp-check-y", "--input", src])
+    code, doc = run_json(capsys, ["lp-check", "--input", src])
     assert code == EXIT_OK and doc["feasible"]
 
 
-def test_y_and_plain_commands_reject_wrong_table_kind(tmp_path, capsys):
-    good = write_json(tmp_path / "good.json", UNIFORM3)
-    assert run(["check-y", "--input", good]) == EXIT_INPUT
+def test_exact_commands_read_the_table_kind_from_the_file(tmp_path, capsys):
+    from encdesign.cli import dumps
+    from encdesign.inequalities import check_outcome
+    from encdesign.lp import feasible_outcome
+    from encdesign.witness import construct_outcome
+
     rng = Random(7)
-    PY = feasible_outcome_table(DesignConfig(2, 0), (0, 1), rng)
-    src = write_json(tmp_path / "py.json", distribution_doc(PY))
-    assert run(["check", "--input", src]) == EXIT_INPUT
-    capsys.readouterr()
+    config = DesignConfig(2, 0)
+    codes = set()
+    for name, PY in [
+        ("feasible", feasible_outcome_table(config, (0, 1), rng)),
+        ("random", random_outcome_table(config, (0, 1), rng)),
+    ]:
+        src = write_json(tmp_path / f"{name}.json", distribution_doc(PY))
+        report = check_outcome(PY)
+        code = run(["check", "--input", src])
+        assert code == (EXIT_OK if report.passed else EXIT_VERDICT)
+        assert capsys.readouterr().out == dumps(report_doc(report)) + "\n"
+        codes.add(code)
+
+        if report.passed:
+            out = tmp_path / f"{name}-q.json"
+            witness = outcome_measure_doc(construct_outcome(PY))
+            assert run(["construct", "--input", src, "--output", str(out)]) == EXIT_OK
+            assert capsys.readouterr().out == dumps({"witness": witness}) + "\n"
+            assert out.read_text(encoding="utf-8") == dumps(witness) + "\n"
+        else:
+            assert run(["construct", "--input", src]) == EXIT_VERDICT
+            assert capsys.readouterr().out == ""
+
+        ok = feasible_outcome(PY)
+        assert run(["lp-check", "--input", src]) == (EXIT_OK if ok else EXIT_VERDICT)
+        assert capsys.readouterr().out == dumps({"feasible": ok}) + "\n"
+
+        assert run(["construct", "--input", src, "--trace"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "usage error: --trace needs a treatment table\n"
+        for command in ("check-y", "construct-y", "lp-check-y"):
+            assert run([command, "--input", src]) == EXIT_USAGE
+            assert "invalid choice" in capsys.readouterr().err
+    assert codes == {EXIT_OK, EXIT_VERDICT}
 
 
 def test_simulate_writes_csv_and_table(tmp_path, capsys):
@@ -410,7 +443,7 @@ def test_out_of_range_choice_keys_are_input_errors(tmp_path, capsys):
             "pz must be a JSON object, got list",
         ),
         (
-            "check-y",
+            "check",
             "--input",
             {"J": 2, "J0": 0, "y_support": [0, 1], "p": {"0": {"0": "1"}, "1": {"0": {"0": "1"}}}},
             'p["0"]["0"] must be a JSON object, got str',
@@ -441,7 +474,7 @@ def test_out_of_range_choice_keys_are_input_errors(tmp_path, capsys):
             "J0 must be a JSON integer, got float",
         ),
         (
-            "check-y",
+            "check",
             "--input",
             {
                 "J": 2,

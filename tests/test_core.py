@@ -4,6 +4,7 @@ the pushforward."""
 from fractions import Fraction as F
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,6 +45,27 @@ def test_config_rejects_bad_parameters():
         DesignConfig(3, 3)
     with pytest.raises(ValueError):
         DesignConfig(3, -1)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((3.0,), "J must be an integer, got float"),
+        ((True,), "J must be an integer, got bool"),
+        ((3, True), "J0 must be an integer, got bool"),
+        (("3",), "J must be an integer, got str"),
+    ],
+    ids=["float-J", "bool-J", "bool-J0", "str-J"],
+)
+def test_config_rejects_non_integer_fields(args, message):
+    with pytest.raises(TypeError, match=message):
+        DesignConfig(*args)
+
+
+def test_config_stores_numpy_integers_as_int():
+    config = DesignConfig(np.int64(3), np.int64(1))
+    assert config == DesignConfig(3, 1) and repr(config) == repr(DesignConfig(3, 1))
+    assert type(config.J) is int and type(config.J0) is int
 
 
 def test_targeted_set():

@@ -134,9 +134,9 @@ def _invocations(tmp_path) -> list:
         (["lp-check", "--input", bad], []),
         (["construct", "--input", good, "--output", q, "--trace"], [q]),
         (["construct", "--input", bad, "--trace"], []),
-        (["check-y", "--input", outcome], []),
-        (["construct-y", "--input", outcome, "--output", qy], [qy]),
-        (["lp-check-y", "--input", outcome], []),
+        (["check", "--input", outcome], []),
+        (["construct", "--input", outcome, "--output", qy], [qy]),
+        (["lp-check", "--input", outcome], []),
         (["mixture-verify", "--q", q, "--n", "5000", "--seed", "2"], []),
         (["simulate", "--J", "3", "--betas", "1,0.5,2", "--pz", "1/3,1/3,1/3", "--n", "4000",
           "--seed", "3", "--out", csv], []),

@@ -362,7 +362,7 @@ def test_construct_y_failure_keeps_its_stderr_line(tmp_path, capsys):
     PY = _outcome_table(3, 1, [[("1/6", "1/3"), ("1/12", "1/6"), ("1/12", "1/6")], rows, rows])
     src = tmp_path / "py.json"
     src.write_text(json.dumps(distribution_doc(PY)))
-    assert run(["construct-y", "--input", str(src)]) == EXIT_VERDICT
+    assert run(["construct", "--input", str(src)]) == EXIT_VERDICT
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
