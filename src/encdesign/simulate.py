@@ -60,8 +60,6 @@ class RumSpec:
         object.__setattr__(self, "pz", _validate_pz(config, self.pz))
         if self.n < 1:
             raise ValueError("draw count must be at least 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
         if self.eps_family not in EPS_FAMILIES:
             raise ValueError(f"unknown shock family {self.eps_family!r}")
         if self.normal_cov is not None:
@@ -112,6 +110,9 @@ class SimulationResult:
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
+    """The generator of one chunk; every seeded draw starts here."""
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must be a 64-bit unsigned integer")
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed, chunk_index)))
 
 
@@ -347,6 +348,7 @@ def _sample_region(
     offs = np.asarray(region.offsets, dtype=np.float64)
     lo, hi = _difference_box(region, M)
     width = 2.0 * M
+    want = int(want)  # Python ints: the batch arithmetic must not wrap
     chunks = []
     got = 0
     proposed = 0
@@ -358,14 +360,23 @@ def _sample_region(
         batch = min(batch, CHUNK_SIZE)
         proposed += batch
         delta = rng.uniform(lo, hi, size=(batch, len(lo)))
-        low = delta.min(axis=1)
-        high = delta.max(axis=1)
+        low = high = delta[:, 0]
+        for j in range(1, len(lo)):
+            low = np.minimum(low, delta[:, j])
+            high = np.maximum(high, delta[:, j])
         keep = rng.random(batch) * width < width - (high - low)
-        delta, low, high = delta[keep], low[keep], high[keep]
-        eps = delta + rng.uniform(-M - low, M - high)[:, None]
+        # take() on the kept indices copies the same rows as a boolean
+        # index, about five times faster on a (batch, J) array
+        keep = np.flatnonzero(keep)
+        delta, low, high = delta.take(keep, 0), low.take(keep), high.take(keep)
+        shift = rng.uniform(-M - low, M - high)
+        eps = delta + shift[:, None]
+        # fl(x + shift) is monotone in x, so the extreme shocks of a row
+        # are its extreme differences plus the shift: the box test
+        # |eps| <= M needs only those two
         mask = kernels.region_accept(eps, lhs, rhs, offs)
-        mask &= (np.abs(eps) <= M).all(axis=1)
-        accepted = eps[mask][:need]
+        mask &= (low + shift >= -M) & (high + shift <= M)
+        accepted = eps.take(np.flatnonzero(mask)[:need], 0)
         chunks.append(accepted)
         got += len(accepted)
         if proposed > 1e6 and got / proposed < min_acceptance:
@@ -396,24 +407,26 @@ def verify_mixture(
     rng = _chunk_rng(seed, 0)
     weights = np.array([float(c.weight) for c in mix.components])
     weights = weights / weights.sum()
-    counts = rng.multinomial(n, weights)
+    counts = rng.multinomial(n, weights).tolist()
     freq: dict[ResponseType, int] = {}
     for region, want in zip(mix.components, counts):
         if want == 0:
             continue
-        expected = np.asarray(region.rtype.d, dtype=np.int64)
+        expected = region.rtype.d
         got = 0
         while got < want:  # tied rows are dropped and drawn again
             eps = _sample_region(rng, region, mix.M, want - got, min_acceptance)
             codes, ties = kernels.potential_type_codes(eps, betas, z_support)
-            codes = codes[~ties]
-            wrong = np.flatnonzero((codes != expected).any(axis=1))
+            wrong = codes[:, 0] != expected[0]
+            for t in range(1, len(expected)):
+                wrong |= codes[:, t] != expected[t]
+            wrong = np.flatnonzero(wrong & ~ties)
             if len(wrong):
                 produced = tuple(int(v) for v in codes[wrong[0]])
                 raise RuntimeError(
                     f"region for {region.rtype.d} produced {produced}; region bug"
                 )
-            got += len(codes)
+            got += len(ties) - np.count_nonzero(ties)
         freq[region.rtype] = freq.get(region.rtype, 0) + want
     types = set(freq) | set(q.mass)
     return max(

@@ -39,7 +39,7 @@ from .inequalities import (  # noqa: F401
     partition_family_specs,
     selector_family_size,
 )
-from .simulate import MicroData
+from .simulate import MicroData, _chunk_rng
 
 SE_FLOOR = 1e-6
 
@@ -237,7 +237,7 @@ def test_model(
     # Multiplier bootstrap. The moments depend on the data only through
     # per-cell multiplier sums, which are independent N(0, count) across
     # cells, so those sums are drawn directly.
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0)))
+    rng = _chunk_rng(seed, 0)
     S = rng.normal(size=(B, n_cells)) * np.sqrt(raw_counts)
     G = np.empty_like(S)
     for a in range(n_arms):

@@ -594,6 +594,73 @@ def region_points_by_box_rejection(
     return np.concatenate(points)
 
 
+def sample_region_by_reductions(
+    rng: np.random.Generator,
+    region: Region,
+    M: float,
+    want: int,
+    min_acceptance: float,
+) -> np.ndarray:
+    """Oracle for ``simulate._sample_region``: the same generator calls,
+    with the extreme differences and the box test taken as reductions
+    along ``axis=1`` and the rows kept by boolean indexing. It takes
+    ``want`` as it comes, so a numpy integer makes its batch arithmetic
+    wrap."""
+    lhs = np.asarray(region.lhs, dtype=np.int64)
+    rhs = np.asarray(region.rhs, dtype=np.int64)
+    offs = np.asarray(region.offsets, dtype=np.float64)
+    lo, hi = simulate._difference_box(region, M)
+    width = 2.0 * M
+    chunks = []
+    got = 0
+    proposed = 0
+    while got < want:
+        need = want - got
+        # the proposals the rows still needed take at the rate seen so
+        # far, plus one per row as margin; doubling until a row is kept
+        batch = need * proposed // got + need if got else 2 * max(need, proposed)
+        batch = min(batch, simulate.CHUNK_SIZE)
+        proposed += batch
+        delta = rng.uniform(lo, hi, size=(batch, len(lo)))
+        low = delta.min(axis=1)
+        high = delta.max(axis=1)
+        keep = rng.random(batch) * width < width - (high - low)
+        delta, low, high = delta[keep], low[keep], high[keep]
+        eps = delta + rng.uniform(-M - low, M - high)[:, None]
+        mask = kernels.region_accept(eps, lhs, rhs, offs)
+        mask &= (np.abs(eps) <= M).all(axis=1)
+        accepted = eps[mask][:need]
+        chunks.append(accepted)
+        got += len(accepted)
+        if proposed > 1e6 and got / proposed < min_acceptance:
+            raise RuntimeError(
+                f"rejection acceptance rate below {min_acceptance} for region "
+                f"{region.rtype.d}; adjust the bounding box"
+            )
+    return np.concatenate(chunks)
+
+
+def potential_type_codes_by_argmax(eps, betas, z_targets):
+    """Oracle for ``kernels.potential_type_codes``: one boosted n x J copy
+    per instrument value, ``argmax(axis=1)`` for the code and a row sum
+    of equalities with the top for the tie mask."""
+    eps = np.ascontiguousarray(eps, dtype=np.float64)
+    betas = np.ascontiguousarray(betas, dtype=np.float64)
+    z_targets = np.ascontiguousarray(z_targets, dtype=np.int64)
+    n = eps.shape[0]
+    d = np.empty((n, len(z_targets)), dtype=np.int64)
+    ties = np.zeros(n, dtype=bool)
+    rows = np.arange(n)
+    for t, z in enumerate(z_targets):
+        util = eps.copy()
+        util[:, z] += betas[z]
+        arg = util.argmax(axis=1)
+        d[:, t] = arg
+        top = util[rows, arg]
+        ties |= (util == top[:, None]).sum(axis=1) > 1
+    return d, ties
+
+
 def potential_type_codes_by_rows(eps, betas, z_targets) -> tuple[list[list[int]], list[bool]]:
     """Oracle for ``kernels.potential_type_codes``: the per-row loop of the
     former compiled kernel, in pure Python. Under each instrument value z

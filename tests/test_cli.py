@@ -290,6 +290,39 @@ def test_mixture_verify_rejects_draw_counts_below_one(tmp_path, capsys, n):
     assert capsys.readouterr().err == "input error: draw count must be at least 1\n"
 
 
+def _seeded_argv(tmp_path, command):
+    """A small valid call of a seeded command, without its seed."""
+    if command == "simulate":
+        return ["simulate", "--J", "2", "--betas", "1,1", "--pz", "1/2,1/2", "--n", "100"]
+    if command == "mixture-verify":
+        src = tmp_path / "q.json"
+        src.write_text(json.dumps(measure_doc(random_measure(DesignConfig(2, 1), Random(9)))))
+        return ["mixture-verify", "--q", str(src), "--n", "100"]
+    rng = np.random.default_rng(5)
+    data = tmp_path / "data.csv"
+    write_csv(MicroData(rng.integers(0, 2, 200), rng.integers(0, 2, 200)), str(data))
+    return ["test", "--data", str(data), "--J", "2", "--B", "99"]
+
+
+SEEDED_COMMANDS = ["simulate", "mixture-verify", "test"]
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("command", SEEDED_COMMANDS)
+def test_seeds_outside_64_bits_are_input_errors(tmp_path, capsys, command, seed):
+    assert run(_seeded_argv(tmp_path, command) + ["--seed", seed]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: seed must be a 64-bit unsigned integer\n"
+
+
+@pytest.mark.parametrize("command", SEEDED_COMMANDS)
+def test_largest_64_bit_seed_is_accepted(tmp_path, capsys, command):
+    code, doc = run_json(capsys, _seeded_argv(tmp_path, command) + ["--seed", str(2**64 - 1)])
+    assert code in (EXIT_OK, EXIT_VERDICT)
+    assert doc["seed"] == 2**64 - 1
+
+
 def test_exact_commands_do_not_import_numpy(tmp_path):
     good = write_json(tmp_path / "good.json", UNIFORM3)
     commands = [

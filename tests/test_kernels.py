@@ -1,5 +1,6 @@
 """Semantics of the sampling kernels, and the argmax kernel against the
-per-row loop kept as an oracle in tests/helpers.py."""
+per-row loop and the ``axis=1`` reductions kept as oracles in
+tests/helpers.py."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from encdesign import kernels
 from encdesign.core import DesignConfig
 
-from helpers import potential_type_codes_by_rows
+from helpers import potential_type_codes_by_argmax, potential_type_codes_by_rows
 
 
 def test_backend_reported():
@@ -70,3 +71,45 @@ def test_potential_codes_match_row_loop_on_exact_ties(J, J0, boosted):
     assert d.tolist() == want_d
     assert ties.tolist() == want_ties
     assert any(want_ties) and not all(want_ties)
+
+
+SPECIAL_ROWS = [
+    [-0.0] * 8,
+    [0.0, -0.0] * 4,
+    [np.inf] * 8,
+    [-np.inf] * 8,
+    [-np.inf, np.inf, np.inf, 0.0, -0.0, 1.0, -np.inf, np.inf],
+    [1.0, -np.inf, -0.0, np.inf, 2.0, 0.0, np.inf, -1.0],
+    [-0.0, -np.inf, 0.0, -1.0, -np.inf, -0.0, 2.0, 0.0],
+]
+
+
+def _shocks_with_ties(rng, n, J):
+    """Integer-valued shocks on a narrow range, about a tenth of the
+    entries replaced by ±0.0 or ±inf, and the special rows first."""
+    eps = rng.integers(-2, 3, size=(n, J)).astype(np.float64)
+    special = rng.random((n, J)) < 0.1
+    eps[special] = rng.choice([-0.0, 0.0, np.inf, -np.inf], size=int(special.sum()))
+    for i, row in enumerate(SPECIAL_ROWS[:n]):
+        eps[i] = row[:J]
+    return eps
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 400, 65_537])
+@pytest.mark.parametrize("J,J0", sorted({(J, J0) for J in range(2, 9) for J0 in (0, 1, J - 1)}))
+def test_potential_codes_match_axis_reductions_bit_for_bit(J, J0, n):
+    rng = np.random.default_rng([J, J0, n])
+    eps = _shocks_with_ties(rng, n, J)
+    betas = np.where(np.arange(J) < J0, 0.0, rng.integers(1, 3, size=J).astype(np.float64))
+    z_support = list(DesignConfig(J, J0).z_support)
+    d, ties = kernels.potential_type_codes(eps, betas, z_support)
+    want_d, want_ties = potential_type_codes_by_argmax(eps, betas, z_support)
+    assert d.dtype == want_d.dtype == np.int64 and d.shape == (n, len(z_support))
+    assert ties.dtype == want_ties.dtype == bool and ties.shape == (n,)
+    assert np.array_equal(d, want_d)
+    assert np.array_equal(ties, want_ties)
+    if n <= 400:
+        rows_d, rows_ties = potential_type_codes_by_rows(eps, betas, z_support)
+        assert d.tolist() == rows_d and ties.tolist() == rows_ties
+    if n >= 400:
+        assert ties.any() and not ties.all()

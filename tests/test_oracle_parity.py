@@ -3,30 +3,35 @@
 and the explicit-column scan, direct admissible generation against the
 brute-force filter, the per-choice-maxima check against the explicit
 inequality family, the difference-coordinate region sampler against
-whole-box rejection, the block-streamed moment test and bincount cell
-counts against the explicit family and the per-row loop, and the
-integer-scale outcome witness against the Fraction construction."""
+whole-box rejection and its column folds against ``axis=1`` reductions,
+the block-streamed moment test and bincount cell counts against the
+explicit family and the per-row loop, and the integer-scale outcome
+witness against the Fraction construction."""
 
 import tracemalloc
 from fractions import Fraction as F
 from itertools import product
 from math import lcm, prod
 from random import Random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from encdesign import lp, stats
+from encdesign import kernels, lp, simulate, stats
 from encdesign.admissible import enumerate_admissible, is_admissible
-from encdesign.core import DesignConfig, ResponseType, pushforward
+from encdesign.core import DesignConfig, ResponseMeasure, ResponseType, pushforward
 from encdesign.errors import CapacityError, ConstructionError
 from encdesign.inequalities import OutcomeDistribution, check
 from encdesign.simulate import (
+    CHUNK_SIZE,
     _chunk_rng,
     _difference_box,
     _sample_region,
     MicroData,
+    RumSpec,
     build_epsilon_mixture,
+    verify_mixture,
 )
 from encdesign.witness import (
     OutcomeResponseMeasure,
@@ -47,11 +52,13 @@ from helpers import (
     phase_one_columns,
     phase_one_fraction,
     phase_one_scan,
+    potential_type_codes_by_argmax,
     random_measure,
     random_outcome_measure,
     random_outcome_table,
     random_table,
     region_points_by_box_rejection,
+    sample_region_by_reductions,
     solution_vector,
     targeted_outcome_table,
     type_column_keys,
@@ -301,6 +308,83 @@ def test_region_sampler_matches_box_rejection_in_law(J, J0):
         for k in range(J):
             stat = _ks_statistic(new[:, k], old[:, k])
             assert stat < KS_THRESHOLD, (region.rtype.d, k, stat)
+
+
+SAMPLER_DESIGNS = [(3, 0), (4, 2), (4, 0), (5, 0), (6, 2)]
+
+
+def _full_support_mixture(J, J0):
+    """The mixture of a witness that weights every admissible type, so
+    every region of the design is sampled, the diagonal one included."""
+    config = DesignConfig(J, J0)
+    types = enumerate_admissible(config).types
+    rng = Random(601 + 10 * J + J0)
+    weights = [rng.randint(1, 8) for _ in types]
+    q = ResponseMeasure(config, {t: F(w, sum(weights)) for t, w in zip(types, weights)})
+    return q, build_epsilon_mixture(q)
+
+
+@pytest.mark.parametrize("J, J0", SAMPLER_DESIGNS)
+def test_region_sampler_folds_match_axis_reductions(J, J0):
+    _, mix = _full_support_mixture(J, J0)
+    diagonal = 0
+    for i, region in enumerate(mix.components):
+        is_diagonal = region.rtype.d == tuple(range(J))
+        diagonal += is_diagonal
+        # past CHUNK_SIZE rows the batches are capped, so the diagonal
+        # region also runs several full batches
+        for want in (1, 700) + ((CHUNK_SIZE + 5000,) if is_diagonal else ()):
+            new = _sample_region(_chunk_rng(607, i), region, mix.M, want, 1e-6)
+            old = sample_region_by_reductions(_chunk_rng(607, i), region, mix.M, want, 1e-6)
+            assert new.dtype == old.dtype and new.shape == old.shape == (want, J)
+            assert new.tobytes() == old.tobytes(), (region.rtype.d, want)
+    assert diagonal == (J0 == 0)
+
+
+def _reduction_oracles(monkeypatch):
+    """Route the sampling path through the axis=1 oracles."""
+    monkeypatch.setattr(
+        simulate,
+        "kernels",
+        SimpleNamespace(
+            potential_type_codes=potential_type_codes_by_argmax,
+            region_accept=kernels.region_accept,
+        ),
+    )
+    monkeypatch.setattr(simulate, "_sample_region", sample_region_by_reductions)
+
+
+def test_verify_mixture_matches_axis_reduction_oracles(monkeypatch):
+    cases = []
+    for J, J0 in SAMPLER_DESIGNS:
+        q, mix = _full_support_mixture(J, J0)
+        cases.append((q, mix))
+        q = random_measure(DesignConfig(J, J0), Random(613 + J))
+        cases.append((q, build_epsilon_mixture(q)))
+    runs = [(q, mix, n, seed) for q, mix in cases for n, seed in ((20_000, 3), (997, 2**64 - 1))]
+    new = [verify_mixture(mix, q, n, seed) for q, mix, n, seed in runs]
+    _reduction_oracles(monkeypatch)
+    old = [verify_mixture(mix, q, n, seed) for q, mix, n, seed in runs]
+    assert new == old
+
+
+def test_simulate_matches_axis_reduction_oracles(monkeypatch):
+    specs = []
+    for (J, J0), family in zip(
+        [(2, 0), (3, 1), (4, 0), (5, 2), (6, 0), (6, 1)], ["gumbel", "normal", "uniform"] * 2
+    ):
+        config = DesignConfig(J, J0)
+        betas = tuple(0.0 if j < J0 else 0.5 + 0.25 * j for j in range(J))
+        pz = {z: F(1, len(config.z_support)) for z in config.z_support}
+        # two chunks, the second one short
+        specs.append(RumSpec(config, betas, pz, CHUNK_SIZE + 4000, 619 + J, family))
+    new = [simulate.simulate(spec) for spec in specs]
+    _reduction_oracles(monkeypatch)
+    old = [simulate.simulate(spec) for spec in specs]
+    for a, b in zip(new, old):
+        assert np.array_equal(a.data.d, b.data.d) and np.array_equal(a.data.z, b.data.z)
+        assert a.table == b.table
+        assert list(a.type_counts.items()) == list(b.type_counts.items())
 
 
 def _micro(J, J0, ny, n, seed):

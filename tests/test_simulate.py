@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from encdesign import kernels
+from encdesign import simulate as simulate_module
 from encdesign.admissible import (
     default_choice,
     is_admissible,
@@ -22,6 +23,7 @@ from encdesign.simulate import (
     RumSpec,
     _chunk_rng,
     _draw_eps,
+    _sample_region,
     build_epsilon_mixture,
     simulate,
     verify_mixture,
@@ -274,3 +276,52 @@ def test_mixture_error_is_the_multinomial_gap():
             for region, c in zip(mix.components, counts)
         )
         assert verify_mixture(mix, q, n, seed) == want, (J, J0)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_chunk_rng_rejects_seeds_outside_64_bits(seed):
+    with pytest.raises(ValueError, match="^seed must be a 64-bit unsigned integer$"):
+        _chunk_rng(seed, 0)
+
+
+def test_chunk_rng_accepts_the_largest_64_bit_seed():
+    seq = np.random.SeedSequence(entropy=(2**64 - 1, 3))
+    assert _chunk_rng(2**64 - 1, 3).random() == np.random.default_rng(seq).random()
+
+
+class _Stop(Exception):
+    pass
+
+
+class _FirstSize:
+    """Generator stand-in: records the size of the first draw, then stops."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def uniform(self, low, high, size=None):
+        self.sizes.append(size)
+        raise _Stop
+
+
+def test_sample_region_batch_arithmetic_does_not_wrap():
+    # 2 * 2**62 wraps in int64; the first batch must still be one full chunk
+    mix = build_epsilon_mixture(random_measure(DesignConfig(4, 0), Random(5)))
+    rng = _FirstSize()
+    with pytest.raises(_Stop):
+        _sample_region(rng, mix.components[0], mix.M, np.int64(2**62), 1e-6)
+    assert rng.sizes == [(CHUNK_SIZE, 4)]
+
+
+def test_verify_mixture_passes_python_ints_to_the_sampler(monkeypatch):
+    wants = []
+
+    def first_want(rng, region, M, want, min_acceptance):
+        wants.append(want)
+        raise _Stop
+
+    monkeypatch.setattr(simulate_module, "_sample_region", first_want)
+    q = random_measure(DesignConfig(4, 0), Random(5))
+    with pytest.raises(_Stop):
+        verify_mixture(build_epsilon_mixture(q), q, 10**12, seed=1)
+    assert type(wants[0]) is int and wants[0] > 2**32
