@@ -40,6 +40,27 @@ def as_fraction(value) -> Fraction:
     )
 
 
+def _as_int(value, field: str) -> int:
+    """``value`` as an int. operator.index takes exactly the integer types
+    (numpy integers included); bool and everything else raise TypeError
+    naming ``field``, where ``int()`` would truncate 0.9 to 0."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise TypeError(f"{field} must be an integer, got {type(value).__name__}")
+    return operator.index(value)
+
+
+def _as_ints(values, field: str) -> tuple[int, ...]:
+    """``_as_int`` over a sequence. The common case, plain integers and no
+    bool, runs in C: this check sits on every response type built."""
+    values = tuple(values)
+    if bool not in map(type, values):
+        try:
+            return tuple(map(operator.index, values))
+        except TypeError:
+            pass
+    return tuple(_as_int(v, field) for v in values)
+
+
 @dataclass(frozen=True)
 class DesignConfig:
     """The pair (J, J0) and the implied instrument support.
@@ -55,11 +76,7 @@ class DesignConfig:
 
     def __post_init__(self):
         for field in ("J", "J0"):
-            value = getattr(self, field)
-            # operator.index takes exactly the integer types (bool aside)
-            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-                raise TypeError(f"{field} must be an integer, got {type(value).__name__}")
-            object.__setattr__(self, field, operator.index(value))
+            object.__setattr__(self, field, _as_int(getattr(self, field), field))
         if self.J < 2:
             raise ValueError(f"J must be at least 2, got {self.J}")
         if not 0 <= self.J0 <= self.J - 1:
@@ -105,7 +122,7 @@ class ResponseType:
     d: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "d", tuple(int(v) for v in self.d))
+        object.__setattr__(self, "d", _as_ints(self.d, "response type entry"))
 
     def d_at(self, config: DesignConfig, z: int) -> int:
         return self.d[config.z_index(z)]

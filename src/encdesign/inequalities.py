@@ -17,7 +17,7 @@ from itertools import product
 from math import lcm
 from typing import Callable, Mapping
 
-from .core import ONE, ZERO, DesignConfig, ObservedDistribution, as_fraction, _validate_pz
+from .core import ONE, ZERO, DesignConfig, ObservedDistribution, _as_int, _as_ints, _validate_pz, as_fraction
 from .errors import CapacityError
 
 DEFAULT_FAMILY_CAP = 1_000_000
@@ -232,7 +232,7 @@ class OutcomeDistribution:
     pz: Mapping[int, Fraction] | None = None
 
     def __post_init__(self):
-        ys = tuple(int(y) for y in self.y_support)
+        ys = _as_ints(self.y_support, "outcome support value")
         if not ys:
             raise ValueError("outcome support must be nonempty")
         if len(set(ys)) != len(ys):
@@ -246,11 +246,11 @@ class OutcomeDistribution:
             slice_ = {j: {y: ZERO for y in ys} for j in range(self.config.J)}
             total = ZERO
             for j, by_y in self.cells[z].items():
-                j = int(j)
+                j = _as_int(j, "choice key")
                 if not 0 <= j < self.config.J:
                     raise ValueError(f"choice {j} out of range at z={z}")
                 for y, v in by_y.items():
-                    y = int(y)
+                    y = _as_int(y, "outcome key")
                     if y not in yset:
                         raise ValueError(f"outcome {y} not in support at z={z}")
                     v = as_fraction(v)

@@ -8,12 +8,13 @@ The remaining mass lands on full compliance. Run on an infeasible table
 the same arithmetic produces a negative mass, which is reported rather
 than clamped: the negative mass is itself the diagnostic.
 
-The outcome witness runs on one integer scale: every cell and mixing
-weight is an integer over a common denominator, each completion of the
-unpinned outcomes carries a precomputed integer weight, and each mass
-becomes a Fraction once, at the end. ``OutcomeResponseMeasure`` checks
-each distinct response type once, however many outcome vectors it
-carries.
+The outcome witness orders each (choice, outcome) cell once, and takes
+its mixing weights from the tops of those same orderings. It runs on one
+integer scale: every cell and mixing weight is an integer over a common
+denominator, each completion of the unpinned outcomes carries a
+precomputed integer weight, and each mass becomes a Fraction once, at
+the end. ``OutcomeResponseMeasure`` checks each distinct response type
+once, however many outcome vectors it carries.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import Mapping
 
+from .admissible import closed_form_count, is_admissible
 from .core import (
     ONE,
     ZERO,
@@ -30,6 +32,8 @@ from .core import (
     ObservedDistribution,
     ResponseMeasure,
     ResponseType,
+    _as_ints,
+    as_fraction,
 )
 from .errors import CapacityError, ConstructionError
 from .inequalities import OutcomeDistribution
@@ -37,7 +41,7 @@ from .inequalities import OutcomeDistribution
 DEFAULT_TABLE_CAP = 1_000_000
 
 
-def instrument_ordering(config: DesignConfig, values: Mapping[int, Fraction], target: int | None) -> tuple[int, ...]:
+def instrument_ordering(config: DesignConfig, values: Mapping[int, Fraction], target: int) -> tuple[int, ...]:
     """Instrument values sorted by ascending coordinate value with the
     forced placements: the targeting value (if any) last, and with a base
     state the base value last among the non-targeting slots. Remaining
@@ -52,7 +56,7 @@ def instrument_ordering(config: DesignConfig, values: Mapping[int, Fraction], ta
         (z for z in config.z_support if z != 0 and z != target),
         key=lambda z: (values[z], z),
     )
-    if target is not None and target >= config.J0:
+    if target >= config.J0:
         return tuple(others) + (0, target)
     return tuple(others) + (0,)
 
@@ -72,6 +76,41 @@ def _compliance_type(config: DesignConfig, default: int) -> ResponseType:
     if config.J0 == 0:
         return ResponseType(tuple(config.z_support))
     return ResponseType((default,) + tuple(range(config.J0, config.J)))
+
+
+def _column_steps(config: DesignConfig, values: Mapping[int, Fraction], target: int):
+    """One column of the construction for target choice ``target``: the
+    ordering of ``values`` (one per instrument value), its steps as
+    (step, response type, increment) with step 1 the base increment, and
+    the top non-targeting value ``values[order[-2]]``."""
+    order = instrument_ordering(config, values, target)
+    steps = [(1, _type_with_prefix(config, target, ()), values[order[0]])]
+    for ell in range(2, len(order)):
+        rtype = _type_with_prefix(config, target, order[: ell - 1])
+        steps.append((ell, rtype, values[order[ell - 1]] - values[order[ell - 2]]))
+    return order, steps, values[order[-2]]
+
+
+def _negative_assignment(rtype, mass, target, step, y=None) -> ConstructionError:
+    """The error naming a negative assignment: a mass on a treatment
+    table, a density at outcome ``y`` on an outcome table. ``step`` is
+    None for a compliance remainder."""
+    if step is not None:
+        where = f"target {target}, step {step}"
+    elif target is not None:
+        where = f"compliance remainder (default {target})"
+    else:
+        where = "compliance remainder"
+    what, table_check = "mass", "inequality"
+    if y is not None:
+        where, what, table_check = f"{where}, outcome {y}", "density", "outcome"
+    return ConstructionError(
+        f"construction assigns negative {what} {mass} to {rtype.d} "
+        f"at {where}; the table violates the {table_check} check",
+        target=target,
+        step=step,
+        mass=mass,
+    )
 
 
 @dataclass(frozen=True)
@@ -100,16 +139,10 @@ def diagnose(P: ObservedDistribution) -> ConstructionTrace:
     entries: list[TraceEntry] = []
     top_values: dict[int, Fraction] = {}
     for j in range(config.J):
-        order = instrument_ordering(config, {z: P.p(z, j) for z in config.z_support}, j)
-        orderings[j] = order
-        entries.append(
-            TraceEntry("base", j, 1, _type_with_prefix(config, j, ()), P.p(order[0], j))
-        )
-        for ell in range(2, len(order)):
-            rtype = _type_with_prefix(config, j, order[: ell - 1])
-            mass = P.p(order[ell - 1], j) - P.p(order[ell - 2], j)
-            entries.append(TraceEntry("step", j, ell, rtype, mass))
-        top_values[j] = P.p(order[-2], j)
+        column = {z: P.p(z, j) for z in config.z_support}
+        orderings[j], steps, top_values[j] = _column_steps(config, column, j)
+        for ell, rtype, mass in steps:
+            entries.append(TraceEntry("base" if ell == 1 else "step", j, ell, rtype, mass))
     if config.J0 == 0:
         remainder = ONE - sum(top_values.values())
         entries.append(
@@ -133,20 +166,7 @@ def construct(P: ObservedDistribution) -> ResponseMeasure:
     mass: dict[ResponseType, Fraction] = {}
     for entry in trace.entries:
         if entry.mass < 0:
-            where = (
-                f"target {entry.target}, step {entry.step}"
-                if entry.kind != "compliance"
-                else f"compliance remainder (default {entry.target})"
-                if entry.target is not None
-                else "compliance remainder"
-            )
-            raise ConstructionError(
-                f"construction assigns negative mass {entry.mass} to {entry.rtype.d} "
-                f"at {where}; the table violates the inequality check",
-                target=entry.target,
-                step=entry.step,
-                mass=entry.mass,
-            )
+            raise _negative_assignment(entry.rtype, entry.mass, entry.target, entry.step)
         if entry.rtype in mass:
             raise RuntimeError(f"two assignments hit {entry.rtype.d}; construction bug")
         mass[entry.rtype] = entry.mass
@@ -168,9 +188,6 @@ class OutcomeResponseMeasure:
     mass: Mapping[tuple[ResponseType, tuple[int, ...]], Fraction]
 
     def __post_init__(self):
-        from .core import as_fraction
-        from .admissible import is_admissible
-
         config = self.config
         ys = frozenset(self.y_support)
         checked: set[ResponseType] = set()
@@ -184,7 +201,7 @@ class OutcomeResponseMeasure:
                 if not is_admissible(config, rt):
                     raise ValueError(f"response type {rt.d} is not admissible")
                 checked.add(rt)
-            yvec = tuple(map(int, yvec))
+            yvec = _as_ints(yvec, "outcome vector entry")
             if len(yvec) != config.J or not ys.issuperset(yvec):
                 raise ValueError(f"outcome vector {yvec} invalid for support {self.y_support}")
             m = as_fraction(m)
@@ -225,42 +242,6 @@ def pushforward_outcome(
     return OutcomeDistribution(config, q.y_support, cells, pz=pz)
 
 
-def lambda_weights(PY: OutcomeDistribution) -> dict[int, dict[int, Fraction]]:
-    """Mixing weights for the unpinned outcome coordinates.
-
-    For a targeted choice the weight at y is proportional to the gap
-    between the targeted cell and the runner-up cell; when the gaps
-    vanish everywhere (or the choice is untargeted) the weight is uniform.
-    Each weight sums to exactly 1 over the support.
-    """
-    config = PY.config
-    ys = PY.y_support
-    uniform = {y: Fraction(1, len(ys)) for y in ys}
-    out: dict[int, dict[int, Fraction]] = {}
-    for j in range(config.J):
-        if j < config.J0:
-            out[j] = dict(uniform)
-            continue
-        gaps = {}
-        for y in ys:
-            order = instrument_ordering(config, {z: PY.p(z, j, y) for z in config.z_support}, j)
-            gaps[y] = PY.p(j, j, y) - PY.p(order[-2], j, y)
-            if gaps[y] < 0:
-                raise ConstructionError(
-                    f"mixing weight for choice {j} is negative ({gaps[y]}) at outcome "
-                    f"{y}: instrument {order[-2]} beats the targeting value; the table "
-                    f"violates the outcome check",
-                    target=j,
-                    mass=gaps[y],
-                )
-        denom = sum(gaps.values(), ZERO)
-        if denom == 0:
-            out[j] = dict(uniform)
-        else:
-            out[j] = {y: g / denom for y, g in gaps.items()}
-    return out
-
-
 def _weighted_vectors(factors) -> list[tuple[tuple[int, ...], int]]:
     """Every vector of the product of the ``{value: integer weight}`` maps,
     in lexicographic order, with the product of its weights."""
@@ -281,21 +262,23 @@ def construct_outcome(
     construction, but cell by cell, so the same step can feed different
     response types at different outcome values). Step increments pin the
     target's outcome coordinate; the other coordinates are filled with
-    the product of the mixing weights.
+    the product of the mixing weights. Each cell is ordered once: the
+    weight of a targeted choice k at y is the gap between its targeting
+    cell and the top of the (k, y) column, over the sum of the gaps, and
+    uniform for an untargeted choice or when every gap is 0. A negative
+    gap raises ConstructionError before any step runs.
 
     All of it runs on one integer scale. With L the lcm of the cell
-    denominators and ``lambda_weights(PY)[k][y] = num[k][y] / den[k]``,
-    every mass is an integer over D = L * prod(den). The nonzero
-    completions of a pinned choice j and outcome y, with their integer
-    weights ``den[j] * prod(num[k][y_k] for k != j)``, are listed once,
-    before the steps that share them, so a step only adds integer
-    products; each mass becomes a Fraction once, at the end. A negative
-    increment raises ConstructionError with its target, its step
-    (numbered as in ``diagnose``; None for a compliance remainder) and its
-    exact mass.
+    denominators and the weight of choice k at y written as
+    ``num[k][y] / den[k]``, every mass is an integer over
+    D = L * prod(den). The nonzero completions of a pinned choice j and
+    outcome y, with their integer weights
+    ``den[j] * prod(num[k][y_k] for k != j)``, are listed once, before the
+    steps that share them, so a step only adds integer products; each
+    mass becomes a Fraction once, at the end. A negative increment raises
+    ConstructionError with its target, its step (numbered as in
+    ``diagnose``; None for a compliance remainder) and its exact mass.
     """
-    from .admissible import closed_form_count
-
     config = PY.config
     ys = PY.y_support
     n_types = closed_form_count(config)
@@ -303,7 +286,6 @@ def construct_outcome(
         raise CapacityError(
             f"witness table would hold up to {n_types * len(ys) ** config.J} entries, cap is {cap}"
         )
-    lam = lambda_weights(PY)
     # scale is L; cell[z][j][y] and every density below are integers over it
     scale = lcm(
         *(v.denominator for by_j in PY.cells.values() for by_y in by_j.values() for v in by_y.values())
@@ -315,11 +297,28 @@ def construct_outcome(
         }
         for z, by_j in PY.cells.items()
     }
-    den = [lcm(*(w.denominator for w in lam[k].values())) for k in range(config.J)]
-    num = [
-        {y: w.numerator * (den[k] // w.denominator) for y, w in lam[k].items() if w}
-        for k in range(config.J)
-    ]
+    columns = {}
+    num = []
+    for k in range(config.J):
+        gaps = {}
+        for y in ys:
+            order, _, top = columns[k, y] = _column_steps(
+                config, {z: cell[z][k][y] for z in config.z_support}, k
+            )
+            if k >= config.J0:
+                gaps[y] = cell[k][k][y] - top
+                if gaps[y] < 0:
+                    gap = Fraction(gaps[y], scale)
+                    raise ConstructionError(
+                        f"mixing weight for choice {k} is negative ({gap}) at outcome "
+                        f"{y}: instrument {order[-2]} beats the targeting value; the table "
+                        f"violates the outcome check",
+                        target=k,
+                        mass=gap,
+                    )
+        # the nonzero gaps over their sum, or uniform when there are none
+        num.append({y: g for y, g in gaps.items() if g} or dict.fromkeys(ys, 1))
+    den = [sum(w.values()) for w in num]
     total_scale = scale * prod(den)
     acc: dict[ResponseType, dict[tuple[int, ...], int]] = {}
 
@@ -329,43 +328,23 @@ def construct_outcome(
             bucket[yvec] = bucket.get(yvec, 0) + density * weight
 
     def spread(rtype, completions, density, target, step, y):
-        # step is None only for a compliance remainder (J0 > 0)
         if density < 0:
-            where = (
-                f"target {target}, step {step}, outcome {y}"
-                if step is not None
-                else f"compliance remainder (default {target}), outcome {y}"
-            )
-            density = Fraction(density, scale)
-            raise ConstructionError(
-                f"construction assigns negative density {density} to {rtype.d} "
-                f"at {where}; the table violates the outcome check",
-                target=target,
-                step=step,
-                mass=density,
-            )
+            raise _negative_assignment(rtype, Fraction(density, scale), target, step, y)
         if density > 0:
             add(rtype, completions, density)
 
     top_sum = 0
     for j in range(config.J):
-        factors = [num[k] for k in range(config.J)]
+        factors = list(num)
         for y in ys:
             factors[j] = {y: den[j]}
             completions = _weighted_vectors(factors)
-            order = instrument_ordering(config, {z: cell[z][j][y] for z in config.z_support}, j)
-            spread(_type_with_prefix(config, j, ()), completions, cell[order[0]][j][y], j, 1, y)
-            for ell in range(2, len(order)):
-                rtype = _type_with_prefix(config, j, order[: ell - 1])
-                inc = cell[order[ell - 1]][j][y] - cell[order[ell - 2]][j][y]
+            _, steps, top = columns[j, y]
+            for ell, rtype, inc in steps:
                 spread(rtype, completions, inc, j, ell, y)
-            top = cell[order[-2]][j][y]
-            if config.J0 > 0:
-                if j < config.J0:
-                    gap = cell[0][j][y] - top
-                    spread(_compliance_type(config, j), completions, gap, j, None, y)
-            else:
-                top_sum += top
+            if j < config.J0:
+                spread(_compliance_type(config, j), completions, cell[0][j][y] - top, j, None, y)
+            top_sum += top  # the remainder below needs it only without a base state
     if config.J0 == 0:
         remainder = scale - top_sum
         if remainder < 0:

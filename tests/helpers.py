@@ -47,7 +47,6 @@ from encdesign.witness import (
     _compliance_type,
     _type_with_prefix,
     instrument_ordering,
-    lambda_weights,
     pushforward_outcome,
 )
 
@@ -923,6 +922,44 @@ def outcome_measure_by_fractions(config: DesignConfig, y_support, mass) -> dict:
     if total != ONE:
         raise ValueError(f"masses sum to {total}, not 1")
     return dict(sorted(clean.items(), key=lambda kv: (kv[0][0].d, kv[0][1])))
+
+
+# oracle for the mixing weights that ``witness.construct_outcome`` takes
+# from the tops of its step columns
+def lambda_weights(PY: OutcomeDistribution) -> dict[int, dict[int, Fraction]]:
+    """Mixing weights for the unpinned outcome coordinates.
+
+    For a targeted choice the weight at y is proportional to the gap
+    between the targeted cell and the runner-up cell; when the gaps
+    vanish everywhere (or the choice is untargeted) the weight is uniform.
+    Each weight sums to exactly 1 over the support.
+    """
+    config = PY.config
+    ys = PY.y_support
+    uniform = {y: Fraction(1, len(ys)) for y in ys}
+    out: dict[int, dict[int, Fraction]] = {}
+    for j in range(config.J):
+        if j < config.J0:
+            out[j] = dict(uniform)
+            continue
+        gaps = {}
+        for y in ys:
+            order = instrument_ordering(config, {z: PY.p(z, j, y) for z in config.z_support}, j)
+            gaps[y] = PY.p(j, j, y) - PY.p(order[-2], j, y)
+            if gaps[y] < 0:
+                raise ConstructionError(
+                    f"mixing weight for choice {j} is negative ({gaps[y]}) at outcome "
+                    f"{y}: instrument {order[-2]} beats the targeting value; the table "
+                    f"violates the outcome check",
+                    target=j,
+                    mass=gaps[y],
+                )
+        denom = sum(gaps.values(), ZERO)
+        if denom == 0:
+            out[j] = dict(uniform)
+        else:
+            out[j] = {y: g / denom for y, g in gaps.items()}
+    return out
 
 
 def construct_outcome_by_fractions(PY: OutcomeDistribution, cap: int = DEFAULT_TABLE_CAP) -> dict:

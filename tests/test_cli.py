@@ -447,6 +447,15 @@ def test_missing_file_is_input_error(capsys):
     capsys.readouterr()
 
 
+def test_malformed_outcome_table_is_input_error(tmp_path, capsys):
+    row = {"0": {"0": "1/2"}, "1": {"1": "1/2", "5": "0"}}
+    doc = {"J": 2, "J0": 0, "y_support": [0, 1], "p": {"0": row, "1": row}}
+    assert run(["check", "--input", write_json(tmp_path / "py.json", doc)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: outcome 5 not in support at z=0\n"
+
+
 def test_out_of_range_choice_keys_are_input_errors(tmp_path, capsys):
     for j_key in ("-1", "5"):
         doc = {

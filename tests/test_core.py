@@ -68,6 +68,25 @@ def test_config_stores_numpy_integers_as_int():
     assert type(config.J) is int and type(config.J0) is int
 
 
+@pytest.mark.parametrize(
+    "d, got",
+    [((0.9, 1.2), "float"), ((True, 1), "bool"), ((1, "0"), "str"), ((0, None), "NoneType")],
+    ids=["float", "bool", "str", "none"],
+)
+def test_response_type_rejects_non_integer_entries(d, got):
+    # int() would store (0.9, 1.2) as (0, 1) and (True, 1) as (1, 1)
+    with pytest.raises(TypeError, match=f"^response type entry must be an integer, got {got}$"):
+        ResponseType(d)
+    with pytest.raises(TypeError, match="^response type entry must be an integer"):
+        ResponseMeasure(DesignConfig(2, 0), {d: 1})
+
+
+def test_response_type_stores_numpy_integers_as_int():
+    rt = ResponseType((np.int64(1), np.int32(0)))
+    assert rt == ResponseType((1, 0)) and repr(rt) == repr(ResponseType((1, 0)))
+    assert all(type(v) is int for v in rt.d)
+
+
 def test_targeted_set():
     config = DesignConfig(3, 1)
     assert config.targeted_set(0) == (0, 1, 2)

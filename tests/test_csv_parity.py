@@ -3,12 +3,16 @@ reader on anything else; on every input both must give the same arrays or
 the same error as the row-by-row oracle. ``cli.write_csv`` formats the body
 in one pass and must write the bytes of the row-by-row writer."""
 
+from random import Random
+
 import numpy as np
 import pytest
 
 from encdesign import cli
+from encdesign.core import DesignConfig
 from encdesign.simulate import MicroData
 from helpers import read_csv_rows, write_csv_rows
+from perfbench.inputs import outcome_rows
 
 CORPUS = {
     "plain": "d,z\n0,1\n1,0\n2,2\n",
@@ -131,3 +135,35 @@ def test_write_csv_round_trips_int64_limits(tmp_path):
     assert got == want
     back = cli.read_csv(str(tmp_path / "bulk.csv"), True)
     assert back.d.tolist() == limits.tolist() and back.y.tolist() == limits.tolist()
+
+
+def test_quoted_outcome_file_is_read_row_by_row(tmp_path, capsys, monkeypatch):
+    # quoted fields make the bulk parser refuse the body, so the y column
+    # comes from the row reader; the test must not see the difference
+    y, d, z = outcome_rows(DesignConfig(3, 0), (0, 1), 600, Random(11))
+    plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+    cli.write_csv(MicroData(d, z, y), str(plain))
+    header, *body = plain.read_text(encoding="utf-8").splitlines()
+    assert header == "y,d,z"
+    quoted_body = [",".join(f'"{v}"' for v in line.split(",")) for line in body]
+    quoted.write_text("\n".join([header, *quoted_body]) + "\n", encoding="utf-8")
+
+    calls = []
+    row_reader = cli._read_csv_rows
+
+    def recording(path, want_y):
+        calls.append(path)
+        return row_reader(path, want_y)
+
+    monkeypatch.setattr(cli, "_read_csv_rows", recording)
+    got = _read(cli.read_csv, str(quoted), True)
+    assert calls == [str(quoted)]
+    assert got == _read(read_csv_rows, str(quoted), True)
+    data = cli.read_csv(str(plain), True)
+    assert (data.d.tolist(), data.z.tolist(), data.y.tolist()) == (got[2], got[4], got[5][1])
+
+    stdout = []
+    for path in (plain, quoted):
+        cli.run(["test", "--data", str(path), "--J", "3", "--J0", "0", "--y", "--B", "99", "--seed", "3"])
+        stdout.append(capsys.readouterr().out)
+    assert stdout[0] == stdout[1] and '"reject"' in stdout[0]

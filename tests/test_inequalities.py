@@ -1,9 +1,11 @@
 """Inequality families: generation counts, exact checks, outcome
 extension, and the brute-force partition oracle."""
 
+import re
 from fractions import Fraction as F
 from random import Random
 
+import numpy as np
 import pytest
 
 from encdesign.core import DesignConfig, ObservedDistribution, pushforward
@@ -253,3 +255,69 @@ def test_brute_force_capacity_cap():
     PY = feasible_outcome_table(config, (0, 1, 2, 3), Random(1))
     with pytest.raises(CapacityError):
         brute_force_partition_check(PY, cap=100)
+
+
+def _half_cells():
+    """Outcome cells of a feasible (2, 0) table over y in {0, 1}."""
+    row = {0: {0: F(1, 2)}, 1: {1: F(1, 2)}}
+    return {z: {j: dict(by_y) for j, by_y in row.items()} for z in (0, 1)}
+
+
+def _edit(change):
+    def build():
+        cells = _half_cells()
+        change(cells)
+        return cells
+    return build
+
+
+@pytest.mark.parametrize(
+    "ys, cells, message",
+    [
+        ((), _half_cells, "outcome support must be nonempty"),
+        ((0, 1, 0), _half_cells, "outcome support has duplicate values"),
+        ((0, 1), _edit(lambda c: c.pop(1)), "missing slice for instrument value 1"),
+        ((0, 1), _edit(lambda c: c[0].update({2: {0: F(0)}})), "choice 2 out of range at z=0"),
+        ((0, 1), _edit(lambda c: c[1][0].update({5: F(0)})), "outcome 5 not in support at z=1"),
+        (
+            (0, 1),
+            _edit(lambda c: c[0].update({0: {0: F(-1, 2)}, 1: {1: F(3, 2)}})),
+            "negative probability at (z=0, j=0, y=0)",
+        ),
+        ((0, 1), _edit(lambda c: c[1][1].update({1: F(1, 4)})), "slice for z=1 sums to 3/4, not 1"),
+        ((0, 1), _edit(lambda c: c.update({2: c[0]})), "cells contain instrument values outside the support"),
+    ],
+    ids=["empty", "duplicate", "missing-z", "choice", "outcome", "negative", "sum", "extra-z"],
+)
+def test_outcome_distribution_rejects_malformed_tables(ys, cells, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        OutcomeDistribution(DesignConfig(2, 0), ys, cells())
+
+
+@pytest.mark.parametrize(
+    "ys, cells, message",
+    [
+        ((0.5, 1.5), _half_cells, "outcome support value must be an integer, got float"),
+        ((False, True), _half_cells, "outcome support value must be an integer, got bool"),
+        ((0, 1), _edit(lambda c: c[0].update({1.0: c[0].pop(1)})), "choice key must be an integer, got float"),
+        ((0, 1), _edit(lambda c: c[1].update({True: c[1].pop(1)})), "choice key must be an integer, got bool"),
+        ((0, 1), _edit(lambda c: c[0][1].update({1.5: c[0][1].pop(1)})), "outcome key must be an integer, got float"),
+        ((0, 1), _edit(lambda c: c[1][0].update({"0": c[1][0].pop(0)})), "outcome key must be an integer, got str"),
+    ],
+    ids=["float-support", "bool-support", "float-choice", "bool-choice", "float-outcome", "str-outcome"],
+)
+def test_outcome_distribution_rejects_non_integer_labels(ys, cells, message):
+    # int() would truncate 0.5 and 1.5 to (0, 1) and read True as choice 1
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        OutcomeDistribution(DesignConfig(2, 0), ys, cells())
+
+
+def test_outcome_distribution_stores_numpy_integer_labels_as_int():
+    cells = {
+        z: {np.int64(j): {np.int32(y): v for y, v in by_y.items()} for j, by_y in by_j.items()}
+        for z, by_j in _half_cells().items()
+    }
+    PY = OutcomeDistribution(DesignConfig(2, 0), (np.int64(0), np.int64(1)), cells)
+    assert PY == OutcomeDistribution(DesignConfig(2, 0), (0, 1), _half_cells())
+    assert all(type(y) is int for y in PY.y_support)
+    assert all(type(k) is int for by_j in PY.cells.values() for j, by_y in by_j.items() for k in (j, *by_y))

@@ -36,7 +36,6 @@ from encdesign.simulate import (
 from encdesign.witness import (
     OutcomeResponseMeasure,
     construct_outcome,
-    lambda_weights,
     pushforward_outcome,
 )
 from helpers import (
@@ -49,6 +48,7 @@ from helpers import (
     feasible_outcome_by_scan,
     feasible_outcome_table,
     feasible_table,
+    lambda_weights,
     phase_one_columns,
     phase_one_fraction,
     phase_one_scan,

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from collections import Counter
 from fractions import Fraction as F
 from random import Random
@@ -22,13 +23,14 @@ from encdesign.simulate import (
     CHUNK_SIZE,
     RumSpec,
     _chunk_rng,
+    _codes_for,
     _draw_eps,
     _sample_region,
     build_epsilon_mixture,
     simulate,
     verify_mixture,
 )
-from helpers import random_measure
+from helpers import potential_type_codes_by_rows, random_measure
 
 
 def uniform_pz(config):
@@ -325,3 +327,31 @@ def test_verify_mixture_passes_python_ints_to_the_sampler(monkeypatch):
     with pytest.raises(_Stop):
         verify_mixture(build_epsilon_mixture(q), q, 10**12, seed=1)
     assert type(wants[0]) is int and wants[0] > 2**32
+
+
+def test_codes_for_redraws_exactly_the_tied_rows():
+    # integer shocks and zero encouragement: about half the rows tie
+    config = DesignConfig(3, 0)
+    gen = np.random.default_rng(8)
+    eps = gen.integers(0, 3, size=(500, 3)).astype(np.float64)
+    before = eps.copy()
+    betas = np.zeros(3)
+    _, tied = kernels.potential_type_codes(before, betas, config.z_support)
+    assert 0 < tied.sum() < len(tied)
+    codes = _codes_for(eps, betas, np.asarray(config.z_support), gen, lambda r, k: r.normal(size=(k, 3)))
+    changed = (eps != before).any(axis=1)
+    assert changed.tolist() == tied.tolist()
+    want_codes, want_ties = potential_type_codes_by_rows(eps, betas, config.z_support)
+    assert not any(want_ties)
+    assert codes.tolist() == want_codes
+
+
+def test_sample_region_refuses_a_low_acceptance_rate():
+    # min_acceptance 1 fails on the first check, which comes once more than
+    # 10**6 rows are proposed: 16 full batches, while 10**6 rows are wanted
+    mix = build_epsilon_mixture(random_measure(DesignConfig(3, 0), Random(2)))
+    region = mix.components[0]
+    assert 15 * CHUNK_SIZE < 10**6 < 16 * CHUNK_SIZE
+    message = f"rejection acceptance rate below 1.0 for region {region.rtype.d}; adjust the bounding box"
+    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+        _sample_region(np.random.default_rng(3), region, mix.M, 10**6, 1.0)

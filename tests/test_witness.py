@@ -5,6 +5,7 @@ import json
 from fractions import Fraction as F
 from random import Random
 
+import numpy as np
 import pytest
 
 from encdesign.admissible import is_admissible
@@ -14,7 +15,7 @@ from encdesign.core import (
     ResponseType,
     pushforward,
 )
-from encdesign.errors import ConstructionError
+from encdesign.errors import CapacityError, ConstructionError
 from encdesign.inequalities import OutcomeDistribution, check, check_outcome
 from encdesign.witness import (
     OutcomeResponseMeasure,
@@ -22,13 +23,13 @@ from encdesign.witness import (
     construct_outcome,
     diagnose,
     instrument_ordering,
-    lambda_weights,
     pushforward_outcome,
 )
 from helpers import (
     construct_outcome_by_fractions,
     feasible_outcome_table,
     feasible_table,
+    lambda_weights,
     outcome_measure_by_fractions,
     partition_check,
     random_table,
@@ -461,3 +462,29 @@ def test_outcome_measure_merges_equal_keys():
     ]
     assert list(q.mass.items()) == list(outcome_measure_by_fractions(config, (0, 1), mass).items())
     assert all(type(k[0]) is ResponseType and type(m) is F for k, m in q.mass.items())
+
+
+@pytest.mark.parametrize("yvec, got", [((0.7, 1.9), "float"), ((True, 0), "bool")], ids=["float", "bool"])
+def test_outcome_measure_rejects_non_integer_outcomes(yvec, got):
+    # int() would store (0.7, 1.9) as the valid vector (0, 1)
+    with pytest.raises(TypeError, match=f"^outcome vector entry must be an integer, got {got}$"):
+        OutcomeResponseMeasure(DesignConfig(2, 0), (0, 1), {(ResponseType((0, 1)), yvec): F(1)})
+
+
+def test_outcome_measure_stores_numpy_outcomes_as_int():
+    yvec = (np.int64(0), np.int32(1))
+    q = OutcomeResponseMeasure(DesignConfig(2, 0), (0, 1), {((0, 1), yvec): F(1)})
+    assert list(q.mass) == [(ResponseType((0, 1)), (0, 1))]
+    assert all(type(y) is int for y in next(iter(q.mass))[1])
+
+
+@pytest.mark.parametrize("J, J0, ys", [(2, 0, (0, 1)), (3, 1, (0, 1, 2))])
+def test_construct_outcome_capacity_error_matches_fraction_construction(J, J0, ys):
+    # (2, 0) holds 3 types x 2**2 vectors = 12 entries at most, past cap 10
+    PY = feasible_outcome_table(DesignConfig(J, J0), ys, Random(J))
+    with pytest.raises(CapacityError) as err:
+        construct_outcome(PY, cap=10)
+    with pytest.raises(CapacityError) as want:
+        construct_outcome_by_fractions(PY, cap=10)
+    assert str(err.value) == str(want.value)
+    assert str(err.value).startswith("witness table would hold up to ")
