@@ -61,6 +61,16 @@ def _as_ints(values, field: str) -> tuple[int, ...]:
     return tuple(_as_int(v, field) for v in values)
 
 
+def _outcome_support(values) -> tuple[int, ...]:
+    """An outcome support as a tuple of ints: nonempty, no duplicates."""
+    ys = _as_ints(values, "outcome support value")
+    if not ys:
+        raise ValueError("outcome support must be nonempty")
+    if len(set(ys)) != len(ys):
+        raise ValueError("outcome support has duplicate values")
+    return ys
+
+
 @dataclass(frozen=True)
 class DesignConfig:
     """The pair (J, J0) and the implied instrument support.

@@ -4,8 +4,10 @@ Two families: selector inequalities (one conditional choice probability
 per choice, summed, bounded by 1) for designs without a base state, and
 the reduced pairwise family (no instrument value beats the base state)
 when a base state exists. The outcome extension adds per-cell pointwise
-dominance plus a partition inequality. Slacks are rationals; no
-tolerance parameter exists in this module.
+dominance plus a partition inequality. The selector and partition
+families are one product over choices, listed and capped by
+``product_family``. Slacks are rationals; no tolerance parameter exists
+in this module.
 """
 
 from __future__ import annotations
@@ -13,11 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 from math import lcm
 from typing import Callable, Mapping
 
-from .core import ONE, ZERO, DesignConfig, ObservedDistribution, _as_int, _as_ints, _validate_pz, as_fraction
+from .core import ONE, ZERO, DesignConfig, ObservedDistribution, _as_int, _outcome_support, _validate_pz, as_fraction
 from .errors import CapacityError
 
 DEFAULT_FAMILY_CAP = 1_000_000
@@ -78,15 +80,23 @@ class CheckReport:
         )
 
 
-def selector_family_size(config: DesignConfig, cap: int = DEFAULT_FAMILY_CAP) -> int:
-    """Number of selector tuples, prod_j |targeted_set(j)|; raises
-    CapacityError when it exceeds ``cap``."""
-    count = 1
-    for j in range(config.J):
-        count *= len(config.targeted_set(j))
-    if count > cap:
-        raise CapacityError(f"family would hold {count} inequalities, cap is {cap}")
-    return count
+def product_family(
+    config: DesignConfig, ny: int = 1, cap: int = DEFAULT_FAMILY_CAP
+) -> list[list[tuple[int, ...]]]:
+    """The selector (``ny = 1``) or partition (``ny = |Y|``) family as
+    one option list per choice j: the tuples of ``ny`` instrument values
+    from ``targeted_set(j)`` in ``itertools.product`` order.
+    A member takes one option per choice, last choice fastest. The size
+    is checked against ``cap`` one factor |targeted_set(j)| at a time,
+    before any option is listed, so no large integer is built."""
+    sets = [config.targeted_set(j) for j in range(config.J)]
+    size = 1
+    for zs in sets:
+        for _ in range(ny):
+            size *= len(zs)
+            if size > cap:
+                raise CapacityError(f"family would hold more than {cap} inequalities")
+    return [list(product(zs, repeat=ny)) for zs in sets]
 
 
 def generate(
@@ -101,10 +111,10 @@ def generate(
     family instead (the two are equivalent, which tests verify).
     """
     if config.J0 == 0 or full:
-        selector_family_size(config, cap)
         specs = []
-        for selector in product(*(config.targeted_set(j) for j in range(config.J))):
-            lhs = tuple((selector[j], j) for j in range(config.J))
+        for member in product(*product_family(config, cap=cap)):
+            selector = tuple(z for (z,) in member)
+            lhs = tuple((z, j) for j, z in enumerate(selector))
             specs.append(
                 InequalitySpec(lhs=lhs, bound=ONE, selector=selector, tag="selector")
             )
@@ -232,11 +242,7 @@ class OutcomeDistribution:
     pz: Mapping[int, Fraction] | None = None
 
     def __post_init__(self):
-        ys = _as_ints(self.y_support, "outcome support value")
-        if not ys:
-            raise ValueError("outcome support must be nonempty")
-        if len(set(ys)) != len(ys):
-            raise ValueError("outcome support has duplicate values")
+        ys = _outcome_support(self.y_support)
         object.__setattr__(self, "y_support", ys)
         yset = set(ys)
         clean: dict[int, dict[int, dict[int, Fraction]]] = {}
@@ -339,34 +345,17 @@ def check_outcome(PY: OutcomeDistribution) -> CheckReport:
     return CheckReport.from_slacks(slacks)
 
 
-def partition_family_size(
-    config: DesignConfig, y_support, cap: int = DEFAULT_FAMILY_CAP
-) -> int:
-    """Number of partition inequalities, prod_j |targeted_set(j)|^|Y|;
-    raises CapacityError as soon as the running product exceeds ``cap``."""
-    total = 1
-    for j in range(config.J):
-        total *= len(config.targeted_set(j)) ** len(y_support)
-        if total > cap:
-            raise CapacityError(f"would emit {total}+ inequalities, cap is {cap}")
-    return total
-
-
 def partition_family_specs(
     config: DesignConfig, y_support, cap: int = DEFAULT_FAMILY_CAP
 ) -> tuple[InequalitySpec, ...]:
     """Every partition inequality as an explicit spec; the finite moment
     family used by the statistical test when there is no base state."""
     ys = tuple(y_support)
-    partition_family_size(config, ys, cap)
-    per_choice = []
-    for j in range(config.J):
-        zs = config.targeted_set(j)
-        per_choice.append(
-            [tuple((z, j, y) for z, y in zip(a, ys)) for a in product(zs, repeat=len(ys))]
-        )
-    specs = []
-    for combo in product(*per_choice):
-        lhs = tuple(coord for part in combo for coord in part)
-        specs.append(InequalitySpec(lhs=lhs, bound=ONE, tag="partition"))
-    return tuple(specs)
+    per_choice = [
+        [tuple((z, j, y) for z, y in zip(option, ys)) for option in options]
+        for j, options in enumerate(product_family(config, len(ys), cap))
+    ]
+    return tuple(
+        InequalitySpec(lhs=tuple(chain.from_iterable(combo)), bound=ONE, tag="partition")
+        for combo in product(*per_choice)
+    )

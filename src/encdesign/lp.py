@@ -105,6 +105,7 @@ class _TypeColumns:
         t = -priced[-1]  # a column is negative when its cells sum below t
         # w[k][j*ny + u], with the implied cell last
         w = [priced[lo:hi] + [0] for lo, hi in self.spans]
+        # kept: the general branch pivots the same, ~20% slower on treatment tables (3,0)-(8,0)
         if ny == 1:
             d = self._first_type(w, [wk[z] for wk, z in zip(w, zs)], t)
         else:
@@ -175,7 +176,7 @@ class _TypeColumns:
         """The first outcome vector, in product order, that makes type d's
         column negative; unused choices take outcome index 0."""
         J, ny = self.J, self.ny
-        if ny == 1:
+        if ny == 1:  # kept: the walk below returns the same zeros, more slowly
             return (0,) * J
         cost = [None] * J
         for wk, j in zip(w, d):

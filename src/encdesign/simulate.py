@@ -415,7 +415,8 @@ def verify_mixture(
         expected = region.rtype.d
         got = 0
         while got < want:  # tied rows are dropped and drawn again
-            eps = _sample_region(rng, region, mix.M, want - got, min_acceptance)
+            # a chunk at a time: memory stays O(CHUNK_SIZE x J) at any n
+            eps = _sample_region(rng, region, mix.M, min(want - got, CHUNK_SIZE), min_acceptance)
             codes, ties = kernels.potential_type_codes(eps, betas, z_support)
             wrong = codes[:, 0] != expected[0]
             for t in range(1, len(expected)):
@@ -426,7 +427,7 @@ def verify_mixture(
                 raise RuntimeError(
                     f"region for {region.rtype.d} produced {produced}; region bug"
                 )
-            got += len(ties) - np.count_nonzero(ties)
+            got += len(ties) - int(np.count_nonzero(ties))
         freq[region.rtype] = freq.get(region.rtype, 0) + want
     types = set(freq) | set(q.mass)
     return max(

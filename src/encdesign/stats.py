@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Mapping
 
 import numpy as np
@@ -30,14 +29,13 @@ from .core import DesignConfig
 # ``generate`` and ``partition_family_specs`` stay names of this module:
 # the benchmark's per-layer tracing (perfbench/tracing.py) wraps them
 # here. ``test_model`` calls ``generate`` for base-state designs only and
-# builds the partition family from indices, not through
-# ``partition_family_specs``.
+# builds the selector and partition families from ``product_family``'s
+# options, not through ``partition_family_specs``.
 from .inequalities import (  # noqa: F401
     generate,
     generate_outcome,
-    partition_family_size,
     partition_family_specs,
-    selector_family_size,
+    product_family,
 )
 from .simulate import MicroData, _chunk_rng
 
@@ -198,28 +196,22 @@ def test_model(
     coords = [(z, j, *t) for z in config.z_support for j in range(config.J) for t in tails]
     index = {c: i for i, c in enumerate(coords)}
     n_cells = len(coords)
+
+    # Without a base state the selector or partition family follows the
+    # static rows: per choice, the cells each member may put weight on.
+    # The capacity check comes before any frequency or row is computed.
+    n_product, options = 0, []
+    if config.J0 == 0:
+        options = [
+            np.array([[index[(z, j, *t)] for z, t in zip(option, tails)] for option in opts])
+            for j, opts in enumerate(product_family(config, len(tails)))
+        ]
+        n_product = math.prod(map(len, options))
     p_vec = np.array([est.p_hat(*c) for c in coords])
     arm_of = np.array([config.z_index(c[0]) for c in coords])
     n_arms = len(config.z_support)
     arm_n = np.array([est.arm_counts[z] for z in config.z_support], dtype=float)
     raw_counts = p_vec * arm_n[arm_of]
-
-    # Without a base state the selector or partition family follows the
-    # static rows: per choice, the cells each member may put weight on.
-    # The capacity check comes before any row is built.
-    n_product, options = 0, []
-    if config.J0 == 0:
-        if ys is None:
-            n_product = selector_family_size(config)
-        else:
-            n_product = partition_family_size(config, ys)
-        options = [
-            np.array([
-                [index[(z, j, *t)] for z, t in zip(a, tails)]
-                for a in product(config.targeted_set(j), repeat=len(tails))
-            ])
-            for j in range(config.J)
-        ]
     if ys is None:
         static = generate(config) if config.J0 else ()
     else:

@@ -33,6 +33,7 @@ from .core import (
     ResponseMeasure,
     ResponseType,
     _as_ints,
+    _outcome_support,
     as_fraction,
 )
 from .errors import CapacityError, ConstructionError
@@ -189,6 +190,7 @@ class OutcomeResponseMeasure:
 
     def __post_init__(self):
         config = self.config
+        object.__setattr__(self, "y_support", _outcome_support(self.y_support))
         ys = frozenset(self.y_support)
         checked: set[ResponseType] = set()
         clean: dict[tuple[ResponseType, tuple[int, ...]], Fraction] = {}

@@ -410,6 +410,20 @@ def test_test_command_with_outcomes(tmp_path, capsys):
     assert len(doc["slacks"]) == 5  # four pointwise plus one partition moment
 
 
+def test_test_on_a_wide_outcome_alphabet_is_capacity_error(tmp_path, capsys):
+    # 20,000 distinct outcomes: the partition family would hold 3^80,000
+    # members, a number too long to format as text
+    n = 20_000
+    rng = np.random.default_rng(5)
+    path = tmp_path / "wide.csv"
+    write_csv(MicroData(rng.integers(0, 4, n), np.arange(n) % 4, np.arange(n)), str(path))
+    code = run(["test", "--data", str(path), "--J", "4", "--J0", "0", "--y", "--B", "99"])
+    captured = capsys.readouterr()
+    assert code == EXIT_CAPACITY
+    assert captured.err == "capacity error: family would hold more than 1000000 inequalities\n"
+    assert captured.out == ""
+
+
 def test_test_stdout_does_not_depend_on_blas_threads(tmp_path):
     # 531,477 moments at (4,0) with |Y| = 3: one BLAS gemv over all of
     # them split its rows differently with one and with two threads

@@ -1,8 +1,10 @@
 """Inequality families: generation counts, exact checks, outcome
 extension, and the brute-force partition oracle."""
 
+import math
 import re
 from fractions import Fraction as F
+from itertools import product
 from random import Random
 
 import numpy as np
@@ -17,6 +19,7 @@ from encdesign.inequalities import (
     generate,
     generate_outcome,
     partition_family_specs,
+    product_family,
 )
 from helpers import (
     brute_force_partition_check,
@@ -72,6 +75,45 @@ def test_selector_family_respects_targeted_sets():
 def test_family_capacity_cap():
     with pytest.raises(CapacityError):
         generate(DesignConfig(9, 0), cap=10_000)
+
+
+@pytest.mark.parametrize(
+    "J, J0, ny", [(2, 0, 1), (3, 0, 1), (4, 0, 1), (4, 2, 1), (3, 0, 2), (4, 0, 2), (3, 1, 3)]
+)
+def test_product_family_lists_the_selector_and_partition_members(J, J0, ny):
+    config = DesignConfig(J, J0)
+    family = product_family(config, ny)
+    assert family == [list(product(config.targeted_set(j), repeat=ny)) for j in range(J)]
+    size = 1
+    for j in range(J):
+        size *= len(config.targeted_set(j)) ** ny
+    assert math.prod(map(len, family)) == size
+    if ny == 1:
+        want = list(product(*(config.targeted_set(j) for j in range(J))))
+        assert [s.selector for s in generate(config, full=True)] == want
+
+
+def test_product_family_cap_is_on_the_member_count():
+    config = DesignConfig(4, 0)  # 3^4 = 81 selectors
+    assert len(product_family(config, cap=81)) == 4
+    with pytest.raises(CapacityError, match="^family would hold more than 80 inequalities$"):
+        product_family(config, cap=80)
+    with pytest.raises(CapacityError, match="^family would hold more than 80 inequalities$"):
+        generate(config, cap=80)
+    with pytest.raises(CapacityError, match="^family would hold more than 80 inequalities$"):
+        partition_family_specs(DesignConfig(3, 0), (0, 1, 2, 3), cap=80)  # 2^12 members
+
+
+def test_product_family_refuses_a_wide_alphabet_before_listing(monkeypatch):
+    from encdesign import inequalities
+
+    def no_options(*args, **kwargs):
+        raise AssertionError("an option was listed")
+
+    monkeypatch.setattr(inequalities, "product", no_options)
+    with pytest.raises(CapacityError) as err:
+        product_family(DesignConfig(4, 0), ny=100_000)
+    assert str(err.value) == "family would hold more than 1000000 inequalities"
 
 
 def test_check_cap_refuses_before_building_specs(monkeypatch):

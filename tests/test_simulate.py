@@ -326,7 +326,32 @@ def test_verify_mixture_passes_python_ints_to_the_sampler(monkeypatch):
     q = random_measure(DesignConfig(4, 0), Random(5))
     with pytest.raises(_Stop):
         verify_mixture(build_epsilon_mixture(q), q, 10**12, seed=1)
-    assert type(wants[0]) is int and wants[0] > 2**32
+    assert type(wants[0]) is int and wants[0] == CHUNK_SIZE
+
+
+def test_verify_mixture_asks_for_at_most_a_chunk(monkeypatch):
+    wants = []
+
+    def recording(rng, region, M, want, min_acceptance):
+        wants.append(want)
+        return _sample_region(rng, region, M, want, min_acceptance)
+
+    monkeypatch.setattr(simulate_module, "_sample_region", recording)
+    q = ResponseMeasure(
+        DesignConfig(2, 0),
+        {ResponseType((0, 1)): F(3, 4), ResponseType((0, 0)): F(1, 8), ResponseType((1, 1)): F(1, 8)},
+    )
+    mix = build_epsilon_mixture(q)
+    n = 3 * CHUNK_SIZE + 1
+    got = verify_mixture(mix, q, n, seed=4)
+    assert wants.count(CHUNK_SIZE) >= 2 and max(wants) == CHUNK_SIZE
+    assert all(type(w) is int for w in wants)
+    # the error depends only on the component counts, drawn first
+    weights = np.array([float(c.weight) for c in mix.components])
+    counts = _chunk_rng(4, 0).multinomial(n, weights / weights.sum())
+    assert got == max(
+        abs(int(c) / n - float(q.mass[comp.rtype])) for c, comp in zip(counts, mix.components)
+    )
 
 
 def test_codes_for_redraws_exactly_the_tied_rows():

@@ -478,6 +478,32 @@ def test_outcome_measure_stores_numpy_outcomes_as_int():
     assert all(type(y) is int for y in next(iter(q.mass))[1])
 
 
+@pytest.mark.parametrize(
+    "ys, error, message",
+    [
+        ((0.0, 1.0), TypeError, "outcome support value must be an integer, got float"),
+        ((0, 1, 1), ValueError, "outcome support has duplicate values"),
+        ((), ValueError, "outcome support must be nonempty"),
+    ],
+    ids=["float", "duplicate", "empty"],
+)
+def test_outcome_measure_validates_its_support(ys, error, message):
+    # the same rule as OutcomeDistribution's
+    mass = {((0, 1), (0, 1)): F(1)}
+    with pytest.raises(error, match=f"^{message}$"):
+        OutcomeResponseMeasure(DesignConfig(2, 0), ys, mass)
+    cells = {z: {j: {} for j in range(2)} for z in range(2)}
+    with pytest.raises(error, match=f"^{message}$"):
+        OutcomeDistribution(DesignConfig(2, 0), ys, cells)
+
+
+def test_outcome_measure_stores_numpy_support_as_int():
+    ys = [np.int64(0), np.int16(1)]
+    q = OutcomeResponseMeasure(DesignConfig(2, 0), ys, {((0, 1), (0, 1)): F(1)})
+    assert q.y_support == (0, 1)
+    assert type(q.y_support) is tuple and all(type(y) is int for y in q.y_support)
+
+
 @pytest.mark.parametrize("J, J0, ys", [(2, 0, (0, 1)), (3, 1, (0, 1, 2))])
 def test_construct_outcome_capacity_error_matches_fraction_construction(J, J0, ys):
     # (2, 0) holds 3 types x 2**2 vectors = 12 entries at most, past cap 10
