@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import itertools
 import json
 import re
 import sys
@@ -353,13 +355,39 @@ def outcome_measure_doc(q: OutcomeResponseMeasure) -> dict:
 
 
 def write_csv(data: MicroData, path: str) -> None:
-    """Write the rows as a y,d,z (or d,z) CSV with LF line ends, the
-    body formatted in one pass over the columns as Python ints."""
+    """Write the rows as a y,d,z (or d,z) CSV with LF line ends.
+
+    Each distinct value of each column is formatted once. When the
+    product of the column alphabets has at most one entry per row (J x
+    |Z| lines for ``simulate`` output), every possible line is formatted
+    once, in mixed radix with the last column fastest, and the body is
+    gathered from that table by each row's index. Wider alphabets, where
+    such a table could outgrow the file, take one ``str.format`` per row,
+    so memory stays linear in the number of rows."""
+    import numpy as np
+
     columns = (data.y, data.d, data.z) if data.y is not None else (data.d, data.z)
-    line = ",".join(["{}"] * len(columns)) + "\n"
+    n = len(columns[0])
+    uniques, size = [], 1
+    for c in columns:
+        values, where = np.unique(c, return_inverse=True)
+        size *= len(values)
+        if size > n:
+            break
+        uniques.append((values, where))
+    if size <= n:
+        texts = [list(map(str, values.tolist())) for values, _ in uniques]
+        table = np.array([",".join(parts) + "\n" for parts in itertools.product(*texts)], dtype=object)
+        code = uniques[0][1]
+        for values, where in uniques[1:]:
+            code = code * len(values) + where
+        body = "".join(table[code].tolist())
+    else:
+        line = ",".join(["{}"] * len(columns)) + "\n"
+        body = "".join(map(line.format, *(c.tolist() for c in columns)))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("y,d,z\n" if data.y is not None else "d,z\n")
-        fh.write("".join(map(line.format, *(c.tolist() for c in columns))))
+        fh.write(body)
 
 
 def read_csv(path: str, want_y: bool) -> MicroData:
@@ -477,7 +505,11 @@ def trace_doc(trace: witness.ConstructionTrace) -> dict:
 # ------------------------------------------------------------ commands
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on first use and shared by every later
+    ``run`` in the process; parsing leaves it unchanged. Its defaults,
+    such as ``enumerate --cap``, are read when it is built."""
     parser = _Parser(prog="encdesign", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

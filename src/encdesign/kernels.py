@@ -15,6 +15,13 @@ over the columns, while ``argmax(axis=1)`` and ``all(axis=1)`` take
 about 0.5 ms each (numpy 2.4.6, 2-core x86-64 Xeon). Maxima and
 equality tests are exact, so a fold returns the same bits as the
 reduction it replaces.
+
+Both kernels work on one contiguous (J, n) copy of the shocks, so each
+column they read is a unit-stride row. ``region_accept`` tests every
+constraint on two such columns: on a (14000, 4) array with 12
+constraints that takes 0.14-0.19 ms against 0.28-0.41 ms for the same
+tests on strided ``eps[:, j]`` views (same hardware), with the same
+mask, since the sums and comparisons are the same.
 """
 
 import numpy as np
@@ -75,12 +82,15 @@ def potential_type_codes(eps, betas, z_targets):
 
 def region_accept(eps, lhs, rhs, offsets):
     """Acceptance mask for a system of strict pairwise shock constraints
-    eps[:, lhs[k]] + offsets[k] > eps[:, rhs[k]]."""
-    eps = np.ascontiguousarray(eps, dtype=np.float64)
-    lhs = np.ascontiguousarray(lhs, dtype=np.int64)
-    rhs = np.ascontiguousarray(rhs, dtype=np.int64)
-    offsets = np.ascontiguousarray(offsets, dtype=np.float64)
-    mask = np.ones(eps.shape[0], dtype=bool)
+    eps[:, lhs[k]] + offsets[k] > eps[:, rhs[k]].
+
+    The shocks are copied once as contiguous (J, n) columns and each
+    constraint is tested on two of them, indexed by Python ints."""
+    cols = np.array(np.asarray(eps, dtype=np.float64).T, order="C")  # (J, n)
+    lhs = np.asarray(lhs, dtype=np.int64).tolist()
+    rhs = np.asarray(rhs, dtype=np.int64).tolist()
+    offsets = np.asarray(offsets, dtype=np.float64).tolist()
+    mask = np.ones(cols.shape[1], dtype=bool)
     for a, b, c in zip(lhs, rhs, offsets):
-        mask &= eps[:, a] + c > eps[:, b]
+        mask &= cols[a] + c > cols[b]
     return mask

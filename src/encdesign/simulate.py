@@ -369,7 +369,13 @@ def _sample_region(
         # index, about five times faster on a (batch, J) array
         keep = np.flatnonzero(keep)
         delta, low, high = delta.take(keep, 0), low.take(keep), high.take(keep)
-        shift = rng.uniform(-M - low, M - high)
+        # rng.uniform(start, M - high) computes start + (M - high - start)
+        # * next_double per row; spelled out over rng.random it draws the
+        # same doubles and gives the same bits without uniform's slow path
+        # for array bounds. The keep test leaves span < 2M, so the range
+        # 2M - span is positive.
+        start = -M - low
+        shift = start + ((M - high) - start) * rng.random(len(start))
         eps = delta + shift[:, None]
         # fl(x + shift) is monotone in x, so the extreme shocks of a row
         # are its extreme differences plus the shift: the box test

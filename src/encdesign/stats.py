@@ -53,10 +53,6 @@ class EstimatedTables:
     y_support: tuple[int, ...] | None
     degenerate_arms: tuple[int, ...]
 
-    def p_hat(self, z, j, y=None) -> float:
-        cell = self.cells[z][j] if y is None else self.cells[z][j, self.y_support.index(y)]
-        return float(cell) / self.arm_counts[z]
-
 
 def estimate(data: MicroData, config: DesignConfig) -> EstimatedTables:
     """Cell counts within each instrument arm. Every supported instrument
@@ -207,7 +203,9 @@ def test_model(
             for j, opts in enumerate(product_family(config, len(tails)))
         ]
         n_product = math.prod(map(len, options))
-    p_vec = np.array([est.p_hat(*c) for c in coords])
+    # per arm, the (J,) or (J, |Y|) frequencies; raveled in coords order
+    p_arm = [est.cells[z] / est.arm_counts[z] for z in config.z_support]
+    p_vec = np.concatenate([p.ravel() for p in p_arm])
     arm_of = np.array([config.z_index(c[0]) for c in coords])
     n_arms = len(config.z_support)
     arm_n = np.array([est.arm_counts[z] for z in config.z_support], dtype=float)
@@ -275,14 +273,12 @@ def test_model(
     p_value = float((1 + (t_star >= statistic).sum()) / (B + 1))
 
     p_hat_out: dict = {}
-    for z in config.z_support:
+    y_keys = None if ys is None else [str(y) for y in ys]
+    for z, p in zip(config.z_support, p_arm):
         if ys is None:
-            p_hat_out[str(z)] = [est.p_hat(z, j) for j in range(config.J)]
+            p_hat_out[str(z)] = p.tolist()
         else:
-            p_hat_out[str(z)] = {
-                str(j): {str(y): est.p_hat(z, j, y) for y in ys}
-                for j in range(config.J)
-            }
+            p_hat_out[str(z)] = {str(j): dict(zip(y_keys, row)) for j, row in enumerate(p.tolist())}
     return TestReport(
         arm_counts=dict(est.arm_counts),
         p_hat=p_hat_out,

@@ -593,6 +593,19 @@ def region_points_by_box_rejection(
     return np.concatenate(points)
 
 
+def region_accept_by_rows(eps, lhs, rhs, offsets):
+    """Oracle for ``kernels.region_accept``: each constraint tested on the
+    strided ``eps[:, j]`` columns of the row-major (n, J) array."""
+    eps = np.ascontiguousarray(eps, dtype=np.float64)
+    lhs = np.ascontiguousarray(lhs, dtype=np.int64)
+    rhs = np.ascontiguousarray(rhs, dtype=np.int64)
+    offsets = np.ascontiguousarray(offsets, dtype=np.float64)
+    mask = np.ones(eps.shape[0], dtype=bool)
+    for a, b, c in zip(lhs, rhs, offsets):
+        mask &= eps[:, a] + c > eps[:, b]
+    return mask
+
+
 def sample_region_by_reductions(
     rng: np.random.Generator,
     region: Region,
@@ -601,8 +614,10 @@ def sample_region_by_reductions(
     min_acceptance: float,
 ) -> np.ndarray:
     """Oracle for ``simulate._sample_region``: the same generator calls,
-    with the extreme differences and the box test taken as reductions
-    along ``axis=1`` and the rows kept by boolean indexing. It takes
+    the shift drawn by ``rng.uniform``, the extreme differences and the
+    box test taken as reductions along ``axis=1``, the rows kept by
+    boolean indexing and the constraints tested by
+    ``region_accept_by_rows``. It takes
     ``want`` as it comes, so a numpy integer makes its batch arithmetic
     wrap."""
     lhs = np.asarray(region.lhs, dtype=np.int64)
@@ -626,7 +641,7 @@ def sample_region_by_reductions(
         keep = rng.random(batch) * width < width - (high - low)
         delta, low, high = delta[keep], low[keep], high[keep]
         eps = delta + rng.uniform(-M - low, M - high)[:, None]
-        mask = kernels.region_accept(eps, lhs, rhs, offs)
+        mask = region_accept_by_rows(eps, lhs, rhs, offs)
         mask &= (np.abs(eps) <= M).all(axis=1)
         accepted = eps[mask][:need]
         chunks.append(accepted)
@@ -735,6 +750,14 @@ def _moment_family(config, y_support):
     return tuple(specs)
 
 
+def p_hat(est: EstimatedTables, z, j, y=None) -> float:
+    """One estimated cell frequency, its outcome column found by a scan
+    of ``y_support``: the accessor ``test_model`` called once per cell
+    before it divided each arm's counts in one pass."""
+    cell = est.cells[z][j] if y is None else est.cells[z][j, est.y_support.index(y)]
+    return float(cell) / est.arm_counts[z]
+
+
 def test_model_by_family(
     data: MicroData,
     config: DesignConfig,
@@ -763,7 +786,7 @@ def test_model_by_family(
             coords.extend((z, j, y) for j in range(config.J) for y in est.y_support)
     index = {c: i for i, c in enumerate(coords)}
     n_cells = len(coords)
-    p_vec = np.array([est.p_hat(*c) for c in coords])
+    p_vec = np.array([p_hat(est, *c) for c in coords])
     arm_of = np.array([config.z_index(c[0]) for c in coords])
     n_arms = len(config.z_support)
     arm_n = np.array([est.arm_counts[z] for z in config.z_support], dtype=float)
@@ -808,10 +831,10 @@ def test_model_by_family(
     p_hat_out: dict = {}
     for z in config.z_support:
         if est.y_support is None:
-            p_hat_out[str(z)] = [est.p_hat(z, j) for j in range(config.J)]
+            p_hat_out[str(z)] = [p_hat(est, z, j) for j in range(config.J)]
         else:
             p_hat_out[str(z)] = {
-                str(j): {str(y): est.p_hat(z, j, y) for y in est.y_support}
+                str(j): {str(y): p_hat(est, z, j, y) for y in est.y_support}
                 for j in range(config.J)
             }
     return TestReport(

@@ -11,12 +11,14 @@ from random import Random
 
 import pytest
 
+from encdesign import admissible
 from encdesign.cli import (
     EXIT_CAPACITY,
     EXIT_INPUT,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERDICT,
+    _build_parser,
     distribution_doc,
     load_distribution,
     load_measure,
@@ -609,6 +611,35 @@ def test_stdout_is_byte_identical_across_invocations(tmp_path, capsys):
          "--n", "500", "--seed", "3"])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
+
+
+def test_runs_in_one_process_share_no_state(tmp_path, capsys):
+    # run reuses one parser; each call must still see only its own
+    # arguments and the declared defaults
+    src = write_json(tmp_path / "p.json", UNIFORM3)
+    code, doc = run_json(capsys, ["construct", "--input", src, "--trace"])
+    assert code == EXIT_OK and "trace" in doc
+    code, doc = run_json(capsys, ["construct", "--input", src])
+    assert code == EXIT_OK and sorted(doc) == ["witness"]
+
+    assert run(["check"]) == EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
+    code, doc = run_json(capsys, ["check", "--input", src])
+    assert code == EXIT_OK and doc["passed"]
+
+    assert run(["enumerate", "--J", "9", "--cap", "100"]) == EXIT_CAPACITY
+    capsys.readouterr()
+    parse = _build_parser().parse_args
+    assert parse(["enumerate", "--J", "3"]).cap == admissible.DEFAULT_ENUMERATION_CAP
+    assert parse(["simulate", "--J", "2", "--betas", "1,1", "--pz", "1/2,1/2", "--n", "5",
+                  "--seed", "1", "--eps", "normal"]).eps == "normal"
+    args = parse(["simulate", "--J", "2", "--betas", "1,1", "--pz", "1/2,1/2", "--n", "5",
+                  "--seed", "1"])
+    assert (args.eps, args.J0, args.out) == ("gumbel", 0, None)
 
 
 def test_serialization_roundtrips_exactly(tmp_path):

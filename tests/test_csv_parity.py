@@ -1,8 +1,14 @@
 """``cli.read_csv`` parses the body in bulk and falls back to the row-by-row
 reader on anything else; on every input both must give the same arrays or
-the same error as the row-by-row oracle. ``cli.write_csv`` formats the body
-in one pass and must write the bytes of the row-by-row writer."""
+the same error as the row-by-row oracle. ``cli.write_csv`` formats each
+distinct value once and gathers the body from a table of line texts when
+the product of the column alphabets has at most one entry per row, and
+formats one line per row otherwise; on both sides of that guard it must
+write the bytes of the row-by-row writer, and its memory stays linear in
+the number of rows."""
 
+import tracemalloc
+from fractions import Fraction
 from random import Random
 
 import numpy as np
@@ -10,7 +16,7 @@ import pytest
 
 from encdesign import cli
 from encdesign.core import DesignConfig
-from encdesign.simulate import MicroData
+from encdesign.simulate import MicroData, RumSpec, simulate
 from helpers import read_csv_rows, write_csv_rows
 from perfbench.inputs import outcome_rows
 
@@ -115,7 +121,7 @@ def _micro_files(tmp_path, data):
 
 
 @pytest.mark.parametrize("with_y", [False, True])
-@pytest.mark.parametrize("n", [1, 2, 997])
+@pytest.mark.parametrize("n", [0, 1, 2, 997])
 def test_write_csv_matches_row_writer(tmp_path, n, with_y):
     rng = np.random.default_rng(n)
     d = rng.integers(-3, 9, n)
@@ -135,6 +141,65 @@ def test_write_csv_round_trips_int64_limits(tmp_path):
     assert got == want
     back = cli.read_csv(str(tmp_path / "bulk.csv"), True)
     assert back.d.tolist() == limits.tolist() and back.y.tolist() == limits.tolist()
+
+
+def _alphabet_product(data):
+    columns = (data.d, data.z) if data.y is None else (data.y, data.d, data.z)
+    return int(np.prod([len(np.unique(c)) for c in columns]))
+
+
+def test_write_csv_matches_row_writer_on_simulate_output(tmp_path):
+    # the line table holds the J x |Z| = 36 possible lines
+    config = DesignConfig(6, 0)
+    pz = {z: Fraction(1, 6) for z in config.z_support}
+    data = simulate(RumSpec(config, (0.5,) * 6, pz, 100_000, 17)).data
+    assert _alphabet_product(data) == 36
+    got, want = _micro_files(tmp_path, data)
+    assert got == want
+    assert got.count(b"\n") == 100_001
+
+
+def test_write_csv_matches_row_writer_on_distinct_values(tmp_path):
+    # every value distinct: the alphabets multiply to n^3 lines, so each
+    # row is formatted on its own
+    n = 5000
+    rng = np.random.default_rng(23)
+    data = MicroData(rng.permutation(n) - 2500, rng.permutation(n) * 3, rng.permutation(n))
+    assert _alphabet_product(data) == n**3
+    got, want = _micro_files(tmp_path, data)
+    assert got == want
+
+
+@pytest.mark.parametrize("sizes", [(2, 1, 1), (1, 1, 30), (30, 1, 1), (2, 3, 5), (2, 4, 4)])
+def test_write_csv_matches_row_writer_at_the_table_guard(tmp_path, sizes):
+    # n = 30 rows: alphabets multiplying to at most 30 take the line
+    # table, (2, 3, 5) exactly at the guard, in which the last column
+    # varies fastest; (2, 4, 4) multiplies to 32 and is formatted per row
+    n = 30
+    rng = np.random.default_rng(sum(sizes))
+    y, d, z = (rng.permutation(np.arange(n) % k) - k // 2 for k in sizes)
+    data = MicroData(d, z, y)
+    assert _alphabet_product(data) == int(np.prod(sizes))
+    got, want = _micro_files(tmp_path, data)
+    assert got == want
+
+
+def test_write_csv_memory_is_linear_in_rows(tmp_path):
+    # three columns of 20,000 distinct values: a table of every possible
+    # line would hold 8e12 entries, and even one of 2n lines would add
+    # about 3 MB; the per-row path peaks near 230 bytes per row
+    n = 20_000
+    rng = np.random.default_rng(29)
+    data = MicroData(rng.permutation(n), rng.permutation(n) - n, rng.permutation(n) * 7)
+    path = str(tmp_path / "wide.csv")
+    tracemalloc.start()
+    try:
+        cli.write_csv(data, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 320 * n, peak
+    assert cli.read_csv(path, True).y.tolist() == data.y.tolist()
 
 
 def test_quoted_outcome_file_is_read_row_by_row(tmp_path, capsys, monkeypatch):

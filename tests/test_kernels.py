@@ -1,5 +1,6 @@
-"""Semantics of the sampling kernels, and the argmax kernel against the
-per-row loop and the ``axis=1`` reductions kept as oracles in
+"""Semantics of the sampling kernels; the argmax kernel against the
+per-row loop and the ``axis=1`` reductions, and the column-major
+constraint test against the row-major one, all kept as oracles in
 tests/helpers.py."""
 
 import numpy as np
@@ -8,7 +9,11 @@ import pytest
 from encdesign import kernels
 from encdesign.core import DesignConfig
 
-from helpers import potential_type_codes_by_argmax, potential_type_codes_by_rows
+from helpers import (
+    potential_type_codes_by_argmax,
+    potential_type_codes_by_rows,
+    region_accept_by_rows,
+)
 
 
 def test_backend_reported():
@@ -113,3 +118,26 @@ def test_potential_codes_match_axis_reductions_bit_for_bit(J, J0, n):
         assert d.tolist() == rows_d and ties.tolist() == rows_ties
     if n >= 400:
         assert ties.any() and not ties.all()
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 400, 14_000])
+@pytest.mark.parametrize("J", [2, 4, 8])
+def test_region_accept_matches_row_major_oracle(J, n):
+    rng = np.random.default_rng([J, n, 5])
+    eps = _shocks_with_ties(rng, n, J)
+    # a region's shape: one pivot column against every other; integer
+    # offsets make exact equalities (rejected) frequent, and a -0.0
+    # offset exercises the signed zero
+    p = int(rng.integers(0, J))
+    rhs = np.array([j for j in range(J) if j != p])
+    lhs = np.full(J - 1, p)
+    offsets = rng.integers(0, 3, J - 1).astype(np.float64)
+    offsets[0] = -0.0
+    mask = kernels.region_accept(eps, lhs, rhs, offsets)
+    want = region_accept_by_rows(eps, lhs, rhs, offsets)
+    assert mask.dtype == bool and mask.shape == (n,)
+    assert np.array_equal(mask, want)
+    if n:
+        assert any(want) and not all(want) or n < 400
+        lists = (eps.tolist(), lhs.tolist(), rhs.tolist(), offsets.tolist())
+        assert np.array_equal(kernels.region_accept(*lists), want)

@@ -18,7 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from encdesign import kernels, lp, simulate, stats
+from encdesign import lp, simulate, stats
 from encdesign.admissible import enumerate_admissible, is_admissible
 from encdesign.core import DesignConfig, ResponseMeasure, ResponseType, pushforward
 from encdesign.errors import CapacityError, ConstructionError
@@ -57,6 +57,7 @@ from helpers import (
     random_outcome_measure,
     random_outcome_table,
     random_table,
+    region_accept_by_rows,
     region_points_by_box_rejection,
     sample_region_by_reductions,
     solution_vector,
@@ -348,7 +349,7 @@ def _reduction_oracles(monkeypatch):
         "kernels",
         SimpleNamespace(
             potential_type_codes=potential_type_codes_by_argmax,
-            region_accept=kernels.region_accept,
+            region_accept=region_accept_by_rows,
         ),
     )
     monkeypatch.setattr(simulate, "_sample_region", sample_region_by_reductions)
@@ -416,6 +417,16 @@ def test_test_model_matches_explicit_family(J, J0, ny, n, B):
     config, data = _micro(J, J0, ny, n, seed=1000 * J + 100 * J0 + 10 * ny + n)
     got = stats.test_model(data, config, B=B, seed=B + n)
     assert got == model_test_by_family(data, config, B=B, seed=B + n)
+
+
+@pytest.mark.parametrize("J, J0", [(2, 0), (3, 1)])
+def test_test_model_matches_explicit_family_on_wide_alphabet(J, J0):
+    # about 200 outcome values: p_hat's per-arm division and the
+    # oracle's per-cell scan of y_support give the same floats
+    config, data = _micro(J, J0, 200, 6000, seed=200 + J)
+    assert len(np.unique(data.y)) == 200
+    got = stats.test_model(data, config, B=99, seed=5)
+    assert got == model_test_by_family(data, config, B=99, seed=5)
 
 
 def test_test_model_one_row_last_block():

@@ -11,6 +11,8 @@ from encdesign.simulate import MicroData, RumSpec, simulate
 from encdesign.stats import estimate
 from encdesign.stats import test_model as run_model_test
 
+from helpers import p_hat
+
 
 def draw_from_table(P: ObservedDistribution, n: int, rng) -> MicroData:
     """Rows i.i.d. from an exact table with equal arm probabilities."""
@@ -29,8 +31,8 @@ def test_estimate_counting_example():
     data = MicroData(np.array([0, 1, 0, 1]), np.array([0, 1, 0, 1]))
     est = estimate(data, config)
     assert est.arm_counts == {0: 2, 1: 2}
-    assert est.p_hat(0, 0) == 1.0 and est.p_hat(0, 1) == 0.0
-    assert est.p_hat(1, 0) == 0.0 and est.p_hat(1, 1) == 1.0
+    assert p_hat(est, 0, 0) == 1.0 and p_hat(est, 0, 1) == 0.0
+    assert p_hat(est, 1, 0) == 0.0 and p_hat(est, 1, 1) == 1.0
 
 
 def test_estimate_matches_simulation_table():
@@ -42,7 +44,7 @@ def test_estimate_matches_simulation_table():
     est = estimate(res.data, spec.config)
     for z in range(3):
         for j in range(3):
-            assert est.p_hat(z, j) == float(res.table.p(z, j))
+            assert p_hat(est, z, j) == float(res.table.p(z, j))
 
 
 def test_estimate_flags_single_row_arms():
@@ -69,7 +71,7 @@ def test_estimate_outcome_alphabet_inferred():
     )
     est = estimate(data, config)
     assert est.y_support == (3, 5)
-    assert est.p_hat(0, 0, 3) == 0.5
+    assert p_hat(est, 0, 0, 3) == 0.5
 
 
 def test_test_model_parameter_validation():
