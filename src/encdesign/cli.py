@@ -357,30 +357,31 @@ def outcome_measure_doc(q: OutcomeResponseMeasure) -> dict:
 def write_csv(data: MicroData, path: str) -> None:
     """Write the rows as a y,d,z (or d,z) CSV with LF line ends.
 
-    Each distinct value of each column is formatted once. When the
-    product of the column alphabets has at most one entry per row (J x
-    |Z| lines for ``simulate`` output), every possible line is formatted
-    once, in mixed radix with the last column fastest, and the body is
-    gathered from that table by each row's index. Wider alphabets, where
-    such a table could outgrow the file, take one ``str.format`` per row,
-    so memory stays linear in the number of rows."""
+    Each column's alphabet is taken as the range from its least to its
+    greatest value. When these ranges multiply to at most one entry per
+    row (J x |Z| lines for ``simulate`` output), every possible line is
+    formatted once, in mixed radix with the last column fastest, and the
+    body is gathered from that table by each row's index. Wider or
+    sparser alphabets, where such a table could outgrow the file, take
+    one ``str.format`` per row, so memory stays linear in the number of
+    rows."""
     import numpy as np
 
     columns = (data.y, data.d, data.z) if data.y is not None else (data.d, data.z)
     n = len(columns[0])
-    uniques, size = [], 1
+    ranges, size = [], 1
     for c in columns:
-        values, where = np.unique(c, return_inverse=True)
-        size *= len(values)
+        lo, hi = (int(c.min()), int(c.max())) if n else (0, -1)
+        size *= hi - lo + 1
         if size > n:
             break
-        uniques.append((values, where))
+        ranges.append((lo, hi))
     if size <= n:
-        texts = [list(map(str, values.tolist())) for values, _ in uniques]
+        texts = [list(map(str, range(lo, hi + 1))) for lo, hi in ranges]
         table = np.array([",".join(parts) + "\n" for parts in itertools.product(*texts)], dtype=object)
-        code = uniques[0][1]
-        for values, where in uniques[1:]:
-            code = code * len(values) + where
+        code = 0
+        for c, (lo, hi) in zip(columns, ranges):
+            code = code * (hi - lo + 1) + (c - lo)
         body = "".join(table[code].tolist())
     else:
         line = ",".join(["{}"] * len(columns)) + "\n"
@@ -560,6 +561,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--B", type=int, default=999)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--moments",
+        action="store_true",
+        help="also print every moment's slack, standard error and floored flag",
+    )
     return parser
 
 
@@ -695,7 +701,7 @@ def _dispatch(args) -> int:
         report = stats.test_model(
             data, config, alpha=args.alpha, B=args.B, seed=args.seed
         )
-        _emit(report.to_dict())
+        _emit(report.to_dict() if args.moments else report.summary_dict())
         return EXIT_OK if not report.reject else EXIT_VERDICT
 
     raise UsageError(f"unknown command {args.command!r}")

@@ -359,7 +359,9 @@ def _sample_region(
         batch = need * proposed // got + need if got else 2 * max(need, proposed)
         batch = min(batch, CHUNK_SIZE)
         proposed += batch
-        delta = rng.uniform(lo, hi, size=(batch, len(lo)))
+        # rng.uniform(lo, hi) computes lo + (hi - lo) * next_double, as
+        # the shift below spells it out
+        delta = lo + (hi - lo) * rng.random((batch, len(lo)))
         low = high = delta[:, 0]
         for j in range(1, len(lo)):
             low = np.minimum(low, delta[:, j])

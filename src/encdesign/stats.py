@@ -13,8 +13,9 @@ for the partition family), with up to 10^6 members. Its weight rows are
 never materialised as a whole: ``test_model`` builds them from their
 index, block by block, and keeps only the per-moment slack and standard
 error and a running bootstrap maximum. Memory is O(B x block) plus the
-report; at J = 4 with three outcome values (531,477 moments, B = 99)
-the tracemalloc peak is about 56 MB.
+report, whose per-moment fields are float64 and bool arrays; at J = 4
+with three outcome values (531,477 moments, B = 99 or 999) the
+tracemalloc peak is about 27 MB.
 """
 
 from __future__ import annotations
@@ -57,50 +58,57 @@ class EstimatedTables:
 def estimate(data: MicroData, config: DesignConfig) -> EstimatedTables:
     """Cell counts within each instrument arm. Every supported instrument
     value must appear; out-of-range rows are reported by index. The
-    outcome alphabet is the sorted set of outcomes in the data."""
+    outcome alphabet is the sorted set of outcomes in the data.
+
+    Every cell is counted by one ``bincount`` over the row's cell index
+    (arm position, treatment[, outcome index])."""
     d = np.asarray(data.d)
     z = np.asarray(data.z)
-    bad_d = np.flatnonzero((d < 0) | (d >= config.J))
+    J = config.J
+    bad_d = np.flatnonzero((d < 0) | (d >= J))
     if len(bad_d):
         i = int(bad_d[0])
-        raise ValueError(f"row {i}: treatment {d[i]} out of range for J={config.J}")
-    z_ok = np.zeros(len(z), dtype=bool)
-    for zv in config.z_support:
-        z_ok |= z == zv
-    bad_z = np.flatnonzero(~z_ok)
+        raise ValueError(f"row {i}: treatment {d[i]} out of range for J={J}")
+    # The support lies in [0, J). Clipping sends every other value to -1
+    # or J, and both read the sentinel position -1 at the lookup's end.
+    position = np.full(J + 1, -1)
+    position[list(config.z_support)] = np.arange(len(config.z_support))
+    arm = position[np.clip(z, -1, J)]
+    bad_z = np.flatnonzero(arm < 0)
     if len(bad_z):
         i = int(bad_z[0])
         raise ValueError(f"row {i}: instrument {z[i]} not in support {config.z_support}")
     ys = None
+    shape = (len(config.z_support), J)
+    code = arm * J + d
     if data.y is not None:
-        y = np.asarray(data.y)
-        values = np.unique(y)
-        ys = tuple(int(v) for v in values)
-        cell_code = d * len(ys) + np.searchsorted(values, y)
-    arm_counts = {}
-    cells = {}
-    for zv in config.z_support:
-        arm = z == zv
-        n_z = int(arm.sum())
+        values, y_index = np.unique(np.asarray(data.y), return_inverse=True)
+        ys = tuple(values.tolist())
+        shape += (len(ys),)
+        code = code * len(ys) + y_index
+    counts = np.bincount(code, minlength=math.prod(shape)).reshape(shape)
+    arm_counts = dict(zip(config.z_support, counts.sum(axis=tuple(range(1, len(shape)))).tolist()))
+    for zv, n_z in arm_counts.items():
         if n_z == 0:
             raise ValueError(f"no rows with instrument value {zv}")
-        arm_counts[zv] = n_z
-        if ys is None:
-            cells[zv] = np.bincount(d[arm], minlength=config.J).astype(float)
-        else:
-            counts = np.bincount(cell_code[arm], minlength=config.J * len(ys))
-            cells[zv] = counts.reshape(config.J, len(ys)).astype(float)
+    cells = dict(zip(config.z_support, counts.astype(float)))
     degenerate = tuple(zv for zv, c in arm_counts.items() if c == 1)
     return EstimatedTables(config, arm_counts, cells, ys, degenerate)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TestReport:
+    """The test's verdict and, per moment in family order (static rows
+    first, then the product members in ``itertools.product`` order), its
+    slack, standard error and floored flag as read-only float64 and bool
+    arrays. Arrays have no single truth value, so reports compare by
+    identity."""
+
     arm_counts: Mapping[int, int]
     p_hat: Mapping
-    slacks: tuple[float, ...]
-    standard_errors: tuple[float, ...]
-    floored: tuple[bool, ...]
+    slacks: np.ndarray
+    standard_errors: np.ndarray
+    floored: np.ndarray
     statistic: float
     critical_value: float
     p_value: float
@@ -109,13 +117,16 @@ class TestReport:
     B: int
     seed: int
 
-    def to_dict(self) -> dict:
+    def __post_init__(self):
+        for name, dtype in (("slacks", np.float64), ("standard_errors", np.float64), ("floored", bool)):
+            values = np.asarray(getattr(self, name), dtype=dtype).view()
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+
+    def _verdict(self) -> dict:
         return {
             "arm_counts": {str(z): n for z, n in sorted(self.arm_counts.items())},
             "p_hat": self.p_hat,
-            "slacks": list(self.slacks),
-            "standard_errors": list(self.standard_errors),
-            "floored": list(self.floored),
             "statistic": self.statistic,
             "critical_value": self.critical_value,
             "p_value": self.p_value,
@@ -123,6 +134,27 @@ class TestReport:
             "alpha": self.alpha,
             "B": self.B,
             "seed": self.seed,
+        }
+
+    def summary_dict(self) -> dict:
+        """The verdict with the moment and floored counts and ``binding``,
+        the index of the first moment whose studentized violation is the
+        statistic."""
+        return {
+            **self._verdict(),
+            "moment_count": len(self.slacks),
+            "floored_count": int(self.floored.sum()),
+            "binding": int(np.argmax(-self.slacks / self.standard_errors)),
+        }
+
+    def to_dict(self) -> dict:
+        """The verdict with every moment's slack, standard error and
+        floored flag."""
+        return {
+            **self._verdict(),
+            "slacks": self.slacks.tolist(),
+            "standard_errors": self.standard_errors.tolist(),
+            "floored": self.floored.tolist(),
         }
 
 
@@ -150,16 +182,6 @@ def _fill_product_rows(W: np.ndarray, options, first: int) -> None:
     for opts in reversed(options):
         W[rows, opts[(members // stride) % len(opts)]] = 1.0
         stride *= len(opts)
-
-
-def _as_tuple(values: np.ndarray) -> tuple:
-    """The entries of ``values`` as a tuple of Python scalars.
-
-    A function of its own because tracemalloc records the calling line
-    of each of the ~10^6 floats made here, and Python 3.11 finds that
-    line by scanning the caller's line table: inside ``test_model`` the
-    conversion ran about 20 times slower under tracemalloc."""
-    return tuple(values.tolist())
 
 
 def test_model(
@@ -282,9 +304,9 @@ def test_model(
     return TestReport(
         arm_counts=dict(est.arm_counts),
         p_hat=p_hat_out,
-        slacks=_as_tuple(-violations),
-        standard_errors=_as_tuple(se),
-        floored=_as_tuple(floored),
+        slacks=-violations,
+        standard_errors=se,
+        floored=floored,
         statistic=statistic,
         critical_value=critical,
         p_value=p_value,

@@ -6,6 +6,7 @@ partition check on its own, the convex mixture of two measures and the
 reader of outcome witness files."""
 
 import csv
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -840,9 +841,9 @@ def test_model_by_family(
     return TestReport(
         arm_counts=dict(est.arm_counts),
         p_hat=p_hat_out,
-        slacks=tuple(float(-v) for v in violations),
-        standard_errors=tuple(float(v) for v in se),
-        floored=tuple(bool(f) for f in floored),
+        slacks=-violations,
+        standard_errors=se,
+        floored=floored,
         statistic=statistic,
         critical_value=critical,
         p_value=p_value,
@@ -851,6 +852,31 @@ def test_model_by_family(
         B=B,
         seed=seed,
     )
+
+
+def assert_same_report(got: TestReport, want: TestReport) -> None:
+    """Assert that two test reports agree field by field: the moment
+    arrays in dtype, shape and bytes, every other field by ``==``."""
+    for field in dataclasses.fields(TestReport):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert isinstance(a, np.ndarray), field.name
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), field.name
+            assert a.tobytes() == b.tobytes(), field.name
+        else:
+            assert a == b, field.name
+
+
+def report_doc_by_fields(report: TestReport) -> dict:
+    """Oracle for ``TestReport.to_dict``: every field of the report under
+    its own name, the arm counts keyed by text and the moment arrays as
+    lists. ``encdesign test`` printed this document by default until it
+    printed a summary, and prints it with ``--moments``."""
+    doc = {field.name: getattr(report, field.name) for field in dataclasses.fields(TestReport)}
+    doc["arm_counts"] = {str(z): n for z, n in report.arm_counts.items()}
+    for name in ("slacks", "standard_errors", "floored"):
+        doc[name] = doc[name].tolist()
+    return doc
 
 
 def read_csv_rows(path: str, want_y: bool) -> simulate.MicroData:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 from random import Random
@@ -406,7 +407,7 @@ def test_test_command_with_outcomes(tmp_path, capsys):
     code, doc = run_json(
         capsys,
         ["test", "--data", str(path), "--J", "2", "--J0", "0", "--y",
-         "--B", "199", "--seed", "4"],
+         "--B", "199", "--seed", "4", "--moments"],
     )
     assert code == EXIT_OK and not doc["reject"]
     assert len(doc["slacks"]) == 5  # four pointwise plus one partition moment
@@ -442,13 +443,36 @@ def test_test_stdout_does_not_depend_on_blas_threads(tmp_path):
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "encdesign.cli", "test", "--data", str(path),
-             "--J", "4", "--J0", "0", "--y", "--B", "99", "--seed", "11"],
+             "--J", "4", "--J0", "0", "--y", "--B", "99", "--seed", "11", "--moments"],
             env=env, capture_output=True, timeout=300,
         )
         assert proc.returncode in (EXIT_OK, EXIT_VERDICT), proc.stderr
         outputs.append(proc.stdout)
     assert len(json.loads(outputs[0])["slacks"]) == 3 ** 12 + 36
     assert outputs[0] == outputs[1]
+
+
+def test_default_outcome_test_memory_is_bounded(tmp_path, capsys):
+    # (4,0) with |Y| = 3: 531,477 moments. The summary reads counts and
+    # one argmax from the report's arrays; printing every moment as JSON
+    # peaked at about 120 MB
+    from perfbench import inputs
+
+    config = DesignConfig(4, 0)
+    y, d, z = inputs.outcome_rows(config, (0, 1, 2), 100_000, inputs.rng_for(11, 0, (4, 0, 3)))
+    path = tmp_path / "y403.csv"
+    inputs.write_rows_csv(str(path), y, d, z)
+    argv = ["test", "--data", str(path), "--J", "4", "--J0", "0", "--y", "--B", "99", "--seed", "11"]
+    tracemalloc.start()
+    try:
+        code = run(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    doc = json.loads(capsys.readouterr().out)
+    assert code in (EXIT_OK, EXIT_VERDICT)
+    assert doc["moment_count"] == 3 ** 12 + 36 and "slacks" not in doc
+    assert peak < 60e6, peak
 
 
 def test_usage_errors(capsys):
@@ -633,6 +657,12 @@ def test_runs_in_one_process_share_no_state(tmp_path, capsys):
 
     assert run(["enumerate", "--J", "9", "--cap", "100"]) == EXIT_CAPACITY
     capsys.readouterr()
+    rng = np.random.default_rng(5)
+    data = tmp_path / "data.csv"
+    write_csv(MicroData(rng.integers(0, 2, 200), rng.integers(0, 2, 200)), str(data))
+    for flag, has_moments in (["--moments"], True), ([], False):
+        code, doc = run_json(capsys, ["test", "--data", str(data), "--J", "2", "--B", "99", *flag])
+        assert code in (EXIT_OK, EXIT_VERDICT) and ("slacks" in doc) == has_moments
     parse = _build_parser().parse_args
     assert parse(["enumerate", "--J", "3"]).cap == admissible.DEFAULT_ENUMERATION_CAP
     assert parse(["simulate", "--J", "2", "--betas", "1,1", "--pz", "1/2,1/2", "--n", "5",

@@ -1,15 +1,18 @@
 """``cli.read_csv`` parses the body in bulk and falls back to the row-by-row
 reader on anything else; on every input both must give the same arrays or
-the same error as the row-by-row oracle. ``cli.write_csv`` formats each
-distinct value once and gathers the body from a table of line texts when
-the product of the column alphabets has at most one entry per row, and
-formats one line per row otherwise; on both sides of that guard it must
-write the bytes of the row-by-row writer, and its memory stays linear in
-the number of rows."""
+the same error as the row-by-row oracle. ``cli.write_csv`` takes each
+column's alphabet as the range from its least to its greatest value,
+formats each value of it once and gathers the body from a table of line
+texts when the ranges multiply to at most one entry per row, and formats
+one line per row otherwise; on both sides of that guard it must write
+the bytes of the row-by-row writer, and its memory stays linear in the
+number of rows."""
 
+import math
 import tracemalloc
 from fractions import Fraction
 from random import Random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -144,8 +147,10 @@ def test_write_csv_round_trips_int64_limits(tmp_path):
 
 
 def _alphabet_product(data):
+    """The number of lines in a table of every line whose fields lie
+    between each column's least and greatest value."""
     columns = (data.d, data.z) if data.y is None else (data.y, data.d, data.z)
-    return int(np.prod([len(np.unique(c)) for c in columns]))
+    return math.prod(int(c.max()) - int(c.min()) + 1 for c in columns)
 
 
 def test_write_csv_matches_row_writer_on_simulate_output(tmp_path):
@@ -160,12 +165,12 @@ def test_write_csv_matches_row_writer_on_simulate_output(tmp_path):
 
 
 def test_write_csv_matches_row_writer_on_distinct_values(tmp_path):
-    # every value distinct: the alphabets multiply to n^3 lines, so each
-    # row is formatted on its own
+    # every value distinct: the alphabets multiply to about 3n^3 lines, so
+    # each row is formatted on its own
     n = 5000
     rng = np.random.default_rng(23)
     data = MicroData(rng.permutation(n) - 2500, rng.permutation(n) * 3, rng.permutation(n))
-    assert _alphabet_product(data) == n**3
+    assert _alphabet_product(data) == n * n * (3 * n - 2)
     got, want = _micro_files(tmp_path, data)
     assert got == want
 
@@ -180,6 +185,23 @@ def test_write_csv_matches_row_writer_at_the_table_guard(tmp_path, sizes):
     y, d, z = (rng.permutation(np.arange(n) % k) - k // 2 for k in sizes)
     data = MicroData(d, z, y)
     assert _alphabet_product(data) == int(np.prod(sizes))
+    got, want = _micro_files(tmp_path, data)
+    assert got == want
+
+
+@pytest.mark.parametrize("with_y", [False, True])
+def test_write_csv_formats_sparse_alphabets_per_row(tmp_path, monkeypatch, with_y):
+    # z in {0, 10^9}: two values, but 10^9 + 1 between the least and the
+    # greatest, far more than the 1,000 rows, so no line table is built
+    def refuse(*texts):
+        raise AssertionError("a line table was built")
+
+    n = 1000
+    rng = np.random.default_rng(31)
+    y = rng.integers(-2, 3, n) if with_y else None
+    data = MicroData(rng.integers(0, 3, n), rng.integers(0, 2, n) * 10**9, y)
+    assert len(np.unique(data.z)) == 2 and _alphabet_product(data) > n
+    monkeypatch.setattr(cli, "itertools", SimpleNamespace(product=refuse))
     got, want = _micro_files(tmp_path, data)
     assert got == want
 

@@ -1,7 +1,8 @@
 """The CLI's JSON writer ``cli.dumps`` against its oracle, the stdlib
 ``json.dumps(sort_keys=True, indent=2)``: on generated documents, on
 float lists on both sides of the bulk threshold, and on the stdout and
-``--output`` files of every subcommand."""
+``--output`` files of every subcommand. ``test --moments`` prints every
+field of the report, and the default summary agrees with it."""
 
 import json
 from pathlib import Path
@@ -16,7 +17,14 @@ from encdesign import cli, stats
 from encdesign.cli import BULK_FLOATS, EXIT_OK, EXIT_VERDICT, distribution_doc, dumps, run, write_csv
 from encdesign.core import DesignConfig
 from encdesign.simulate import MicroData
-from helpers import dumps_by_json, feasible_outcome_table, feasible_table, random_table
+from helpers import (
+    dumps_by_json,
+    feasible_outcome_table,
+    feasible_table,
+    random_table,
+    report_doc_by_fields,
+)
+from helpers import test_model_by_family as model_test_by_family
 
 FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
 SCALARS = st.one_of(
@@ -140,9 +148,9 @@ def _invocations(tmp_path) -> list:
         (["mixture-verify", "--q", q, "--n", "5000", "--seed", "2"], []),
         (["simulate", "--J", "3", "--betas", "1,0.5,2", "--pz", "1/3,1/3,1/3", "--n", "4000",
           "--seed", "3", "--out", csv], []),
-        (["test", "--data", csv, "--J", "3", "--B", "99", "--seed", "1"], []),
+        (["test", "--data", csv, "--J", "3", "--B", "99", "--seed", "1", "--moments"], []),
         # (3,0) with |Y| = 4: 4,102 moments, past the bulk threshold
-        (["test", "--data", ycsv, "--J", "3", "--y", "--B", "99", "--seed", "1"], []),
+        (["test", "--data", ycsv, "--J", "3", "--y", "--B", "99", "--seed", "1", "--moments"], []),
     ]
 
 
@@ -171,3 +179,50 @@ def test_large_outcome_report_matches_the_oracle():
     doc = stats.test_model(MicroData(d, z, y), config, B=99, seed=11).to_dict()
     assert len(doc["slacks"]) == 3**12 + 36
     _same_text(dumps(doc), dumps_by_json(doc))
+
+
+def _test_calls(tmp_path, capsys) -> list:
+    """The ``test`` invocations without ``--moments``, with their parsed
+    arguments: one treatment test, on the CSV that ``simulate`` writes
+    first, and one outcome test."""
+    invocations = _invocations(tmp_path)
+    for argv, _ in invocations:
+        if argv[0] == "simulate":
+            assert run(argv) == EXIT_OK
+    capsys.readouterr()
+    argvs = [argv[:-1] for argv, _ in invocations if argv[0] == "test" and argv[-1] == "--moments"]
+    assert len(argvs) == 2
+    return [(argv, cli._build_parser().parse_args(argv)) for argv in argvs]
+
+
+def _report_by_family(args):
+    data = cli.read_csv(args.data, want_y=args.y)
+    return model_test_by_family(data, DesignConfig(args.J, args.J0), alpha=args.alpha, B=args.B, seed=args.seed)
+
+
+def test_moments_flag_prints_every_report_field(tmp_path, capsys):
+    # the document test printed by default before its summary, byte for byte
+    for argv, args in _test_calls(tmp_path, capsys):
+        assert run(argv + ["--moments"]) in (EXIT_OK, EXIT_VERDICT)
+        want = dumps_by_json(report_doc_by_fields(_report_by_family(args))) + "\n"
+        _same_text(capsys.readouterr().out, want)
+
+
+def test_summary_is_the_verdict_with_counts_and_the_binding_moment(tmp_path, capsys):
+    for argv, args in _test_calls(tmp_path, capsys):
+        docs = []
+        for extra in ([], ["--moments"]):
+            assert run(argv + extra) in (EXIT_OK, EXIT_VERDICT)
+            docs.append(json.loads(capsys.readouterr().out))
+        summary, full = docs
+        counts = {"moment_count", "floored_count", "binding"}
+        moments = {"slacks", "standard_errors", "floored"}
+        assert set(summary) - counts == set(full) - moments
+        assert all(summary[key] == full[key] for key in set(summary) - counts)
+
+        report = _report_by_family(args)
+        assert summary["moment_count"] == len(report.slacks) == len(full["slacks"])
+        assert summary["floored_count"] == int(report.floored.sum()) == sum(full["floored"])
+        studentized = [-s / e for s, e in zip(full["slacks"], full["standard_errors"])]
+        assert summary["binding"] == studentized.index(max(studentized))
+        assert studentized[summary["binding"]] == summary["statistic"] == report.statistic

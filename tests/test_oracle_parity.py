@@ -40,6 +40,7 @@ from encdesign.witness import (
 )
 from helpers import (
     admissible_by_filter,
+    assert_same_report,
     boundary_measure,
     check_by_family,
     construct_outcome_by_fractions,
@@ -416,7 +417,7 @@ MOMENT_DESIGNS = [
 def test_test_model_matches_explicit_family(J, J0, ny, n, B):
     config, data = _micro(J, J0, ny, n, seed=1000 * J + 100 * J0 + 10 * ny + n)
     got = stats.test_model(data, config, B=B, seed=B + n)
-    assert got == model_test_by_family(data, config, B=B, seed=B + n)
+    assert_same_report(got, model_test_by_family(data, config, B=B, seed=B + n))
 
 
 @pytest.mark.parametrize("J, J0", [(2, 0), (3, 1)])
@@ -426,7 +427,7 @@ def test_test_model_matches_explicit_family_on_wide_alphabet(J, J0):
     config, data = _micro(J, J0, 200, 6000, seed=200 + J)
     assert len(np.unique(data.y)) == 200
     got = stats.test_model(data, config, B=99, seed=5)
-    assert got == model_test_by_family(data, config, B=99, seed=5)
+    assert_same_report(got, model_test_by_family(data, config, B=99, seed=5))
 
 
 def test_test_model_one_row_last_block():
@@ -435,7 +436,7 @@ def test_test_model_one_row_last_block():
     config, data = _micro(4, 0, 0, 2000, seed=41)
     assert stats._block_rows(40_000) == 16
     got = stats.test_model(data, config, B=40_000, seed=2)
-    assert got == model_test_by_family(data, config, B=40_000, seed=2)
+    assert_same_report(got, model_test_by_family(data, config, B=40_000, seed=2))
 
 
 @pytest.mark.parametrize(
@@ -498,6 +499,19 @@ def test_estimate_matches_row_counts(J, J0, y_support):
     got = stats.estimate(data, config)
     assert got.y_support == y_support
     _same_tables(got, estimate_by_rows(data, config))
+
+    # an instrument outside the support, below it, inside [0, J) but not
+    # supported (base state only) or past J: the same first bad row
+    outside = [-1, -(2**63), J, 2**63 - 1] + [z for z in range(J) if z not in config.z_support]
+    for bad in outside:
+        z = data.z.copy()
+        z[[700, 2500]] = bad, -5
+        broken = MicroData(data.d, z, data.y)
+        with pytest.raises(ValueError) as want:
+            estimate_by_rows(broken, config)
+        with pytest.raises(ValueError, match=f"^row 700: instrument {bad} not in support") as got:
+            stats.estimate(broken, config)
+        assert str(got.value) == str(want.value)
 
 
 def _same_outcome_witness(PY) -> bool:

@@ -301,7 +301,7 @@ class _FirstSize:
     def __init__(self):
         self.sizes = []
 
-    def uniform(self, low, high, size=None):
+    def random(self, size=None):
         self.sizes.append(size)
         raise _Stop
 

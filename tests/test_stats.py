@@ -8,10 +8,11 @@ import pytest
 
 from encdesign.core import DesignConfig, ObservedDistribution
 from encdesign.simulate import MicroData, RumSpec, simulate
+from encdesign.stats import TestReport as Report
 from encdesign.stats import estimate
 from encdesign.stats import test_model as run_model_test
 
-from helpers import p_hat
+from helpers import assert_same_report, p_hat
 
 
 def draw_from_table(P: ObservedDistribution, n: int, rng) -> MicroData:
@@ -90,7 +91,7 @@ def test_test_model_deterministic():
     data = draw_from_table(P, 800, rng)
     a = run_model_test(data, config, B=199, seed=3)
     b = run_model_test(data, config, B=199, seed=3)
-    assert a == b
+    assert_same_report(a, b)
 
 
 def test_null_data_rarely_rejects():
@@ -169,3 +170,21 @@ def test_outcome_family_used_when_y_present():
     # targeted set is a singleton at J=2, so only one partition exists
     assert len(report.slacks) == 4 + 1
 
+
+
+def test_summary_binds_the_first_moment_that_attains_the_statistic():
+    # studentized violations -0.5, 2, 2, 2: three moments tie at the top
+    report = Report(
+        arm_counts={1: 3, 0: 2}, p_hat={"0": [1.0, 0.0], "1": [0.0, 1.0]},
+        slacks=[0.5, -2.0, -1.0, -2.0], standard_errors=[1.0, 1.0, 0.5, 1.0],
+        floored=[False, True, False, True], statistic=2.0, critical_value=1.5,
+        p_value=0.01, reject=True, alpha=0.05, B=99, seed=4,
+    )
+    summary = report.summary_dict()
+    assert (summary["binding"], summary["moment_count"], summary["floored_count"]) == (1, 4, 2)
+    assert list(summary["arm_counts"].items()) == [("0", 2), ("1", 3)]
+    assert set(report.to_dict()) - set(summary) == {"slacks", "standard_errors", "floored"}
+    assert report.slacks.dtype == np.float64 and report.floored.dtype == bool
+    for values in (report.slacks, report.standard_errors, report.floored):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0
