@@ -164,7 +164,8 @@ def dumps(doc) -> str:
     strings go through ``encode_basestring_ascii``, ints through
     ``int.__repr__``, floats through ``float.__repr__`` except that NaN
     and the infinities are spelled as json spells them, and any other
-    scalar is left to ``json.dumps``. The items of a container that all
+    scalar is left to ``json.dumps``. A 1-D float64 or bool numpy array
+    is written as the list it holds. The items of a container that all
     share one scalar type are written in one pass (``_scalar_texts``)."""
     out: list[str] = []
     _write(doc, "\n", out)
@@ -181,8 +182,8 @@ def _write(value, newline: str, out: list) -> None:
         keys, items = zip(*sorted(value.items()))
         heads = [encode_basestring_ascii(_key_text(k)) + ": " for k in keys]
         brackets = "{}"
-    elif isinstance(value, (list, tuple)):
-        if not value:
+    elif isinstance(value, (list, tuple)) or _is_flat_array(value):
+        if not len(value):
             out.append("[]")
             return
         items, heads, brackets = value, None, "[]"
@@ -203,6 +204,12 @@ def _write(value, newline: str, out: list) -> None:
                 out.append(heads[i])
             _write(item, inner, out)
     out.append(newline + brackets[1])
+
+
+def _is_flat_array(value) -> bool:
+    """Whether ``value`` is a 1-D float64 or bool numpy array (tested
+    without importing numpy)."""
+    return getattr(value, "ndim", None) == 1 and value.dtype.char in "d?"
 
 
 def _key_text(key) -> str:
@@ -241,7 +248,14 @@ def _float_text(value: float) -> str:
 
 def _scalar_texts(items):
     """The texts of ``items`` when all have one type among str, bool,
-    int, None and the floats; otherwise None."""
+    int, None and the floats, or when ``items`` is a 1-D float64 or bool
+    array; otherwise None."""
+    if _is_flat_array(items):
+        if items.dtype.char == "?":
+            return map(_BOOL_TEXT.__getitem__, items.tolist())
+        if len(items) >= BULK_FLOATS:
+            return _bulk_float_texts(items)
+        items = items.tolist()
     kinds = set(map(type, items))
     if len(kinds) != 1:
         return None
@@ -267,7 +281,7 @@ def _bulk_float_texts(items) -> list[str]:
     item order."""
     import numpy as np
 
-    bits, where = np.unique(np.array(items, dtype=np.float64).view(np.int64), return_inverse=True)
+    bits, where = np.unique(np.asarray(items, dtype=np.float64).view(np.int64), return_inverse=True)
     values = bits.view(np.float64)
     text = float.__repr__ if np.isfinite(values).all() else _float_text
     return np.array(list(map(text, values.tolist())), dtype=object)[where].tolist()

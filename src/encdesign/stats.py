@@ -7,19 +7,24 @@ value comes from a Gaussian multiplier bootstrap of the recentred
 moments. Floating point is confined to this module; nothing here feeds
 back into the exact-arithmetic paths.
 
-Without a base state the family is a product over choices (one cell
-per choice for treatment tables, one cell per choice and outcome value
-for the partition family), with up to 10^6 members. Its weight rows are
-never materialised as a whole: ``test_model`` builds them from their
-index, block by block, and keeps only the per-moment slack and standard
-error and a running bootstrap maximum. Memory is O(B x block) plus the
-report, whose per-moment fields are float64 and bool arrays; at J = 4
-with three outcome values (531,477 moments, B = 99 or 999) the
-tracemalloc peak is about 27 MB.
+A static row (base-state or outcome family) is its lhs cell minus its
+rhs cell. Without a base state a product over choices follows, with up
+to 10^6 members, each taking one option per choice: one cell for
+treatment tables, one cell per outcome value for the partition family.
+No weight matrix is built. A member's sum, for its slack, its per-arm
+variance and each bootstrap draw, adds each choice's cells in outcome
+order, then the choice sums left to right, as outer sums in
+``itertools.product`` order; so the output does not depend on how a BLAS
+library groups sums. The bootstrap maximum runs over chunks of whole
+moments in one buffer of at most 2**20 doubles. At J = 4 with three
+outcome values (531,477 moments, B = 99 or 999) the tracemalloc peak is
+about 22 MB, most of it the report's float64 and bool arrays.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -28,10 +33,7 @@ import numpy as np
 
 from .core import DesignConfig
 # ``generate`` and ``partition_family_specs`` stay names of this module:
-# the benchmark's per-layer tracing (perfbench/tracing.py) wraps them
-# here. ``test_model`` calls ``generate`` for base-state designs only and
-# builds the selector and partition families from ``product_family``'s
-# options, not through ``partition_family_specs``.
+# the benchmark's per-layer tracing (perfbench/tracing.py) wraps them here.
 from .inequalities import (  # noqa: F401
     generate,
     generate_outcome,
@@ -149,39 +151,52 @@ class TestReport:
 
     def to_dict(self) -> dict:
         """The verdict with every moment's slack, standard error and
-        floored flag."""
+        floored flag, as the report's arrays (``cli.dumps`` writes them
+        as the lists they hold)."""
         return {
             **self._verdict(),
-            "slacks": self.slacks.tolist(),
-            "standard_errors": self.standard_errors.tolist(),
-            "floored": self.floored.tolist(),
+            "slacks": self.slacks,
+            "standard_errors": self.standard_errors,
+            "floored": self.floored,
         }
 
 
-def _block_rows(B: int) -> int:
-    """Moments per block: the largest power of two whose B x rows block
-    of bootstrap statistics fits in 2**20 doubles, and at least 8.
-
-    Every block then starts at a multiple of 8, and BLAS ``gemv`` (which
-    groups rows by eight) sums each row of W @ p in the same order as on
-    the whole family. A block start off that grid changes some slacks in
-    the last bit, and so does threaded ``gemv`` on the whole family."""
-    rows = max(1, (1 << 20) // B)
-    return max(8, 1 << (rows.bit_length() - 1))
+# No buffer of the bootstrap maximum holds more than this many doubles.
+_CHUNK_DOUBLES = 1 << 20
 
 
-def _fill_product_rows(W: np.ndarray, options, first: int) -> None:
-    """Write rows ``first, first + 1, ...`` of a product family into the
-    zeroed block ``W``. A member picks one row of ``options[j]`` (cell
-    indices) for every choice j and puts weight 1 on those cells; members
-    are numbered as ``itertools.product`` numbers them, last choice
-    fastest."""
-    members = np.arange(first, first + len(W))
-    rows = np.arange(len(W))[:, None]
-    stride = 1
-    for opts in reversed(options):
-        W[rows, opts[(members // stride) % len(opts)]] = 1.0
-        stride *= len(opts)
+def _option_sums(values: np.ndarray, options: np.ndarray) -> np.ndarray:
+    """Per option of one choice (a row of cell indices), the sum of its
+    cells' rows of ``values``, added in outcome order."""
+    return functools.reduce(np.add, (values[column] for column in options.T))
+
+
+def _fold(pieces, out: np.ndarray, head=None) -> np.ndarray:
+    """Write into ``out`` (and return it) one sum per member of a product
+    over choices, in ``itertools.product`` order: ``head`` if given, then
+    the member's row of each piece, added left to right."""
+    acc, rest = (pieces[0], pieces[1:]) if head is None else (head[None], pieces)
+    for i, piece in enumerate(rest, 1):
+        shape = (len(acc), *piece.shape)
+        dest = out.reshape(shape) if i == len(rest) else np.empty(shape)
+        acc = np.add(acc[:, None], piece, out=dest).reshape(-1, *piece.shape[1:])
+    return out
+
+
+def _product_chunks(pieces, buf: np.ndarray, head=None):
+    """The members' sums in ``itertools.product`` order, in chunks of
+    whole members written into ``buf``: a range of the first choice's
+    options with all members of the later choices, or, if those alone
+    overflow ``buf``, each option in turn as the head of their chunks."""
+    first, rest = pieces[0], pieces[1:]
+    tail = math.prod(map(len, rest))
+    if tail > len(buf):
+        for option in first:
+            yield from _product_chunks(rest, buf, option if head is None else head + option)
+        return
+    width = len(buf) // tail
+    for lo in range(0, len(first), width):
+        yield _fold([first[lo:lo + width], *rest], buf[: len(first[lo:lo + width]) * tail], head)
 
 
 def test_model(
@@ -195,11 +210,9 @@ def test_model(
     value. Rejects when the statistic exceeds the (1 - alpha) bootstrap
     quantile of the recentred statistic.
 
-    The moments are the base-state family or the static outcome family,
-    built spec by spec, followed without a base state by the selector or
-    partition family, whose weight rows are built from their index.
-    Rows are processed in blocks of ``_block_rows(B)``; only one block
-    of W and of the B x moments bootstrap matrix exists at a time."""
+    The moments are the static rows (the base-state family or the static
+    outcome family), followed without a base state by the selector or
+    partition family, summed in the order the module docstring states."""
     if B < 99:
         raise ValueError("need at least 99 bootstrap replications")
     if not 0 < alpha < 1:
@@ -207,104 +220,91 @@ def test_model(
     est = estimate(data, config)
     ys = est.y_support
 
-    # Flatten cells to a vector; each moment is a weight vector w and the
-    # moment is w . p_hat - bound. A treatment cell (z, j) is an outcome
+    # Flatten cells to a vector. A treatment cell (z, j) is an outcome
     # cell (z, j, y) without its y.
     tails = [()] if ys is None else [(y,) for y in ys]
     coords = [(z, j, *t) for z in config.z_support for j in range(config.J) for t in tails]
     index = {c: i for i, c in enumerate(coords)}
-    n_cells = len(coords)
 
-    # Without a base state the selector or partition family follows the
-    # static rows: per choice, the cells each member may put weight on.
-    # The capacity check comes before any frequency or row is computed.
-    n_product, options = 0, []
-    if config.J0 == 0:
-        options = [
-            np.array([[index[(z, j, *t)] for z, t in zip(option, tails)] for option in opts])
-            for j, opts in enumerate(product_family(config, len(tails)))
-        ]
-        n_product = math.prod(map(len, options))
+    # Without a base state the product family follows the static rows:
+    # per choice, each option's cell indices. The capacity check comes
+    # before any frequency or moment is computed.
+    options = [
+        np.array([[index[(z, j, *t)] for z, t in zip(option, tails)] for option in opts])
+        for j, opts in enumerate(product_family(config, len(tails)))
+    ] if config.J0 == 0 else []
     # per arm, the (J,) or (J, |Y|) frequencies; raveled in coords order
     p_arm = [est.cells[z] / est.arm_counts[z] for z in config.z_support]
     p_vec = np.concatenate([p.ravel() for p in p_arm])
     arm_of = np.array([config.z_index(c[0]) for c in coords])
-    n_arms = len(config.z_support)
     arm_n = np.array([est.arm_counts[z] for z in config.z_support], dtype=float)
-    raw_counts = p_vec * arm_n[arm_of]
-    if ys is None:
-        static = generate(config) if config.J0 else ()
-    else:
-        static = generate_outcome(config, ys)
+    static = generate_outcome(config, ys) if ys is not None else generate(config) if config.J0 else ()
+    # a static row has one cell on each side
+    pairs = [(index[left], index[right]) for (left,), (right,) in ((sp.lhs, sp.rhs) for sp in static)]
+    lhs, rhs = np.array(pairs, dtype=int).reshape(-1, 2).T
     n_static = len(static)
-    W_static = np.zeros((n_static, n_cells))
-    bounds_static = np.zeros(n_static)
-    for i, spec in enumerate(static):
-        for c in spec.lhs:
-            W_static[i, index[c]] += 1.0
-        for c in spec.rhs:
-            W_static[i, index[c]] -= 1.0
-        bounds_static[i] = float(spec.bound)
+    n_moments = n_static + (math.prod(map(len, options)) if options else 0)
+
+    def moment_sums(values, out, sign=np.subtract):
+        sign(values[lhs], values[rhs], out=out[:n_static])
+        if options:
+            _fold([_option_sums(values, o) for o in options], out[n_static:])
+        return out
+
+    violations = moment_sums(p_vec, np.empty(n_moments))
+    violations[:n_static] -= [float(spec.bound) for spec in static]
+    violations[n_static:] -= 1.0
+    # per arm a, q_a and s_a sum |w| p and w p over the moment's cells in
+    # that arm; the variance adds (q_a - s_a^2)/n_a arm by arm from 0.0
+    q, s, se = np.empty(n_moments), np.empty(n_moments), np.zeros(n_moments)
+    for a, n_a in enumerate(arm_n):
+        p_a = np.where(arm_of == a, p_vec, 0.0)
+        s, q = moment_sums(p_a, s), moment_sums(p_a, q, np.add)
+        np.subtract(q, np.multiply(s, s, out=s), out=q)
+        np.add(se, np.divide(q, n_a, out=q), out=se)
+    del q, s
+    np.sqrt(np.maximum(se, 0.0, out=se), out=se)
+    floored = se < SE_FLOOR
+    np.maximum(se, SE_FLOOR, out=se)
 
     # Multiplier bootstrap. The moments depend on the data only through
     # per-cell multiplier sums, which are independent N(0, count) across
-    # cells, so those sums are drawn directly.
+    # cells, so those sums are drawn directly. G holds one row per cell.
     rng = _chunk_rng(seed, 0)
-    S = rng.normal(size=(B, n_cells)) * np.sqrt(raw_counts)
-    G = np.empty_like(S)
-    for a in range(n_arms):
+    S = rng.normal(size=(B, len(coords))) * np.sqrt(p_vec * arm_n[arm_of])
+    G = np.empty(S.shape[::-1])
+    for a in range(len(arm_n)):
         sel = arm_of == a
         arm_total = S[:, sel].sum(axis=1, keepdims=True)
-        G[:, sel] = (S[:, sel] - p_vec[sel] * arm_total) / arm_n[a]
+        G[sel] = ((S[:, sel] - p_vec[sel] * arm_total) / arm_n[a]).T
+    del S
 
-    n_moments = n_static + n_product
-    violations = np.empty(n_moments)
-    se = np.empty(n_moments)
-    floored = np.empty(n_moments, dtype=bool)
-    t_star = np.full(B, -np.inf)
-    block = _block_rows(B)
-    for start in range(0, n_moments, block):
-        stop = min(start + block, n_moments)
-        W = np.zeros((stop - start, n_cells))
-        bounds = np.ones(stop - start)
-        if start < n_static:
-            top = min(stop, n_static)
-            W[: top - start] = W_static[start:top]
-            bounds[: top - start] = bounds_static[start:top]
-        if stop > n_static:
-            first = max(start, n_static)
-            _fill_product_rows(W[first - start:], options, first - n_static)
-
-        viol = W @ p_vec - bounds
-        variances = np.zeros(len(W))
-        for a in range(n_arms):
-            sel = arm_of == a
-            W_arm = W[:, sel]
-            wp = W_arm * p_vec[sel]
-            variances += ((W_arm ** 2 * p_vec[sel]).sum(axis=1) - wp.sum(axis=1) ** 2) / arm_n[a]
-        se_block = np.sqrt(np.maximum(variances, 0.0))
-        floored[start:stop] = se_block < SE_FLOOR
-        se_block = np.maximum(se_block, SE_FLOOR)
-        violations[start:stop] = viol
-        se[start:stop] = se_block
-        np.maximum(t_star, ((G @ W.T) / se_block).max(axis=1), out=t_star)
+    buf = np.empty((min(max(1, _CHUNK_DOUBLES // B), n_moments), B))
+    chunks = (
+        np.subtract(np.take(G, lhs[lo:lo + len(buf)], axis=0, out=buf[: n_static - lo]),
+                    G[rhs[lo:lo + len(buf)]], out=buf[: n_static - lo])
+        for lo in range(0, n_static, len(buf))
+    )
+    if options:
+        chunks = itertools.chain(chunks, _product_chunks([_option_sums(G, o) for o in options], buf))
+    t_star, start = np.full(B, -np.inf), 0
+    for out in chunks:
+        np.divide(out, se[start:start + len(out), None], out=out)
+        np.maximum(t_star, out.max(axis=0), out=t_star)
+        start += len(out)
 
     statistic = float(np.max(violations / se))
     k = min(B - 1, max(0, math.ceil((1 - alpha) * (B + 1)) - 1))
     critical = float(np.sort(t_star)[k])
     p_value = float((1 + (t_star >= statistic).sum()) / (B + 1))
 
-    p_hat_out: dict = {}
-    y_keys = None if ys is None else [str(y) for y in ys]
-    for z, p in zip(config.z_support, p_arm):
-        if ys is None:
-            p_hat_out[str(z)] = p.tolist()
-        else:
-            p_hat_out[str(z)] = {str(j): dict(zip(y_keys, row)) for j, row in enumerate(p.tolist())}
+    p_hat = [p.tolist() for p in p_arm]
+    if ys is not None:
+        p_hat = [{str(j): dict(zip(map(str, ys), row)) for j, row in enumerate(p)} for p in p_hat]
     return TestReport(
         arm_counts=dict(est.arm_counts),
-        p_hat=p_hat_out,
-        slacks=-violations,
+        p_hat=dict(zip(map(str, config.z_support), p_hat)),
+        slacks=np.negative(violations, out=violations),
         standard_errors=se,
         floored=floored,
         statistic=statistic,

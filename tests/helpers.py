@@ -10,8 +10,10 @@ import dataclasses
 import json
 import math
 from fractions import Fraction
-from itertools import chain, product
+from functools import reduce
+from itertools import chain, groupby, product
 from math import lcm
+from operator import add, itemgetter
 from random import Random
 
 import numpy as np
@@ -759,76 +761,37 @@ def p_hat(est: EstimatedTables, z, j, y=None) -> float:
     return float(cell) / est.arm_counts[z]
 
 
-def test_model_by_family(
-    data: MicroData,
-    config: DesignConfig,
-    alpha: float = 0.05,
-    B: int = 999,
-    seed: int = 0,
-) -> TestReport:
-    """Oracle for ``stats.test_model``: every moment built as an
-    ``InequalitySpec``, the dense weight matrix W (moments x cells) filled
-    spec by spec, and the bootstrap maximum taken over the whole
-    B x moments matrix at once."""
-    if B < 99:
-        raise ValueError("need at least 99 bootstrap replications")
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie strictly between 0 and 1")
-    est = estimate(data, config)
-    specs = _moment_family(config, est.y_support)
+def _cell_coords(est: EstimatedTables, config: DesignConfig) -> list:
+    """Every cell, (z, j) or (z, j, y), in the order ``test_model`` lays
+    out its cell vector."""
+    tails = [()] if est.y_support is None else [(y,) for y in est.y_support]
+    return [(z, j, *t) for z in config.z_support for j in range(config.J) for t in tails]
 
-    # Flatten cells to a vector; each spec becomes a weight vector so the
-    # moment is w . p_hat - bound.
-    coords = []
-    for z in config.z_support:
-        if est.y_support is None:
-            coords.extend((z, j) for j in range(config.J))
-        else:
-            coords.extend((z, j, y) for j in range(config.J) for y in est.y_support)
-    index = {c: i for i, c in enumerate(coords)}
-    n_cells = len(coords)
+
+def _bootstrap_draws(est: EstimatedTables, config: DesignConfig, B: int, seed: int):
+    """The recentred per-cell multiplier sums G (B x cells) and each
+    cell's column. The moments depend on the data only through per-cell
+    multiplier sums, which are independent N(0, count) across cells, so
+    those sums are drawn directly."""
+    coords = _cell_coords(est, config)
     p_vec = np.array([p_hat(est, *c) for c in coords])
     arm_of = np.array([config.z_index(c[0]) for c in coords])
-    n_arms = len(config.z_support)
     arm_n = np.array([est.arm_counts[z] for z in config.z_support], dtype=float)
-    raw_counts = p_vec * arm_n[arm_of]
-
-    W = np.zeros((len(specs), n_cells))
-    bounds = np.zeros(len(specs))
-    for i, spec in enumerate(specs):
-        for c in spec.lhs:
-            W[i, index[c]] += 1.0
-        for c in spec.rhs:
-            W[i, index[c]] -= 1.0
-        bounds[i] = float(spec.bound)
-
-    violations = W @ p_vec - bounds
-    variances = np.zeros(len(specs))
-    for a in range(n_arms):
-        sel = arm_of == a
-        wp = W[:, sel] * p_vec[sel]
-        variances += ((W[:, sel] ** 2 * p_vec[sel]).sum(axis=1) - wp.sum(axis=1) ** 2) / arm_n[a]
-    se = np.sqrt(np.maximum(variances, 0.0))
-    floored = se < SE_FLOOR
-    se = np.maximum(se, SE_FLOOR)
-    statistic = float(np.max(violations / se))
-
-    # Multiplier bootstrap. The moments depend on the data only through
-    # per-cell multiplier sums, which are independent N(0, count) across
-    # cells, so those sums are drawn directly.
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0)))
-    S = rng.normal(size=(B, n_cells)) * np.sqrt(raw_counts)
+    S = rng.normal(size=(B, len(coords))) * np.sqrt(p_vec * arm_n[arm_of])
     G = np.empty_like(S)
-    for a in range(n_arms):
+    for a in range(len(arm_n)):
         sel = arm_of == a
         arm_total = S[:, sel].sum(axis=1, keepdims=True)
         G[:, sel] = (S[:, sel] - p_vec[sel] * arm_total) / arm_n[a]
-    t_star = (G @ W.T) / se
-    t_star = t_star.max(axis=1)
+    return G, {c: i for i, c in enumerate(coords)}
+
+
+def _report(est, config, violations, se, floored, statistic, t_star, alpha, B, seed) -> TestReport:
+    """The report of a test from its moments and bootstrap maxima."""
     k = min(B - 1, max(0, math.ceil((1 - alpha) * (B + 1)) - 1))
     critical = float(np.sort(t_star)[k])
     p_value = float((1 + (t_star >= statistic).sum()) / (B + 1))
-
     p_hat_out: dict = {}
     for z in config.z_support:
         if est.y_support is None:
@@ -852,6 +815,115 @@ def test_model_by_family(
         B=B,
         seed=seed,
     )
+
+
+def test_model_by_family(
+    data: MicroData,
+    config: DesignConfig,
+    alpha: float = 0.05,
+    B: int = 999,
+    seed: int = 0,
+) -> TestReport:
+    """Reference for ``stats.test_model``, up to the last bits of its sums:
+    every moment built as an ``InequalitySpec``, the dense weight matrix W
+    (moments x cells) filled spec by spec, and the bootstrap maximum taken
+    over the whole B x moments matrix ``G @ W.T`` at once. BLAS groups
+    the sums of W @ p and G @ W.T; ``test_model`` printed these bits
+    until it summed each moment per choice."""
+    if B < 99:
+        raise ValueError("need at least 99 bootstrap replications")
+    if not 0 < alpha < 1:
+        raise ValueError("alpha must lie strictly between 0 and 1")
+    est = estimate(data, config)
+    specs = _moment_family(config, est.y_support)
+
+    # each spec becomes a weight vector, so the moment is w . p_hat - bound
+    coords = _cell_coords(est, config)
+    index = {c: i for i, c in enumerate(coords)}
+    p_vec = np.array([p_hat(est, *c) for c in coords])
+    arm_of = np.array([config.z_index(c[0]) for c in coords])
+    arm_n = np.array([est.arm_counts[z] for z in config.z_support], dtype=float)
+    W = np.zeros((len(specs), len(coords)))
+    bounds = np.zeros(len(specs))
+    for i, spec in enumerate(specs):
+        for c in spec.lhs:
+            W[i, index[c]] += 1.0
+        for c in spec.rhs:
+            W[i, index[c]] -= 1.0
+        bounds[i] = float(spec.bound)
+
+    violations = W @ p_vec - bounds
+    variances = np.zeros(len(specs))
+    for a in range(len(arm_n)):
+        sel = arm_of == a
+        wp = W[:, sel] * p_vec[sel]
+        variances += ((W[:, sel] ** 2 * p_vec[sel]).sum(axis=1) - wp.sum(axis=1) ** 2) / arm_n[a]
+    se = np.sqrt(np.maximum(variances, 0.0))
+    floored = se < SE_FLOOR
+    se = np.maximum(se, SE_FLOOR)
+    statistic = float(np.max(violations / se))
+
+    G, _ = _bootstrap_draws(est, config, B, seed)
+    t_star = ((G @ W.T) / se).max(axis=1)
+    return _report(est, config, violations, se, floored, statistic, t_star, alpha, B, seed)
+
+
+def _side_sum(cells, value):
+    """One side of a spec in the order ``stats.test_model`` documents: the
+    cells of each choice added in outcome order, then the choice sums
+    added left to right."""
+    return reduce(add, (reduce(add, map(value, group)) for _, group in groupby(cells, itemgetter(1))))
+
+
+def _spec_sum(spec: InequalitySpec, value):
+    """Sum of a spec's lhs cells minus the sum of its rhs cells."""
+    total = _side_sum(spec.lhs, value)
+    return total - _side_sum(spec.rhs, value) if spec.rhs else total
+
+
+def test_model_by_specs(
+    data: MicroData,
+    config: DesignConfig,
+    alpha: float = 0.05,
+    B: int = 999,
+    seed: int = 0,
+) -> TestReport:
+    """Exact oracle for ``stats.test_model``: every moment built as an
+    ``InequalitySpec`` and evaluated on its own in the documented order.
+    Its slack is the spec's sum minus its bound; per arm a, q_a adds
+    |w| p and s_a adds w p over the spec's cells in arm a (0.0 for the
+    others), and the variance adds (q_a - s_a^2)/n_a arm by arm from 0.0;
+    its bootstrap sums take the same order over G's columns."""
+    if B < 99:
+        raise ValueError("need at least 99 bootstrap replications")
+    if not 0 < alpha < 1:
+        raise ValueError("alpha must lie strictly between 0 and 1")
+    est = estimate(data, config)
+    specs = _moment_family(config, est.y_support)
+    p = {c: p_hat(est, *c) for c in _cell_coords(est, config)}
+    arm_n = [float(est.arm_counts[z]) for z in config.z_support]
+
+    violations = np.array([_spec_sum(spec, p.__getitem__) - float(spec.bound) for spec in specs])
+    se = np.empty(len(specs))
+    for i, spec in enumerate(specs):
+        variance = 0.0
+        for z, n_z in zip(config.z_support, arm_n):
+            def value(c):
+                return p[c] if c[0] == z else 0.0
+
+            q = reduce(add, (_side_sum(side, value) for side in (spec.lhs, spec.rhs) if side))
+            s = _spec_sum(spec, value)
+            variance = variance + (q - s * s) / n_z
+        se[i] = math.sqrt(max(variance, 0.0))
+    floored = se < SE_FLOOR
+    se = np.maximum(se, SE_FLOOR)
+    statistic = float(np.max(violations / se))
+
+    G, index = _bootstrap_draws(est, config, B, seed)
+    t_star = np.full(B, -np.inf)
+    for spec, e in zip(specs, se):
+        t_star = np.maximum(t_star, _spec_sum(spec, lambda c: G[:, index[c]]) / e)
+    return _report(est, config, violations, se, floored, statistic, t_star, alpha, B, seed)
 
 
 def assert_same_report(got: TestReport, want: TestReport) -> None:
@@ -924,8 +996,15 @@ def write_csv_rows(data: simulate.MicroData, path: str) -> None:
 
 def dumps_by_json(doc) -> str:
     """Oracle for ``cli.dumps``: the stdlib encoder the CLI used before,
-    which cannot take its C path when ``indent`` is set."""
-    return json.dumps(doc, sort_keys=True, indent=2)
+    which cannot take its C path when ``indent`` is set, with 1-D float64
+    and bool numpy arrays written as their lists."""
+    return json.dumps(doc, sort_keys=True, indent=2, default=_array_list)
+
+
+def _array_list(value) -> list:
+    if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype in (np.float64, np.bool_):
+        return value.tolist()
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
 def _outcome_key(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -429,7 +429,8 @@ def test_test_on_a_wide_outcome_alphabet_is_capacity_error(tmp_path, capsys):
 
 def test_test_stdout_does_not_depend_on_blas_threads(tmp_path):
     # 531,477 moments at (4,0) with |Y| = 3: one BLAS gemv over all of
-    # them split its rows differently with one and with two threads
+    # them once split its rows differently with one and with two threads;
+    # test now sums every moment in a fixed order and calls no BLAS
     from perfbench import inputs
 
     config = DesignConfig(4, 0)
@@ -473,6 +474,29 @@ def test_default_outcome_test_memory_is_bounded(tmp_path, capsys):
     assert code in (EXIT_OK, EXIT_VERDICT)
     assert doc["moment_count"] == 3 ** 12 + 36 and "slacks" not in doc
     assert peak < 60e6, peak
+
+
+def test_moments_outcome_test_memory_is_bounded(tmp_path, capsys):
+    # the same test with --moments: the report's arrays go to the writer
+    # without lists of Python floats, which peaked at 148 MB here (the
+    # capture holds a second copy of the 32.6 MB of JSON); now about 109 MB
+    from perfbench import inputs
+
+    config = DesignConfig(4, 0)
+    y, d, z = inputs.outcome_rows(config, (0, 1, 2), 100_000, inputs.rng_for(11, 0, (4, 0, 3)))
+    path = tmp_path / "y403.csv"
+    inputs.write_rows_csv(str(path), y, d, z)
+    argv = ["test", "--data", str(path), "--J", "4", "--J0", "0", "--y", "--B", "99", "--seed", "11", "--moments"]
+    tracemalloc.start()
+    try:
+        code = run(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    doc = json.loads(capsys.readouterr().out)
+    assert code in (EXIT_OK, EXIT_VERDICT)
+    assert len(doc["slacks"]) == len(doc["floored"]) == 3 ** 12 + 36
+    assert peak < 125e6, peak
 
 
 def test_usage_errors(capsys):

@@ -24,7 +24,7 @@ from helpers import (
     random_table,
     report_doc_by_fields,
 )
-from helpers import test_model_by_family as model_test_by_family
+from helpers import test_model_by_specs as model_test_by_specs
 
 FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
 SCALARS = st.one_of(
@@ -104,7 +104,25 @@ def test_numpy_float64_items():
         _same_text(dumps(doc), dumps_by_json(doc))
 
 
-@pytest.mark.parametrize("doc", [{"x": object()}, [np.int64(1)], {(1, 2): 0}, {"b": [np.bool_(True)]}])
+def test_flat_arrays_are_written_as_their_lists():
+    rng = np.random.default_rng(4)
+    for n in (0, 1, BULK_FLOATS - 1, BULK_FLOATS, 2 * BULK_FLOATS):
+        values = np.array(_floats(rng, n))
+        flags = values > 0
+        doc = {"x": values, "flags": flags, "pair": [values[:3], flags[:2]]}
+        lists = {"x": values.tolist(), "flags": flags.tolist(), "pair": [values[:3].tolist(), flags[:2].tolist()]}
+        _same_text(dumps(doc), dumps_by_json(lists))
+        _same_text(dumps(doc), dumps_by_json(doc))
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"x": object()}, [np.int64(1)], {(1, 2): 0}, {"b": [np.bool_(True)]},
+        {"i": np.arange(3)}, {"f": np.ones(3, dtype=np.float32)}, {"m": np.ones((2, 2))},
+        {"s": np.zeros(())},
+    ],
+)
 def test_unsupported_values_raise_as_json_does(doc):
     with pytest.raises(TypeError) as want:
         dumps_by_json(doc)
@@ -195,16 +213,16 @@ def _test_calls(tmp_path, capsys) -> list:
     return [(argv, cli._build_parser().parse_args(argv)) for argv in argvs]
 
 
-def _report_by_family(args):
+def _report_by_specs(args):
     data = cli.read_csv(args.data, want_y=args.y)
-    return model_test_by_family(data, DesignConfig(args.J, args.J0), alpha=args.alpha, B=args.B, seed=args.seed)
+    return model_test_by_specs(data, DesignConfig(args.J, args.J0), alpha=args.alpha, B=args.B, seed=args.seed)
 
 
 def test_moments_flag_prints_every_report_field(tmp_path, capsys):
     # the document test printed by default before its summary, byte for byte
     for argv, args in _test_calls(tmp_path, capsys):
         assert run(argv + ["--moments"]) in (EXIT_OK, EXIT_VERDICT)
-        want = dumps_by_json(report_doc_by_fields(_report_by_family(args))) + "\n"
+        want = dumps_by_json(report_doc_by_fields(_report_by_specs(args))) + "\n"
         _same_text(capsys.readouterr().out, want)
 
 
@@ -220,7 +238,7 @@ def test_summary_is_the_verdict_with_counts_and_the_binding_moment(tmp_path, cap
         assert set(summary) - counts == set(full) - moments
         assert all(summary[key] == full[key] for key in set(summary) - counts)
 
-        report = _report_by_family(args)
+        report = _report_by_specs(args)
         assert summary["moment_count"] == len(report.slacks) == len(full["slacks"])
         assert summary["floored_count"] == int(report.floored.sum()) == sum(full["floored"])
         studentized = [-s / e for s, e in zip(full["slacks"], full["standard_errors"])]

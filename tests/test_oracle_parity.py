@@ -4,8 +4,9 @@ and the explicit-column scan, direct admissible generation against the
 brute-force filter, the per-choice-maxima check against the explicit
 inequality family, the difference-coordinate region sampler against
 whole-box rejection and its column folds against ``axis=1`` reductions,
-the block-streamed moment test and bincount cell counts against the
-explicit family and the per-row loop, and the integer-scale outcome
+the per-choice moment test and bincount cell counts against the
+explicit family (exactly, spec by spec, and to 1e-12 of the dense
+weight matrix) and the per-row loop, and the integer-scale outcome
 witness against the Fraction construction."""
 
 import tracemalloc
@@ -66,6 +67,7 @@ from helpers import (
     type_column_keys,
 )
 from helpers import test_model_by_family as model_test_by_family
+from helpers import test_model_by_specs as model_test_by_specs
 
 
 @pytest.fixture
@@ -405,8 +407,8 @@ def _micro(J, J0, ny, n, seed):
 MOMENT_DESIGNS = [
     (2, 0, 0), (3, 0, 0), (4, 0, 0), (5, 0, 0), (6, 0, 0), (4, 2, 0), (6, 2, 0),
     (3, 0, 2), (3, 0, 3), (3, 1, 3), (4, 2, 3), (4, 0, 2),
-    # 4,096 partition rows after 24 static rows: blocks of 1,024 at B=999
-    # put a boundary inside the partition family and leave a 24-row block
+    # 4,096 partition rows after 24 static rows: chunks of 1,049 moments
+    # at B=999 hold ranges of the second choice's 16 options
     (3, 0, 4),
 ]
 
@@ -417,7 +419,21 @@ MOMENT_DESIGNS = [
 def test_test_model_matches_explicit_family(J, J0, ny, n, B):
     config, data = _micro(J, J0, ny, n, seed=1000 * J + 100 * J0 + 10 * ny + n)
     got = stats.test_model(data, config, B=B, seed=B + n)
-    assert_same_report(got, model_test_by_family(data, config, B=B, seed=B + n))
+    assert_same_report(got, model_test_by_specs(data, config, B=B, seed=B + n))
+
+
+@pytest.mark.parametrize("B", [99, 999])
+@pytest.mark.parametrize("n", [300, 5000])
+@pytest.mark.parametrize("J, J0, ny", MOMENT_DESIGNS)
+def test_test_model_is_close_to_the_dense_family(J, J0, ny, n, B):
+    # the dense W @ p and G @ W.T group their sums as BLAS does, so only
+    # the last bits may differ
+    config, data = _micro(J, J0, ny, n, seed=1000 * J + 100 * J0 + 10 * ny + n)
+    got = stats.test_model(data, config, B=B, seed=B + n)
+    want = model_test_by_family(data, config, B=B, seed=B + n)
+    assert got.statistic == pytest.approx(want.statistic, rel=1e-12, abs=0)
+    assert got.critical_value == pytest.approx(want.critical_value, rel=1e-12, abs=0)
+    assert got.reject == want.reject
 
 
 @pytest.mark.parametrize("J, J0", [(2, 0), (3, 1)])
@@ -427,16 +443,30 @@ def test_test_model_matches_explicit_family_on_wide_alphabet(J, J0):
     config, data = _micro(J, J0, 200, 6000, seed=200 + J)
     assert len(np.unique(data.y)) == 200
     got = stats.test_model(data, config, B=99, seed=5)
-    assert_same_report(got, model_test_by_family(data, config, B=99, seed=5))
+    assert_same_report(got, model_test_by_specs(data, config, B=99, seed=5))
 
 
 def test_test_model_one_row_last_block():
-    # B = 40,000 gives blocks of 16 rows; the 81 selector rows at (4,0)
-    # leave a single row for the last block
-    config, data = _micro(4, 0, 0, 2000, seed=41)
-    assert stats._block_rows(40_000) == 16
+    # B = 40,000 gives chunks of 26 moments: the 40 static rows at (2,0)
+    # with 20 outcome values take two, and the partition family's single
+    # member is a chunk of its own
+    config, data = _micro(2, 0, 20, 2000, seed=41)
+    assert len(np.unique(data.y)) == 20
+    assert stats._CHUNK_DOUBLES // 40_000 == 26
     got = stats.test_model(data, config, B=40_000, seed=2)
-    assert_same_report(got, model_test_by_family(data, config, B=40_000, seed=2))
+    assert len(got.slacks) == 41
+    assert_same_report(got, model_test_by_specs(data, config, B=40_000, seed=2))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5, 7, 30, 100])
+@pytest.mark.parametrize("J, J0, ny", [(4, 0, 0), (3, 0, 3), (3, 1, 3), (5, 0, 0)])
+def test_test_model_does_not_depend_on_the_chunk_size(monkeypatch, J, J0, ny, rows):
+    # chunks of one member, ranges of the last or an inner choice's
+    # options, and whole tails: every moment keeps its order of sums
+    config, data = _micro(J, J0, ny, 1500, seed=77 + rows)
+    monkeypatch.setattr(stats, "_CHUNK_DOUBLES", 99 * rows)
+    got = stats.test_model(data, config, B=99, seed=rows)
+    assert_same_report(got, model_test_by_specs(data, config, B=99, seed=rows))
 
 
 @pytest.mark.parametrize(
@@ -455,24 +485,46 @@ def test_test_model_cap_refuses_before_building_rows(monkeypatch, J, J0, ny, mes
     def refuse(*args, **kwargs):
         raise AssertionError("a moment row was built")
 
-    for name in ("_fill_product_rows", "generate", "generate_outcome"):
+    for name in ("_option_sums", "_fold", "generate", "generate_outcome"):
         monkeypatch.setattr(stats, name, refuse)
     with pytest.raises(CapacityError) as got:
         stats.test_model(data, config, B=99)
     assert str(got.value) == message
 
 
-def test_test_model_memory_is_one_block():
-    # the explicit family peaks at about 1.2 GB on this design
-    config, data = _micro(4, 0, 3, 20_000, seed=11)
+def _test_model_peak(config, data, B):
     tracemalloc.start()
     try:
-        report = stats.test_model(data, config, B=99, seed=3)
+        report = stats.test_model(data, config, B=B, seed=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return report, peak
+
+
+def test_test_model_memory_is_one_block():
+    # 531,477 moments at B = 99: the report's arrays, their variance sums
+    # and one chunk of at most 2**20 doubles. The explicit family peaks at
+    # about 1.2 GB on this design, and the dense blocks of W at about 27 MB
+    config, data = _micro(4, 0, 3, 20_000, seed=11)
+    report, peak = _test_model_peak(config, data, B=99)
     assert len(report.slacks) == 3 ** 12 + 36
-    assert peak < 150e6
+    assert peak < 24e6, peak
+
+
+@pytest.mark.parametrize(
+    "J, J0, B, limit",
+    [(3, 1, 99, 40e6), (2, 0, 99, 40e6), (3, 1, 999, 80e6)],
+)
+def test_test_model_memory_is_linear_in_the_outcome_alphabet(J, J0, B, limit):
+    # 300 outcome values: 2,400 static rows over 2,700 cells at (3,1) and
+    # 600 over 1,200 at (2,0). A dense static W peaked at 170.5 MB at
+    # (3,1); now the per-cell draws (B x cells) dominate
+    config, data = _micro(J, J0, 300, 20_000, seed=300 + J)
+    assert len(np.unique(data.y)) == 300
+    report, peak = _test_model_peak(config, data, B=B)
+    assert len(report.slacks) == {(3, 1): 2400, (2, 0): 601}[J, J0]
+    assert peak < limit, peak
 
 
 def _same_tables(a, b):
