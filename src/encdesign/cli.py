@@ -406,36 +406,110 @@ def write_csv(data: MicroData, path: str) -> None:
 
 
 def read_csv(path: str, want_y: bool) -> MicroData:
-    """Read a micro-data CSV with a header naming columns d, z and, with
+    r"""Read a micro-data CSV with a header naming columns d, z and, with
     ``want_y``, y, in any order among other columns.
 
-    The body is parsed in bulk by numpy when every field of every row is
-    an int64 literal. Any other file (quoted fields, whitespace-only or
-    short rows, non-integer or out-of-range values, a bad header or no
-    rows) is read row by row by ``_read_csv_rows``, which returns the
-    same arrays where both accept a file and raises the row-indexed
-    errors."""
-    import warnings
-
-    import numpy as np
-
+    The header is parsed by ``csv.reader``, so quoted and multi-line
+    headers are read as usual. The body is parsed in bulk from its bytes
+    when every field is ``-?[0-9]{1,18}``, fields are separated by ``,``,
+    lines end in ``\n`` or ``\r\n`` (the last line's ``\n`` may be
+    missing) and every line has the same number of fields, more than the
+    highest needed column index. Any other file (quoted fields, spaces,
+    ``+``, blank lines, a lone ``\r`` inside the body, values of 19 or
+    more digits, non-ASCII bytes, short rows, a bad header or no rows) is
+    read row by row by ``_read_csv_rows``, which returns the same arrays
+    where both accept a file and raises the row-indexed errors."""
     from .simulate import MicroData
 
     names = ("d", "z", "y") if want_y else ("d", "z")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = next(csv.reader(fh), [])
-        column = {name: i for i, name in enumerate(header)}
-        if all(name in column for name in names):
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")  # loadtxt warns on a body without rows
-                    body = np.loadtxt(fh, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
-            except (ValueError, Warning):
-                body = None
-            if body is not None and max(column[name] for name in names) < body.shape[1]:
-                d, z, *y = (np.ascontiguousarray(body[:, column[name]]) for name in names)
-                return MicroData(d, z, y[0] if want_y else None, provenance=path)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    # the header's lines as text mode with newline="" splits them, each
+    # ending at \r\n, \r or \n (compiled here, so commands that read no
+    # CSV do not pay for it at import)
+    line_re = re.compile(rb"[^\r\n]*(?:\r\n?|\n)?")
+    pos = 0
+
+    def lines():
+        nonlocal pos
+        while pos < len(raw):
+            line = line_re.match(raw, pos)
+            pos = line.end()
+            yield line.group().decode("utf-8")
+
+    try:
+        header = next(csv.reader(lines()), [])
+    except (UnicodeDecodeError, csv.Error):
+        header = []
+    column = {name: i for i, name in enumerate(header)}
+    if all(name in column for name in names):
+        body = _parse_body(raw, pos, [column[name] for name in names])
+        if body is not None:
+            d, z, *y = body
+            return MicroData(d, z, y[0] if want_y else None, provenance=path)
     return _read_csv_rows(path, want_y)
+
+
+def _parse_body(raw: bytes, pos: int, columns: list[int]):
+    r"""The int64 arrays of the given columns of the body ``raw[pos:]``,
+    or None when the body is empty or outside ``read_csv``'s bulk grammar.
+
+    Every field ends at one separator (``,`` or ``\n``), so the
+    separators' bytes, reshaped to (rows, k), show the line structure.
+    A field's digits are its span between separators less a leading
+    ``-`` and the ``\r`` of a ``\r\n``. The body is in the grammar when
+    every field has 1 to 18 digits, every ``-`` and ``\r`` in it is one
+    of those, and every other byte is a digit or a separator."""
+    import numpy as np
+
+    if len(raw) == pos:
+        return None
+    if not raw.endswith(b"\n"):
+        raw, pos = raw[pos:] + b"\n", 0
+    # find scans at memchr speed, count much slower; most bodies hold neither
+    n_cr, n_minus = (raw.count(c, pos) if raw.find(c, pos) >= 0 else 0 for c in (b"\r", b"-"))
+    buf = np.frombuffer(raw, dtype=np.uint8, offset=pos)
+    sep = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+    kinds = buf[sep]
+    k = int(np.argmax(kinds == ord("\n"))) + 1
+    rows = len(sep) // k
+    if rows * k != len(sep) or k <= max(columns):
+        return None
+    kinds = kinds.reshape(rows, k)
+    if not ((kinds[:, -1] == ord("\n")).all() and (kinds[:, :-1] == ord(",")).all()):
+        return None
+    values = buf - np.uint8(ord("0"))
+    if np.count_nonzero(values < 10) != len(buf) - len(sep) - n_cr - n_minus:
+        return None
+    if n_cr:
+        crlf = buf[sep[k - 1 :: k] - 1] == ord("\r")
+        if np.count_nonzero(crlf) != n_cr:
+            return None
+    starts = np.empty_like(sep)
+    starts[0] = 0
+    np.add(sep[:-1], 1, out=starts[1:])
+    digits = np.subtract(sep, starts, out=sep)
+    if n_cr:
+        digits[k - 1 :: k] -= crlf
+    if n_minus:
+        negative = buf[starts] == ord("-")
+        if np.count_nonzero(negative) != n_minus:
+            return None
+        digits -= negative
+        starts += negative
+    if digits.min() < 1 or digits.max() > 18:
+        return None
+    last = len(values) - 1
+    out = []
+    for c in columns:
+        first, n = starts[c::k], digits[c::k]
+        value = values[first].astype(np.int64)
+        for w in range(1, int(n.max())):
+            value = np.where(n > w, value * 10 + values[np.minimum(first + w, last)], value)
+        if n_minus:
+            np.negative(value, out=value, where=negative[c::k])
+        out.append(value)
+    return out
 
 
 def _read_csv_rows(path: str, want_y: bool) -> MicroData:

@@ -160,6 +160,8 @@ def simulate(spec: RumSpec) -> SimulationResult:
     # a type packs into one base-J integer; past int64 it packs into Python ints
     code_dtype = np.int64 if config.J**m <= 2**63 else object
     code_weights = np.array([config.J ** (m - 1 - i) for i in range(m)], dtype=code_dtype)
+    # counts[zi * J + j]: the draws on instrument position zi that chose j
+    counts = np.zeros(m * config.J, dtype=np.int64)
     filled = 0
     chunk_index = 0
     while filled < spec.n:
@@ -183,16 +185,16 @@ def simulate(spec: RumSpec) -> SimulationResult:
             type_counts[rt] = type_counts.get(rt, 0) + int(count)
         d_out[filled : filled + k] = codes[np.arange(k), zidx]
         z_out[filled : filled + k] = z_support[zidx]
+        counts += np.bincount(zidx * config.J + d_out[filled : filled + k], minlength=m * config.J)
         filled += k
         chunk_index += 1
 
     rows = {}
-    for zi, z in enumerate(config.z_support):
-        arm = d_out[z_out == z]
-        if len(arm) == 0:
+    for z, arm in zip(config.z_support, counts.reshape(m, config.J).tolist()):
+        size = sum(arm)
+        if size == 0:
             raise ValueError(f"no draws landed on instrument value {z}; increase n")
-        counts = np.bincount(arm, minlength=config.J)
-        rows[z] = tuple(Fraction(int(c), len(arm)) for c in counts)
+        rows[z] = tuple(Fraction(c, size) for c in arm)
     table = ObservedDistribution(config, rows)
     data = MicroData(d_out, z_out, provenance=f"rum(seed={spec.seed})")
     ordered = dict(sorted(type_counts.items(), key=lambda kv: kv[0].d))

@@ -270,13 +270,21 @@ def test_model(
     # Multiplier bootstrap. The moments depend on the data only through
     # per-cell multiplier sums, which are independent N(0, count) across
     # cells, so those sums are drawn directly. G holds one row per cell.
+    # Each arm's cells are one column range of S, recentred in place.
     rng = _chunk_rng(seed, 0)
-    S = rng.normal(size=(B, len(coords))) * np.sqrt(p_vec * arm_n[arm_of])
-    G = np.empty(S.shape[::-1])
-    for a in range(len(arm_n)):
-        sel = arm_of == a
-        arm_total = S[:, sel].sum(axis=1, keepdims=True)
-        G[sel] = ((S[:, sel] - p_vec[sel] * arm_total) / arm_n[a]).T
+    S = rng.normal(size=(B, len(coords)))
+    S *= np.sqrt(p_vec * arm_n[arm_of])
+    width = len(coords) // len(arm_n)
+    for a, n_a in enumerate(arm_n):
+        block, p = S[:, a * width : (a + 1) * width], p_vec[a * width : (a + 1) * width]
+        # summed over a column-major copy, which adds the columns in
+        # order; the sum over the strided block groups them differently
+        arm_copy = np.asfortranarray(block)
+        arm_total = arm_copy.sum(axis=1, keepdims=True)
+        block -= np.multiply(p, arm_total, out=arm_copy)
+        block /= n_a
+    del block, arm_copy  # block is a view of S, which del S must free
+    G = np.ascontiguousarray(S.T)
     del S
 
     buf = np.empty((min(max(1, _CHUNK_DOUBLES // B), n_moments), B))

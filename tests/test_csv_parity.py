@@ -1,4 +1,6 @@
-"""``cli.read_csv`` parses the body in bulk and falls back to the row-by-row
+r"""``cli.read_csv`` parses the body from its bytes when it is in the bulk
+grammar (fields ``-?[0-9]{1,18}`` separated by ``,``, lines ending in
+``\n`` or ``\r\n``, one field count) and falls back to the row-by-row
 reader on anything else; on every input both must give the same arrays or
 the same error as the row-by-row oracle. ``cli.write_csv`` takes each
 column's alphabet as the range from its least to its greatest value,
@@ -9,13 +11,17 @@ the bytes of the row-by-row writer, and its memory stays linear in the
 number of rows."""
 
 import math
+import tempfile
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from encdesign import cli
 from encdesign.core import DesignConfig
@@ -68,7 +74,32 @@ CORPUS = {
     "padded_header": "d, z\n1,0\n",
     "bom_header": "\ufeffd,z\n1,0\n",
     "no_y_column": "d,z\n1,0\n",
+    "invalid_utf8_body": b"d,z\n1,0\n\xff,1\n",
+    "invalid_utf8_header": b"d,z,\xc3\n1,0,2\n",
+    "invalid_utf8_second_header_line": b'"a\nb\xff",d,z\n1,0,0\n',
+    "split_line": "d,z\n1,0\n1\n0\n",
+    "digits_18": "y,d,z\n123456789012345678,-999999999999999999,0\n",
+    "digits_19": "y,d,z\n1234567890123456789,0,-9223372036854775808\n",
+    "digits_19_past_int64": "d,z\n9999999999999999999,0\n",
+    "digits_20": "d,z\n12345678901234567890,0\n",
+    "negative_zero": "d,z\n-0,0\n",
+    "lone_minus": "d,z\n-,0\n",
+    "double_minus": "d,z\n--1,0\n",
+    "inner_minus": "d,z\n1-2,0\n",
+    "mixed_lf_crlf": "y,d,z\n1,0,1\r\n0,1,0\n5,2,2\r\n",
+    "crlf_then_lone_cr": "d,z\r\n0,1\r\n1,0\r",
+    "trailing_cr": "d,z\n0,1\n1,0\r",
+    "cr_inside_line": "d,z\n0\r,1\n",
+    "no_final_newline": "y,d,z\n1,0,1\n0,1,0",
+    "nul_field": "d,z\n1,\x00\n",
+    "form_feed": "d,z\n1,\x0c0\n",
+    "next_line": "d,z\n1,0\x85\n",
+    "next_line_byte": b"d,z\n1,0\x85\n",
 }
+
+
+def _write(path, text):
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
 
 
 def _read(reader, path, want_y):
@@ -84,14 +115,90 @@ def _read(reader, path, want_y):
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_read_csv_matches_row_reader(tmp_path, name, want_y):
     path = tmp_path / f"{name}.csv"
-    path.write_bytes(CORPUS[name].encode("utf-8"))
+    _write(path, CORPUS[name])
     assert _read(cli.read_csv, str(path), want_y) == _read(read_csv_rows, str(path), want_y)
 
 
-def test_read_csv_parses_integer_files_in_bulk(tmp_path, monkeypatch):
+# bodies of the bulk grammar's bytes and of its near misses: any string of
+# its alphabet, or k-field lines of integers (up to 20 digits), with at
+# most one field swapped for a near miss and the end cut by a byte or two
+_BODY_BYTES = st.text(alphabet='0123456789,-+\r\n "x', max_size=60)
+_NEAR_MISSES = st.sampled_from(["", "-", "-0", "--1", "1-2", "+1", " 1", "1\r", "x", "1,2", "\r\n"])
+
+
+@st.composite
+def _bodies(draw):
+    if draw(st.integers(0, 3)) == 0:
+        return draw(_BODY_BYTES)
+    k = draw(st.integers(1, 4))
+    values = st.one_of(st.integers(-9, 99), st.integers(-(10**20), 10**20))
+    lines = draw(st.lists(st.lists(values.map(str), min_size=k, max_size=k), max_size=8))
+    fields = [field for line in lines for field in line]
+    if fields and draw(st.booleans()):
+        fields[draw(st.integers(0, len(fields) - 1))] = draw(_NEAR_MISSES)
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    body = "".join(",".join(fields[i * k : (i + 1) * k]) + end for i, end in enumerate(ends))
+    return body[: len(body) - draw(st.integers(0, 2))]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    header=st.sampled_from(["d,z\n", "y,d,z\r\n", "z,w,d,y\n", '"d",z\n']),
+    body=_bodies(),
+    want_y=st.booleans(),
+)
+def test_read_csv_matches_row_reader_on_drawn_bodies(header, body, want_y):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "drawn.csv"
+        _write(path, header + body)
+        assert _read(cli.read_csv, str(path), want_y) == _read(read_csv_rows, str(path), want_y)
+
+
+def _refuse_rows(monkeypatch):
     def refuse(path, want_y):
         raise AssertionError("fell back to the row reader")
 
+    monkeypatch.setattr(cli, "_read_csv_rows", refuse)
+
+
+@pytest.mark.parametrize(
+    "name", ["plain", "with_y", "reordered", "extra_int_column", "quoted_header", "multiline_quoted_header",
+             "crlf", "negative", "leading_zeros", "extra_field_everywhere", "digits_18", "negative_zero",
+             "mixed_lf_crlf", "no_final_newline"],
+)
+def test_read_csv_parses_grammar_files_in_bulk(tmp_path, monkeypatch, name):
+    path = tmp_path / f"{name}.csv"
+    _write(path, CORPUS[name])
+    want_y = "y" in CORPUS[name].split("\n")[0]
+    want = _read(read_csv_rows, str(path), want_y)
+    assert want[0] == "data"
+    _refuse_rows(monkeypatch)
+    assert _read(cli.read_csv, str(path), want_y) == want
+
+
+def test_read_csv_parses_simulate_output_in_bulk_in_linear_memory(tmp_path, monkeypatch, capsys):
+    # a 150,000-row (5,0) simulate file: the peak holds its bytes, the
+    # separators' positions, the field starts and one int64 array per
+    # read column, about 60 bytes per row
+    n = 150_000
+    path = str(tmp_path / "sim.csv")
+    cli.run(["simulate", "--J", "5", "--betas", "1,1,1,1,1", "--pz", "1/5,1/5,1/5,1/5,1/5",
+             "--n", str(n), "--seed", "3", "--out", path])
+    capsys.readouterr()
+    want = read_csv_rows(path, False)
+    _refuse_rows(monkeypatch)
+    tracemalloc.start()
+    try:
+        data = cli.read_csv(path, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.d.tolist() == want.d.tolist() and data.z.tolist() == want.z.tolist()
+    assert data.d.dtype == data.z.dtype == np.int64 and data.y is None
+    assert peak < 128 * n, peak
+
+
+def test_read_csv_parses_integer_files_in_bulk(tmp_path, monkeypatch):
     rng = np.random.default_rng(3)
     body = rng.integers(-5, 9, size=(2000, 4))
     path = tmp_path / "ints.csv"
@@ -99,7 +206,7 @@ def test_read_csv_parses_integer_files_in_bulk(tmp_path, monkeypatch):
         fh.write("w,z,y,d\r\n")
         np.savetxt(fh, body, fmt="%d", delimiter=",", newline="\r\n")
     expected = read_csv_rows(str(path), True)
-    monkeypatch.setattr(cli, "_read_csv_rows", refuse)
+    _refuse_rows(monkeypatch)
     data = cli.read_csv(str(path), True)
     assert data.d.tolist() == expected.d.tolist() == body[:, 3].tolist()
     assert data.z.tolist() == expected.z.tolist() == body[:, 1].tolist()
@@ -110,7 +217,7 @@ def test_read_csv_parses_integer_files_in_bulk(tmp_path, monkeypatch):
 @pytest.mark.parametrize("past", ["past_int64", "negative_past_int64"])
 def test_values_past_int64_are_row_errors(tmp_path, past):
     path = tmp_path / "big.csv"
-    path.write_bytes(CORPUS[past].encode("utf-8"))
+    _write(path, CORPUS[past])
     value = CORPUS[past].split("\n")[1].split(",")[0]
     with pytest.raises(ValueError, match=f"^row 0: d={value} is outside the int64 range$"):
         cli.read_csv(str(path), False)

@@ -514,7 +514,7 @@ def test_test_model_memory_is_one_block():
 
 @pytest.mark.parametrize(
     "J, J0, B, limit",
-    [(3, 1, 99, 40e6), (2, 0, 99, 40e6), (3, 1, 999, 80e6)],
+    [(3, 1, 99, 40e6), (2, 0, 99, 40e6), (3, 1, 999, 52e6)],
 )
 def test_test_model_memory_is_linear_in_the_outcome_alphabet(J, J0, B, limit):
     # 300 outcome values: 2,400 static rows over 2,700 cells at (3,1) and
