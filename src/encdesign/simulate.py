@@ -349,6 +349,10 @@ def _sample_region(
     rhs = np.asarray(region.rhs, dtype=np.int64)
     offs = np.asarray(region.offsets, dtype=np.float64)
     lo, hi = _difference_box(region, M)
+    J = len(lo)
+    # rng.uniform(lo, hi) computes lo + (hi - lo) * next_double, as the
+    # differences below spell it out, one column at a time
+    pairs = list(zip(lo.tolist(), (hi - lo).tolist()))
     width = 2.0 * M
     want = int(want)  # Python ints: the batch arithmetic must not wrap
     chunks = []
@@ -361,18 +365,24 @@ def _sample_region(
         batch = need * proposed // got + need if got else 2 * max(need, proposed)
         batch = min(batch, CHUNK_SIZE)
         proposed += batch
-        # rng.uniform(lo, hi) computes lo + (hi - lo) * next_double, as
-        # the shift below spells it out
-        delta = lo + (hi - lo) * rng.random((batch, len(lo)))
-        low = high = delta[:, 0]
-        for j in range(1, len(lo)):
-            low = np.minimum(low, delta[:, j])
-            high = np.maximum(high, delta[:, j])
+        # the differences as contiguous (J, batch) columns: the same
+        # multiply and add per element as on the (batch, J) draws, whose
+        # length-J broadcast runs a J-element inner loop per row
+        draws = rng.random((batch, J))
+        cols = np.empty((J, batch))
+        for j, (lo_j, span_j) in enumerate(pairs):
+            np.multiply(draws[:, j], span_j, out=cols[j])
+            cols[j] += lo_j
+        del draws
+        low = high = cols[0]
+        for j in range(1, J):
+            low = np.minimum(low, cols[j])
+            high = np.maximum(high, cols[j])
         keep = rng.random(batch) * width < width - (high - low)
-        # take() on the kept indices copies the same rows as a boolean
-        # index, about five times faster on a (batch, J) array
+        # take() on the kept indices copies the same entries as a boolean
+        # index, about five times faster on a (J, batch) array
         keep = np.flatnonzero(keep)
-        delta, low, high = delta.take(keep, 0), low.take(keep), high.take(keep)
+        cols, low, high = cols.take(keep, 1), low.take(keep), high.take(keep)
         # rng.uniform(start, M - high) computes start + (M - high - start)
         # * next_double per row; spelled out over rng.random it draws the
         # same doubles and gives the same bits without uniform's slow path
@@ -380,21 +390,22 @@ def _sample_region(
         # 2M - span is positive.
         start = -M - low
         shift = start + ((M - high) - start) * rng.random(len(start))
-        eps = delta + shift[:, None]
+        cols += shift
         # fl(x + shift) is monotone in x, so the extreme shocks of a row
         # are its extreme differences plus the shift: the box test
         # |eps| <= M needs only those two
-        mask = kernels.region_accept(eps, lhs, rhs, offs)
+        mask = kernels.region_accept(cols.T, lhs, rhs, offs)
         mask &= (low + shift >= -M) & (high + shift <= M)
-        accepted = eps.take(np.flatnonzero(mask)[:need], 0)
+        accepted = cols.take(np.flatnonzero(mask)[:need], 1)
         chunks.append(accepted)
-        got += len(accepted)
+        got += accepted.shape[1]
         if proposed > 1e6 and got / proposed < min_acceptance:
             raise RuntimeError(
                 f"rejection acceptance rate below {min_acceptance} for region "
                 f"{region.rtype.d}; adjust the bounding box"
             )
-    return np.concatenate(chunks)
+    # (want, J) rows over the accepted columns
+    return np.concatenate([np.empty((J, 0)), *chunks], axis=1).T
 
 
 def verify_mixture(

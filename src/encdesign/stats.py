@@ -254,6 +254,7 @@ def test_model(
     violations = moment_sums(p_vec, np.empty(n_moments))
     violations[:n_static] -= [float(spec.bound) for spec in static]
     violations[n_static:] -= 1.0
+    del static, pairs, index  # Python objects, about 1.3 MB at |Y| = 300
     # per arm a, q_a and s_a sum |w| p and w p over the moment's cells in
     # that arm; the variance adds (q_a - s_a^2)/n_a arm by arm from 0.0
     q, s, se = np.empty(n_moments), np.empty(n_moments), np.zeros(n_moments)
@@ -269,30 +270,41 @@ def test_model(
 
     # Multiplier bootstrap. The moments depend on the data only through
     # per-cell multiplier sums, which are independent N(0, count) across
-    # cells, so those sums are drawn directly. G holds one row per cell.
-    # Each arm's cells are one column range of S, recentred in place.
+    # cells, so those sums are drawn directly: one (B, cells) stream,
+    # drawn a block of rows at a time and transposed into G, which holds
+    # one row per cell. Each arm's cells are one row range of G,
+    # recentred in place.
     rng = _chunk_rng(seed, 0)
-    S = rng.normal(size=(B, len(coords)))
-    S *= np.sqrt(p_vec * arm_n[arm_of])
+    G = np.empty((len(coords), B))
+    draws = max(1, _CHUNK_DOUBLES // len(coords))
+    for lo in range(0, B, draws):
+        G[:, lo:lo + draws] = rng.normal(size=(min(draws, B - lo), len(coords))).T
+    G *= np.sqrt(p_vec * arm_n[arm_of])[:, None]
     width = len(coords) // len(arm_n)
+    row = np.empty(B)
     for a, n_a in enumerate(arm_n):
-        block, p = S[:, a * width : (a + 1) * width], p_vec[a * width : (a + 1) * width]
-        # summed over a column-major copy, which adds the columns in
-        # order; the sum over the strided block groups them differently
-        arm_copy = np.asfortranarray(block)
-        arm_total = arm_copy.sum(axis=1, keepdims=True)
-        block -= np.multiply(p, arm_total, out=arm_copy)
+        block, p = G[a * width : (a + 1) * width], p_vec[a * width : (a + 1) * width]
+        # summed along the contiguous rows, which adds the cells in order
+        arm_total = block.sum(axis=0)
+        for cell, p_c in zip(block, p.tolist()):
+            cell -= np.multiply(arm_total, p_c, out=row)
         block /= n_a
-    del block, arm_copy  # block is a view of S, which del S must free
-    G = np.ascontiguousarray(S.T)
-    del S
+    del block, row
 
     buf = np.empty((min(max(1, _CHUNK_DOUBLES // B), n_moments), B))
-    chunks = (
-        np.subtract(np.take(G, lhs[lo:lo + len(buf)], axis=0, out=buf[: n_static - lo]),
-                    G[rhs[lo:lo + len(buf)]], out=buf[: n_static - lo])
-        for lo in range(0, n_static, len(buf))
-    )
+
+    def static_chunks():
+        # take() buffers its output in the default mode="raise", and a
+        # gather of the rhs rows would be one more buffer: the lhs rows
+        # are taken in mode="clip" (the indices are in range) and each
+        # rhs row is subtracted in place
+        for lo in range(0, n_static, len(buf)):
+            out = np.take(G, lhs[lo:lo + len(buf)], axis=0, out=buf[: n_static - lo], mode="clip")
+            for diff, right in zip(out, rhs[lo:lo + len(buf)].tolist()):
+                diff -= G[right]
+            yield out
+
+    chunks = static_chunks()
     if options:
         chunks = itertools.chain(chunks, _product_chunks([_option_sums(G, o) for o in options], buf))
     t_star, start = np.full(B, -np.inf), 0

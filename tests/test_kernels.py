@@ -141,3 +141,48 @@ def test_region_accept_matches_row_major_oracle(J, n):
         assert any(want) and not all(want) or n < 400
         lists = (eps.tolist(), lhs.tolist(), rhs.tolist(), offsets.tolist())
         assert np.array_equal(kernels.region_accept(*lists), want)
+
+
+@pytest.mark.parametrize("J", [255, 256, 300])
+def test_potential_codes_match_argmax_past_the_counter_boundary(J):
+    # the first-index count reaches J on rows whose top is in column 0:
+    # uint8 up to J = 255, uint16 from 256
+    rng = np.random.default_rng(J)
+    eps = rng.integers(-2, 3, size=(40, J)).astype(np.float64)
+    eps[0] = 1.0  # all tied
+    eps[1] = np.inf
+    eps[2] = -np.inf
+    eps[3] = np.where(np.arange(J) % 2, np.inf, -np.inf)
+    eps[4, 0] = 10.0  # top in column 0 alone
+    eps[5, -1] = 10.0  # top in the last column alone
+    betas = np.where(np.arange(J) % 3 == 0, 0.0, 1.0)
+    z_targets = [0, 1, 2, 128, 254, J - 1]
+    d, ties = kernels.potential_type_codes(eps, betas, z_targets)
+    want_d, want_ties = potential_type_codes_by_argmax(eps, betas, z_targets)
+    assert d.dtype == np.int64
+    assert np.array_equal(d, want_d)
+    assert np.array_equal(ties, want_ties)
+    assert d[0, 0] == 0 and ties[0] and not ties[4] and d[5].tolist() == [J - 1] * len(z_targets)
+
+
+@pytest.mark.parametrize("J", [2, 4, 7])
+def test_kernels_do_not_depend_on_the_memory_order(J):
+    # C-ordered rows against column-major rows (the region sampler's view
+    # of its columns, which the kernels read without a copy) and a
+    # strided slice
+    rng = np.random.default_rng([J, 9])
+    eps = _shocks_with_ties(rng, 1000, J)
+    layouts = [np.asfortranarray(eps), np.repeat(eps, 2, axis=0)[::2]]
+    assert not any(x.flags.c_contiguous for x in layouts)
+    betas = rng.integers(0, 3, size=J).astype(np.float64)
+    z_support = list(range(J))
+    p = int(rng.integers(0, J))
+    rhs = [j for j in range(J) if j != p]
+    lhs, offsets = [p] * (J - 1), rng.integers(0, 3, J - 1).astype(np.float64)
+    want_d, want_ties = kernels.potential_type_codes(eps, betas, z_support)
+    want_mask = kernels.region_accept(eps, lhs, rhs, offsets)
+    for x in layouts:
+        d, ties = kernels.potential_type_codes(x, betas, z_support)
+        assert np.array_equal(d, want_d) and np.array_equal(ties, want_ties)
+        assert np.array_equal(kernels.region_accept(x, lhs, rhs, offsets), want_mask)
+    assert want_ties.any() and want_mask.any() and not want_mask.all()

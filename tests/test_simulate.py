@@ -315,6 +315,16 @@ def test_sample_region_batch_arithmetic_does_not_wrap():
     assert rng.sizes == [(CHUNK_SIZE, 4)]
 
 
+@pytest.mark.parametrize("want", [0, np.int64(0)])
+def test_sample_region_returns_no_rows_when_none_are_wanted(want):
+    mix = build_epsilon_mixture(random_measure(DesignConfig(4, 0), Random(5)))
+    rng = np.random.default_rng(6)
+    eps = _sample_region(rng, mix.components[0], mix.M, want, 1e-6)
+    assert eps.dtype == np.float64 and eps.shape == (0, 4)
+    # no draw was taken from the stream
+    assert rng.random() == np.random.default_rng(6).random()
+
+
 def test_verify_mixture_passes_python_ints_to_the_sampler(monkeypatch):
     wants = []
 
