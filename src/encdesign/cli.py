@@ -21,9 +21,6 @@ import json
 import re
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
-from math import isfinite
-from operator import add
 from typing import TYPE_CHECKING
 
 from . import admissible, inequalities, lp, witness
@@ -132,159 +129,26 @@ def _unique_keys(pairs: list) -> dict:
 
 def _load_object(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return _object(json.load(fh, object_pairs_hook=_unique_keys), "the top level")
+        try:
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
+        except RecursionError:
+            raise ValueError("the JSON document is nested too deeply") from None
+    return _object(doc, "the top level")
 
 
 def _design(doc: dict) -> DesignConfig:
     return DesignConfig(_int(doc["J"], "J"), _int(doc.get("J0", 0), "J0"))
 
 
+def _write_json(doc, fh) -> None:
+    """Write ``doc`` to ``fh`` as ``json.dump(sort_keys=True, indent=2)``
+    and a line end. The text is streamed, never held whole."""
+    json.dump(doc, fh, sort_keys=True, indent=2)
+    fh.write("\n")
+
+
 def _emit(doc) -> None:
-    sys.stdout.write(dumps(doc) + "\n")
-
-
-# ---------------------------------------------------------------- JSON
-
-# Float lists at least this long are written through one float64 array,
-# deduplicated by bit pattern; shorter ones call float.__repr__ per item.
-# Deduplication pays where values repeat, as in the moment families of
-# outcome tests (531,477 slacks, 753 distinct, written 6x faster); on
-# lists of distinct values it costs about 15% more.
-BULK_FLOATS = 4096
-
-_INF = float("inf")
-_BOOL_TEXT = {True: "true", False: "false"}
-
-
-def dumps(doc) -> str:
-    """The text of ``json.dumps(doc, sort_keys=True, indent=2)``, byte for
-    byte, written faster.
-
-    Dicts (keys sorted), lists and tuples take json's two-space layout;
-    strings go through ``encode_basestring_ascii``, ints through
-    ``int.__repr__``, floats through ``float.__repr__`` except that NaN
-    and the infinities are spelled as json spells them, and any other
-    scalar is left to ``json.dumps``. A 1-D float64 or bool numpy array
-    is written as the list it holds. The items of a container that all
-    share one scalar type are written in one pass (``_scalar_texts``)."""
-    out: list[str] = []
-    _write(doc, "\n", out)
-    return "".join(out)
-
-
-def _write(value, newline: str, out: list) -> None:
-    """Append the text of ``value`` to ``out``; ``newline`` is a line
-    break followed by the indent of the line ``value`` starts on."""
-    if isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        keys, items = zip(*sorted(value.items()))
-        heads = [encode_basestring_ascii(_key_text(k)) + ": " for k in keys]
-        brackets = "{}"
-    elif isinstance(value, (list, tuple)) or _is_flat_array(value):
-        if not len(value):
-            out.append("[]")
-            return
-        items, heads, brackets = value, None, "[]"
-    else:
-        out.append(_scalar_text(value))
-        return
-    inner = newline + "  "
-    sep = "," + inner
-    texts = _scalar_texts(items)
-    out.append(brackets[0] + inner)
-    if texts is not None:
-        out.append(sep.join(texts if heads is None else map(add, heads, texts)))
-    else:
-        for i, item in enumerate(items):
-            if i:
-                out.append(sep)
-            if heads is not None:
-                out.append(heads[i])
-            _write(item, inner, out)
-    out.append(newline + brackets[1])
-
-
-def _is_flat_array(value) -> bool:
-    """Whether ``value`` is a 1-D float64 or bool numpy array (tested
-    without importing numpy)."""
-    return getattr(value, "ndim", None) == 1 and value.dtype.char in "d?"
-
-
-def _key_text(key) -> str:
-    if isinstance(key, str):
-        return key
-    if isinstance(key, (int, float)) or key is None:
-        return _scalar_text(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
-def _scalar_text(value) -> str:
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_text(value)
-    return json.dumps(value)
-
-
-def _float_text(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == _INF:
-        return "Infinity"
-    if value == -_INF:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-def _scalar_texts(items):
-    """The texts of ``items`` when all have one type among str, bool,
-    int, None and the floats, or when ``items`` is a 1-D float64 or bool
-    array; otherwise None."""
-    if _is_flat_array(items):
-        if items.dtype.char == "?":
-            return map(_BOOL_TEXT.__getitem__, items.tolist())
-        if len(items) >= BULK_FLOATS:
-            return _bulk_float_texts(items)
-        items = items.tolist()
-    kinds = set(map(type, items))
-    if len(kinds) != 1:
-        return None
-    (kind,) = kinds
-    if kind is str:
-        return map(encode_basestring_ascii, items)
-    if kind is bool:
-        return map(_BOOL_TEXT.__getitem__, items)
-    if kind is int:
-        return map(int.__repr__, items)
-    if kind is type(None):
-        return ["null"] * len(items)
-    if issubclass(kind, float):
-        if len(items) >= BULK_FLOATS:
-            return _bulk_float_texts(items)
-        return map(float.__repr__ if all(map(isfinite, items)) else _float_text, items)
-    return None
-
-
-def _bulk_float_texts(items) -> list[str]:
-    """The texts of many floats: each distinct bit pattern (so 0.0 and
-    -0.0 stay apart) is formatted once and its text gathered back into
-    item order."""
-    import numpy as np
-
-    bits, where = np.unique(np.asarray(items, dtype=np.float64).view(np.int64), return_inverse=True)
-    values = bits.view(np.float64)
-    text = float.__repr__ if np.isfinite(values).all() else _float_text
-    return np.array(list(map(text, values.tolist())), dtype=object)[where].tolist()
+    _write_json(doc, sys.stdout)
 
 
 # ---------------------------------------------------------------- files
@@ -713,7 +577,7 @@ def _dispatch(args) -> int:
         doc["witness"] = outcome_measure_doc(q) if outcome else measure_doc(q)
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(dumps(doc["witness"]) + "\n")
+                _write_json(doc["witness"], fh)
         _emit(doc)
         return EXIT_OK
 

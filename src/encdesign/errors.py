@@ -2,7 +2,8 @@
 
 
 class CapacityError(Exception):
-    """An enumeration or table would exceed its configured size cap."""
+    """An enumeration or table would exceed its configured size cap, or a
+    rejection sampler's acceptance rate fell below its configured floor."""
 
 
 class ConstructionError(ValueError):

@@ -27,6 +27,7 @@ from .core import (
     ResponseType,
     _validate_pz,
 )
+from .errors import CapacityError
 
 CHUNK_SIZE = 65536
 
@@ -344,7 +345,8 @@ def _sample_region(
     that length. Draw delta uniformly in the difference box, keep it with
     probability (2M - span) / 2M, draw the shift uniformly on its
     interval, and keep the rows that satisfy every region constraint and
-    the box."""
+    the box. Past 10**6 proposals, an acceptance rate below
+    ``min_acceptance`` raises a CapacityError."""
     lhs = np.asarray(region.lhs, dtype=np.int64)
     rhs = np.asarray(region.rhs, dtype=np.int64)
     offs = np.asarray(region.offsets, dtype=np.float64)
@@ -400,7 +402,7 @@ def _sample_region(
         chunks.append(accepted)
         got += accepted.shape[1]
         if proposed > 1e6 and got / proposed < min_acceptance:
-            raise RuntimeError(
+            raise CapacityError(
                 f"rejection acceptance rate below {min_acceptance} for region "
                 f"{region.rtype.d}; adjust the bounding box"
             )

@@ -151,13 +151,12 @@ class TestReport:
 
     def to_dict(self) -> dict:
         """The verdict with every moment's slack, standard error and
-        floored flag, as the report's arrays (``cli.dumps`` writes them
-        as the lists they hold)."""
+        floored flag, as lists of Python floats and bools."""
         return {
             **self._verdict(),
-            "slacks": self.slacks,
-            "standard_errors": self.standard_errors,
-            "floored": self.floored,
+            "slacks": self.slacks.tolist(),
+            "standard_errors": self.standard_errors.tolist(),
+            "floored": self.floored.tolist(),
         }
 
 

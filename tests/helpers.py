@@ -7,7 +7,6 @@ reader of outcome witness files."""
 
 import csv
 import dataclasses
-import json
 import math
 from fractions import Fraction
 from functools import reduce
@@ -992,19 +991,6 @@ def write_csv_rows(data: simulate.MicroData, path: str) -> None:
             writer.writerow(["d", "z"])
             for d, z in zip(data.d, data.z):
                 writer.writerow([int(d), int(z)])
-
-
-def dumps_by_json(doc) -> str:
-    """Oracle for ``cli.dumps``: the stdlib encoder the CLI used before,
-    which cannot take its C path when ``indent`` is set, with 1-D float64
-    and bool numpy arrays written as their lists."""
-    return json.dumps(doc, sort_keys=True, indent=2, default=_array_list)
-
-
-def _array_list(value) -> list:
-    if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype in (np.float64, np.bool_):
-        return value.tolist()
-    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
 def _outcome_key(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -190,7 +190,6 @@ def test_outcome_commands(tmp_path, capsys):
 
 
 def test_exact_commands_read_the_table_kind_from_the_file(tmp_path, capsys):
-    from encdesign.cli import dumps
     from encdesign.inequalities import check_outcome
     from encdesign.lp import feasible_outcome
     from encdesign.witness import construct_outcome
@@ -206,22 +205,22 @@ def test_exact_commands_read_the_table_kind_from_the_file(tmp_path, capsys):
         report = check_outcome(PY)
         code = run(["check", "--input", src])
         assert code == (EXIT_OK if report.passed else EXIT_VERDICT)
-        assert capsys.readouterr().out == dumps(report_doc(report)) + "\n"
+        assert capsys.readouterr().out == json.dumps(report_doc(report), sort_keys=True, indent=2) + "\n"
         codes.add(code)
 
         if report.passed:
             out = tmp_path / f"{name}-q.json"
             witness = outcome_measure_doc(construct_outcome(PY))
             assert run(["construct", "--input", src, "--output", str(out)]) == EXIT_OK
-            assert capsys.readouterr().out == dumps({"witness": witness}) + "\n"
-            assert out.read_text(encoding="utf-8") == dumps(witness) + "\n"
+            assert capsys.readouterr().out == json.dumps({"witness": witness}, sort_keys=True, indent=2) + "\n"
+            assert out.read_text(encoding="utf-8") == json.dumps(witness, sort_keys=True, indent=2) + "\n"
         else:
             assert run(["construct", "--input", src]) == EXIT_VERDICT
             assert capsys.readouterr().out == ""
 
         ok = feasible_outcome(PY)
         assert run(["lp-check", "--input", src]) == (EXIT_OK if ok else EXIT_VERDICT)
-        assert capsys.readouterr().out == dumps({"feasible": ok}) + "\n"
+        assert capsys.readouterr().out == json.dumps({"feasible": ok}, sort_keys=True, indent=2) + "\n"
 
         assert run(["construct", "--input", src, "--trace"]) == EXIT_USAGE
         assert capsys.readouterr().err == "usage error: --trace needs a treatment table\n"
@@ -477,9 +476,9 @@ def test_default_outcome_test_memory_is_bounded(tmp_path, capsys):
 
 
 def test_moments_outcome_test_memory_is_bounded(tmp_path, capsys):
-    # the same test with --moments: the report's arrays go to the writer
-    # without lists of Python floats, which peaked at 148 MB here (the
-    # capture holds a second copy of the 32.6 MB of JSON); now about 109 MB
+    # the same test with --moments: json.dump streams the report's lists
+    # to the capture, which holds the 32.6 MB of JSON; the peak is about
+    # 89 MB (building the whole text with json.dumps first peaked at 207 MB)
     from perfbench import inputs
 
     config = DesignConfig(4, 0)
@@ -636,6 +635,35 @@ def test_key_written_twice_is_input_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == 'input error: key "0" appears twice in one JSON object\n'
+
+
+@pytest.mark.parametrize(
+    "command,option",
+    [("check", "--input"), ("construct", "--input"), ("lp-check", "--input"), ("mixture-verify", "--q")],
+)
+def test_deeply_nested_json_is_input_error(tmp_path, capsys, command, option):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    argv = [command, option, str(path)]
+    if command == "mixture-verify":
+        argv += ["--n", "10", "--seed", "1"]
+    assert run(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: the JSON document is nested too deeply\n"
+
+
+def test_mixture_verify_below_the_acceptance_floor_is_capacity_error(tmp_path, capsys):
+    # the full-compliance diagonal at J = 26: past 10**6 proposals its
+    # region keeps fewer than one in 10**6
+    d = tuple(range(26))
+    path = write_json(tmp_path / "q.json", {"J": 26, "mass": {",".join(map(str, d)): "1"}})
+    assert run(["mixture-verify", "--q", path, "--n", "10", "--seed", "1"]) == EXIT_CAPACITY
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"capacity error: rejection acceptance rate below 1e-06 for region {d}; adjust the bounding box\n"
+    )
 
 
 def test_zero_denominator_is_input_error(tmp_path, capsys):

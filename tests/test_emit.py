@@ -1,61 +1,20 @@
-"""The CLI's JSON writer ``cli.dumps`` against its oracle, the stdlib
-``json.dumps(sort_keys=True, indent=2)``: on generated documents, on
-float lists on both sides of the bulk threshold, and on the stdout and
-``--output`` files of every subcommand. ``test --moments`` prints every
-field of the report, and the default summary agrees with it."""
+"""The CLI's JSON output: the stdout and ``--output`` files of every
+subcommand are the text of ``json.dumps(sort_keys=True, indent=2)``.
+``test --moments`` prints every field of the report, and the default
+summary agrees with it."""
 
 import json
 from pathlib import Path
 from random import Random
 
 import numpy as np
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from encdesign import cli, stats
-from encdesign.cli import BULK_FLOATS, EXIT_OK, EXIT_VERDICT, distribution_doc, dumps, run, write_csv
+from encdesign import cli
+from encdesign.cli import EXIT_OK, EXIT_VERDICT, distribution_doc, run, write_csv
 from encdesign.core import DesignConfig
 from encdesign.simulate import MicroData
-from helpers import (
-    dumps_by_json,
-    feasible_outcome_table,
-    feasible_table,
-    random_table,
-    report_doc_by_fields,
-)
+from helpers import feasible_outcome_table, feasible_table, random_table, report_doc_by_fields
 from helpers import test_model_by_specs as model_test_by_specs
-
-FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
-SCALARS = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(min_value=-(2**80), max_value=2**80),
-    FLOATS,
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]),
-    st.text(),
-)
-# lists of one scalar type take the writer's joined path
-UNIFORM_LISTS = st.one_of(
-    st.lists(st.none()),
-    st.lists(st.booleans()),
-    st.lists(st.integers(min_value=-(2**70), max_value=2**70)),
-    st.lists(FLOATS),
-    st.lists(st.text()),
-)
-
-
-def _containers(children):
-    return st.one_of(
-        st.lists(children, max_size=5),
-        st.lists(children, max_size=5).map(tuple),
-        st.dictionaries(st.text(), children, max_size=5),
-        st.dictionaries(st.integers(), children, max_size=4),
-        st.dictionaries(FLOATS, children, max_size=4),
-    )
-
-
-DOCS = st.recursive(SCALARS | UNIFORM_LISTS, _containers, max_leaves=40)
 
 
 def _same_text(got: str, want: str) -> None:
@@ -65,70 +24,6 @@ def _same_text(got: str, want: str) -> None:
         at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
         start = max(at - 30, 0)
         raise AssertionError(f"texts differ at {at}: {got[start:at + 30]!r} != {want[start:at + 30]!r}")
-
-
-@settings(max_examples=300, deadline=None)
-@given(DOCS)
-def test_dumps_matches_json_on_generated_docs(doc):
-    assert dumps(doc) == dumps_by_json(doc)
-
-
-def _floats(rng: np.random.Generator, n: int) -> list:
-    """Floats with heavy repetition, as in a moment family's slacks, and
-    some NaN, infinities, signed zeros and subnormals."""
-    pool = np.concatenate([rng.normal(size=50), [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324]])
-    return pool[rng.integers(0, len(pool), n)].tolist()
-
-
-@pytest.mark.parametrize("n", [1, BULK_FLOATS - 1, BULK_FLOATS, BULK_FLOATS + 1, 3 * BULK_FLOATS])
-def test_float_lists_on_both_sides_of_the_bulk_threshold(n):
-    rng = np.random.default_rng(n)
-    for values in (_floats(rng, n), rng.normal(size=n).tolist()):
-        _same_text(dumps(values), dumps_by_json(values))
-        _same_text(dumps({"x": values}), dumps_by_json({"x": values}))
-
-
-def test_signed_zeros_stay_apart_in_bulk():
-    values = [0.0, -0.0] * 5000
-    text = dumps(values)
-    _same_text(text, dumps_by_json(values))
-    assert text.count("-0.0") == 5000
-
-
-def test_numpy_float64_items():
-    rng = np.random.default_rng(3)
-    for n in (3, BULK_FLOATS + 7):
-        values = list(np.concatenate([rng.normal(size=n), [np.nan, -np.inf, -0.0]]))
-        assert type(values[0]) is np.float64
-        doc = {"values": values, "mixed": values[:2] + [0.5, 1], "one": values[0]}
-        _same_text(dumps(doc), dumps_by_json(doc))
-
-
-def test_flat_arrays_are_written_as_their_lists():
-    rng = np.random.default_rng(4)
-    for n in (0, 1, BULK_FLOATS - 1, BULK_FLOATS, 2 * BULK_FLOATS):
-        values = np.array(_floats(rng, n))
-        flags = values > 0
-        doc = {"x": values, "flags": flags, "pair": [values[:3], flags[:2]]}
-        lists = {"x": values.tolist(), "flags": flags.tolist(), "pair": [values[:3].tolist(), flags[:2].tolist()]}
-        _same_text(dumps(doc), dumps_by_json(lists))
-        _same_text(dumps(doc), dumps_by_json(doc))
-
-
-@pytest.mark.parametrize(
-    "doc",
-    [
-        {"x": object()}, [np.int64(1)], {(1, 2): 0}, {"b": [np.bool_(True)]},
-        {"i": np.arange(3)}, {"f": np.ones(3, dtype=np.float32)}, {"m": np.ones((2, 2))},
-        {"s": np.zeros(())},
-    ],
-)
-def test_unsupported_values_raise_as_json_does(doc):
-    with pytest.raises(TypeError) as want:
-        dumps_by_json(doc)
-    with pytest.raises(TypeError) as got:
-        dumps(doc)
-    assert str(got.value) == str(want.value)
 
 
 def _write_json(path, doc) -> str:
@@ -167,36 +62,22 @@ def _invocations(tmp_path) -> list:
         (["simulate", "--J", "3", "--betas", "1,0.5,2", "--pz", "1/3,1/3,1/3", "--n", "4000",
           "--seed", "3", "--out", csv], []),
         (["test", "--data", csv, "--J", "3", "--B", "99", "--seed", "1", "--moments"], []),
-        # (3,0) with |Y| = 4: 4,102 moments, past the bulk threshold
+        # (3,0) with |Y| = 4: 4,120 moments
         (["test", "--data", ycsv, "--J", "3", "--y", "--B", "99", "--seed", "1", "--moments"], []),
     ]
 
 
-def test_every_subcommand_writes_the_oracles_bytes(tmp_path, capsys, monkeypatch):
-    invocations = _invocations(tmp_path)
-    outputs = []
-    for writer in (dumps, dumps_by_json):
-        monkeypatch.setattr(cli, "dumps", writer)
-        texts = []
-        for argv, files in invocations:
-            assert run(argv) in (EXIT_OK, EXIT_VERDICT), argv
-            texts.append(capsys.readouterr().out)
-            texts.extend(Path(f).read_text(encoding="utf-8") for f in files)
-        outputs.append(texts)
-    for got, want in zip(*outputs):
-        _same_text(got, want)
-    assert len(json.loads(outputs[0][-1])["slacks"]) > BULK_FLOATS
-
-
-def test_large_outcome_report_matches_the_oracle():
-    # the (4,0) |Y| = 3 report: 531,477 slacks, standard errors and flags
-    from perfbench import inputs
-
-    config = DesignConfig(4, 0)
-    y, d, z = inputs.outcome_rows(config, (0, 1, 2), 100_000, inputs.rng_for(11, 0, (4, 0, 3)))
-    doc = stats.test_model(MicroData(d, z, y), config, B=99, seed=11).to_dict()
-    assert len(doc["slacks"]) == 3**12 + 36
-    _same_text(dumps(doc), dumps_by_json(doc))
+def test_every_subcommand_writes_the_oracles_bytes(tmp_path, capsys):
+    # stdout and every --output file hold the text that
+    # json.dumps(sort_keys=True, indent=2) writes, and a line end
+    texts = []
+    for argv, files in _invocations(tmp_path):
+        assert run(argv) in (EXIT_OK, EXIT_VERDICT), argv
+        texts.append(capsys.readouterr().out)
+        texts.extend(Path(f).read_text(encoding="utf-8") for f in files)
+    for text in texts:
+        _same_text(text, json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n")
+    assert len(json.loads(texts[-1])["slacks"]) == 4**6 + 24
 
 
 def _test_calls(tmp_path, capsys) -> list:
@@ -222,7 +103,7 @@ def test_moments_flag_prints_every_report_field(tmp_path, capsys):
     # the document test printed by default before its summary, byte for byte
     for argv, args in _test_calls(tmp_path, capsys):
         assert run(argv + ["--moments"]) in (EXIT_OK, EXIT_VERDICT)
-        want = dumps_by_json(report_doc_by_fields(_report_by_specs(args))) + "\n"
+        want = json.dumps(report_doc_by_fields(_report_by_specs(args)), sort_keys=True, indent=2) + "\n"
         _same_text(capsys.readouterr().out, want)
 
 

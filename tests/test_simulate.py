@@ -18,6 +18,7 @@ from encdesign.admissible import (
     satisfies_example_restrictions,
 )
 from encdesign.core import DesignConfig, ResponseMeasure, ResponseType
+from encdesign.errors import CapacityError
 from encdesign.inequalities import check
 from encdesign.simulate import (
     CHUNK_SIZE,
@@ -388,5 +389,5 @@ def test_sample_region_refuses_a_low_acceptance_rate():
     region = mix.components[0]
     assert 15 * CHUNK_SIZE < 10**6 < 16 * CHUNK_SIZE
     message = f"rejection acceptance rate below 1.0 for region {region.rtype.d}; adjust the bounding box"
-    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(CapacityError, match=f"^{re.escape(message)}$"):
         _sample_region(np.random.default_rng(3), region, mix.M, 10**6, 1.0)
