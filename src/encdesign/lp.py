@@ -3,43 +3,36 @@
 Decides whether a table is the pushforward of some measure on the
 admissible set by solving the linear system (one nonnegative mass per
 admissible response type, one equality per table coordinate) over exact
-rationals with Bland's pivoting rule. No tolerances, no external solver:
-exactness keeps the oracle's verdict unambiguous. Cross-validates the
-inequality check and the constructive witness; it shares no code path
-with either.
+rationals. No tolerances, no external solver: exactness keeps the
+oracle's verdict unambiguous. Cross-validates the inequality check and
+the constructive witness; it shares no code path with either.
 
-The LP never lists its columns. Bland's rule enters the first column, in
-the lexicographic order of the response types (and, for outcome tables,
-of the outcome vectors), whose reduced cost is negative. That cost sums
-one dual price per instrument value, and an admissible type is a default
-choice plus the set of instrument values it complies with: each entry is
-its own instrument value or the default. So under one default every
-entry has at most two values, and suffix sums of the cheaper one give the
-least cost of every completion of a prefix exactly. One greedy walk per
-default, each entry keeping its smaller value while some completion stays
-negative, finds that default's first negative type; the least of these
-is the entering type. That is O(J * |Z| * |Y|) per pricing instead of a
-pass over every column (5,111 types at (10,0), times |Y|^J outcome
-vectors for outcome tables).
+The LP never lists its columns. The column of least reduced cost enters,
+ties going to the first in the lexicographic order of the response types
+(and, for outcome tables, of the outcome vectors). That cost sums one
+dual price per instrument value, and each entry of an admissible type is
+its own instrument value or the default choice. So under one default
+(and one outcome for it) every entry takes the cheaper of its two values
+on its own: O(J * |Z| * |Y|) per pricing instead of a pass over every
+column (5,111 types at (10,0), times |Y|^J outcome vectors for outcome
+tables). Ratio ties leave by the lexicographic rule (Dantzig, Orden and
+Wolfe 1955), which never revisits a basis whatever column enters.
 
 The pivots are integer-preserving (fraction-free, Bareiss-style): the
 right-hand side is scaled to integers and every division is exact, so no
 cell is ever reduced by a gcd, yet the pivot sequence and the certificate
-are those of the rational tableau. Only the basis inverse is stored, as
-sparse rows (7-20% of its entries are nonzero on tables with J = 4 to
-8), beside the dense right-hand side and objective row; a row that a
-pivot leaves unchanged keeps its own integer factor instead of being
-rescaled. ``cap`` bounds the entries that store can hold, m * (m + 1)
-for m rows, and is checked before the first pivot; the number of pivots
-is not bounded.
+are those of the rational tableau under the same rules. Only the basis
+inverse is stored, as sparse rows (7-20% of its entries are nonzero on
+tables with J = 4 to 8), beside the dense right-hand side and objective
+row; a row that a pivot leaves unchanged keeps its own integer factor
+instead of being rescaled. ``cap`` bounds the entries that store can
+hold, m * (m + 1) for m rows, and is checked before the first pivot.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
-from math import lcm
-from operator import add
+from math import inf, lcm
 
 # ``enumerate_admissible`` stays a name of this module: the benchmark's
 # per-layer tracing (perfbench/tracing.py) wraps it here. The LP itself
@@ -72,10 +65,12 @@ class _TypeColumns:
         self.J, self.ny, self.zs = config.J, ny, zs
         self.width = config.J * ny - 1
         self.m = len(zs) * self.width + 1
-        # with a base state, entry 0 is the default itself
-        self.base = config.J0 > 0
-        # the rows of each position's cells
-        self.spans = [(k * self.width, (k + 1) * self.width) for k in range(len(zs))]
+        # the entry targeting each choice (the base state targets none)
+        targets = {z: k for k, z in enumerate(zs) if k or not config.J0}
+        self.target = [targets.get(j) for j in range(config.J)]
+        # the cells (z_k, z_k, u) of each entry's own choice, as j*ny + u
+        self.own = [range(z * ny, z * ny + ny) for z in zs]
+        self.implied = [0] * len(zs)
 
     def rows(self, key) -> list[int]:
         d, u = key
@@ -88,125 +83,77 @@ class _TypeColumns:
         out.append(self.m - 1)
         return out
 
-    def first_negative(self, priced: list[int]):
-        """Key of the first column whose reduced cost, the sum of
-        ``priced`` over its rows, is negative; None if there is none.
+    def most_negative(self, priced: list[int]):
+        """Key of the column with the least (reduced cost, key), the
+        reduced cost being the sum of ``priced`` over the column's rows;
+        None if that cost is not negative.
 
         With w(k, j, u) the price of cell (z_k, j, u) (0 for the implied
-        cell), the cheapest outcome vector of a type with default j
-        costs a_k = min_u w(k, z_k, u) at each entry that complies (no
-        other entry takes that choice) plus, for some u shared by the
-        entries that take j, the sum of w(k, j, u) over them. So the
-        first negative type is the least of the first types that are
-        negative for each fixed u (``_first_type``), and its first
-        negative outcome vector follows (``_outcomes``).
+        cell), fix a default j and the outcome u that every entry taking
+        j shares. The entry targeting j and the base state take j; every
+        other entry takes the cheaper of w(k, j, u) and its own cell's
+        cheapest outcome, a_k = min_u w(k, z_k, u), and on a tie the
+        smaller choice. That is the least (cost, key) under (j, u), and
+        the least of these over all (j, u) is the answer.
         """
-        ny, zs = self.ny, self.zs
+        ny, width = self.ny, self.width
         t = -priced[-1]  # a column is negative when its cells sum below t
-        # w[k][j*ny + u], with the implied cell last
-        w = [priced[lo:hi] + [0] for lo, hi in self.spans]
-        # kept: the general branch pivots the same, ~20% slower on treatment tables (3,0)-(8,0)
-        if ny == 1:
-            d = self._first_type(w, [wk[z] for wk, z in zip(w, zs)], t)
-        else:
-            a = [min(wk[z * ny : z * ny + ny]) for wk, z in zip(w, zs)]
-            found = [self._first_type([wk[u::ny] for wk in w], a, t) for u in range(ny)]
-            d = min((d for d in found if d is not None), default=None)
-        if d is None:
+        # cells[j*ny + u][k] = w(k, j, u), with the implied cell last
+        cells = [priced[c:-1:width] for c in range(width)] + [self.implied]
+        own = [[cells[c][k] for c in cs] for k, cs in enumerate(self.own)]
+        a = [min(x) for x in own]
+        if self.config.J0:
+            a[0] = inf  # the base state never complies
+        costs = []
+        for j, k in enumerate(self.target):
+            for take in cells[j * ny : j * ny + ny]:
+                cost = sum(map(min, take, a))
+                # the entry targeting j takes w(k, j, u), not min's a_k
+                costs.append(cost if k is None else cost + take[k] - a[k])
+        least = min(costs)
+        if least >= t:
             return None
-        return d, self._outcomes(d, w, t)
-
-    def _first_type(self, cells, a, t) -> tuple[int, ...] | None:
-        """The first admissible type whose cost falls below t when entry k
-        costs a[k] if it complies and cells[k][j] if it takes the default
-        j (the entry targeting j, and the base state, always take it).
-
-        Under a fixed default j every entry chooses between at most two
-        values, and the suffix sums of its cheaper cost give the least
-        cost of every completion exactly. So the first type under j
-        follows greedily: each free entry keeps its smaller value when
-        some completion still falls below t, and takes the other one
-        otherwise. The first type overall is the least of these per
-        default; with a base state, entry 0 is the default itself, so the
-        first default that admits a type below t gives it.
-        """
-        J, zs, base = self.J, self.zs, self.base
-        # suffix[k][j]: least cost of the entries k.. under default j
-        prev = [0] * J
-        suffix = [prev]
-        for k in range(len(zs) - 1, -1, -1):
-            ck = cells[k]
-            if base and k == 0:  # the base state takes the default
-                prev = list(map(add, prev, ck))
-            else:
-                ak, z = a[k], zs[k]
-                prev = list(map(add, prev, map(min, ck, repeat(ak))))
-                if ck[z] != ak:  # under default z the entry targeting z takes z
-                    prev[z] += ck[z] - ak
-            suffix.append(prev)
-        suffix.reverse()
-
-        best = None
-        for j, total in enumerate(suffix[0]):
-            if total >= t:
+        keys = []
+        for c, cost in enumerate(costs):
+            if cost != least:
                 continue
-            d, c = [], 0
-            for k, z in enumerate(zs):
-                take = cells[k][j]
-                if z == j or (base and k == 0):
-                    complies = False
-                elif z < j:  # complying comes first in the order
-                    complies = c + a[k] + suffix[k + 1][j] < t
-                else:
-                    complies = c + take + suffix[k + 1][j] >= t
-                if complies:
-                    d.append(z)
-                    c += a[k]
-                else:
-                    d.append(j)
-                    c += take
-            d = tuple(d)
-            if base:
-                return d
-            if best is None or d < best:
-                best = d
-        return best
+            j, u = divmod(c, ny)
+            d = tuple(
+                j if x < y or (x == y and j < z) else z for x, y, z in zip(cells[c], a, self.zs)
+            )
+            outcomes = [0] * self.J
+            for k, z in enumerate(d):
+                if z != j:  # the entry complies, at its first cheapest outcome
+                    outcomes[z] = own[k].index(a[k])
+            outcomes[j] = u
+            keys.append((d, tuple(outcomes)))
+        return min(keys)
 
-    def _outcomes(self, d, w, t) -> tuple[int, ...]:
-        """The first outcome vector, in product order, that makes type d's
-        column negative; unused choices take outcome index 0."""
-        J, ny = self.J, self.ny
-        if ny == 1:  # kept: the walk below returns the same zeros, more slowly
-            return (0,) * J
-        cost = [None] * J
-        for wk, j in zip(w, d):
-            cells = wk[j * ny : j * ny + ny]
-            cost[j] = cells if cost[j] is None else list(map(add, cost[j], cells))
-        rest = sum(min(cj) for cj in cost if cj is not None)
-        spent = 0
-        u = []
-        for cj in cost:
-            if cj is None:
-                u.append(0)
-                continue
-            rest -= min(cj)
-            x = next(x for x, v in enumerate(cj) if spent + v + rest < t)
-            u.append(x)
-            spent += cj[x]
-        return tuple(u)
+
+def _first_difference(row: dict, other: dict, h: int, g: int) -> tuple[int, int]:
+    """(row[k] * h, other[k] * g) at the first column k where they differ."""
+    for k in sorted(row.keys() | other.keys()):
+        here, best = row.get(k, 0) * h, other.get(k, 0) * g
+        if here != best:
+            return here, best
 
 
 def _phase_one(columns, b: list[Fraction], m: int) -> dict | None:
     """Feasibility of Ax = b, x >= 0 for a 0/1 matrix A with b >= 0.
 
-    ``columns`` gives A without listing it: ``columns.first_negative(c)``
-    returns the key of the first column, in Bland's order, whose entries
-    of c sum below zero (None if none does), and ``columns.rows(key)`` the
-    rows where that column has a 1. Keys compare in column order.
+    ``columns`` gives A without listing it: ``columns.most_negative(c)``
+    returns the key of the column whose entries of c have the least sum,
+    the first such column in column order, or None if that sum is not
+    negative; ``columns.rows(key)`` gives the rows where that column has
+    a 1.
 
-    Phase-one simplex with Bland's rule: minimize the sum of one
-    artificial variable per row, the artificials ordered after every
-    structural column. Returns {key: value} over the basic structural
+    Phase-one simplex: minimize the sum of one artificial variable per
+    row. The column of least reduced cost enters; an artificial column
+    (the least, the first on a tie) only when no structural column is
+    negative. Of the rows tied at the least ratio, the one whose row of
+    the basis inverse, over its entering entry, is lexicographically
+    least leaves; rows of a basis inverse are never proportional, so
+    exactly one does. Returns {key: value} over the basic structural
     columns when the optimum is zero, None otherwise.
 
     The tableau holds integers: b is scaled by the common denominator L
@@ -219,9 +166,11 @@ def _phase_one(columns, b: list[Fraction], m: int) -> dict | None:
     objective as (p*a - f*q) / s_l; the pivot row is kept and its factor
     becomes p. Every division is exact (Bareiss 1968: the results are
     minors of the basis). Rows whose entering entry is zero are left as
-    they are. Sign tests and the cross-multiplied ratio comparisons do not
-    depend on a row's positive factor, so the pivot sequence, the final
-    basis and the solution are those of the rational tableau.
+    they are. Sign tests and the cross-multiplied ratio and
+    lexicographic comparisons do not depend on a row's positive factor
+    (a row and its entering entry carry the same one), so the pivot
+    sequence, the final basis and the solution are those of the rational
+    tableau.
 
     Only the artificial columns (the basis inverse, as sparse rows) and
     the right-hand side are stored; ``holders[k]`` lists the rows with a
@@ -237,38 +186,39 @@ def _phase_one(columns, b: list[Fraction], m: int) -> dict | None:
     # objective row over the artificial columns, and its value -(sum b)
     obj = [0] * m
     value = -sum(rhs)
-    # (0, key) for a structural column, (1, i) for row i's artificial
-    basis = [(1, i) for i in range(m)]
+    # the key of each row's basic structural column, None for an artificial
+    basis = [None] * m
     det = 1
 
     while True:
         priced = [a - det for a in obj]
-        key = columns.first_negative(priced)
-        if key is not None:
-            col = columns.rows(key)
+        enter = columns.most_negative(priced)
+        if enter is not None:
+            col = columns.rows(enter)
             f = sum(map(priced.__getitem__, col))
-            enter = (0, key)
         else:
-            i = next((i for i, a in enumerate(obj) if a < 0), None)
-            if i is None:
+            i = min(range(m), key=obj.__getitem__)
+            if obj[i] >= 0:
                 break
-            col, f, enter = (i,), obj[i], (1, i)
+            col, f = (i,), obj[i]
         coeffs = {}
         for r in col:
             for i in holders[r]:
                 coeffs[i] = coeffs.get(i, 0) + inverse[i][r]
         leave = None
-        for i, coeff in coeffs.items():
-            if coeff > 0:
-                if leave is None:
-                    leave = i
+        for i, g in coeffs.items():
+            if g <= 0:
+                continue
+            if leave is not None:
+                # row i against the best row so far, (rhs, basis inverse)
+                # over the entering entry, cross-multiplied
+                h = coeffs[leave]
+                here, best = rhs[i] * h, rhs[leave] * g
+                if here == best:
+                    here, best = _first_difference(inverse[i], inverse[leave], h, g)
+                if here >= best:
                     continue
-                # ratio of row i against the best ratio so far, both
-                # denominators positive
-                here = rhs[i] * coeffs[leave]
-                best = rhs[leave] * coeff
-                if here < best or (here == best and basis[i] < basis[leave]):
-                    leave = i
+            leave = i
         if leave is None:
             raise RuntimeError("phase-one objective unbounded; constraint bug")
         prow, q, pivot, own = inverse[leave], rhs[leave], coeffs[leave], factor[leave]
@@ -311,8 +261,8 @@ def _phase_one(columns, b: list[Fraction], m: int) -> dict | None:
         return None
     return {
         key: Fraction(rhs[i], factor[i] * scale)
-        for i, (artificial, key) in enumerate(basis)
-        if not artificial
+        for i, key in enumerate(basis)
+        if key is not None
     }
 
 

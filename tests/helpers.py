@@ -10,7 +10,7 @@ import dataclasses
 import math
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, groupby, product
+from itertools import groupby, product
 from math import lcm
 from operator import add, itemgetter
 from random import Random
@@ -185,9 +185,82 @@ def targeted_outcome_table(
     return OutcomeDistribution(config, tuple(y_support), cells)
 
 
-def phase_one_fraction(columns: list[list[int]], b: list[Fraction], m: int) -> list[Fraction] | None:
-    """Oracle for ``lp._phase_one``: the same phase-one simplex with
-    Bland's rule on a tableau of Fractions, normalized on every pivot."""
+def phase_one_fraction(
+    columns: list[list[int]], b: list[Fraction], m: int, pivots: list | None = None
+) -> list[Fraction] | None:
+    """Oracle for ``lp._phase_one``: the same phase-one simplex on a
+    tableau of Fractions, normalized on every pivot. The column of least
+    reduced cost enters, the first on a tie, and artificial columns only
+    when no structural one is negative; of the rows tied at the least
+    ratio, the one whose (right-hand side, basis inverse) row over its
+    entering entry is lexicographically least leaves. Fails if a basis
+    repeats. Appends to ``pivots``, when given, one pair per pivot: the
+    number of rows tied at the least ratio and the set of basic columns
+    after it (artificial column i is n + i)."""
+    n = len(columns)
+    width = n + m + 1
+    tableau = []
+    for i in range(m):
+        row = [ZERO] * width
+        row[n + i] = ONE
+        row[-1] = b[i]
+        tableau.append(row)
+    for v, rows in enumerate(columns):
+        for i in rows:
+            tableau[i][v] = ONE
+    # reduced costs for the artificial basis: -(column sums), value -(sum b)
+    obj = [ZERO] * width
+    for v, rows in enumerate(columns):
+        obj[v] = -Fraction(len(rows))
+    obj[-1] = -sum(b, ZERO)
+    basis = list(range(n, n + m))
+    seen = {frozenset(basis)}
+
+    while True:
+        enter = min(range(n), key=obj.__getitem__, default=None)
+        if enter is None or obj[enter] >= 0:
+            enter = min(range(n, n + m), key=obj.__getitem__)
+            if obj[enter] >= 0:
+                break
+        rows = [i for i in range(m) if tableau[i][enter] > 0]
+        if not rows:
+            raise RuntimeError("phase-one objective unbounded; constraint bug")
+        ratio = {i: tableau[i][-1] / tableau[i][enter] for i in rows}
+        least = min(ratio.values())
+        tied = [i for i in rows if ratio[i] == least]
+        leave = min(
+            tied, key=lambda i: [v / tableau[i][enter] for v in tableau[i][n : n + m]]
+        )
+        pivot = tableau[leave][enter]
+        tableau[leave] = [v / pivot for v in tableau[leave]]
+        prow = tableau[leave]
+        for i in range(m):
+            if i != leave and tableau[i][enter] != 0:
+                f = tableau[i][enter]
+                tableau[i] = [a - f * p for a, p in zip(tableau[i], prow)]
+        if obj[enter] != 0:
+            f = obj[enter]
+            obj = [a - f * p for a, p in zip(obj, prow)]
+        basis[leave] = enter
+        assert frozenset(basis) not in seen, f"basis {sorted(basis)} repeats"
+        seen.add(frozenset(basis))
+        if pivots is not None:
+            pivots.append((len(tied), frozenset(basis)))
+
+    if obj[-1] != 0:
+        return None
+    x = [ZERO] * n
+    for i, v in enumerate(basis):
+        if v < n:
+            x[v] = tableau[i][-1]
+    return x
+
+
+def phase_one_bland(columns: list[list[int]], b: list[Fraction], m: int) -> list[Fraction] | None:
+    """Verdict oracle for ``lp._phase_one``: phase-one simplex with
+    Bland's rule (the first negative column enters, ratio ties leave by
+    the least basic column) on a tableau of Fractions. Its basis, and so
+    its solution, may differ from the solver's; its verdict may not."""
     n = len(columns)
     width = n + m + 1
     tableau = []
@@ -249,9 +322,12 @@ def phase_one_scan(columns: list[list[int]], b: list[Fraction], m: int) -> list[
     Feasibility of Ax = b, x >= 0 for a 0/1 matrix A given column-wise
     (columns[v] lists the rows where variable v has a 1) with b >= 0.
 
-    Phase-one simplex with Bland's rule: minimize the sum of one
-    artificial variable per row. Returns the structural solution when the
-    optimum is zero, None otherwise.
+    Phase-one simplex: minimize the sum of one artificial variable per
+    row. The column of least reduced cost enters, the first on a tie, and
+    an artificial column only when no structural one is negative. Of the
+    rows tied at the least ratio, the one whose basis-inverse row over
+    its entering entry is lexicographically least leaves. Returns the
+    structural solution when the optimum is zero, None otherwise.
 
     The tableau holds integers: b is scaled by the common denominator L
     of its entries, and every row (objective included) is stored as D
@@ -260,14 +336,13 @@ def phase_one_scan(columns: list[list[int]], b: list[Fraction], m: int) -> list[
     p rewrites every other row as (a*p - f*q) // D, an exact division
     (Bareiss 1968), keeps the pivot row and sets D = p. Because every row
     carries the same positive factor, the sign tests and the
-    cross-multiplied ratio comparisons are those of the rational tableau:
-    the pivot sequence, the final basis and the solution are unchanged.
+    cross-multiplied comparisons are those of the rational tableau: the
+    pivot sequence, the final basis and the solution are unchanged.
 
     Only the artificial columns (D times the basis inverse) and the
     right-hand side are stored. A structural column is the sum of the
     artificial columns of the rows it touches; its objective entry is that
-    sum in the objective row less D per row. Bland's rule prices the
-    columns in order and stops at the first negative one.
+    sum in the objective row less D per row.
     """
     n = len(columns)
     scale = lcm(*(v.denominator for v in b))
@@ -286,10 +361,15 @@ def phase_one_scan(columns: list[list[int]], b: list[Fraction], m: int) -> list[
 
     while True:
         priced = [a - det for a in obj[:m]]
-        costs = chain((sum(map(priced.__getitem__, rows)) for rows in columns), obj[:m])
-        enter, f = next(((v, c) for v, c in enumerate(costs) if c < 0), (None, 0))
-        if enter is None:
-            break
+        costs = [sum(map(priced.__getitem__, rows)) for rows in columns]
+        enter = min(range(n), key=costs.__getitem__, default=None)
+        if enter is None or costs[enter] >= 0:
+            enter = n + min(range(m), key=obj.__getitem__)
+            if obj[enter - n] >= 0:
+                break
+            f = obj[enter - n]
+        else:
+            f = costs[enter]
         coeffs = [entry(row, enter) for row in tableau]
         leave = None
         for i, coeff in enumerate(coeffs):
@@ -297,11 +377,16 @@ def phase_one_scan(columns: list[list[int]], b: list[Fraction], m: int) -> list[
                 if leave is None:
                     leave = i
                     continue
-                # ratio of row i against the best ratio so far, both
-                # denominators positive
-                here = tableau[i][-1] * coeffs[leave]
-                best = tableau[leave][-1] * coeff
-                if here < best or (here == best and basis[i] < basis[leave]):
+                # (rhs, artificial columns) of row i against the best row
+                # so far, over the entering entry, cross-multiplied
+                h = coeffs[leave]
+                row, best = tableau[i], tableau[leave]
+                here, there = next(
+                    (x * h, y * coeff)
+                    for x, y in zip(row[-1:] + row[:m], best[-1:] + best[:m])
+                    if x * h != y * coeff
+                )
+                if here < there:
                     leave = i
         if leave is None:
             raise RuntimeError("phase-one objective unbounded; constraint bug")
@@ -407,7 +492,7 @@ def feasible_outcome_by_scan(PY: OutcomeDistribution, cap: int = 200_000) -> boo
 
 class ScanColumns:
     """Explicit columns for ``lp._phase_one``: column v is the row list
-    ``columns[v]``, its key is v, and pricing scans the columns in order."""
+    ``columns[v]``, its key is v, and pricing scans every column."""
 
     def __init__(self, columns: list[list[int]]):
         self.columns = columns
@@ -415,11 +500,10 @@ class ScanColumns:
     def rows(self, v: int) -> list[int]:
         return self.columns[v]
 
-    def first_negative(self, priced: list[int]):
-        return next(
-            (v for v, rows in enumerate(self.columns) if sum(priced[r] for r in rows) < 0),
-            None,
-        )
+    def most_negative(self, priced: list[int]):
+        costs = [sum(priced[r] for r in rows) for rows in self.columns]
+        v = min(range(len(costs)), key=costs.__getitem__, default=None)
+        return v if v is not None and costs[v] < 0 else None
 
 
 def phase_one_columns(columns: list[list[int]], b: list[Fraction], m: int) -> list[Fraction] | None:
@@ -441,17 +525,13 @@ def type_column_keys(columns) -> list:
     return [(rt.d, u) for rt in types for u in product(range(columns.ny), repeat=columns.J)]
 
 
-def first_negative_by_scan(columns, priced: list[int]):
-    """Oracle for ``_TypeColumns.first_negative``: the first listed key
-    whose column prices below zero."""
-    return next(
-        (
-            key
-            for key in type_column_keys(columns)
-            if sum(priced[r] for r in columns.rows(key)) < 0
-        ),
-        None,
+def most_negative_by_scan(columns, priced: list[int]):
+    """Oracle for ``_TypeColumns.most_negative``: the least (reduced cost,
+    key) over the listed keys, None if that cost is not negative."""
+    cost, key = min(
+        (sum(priced[r] for r in columns.rows(key)), key) for key in type_column_keys(columns)
     )
+    return key if cost < 0 else None
 
 
 def admissible_by_filter(config: DesignConfig) -> tuple[ResponseType, ...]:

@@ -97,6 +97,31 @@ def test_triple_agreement_on_mixed_tables():
             assert passed == lp_ok == built
 
 
+@pytest.mark.parametrize("J", [10, 12])
+def test_triple_agreement_at_ten_and_twelve_choices(J):
+    # two feasible, two boundary and two random tables; every certificate,
+    # the LP's and the witness, must push forward to its table exactly
+    config = DesignConfig(J, 0)
+    rng = Random(131 + J)
+    tables = [feasible_table(config, rng) for _ in range(2)]
+    tables += [pushforward(boundary_measure(config, rng)) for _ in range(2)]
+    tables += [random_table(config, rng) for _ in range(2)]
+    verdicts = []
+    for P in tables:
+        lp_ok, cert = feasible(P)
+        try:
+            witness = construct(P)
+            built = True
+        except ConstructionError:
+            built = False
+        assert check(P).passed == lp_ok == built
+        if lp_ok:
+            assert pushforward(cert).rows == P.rows
+            assert pushforward(witness).rows == P.rows
+        verdicts.append(lp_ok)
+    assert verdicts[:4] == [True] * 4
+
+
 def test_boundary_tables_have_zero_slack_and_stay_feasible():
     rng = Random(109)
     for J, J0 in [(3, 0), (3, 1), (2, 1)]:

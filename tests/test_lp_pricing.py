@@ -1,5 +1,7 @@
-"""The LP's pricing walk against a scan of the enumerated admissible set:
-on every dual vector both must name the same first negative column."""
+"""The LP's pricing against a scan of the enumerated admissible set: on
+every dual vector both must name the same column of least (reduced
+cost, key). The test names date from the greedy walk that once found
+the first negative column; they are kept so the test ids stay stable."""
 
 from random import Random
 
@@ -7,7 +9,7 @@ import pytest
 
 from encdesign import lp
 from encdesign.core import DesignConfig
-from helpers import first_negative_by_scan, type_column_keys
+from helpers import most_negative_by_scan, type_column_keys
 
 # base states with several untargeted choices: (4,3) to (6,5)
 TREATMENT = [(J, J0) for J in range(2, 9) for J0 in (0, 1, 2) if J0 < J] + [
@@ -43,11 +45,11 @@ def _duals(columns, rng):
         yield cells + [rng.randint(-4, 4)]
 
 
-def _check_walk(columns, rng):
+def _check_pricing(columns, rng):
     found = 0
     for priced in _duals(columns, rng):
-        want = first_negative_by_scan(columns, priced)
-        assert columns.first_negative(priced) == want, priced
+        want = most_negative_by_scan(columns, priced)
+        assert columns.most_negative(priced) == want, priced
         found += want is not None
     return found
 
@@ -56,14 +58,14 @@ def _check_walk(columns, rng):
 def test_walk_finds_first_negative_type(J, J0):
     columns = lp._TypeColumns(DesignConfig(J, J0), 1)
     rng = Random(401 + 10 * J + J0)
-    assert _check_walk(columns, rng) > 0
+    assert _check_pricing(columns, rng) > 0
 
 
 @pytest.mark.parametrize("J, J0, ny", OUTCOME)
 def test_walk_finds_first_negative_outcome_column(J, J0, ny):
     columns = lp._TypeColumns(DesignConfig(J, J0), ny)
     rng = Random(409 + 100 * ny + 10 * J + J0)
-    assert _check_walk(columns, rng) > 0
+    assert _check_pricing(columns, rng) > 0
 
 
 @pytest.mark.parametrize("J, J0, ny", [(2, 0, 1), (3, 1, 2), (5, 0, 1), (4, 2, 3), (8, 0, 1)])
@@ -72,6 +74,6 @@ def test_walk_returns_none_without_a_negative_column(J, J0, ny):
     rng = Random(419 + J)
     for _ in range(5):
         priced = [rng.randint(0, 3) for _ in range(columns.m)]
-        assert columns.first_negative(priced) is None
+        assert columns.most_negative(priced) is None
     # every column sums to exactly zero: none is negative
-    assert columns.first_negative([0] * columns.m) is None
+    assert columns.most_negative([0] * columns.m) is None

@@ -3,7 +3,8 @@ set was found by scanning J^|Z| vectors, the tableau ran a gcd on every
 cell of every pivot, the cap sized a dense tableau of variables x rows
 that the solver no longer builds, and later counted the entries of the
 listed columns (|types| x |Y|^J of them for outcome tables), which the
-solver no longer lists."""
+solver no longer lists; and the first negative column entered (Bland's
+rule), not the cheapest, for thousands of pivots."""
 
 from random import Random
 
@@ -34,8 +35,14 @@ def test_lp_answers_eight_choices_without_base_state():
 
 
 def test_lp_answers_ten_choices_without_base_state():
-    # 5,111 types priced by the walk over 91 rows
+    # 5,111 types priced per default over 91 rows
     _certificate_roundtrips(DesignConfig(10, 0), 10000)
+
+
+def test_lp_answers_twelve_choices_without_base_state():
+    # 24,565 types over 133 rows: 12,992 pivots under Bland's rule (4 s on
+    # a 2-core x86-64 machine), 177 now
+    _certificate_roundtrips(DesignConfig(12, 0), 12000)
 
 
 def test_outcome_lp_answers_four_choices_three_outcomes():
@@ -63,9 +70,13 @@ def test_outcome_lp_answers_five_choices_four_outcomes():
 
 
 def test_outcome_lp_answers_six_choices_three_outcomes():
-    # 187 types x 3^6 outcome vectors = 136,323 columns. A feasible table
-    # of this size takes about 4 s (some 12,700 pivots on 103 rows, on a
-    # 2-core machine), so only a random one is solved here.
+    # 187 types x 3^6 outcome vectors = 136,323 columns over 103 rows. The
+    # two feasible tables took 10,803 and 15,937 pivots under Bland's rule
+    # (5 s and 10 s on a 2-core x86-64 machine), 353 and 219 now.
     config, ys = DesignConfig(6, 0), (0, 1, 2)
+    PY = sampled_outcome_table(config, ys, Random(6003), 60)
+    assert check_outcome(PY).passed
+    assert feasible_outcome(PY)
+    assert feasible_outcome(feasible_outcome_table(config, ys, Random(6003)))
     PY = random_outcome_table(config, ys, Random(6003))
     assert feasible_outcome(PY) == check_outcome(PY).passed

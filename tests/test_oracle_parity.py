@@ -40,6 +40,7 @@ from encdesign.witness import (
     pushforward_outcome,
 )
 from helpers import (
+    ScanColumns,
     admissible_by_filter,
     assert_same_report,
     boundary_measure,
@@ -51,6 +52,7 @@ from helpers import (
     feasible_outcome_table,
     feasible_table,
     lambda_weights,
+    phase_one_bland,
     phase_one_columns,
     phase_one_fraction,
     phase_one_scan,
@@ -74,7 +76,8 @@ from helpers import test_model_by_specs as model_test_by_specs
 def phase_one_pairs(monkeypatch):
     """Route every LP through the solver, the Fraction tableau and the
     explicit-column scan, all three on the columns the solver prices,
-    requiring identical results; returns one feasibility flag per LP
+    requiring identical results, and through Bland's Fraction tableau,
+    requiring the same verdict; returns one feasibility flag per LP
     solved."""
     seen = []
     fast = lp._phase_one
@@ -86,6 +89,7 @@ def phase_one_pairs(monkeypatch):
         want = phase_one_fraction(explicit, b, m)
         assert solution_vector(got, keys) == want
         assert phase_one_scan(explicit, b, m) == want
+        assert (phase_one_bland(explicit, b, m) is None) == (want is None)
         assert got is None or all(type(v) is F for v in got.values())
         seen.append(got is not None)
         return got
@@ -132,8 +136,43 @@ def test_phase_one_matches_fraction_tableau_on_random_systems():
         got = phase_one_columns(columns, b, m)
         assert got == phase_one_fraction(columns, b, m)
         assert got == phase_one_scan(columns, b, m)
+        assert (phase_one_bland(columns, b, m) is None) == (got is None)
         verdicts.add(got is not None)
     assert verdicts == {True, False}
+
+
+def test_lexicographic_ratio_test_on_degenerate_systems():
+    # b with many zeros makes most pivots degenerate and most ratio tests
+    # tie, so the solution alone says little: the solver must end on the
+    # Fraction tableau's basis, and the tableau fails if a basis repeats
+    rng = Random(229)
+    tied = 0
+    verdicts = set()
+    for _ in range(200):
+        m = rng.randint(2, 6)
+        n = rng.randint(2, 9)
+        columns = [sorted(rng.sample(range(m), rng.randint(1, m))) for _ in range(n)]
+        if rng.random() < 0.5:
+            # b = A x for a sparse nonnegative x: feasible
+            x = [F(rng.randint(1, 3)) if rng.random() < 0.2 else F(0) for _ in range(n)]
+            b = [sum((x[v] for v in range(n) if i in columns[v]), F(0)) for i in range(m)]
+        else:
+            b = [F(rng.randint(1, 3), rng.randint(1, 3)) if rng.random() < 0.3 else F(0)
+                 for _ in range(m)]
+        pivots = []
+        want = phase_one_fraction(columns, b, m, pivots)
+        got = lp._phase_one(ScanColumns(columns), b, m)
+        assert solution_vector(got, range(n)) == want
+        if got is not None:
+            basis = pivots[-1][1] if pivots else frozenset()
+            assert set(got) == {v for v in basis if v < n}
+        assert phase_one_scan(columns, b, m) == want
+        assert (phase_one_bland(columns, b, m) is None) == (want is None)
+        tied += sum(count > 1 for count, _ in pivots)
+        verdicts.add(want is not None)
+    assert verdicts == {True, False}
+    # pivots on which several rows tied at the least ratio
+    assert tied >= 100, tied
 
 
 def test_feasible_outcome_matches_fraction_tableau(phase_one_pairs):
