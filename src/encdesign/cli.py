@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import itertools
 import json
 import re
@@ -273,45 +274,37 @@ def read_csv(path: str, want_y: bool) -> MicroData:
     r"""Read a micro-data CSV with a header naming columns d, z and, with
     ``want_y``, y, in any order among other columns.
 
-    The header is parsed by ``csv.reader``, so quoted and multi-line
-    headers are read as usual. The body is parsed in bulk from its bytes
-    when every field is ``-?[0-9]{1,18}``, fields are separated by ``,``,
-    lines end in ``\n`` or ``\r\n`` (the last line's ``\n`` may be
-    missing) and every line has the same number of fields, more than the
-    highest needed column index. Any other file (quoted fields, spaces,
-    ``+``, blank lines, a lone ``\r`` inside the body, values of 19 or
-    more digits, non-ASCII bytes, short rows, a bad header or no rows) is
-    read row by row by ``_read_csv_rows``, which returns the same arrays
-    where both accept a file and raises the row-indexed errors."""
+    The file is read once, as bytes. One ``csv.reader`` over a text view
+    of them parses the header, so quoted and multi-line headers are read
+    as usual. The body is parsed in bulk from its bytes when every field
+    is ``-?[0-9]{1,18}``, fields are separated by ``,``, lines end in
+    ``\n`` or ``\r\n`` (the last line's ``\n`` may be missing) and every
+    line has the same number of fields, more than the highest needed
+    column index. Any other body (quoted fields, spaces, ``+``, blank
+    lines, a lone ``\r``, values of 19 or more digits, non-ASCII bytes,
+    short rows or no rows) is read row by row by the same ``csv.reader``
+    in ``_read_rows``, which returns the same arrays where both accept a
+    body and raises the row-indexed errors."""
     from .simulate import MicroData
 
     names = ("d", "z", "y") if want_y else ("d", "z")
     with open(path, "rb") as fh:
         raw = fh.read()
-    # the header's lines as text mode with newline="" splits them, each
-    # ending at \r\n, \r or \n (compiled here, so commands that read no
-    # CSV do not pay for it at import)
-    line_re = re.compile(rb"[^\r\n]*(?:\r\n?|\n)?")
-    pos = 0
-
-    def lines():
-        nonlocal pos
-        while pos < len(raw):
-            line = line_re.match(raw, pos)
-            pos = line.end()
-            yield line.group().decode("utf-8")
-
-    try:
-        header = next(csv.reader(lines()), [])
-    except (UnicodeDecodeError, csv.Error):
-        header = []
+    # readline, not iteration, keeps tell() at the body's byte offset
+    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
+    reader = csv.reader(iter(text.readline, ""))
+    header = next(reader, [])
+    if "d" not in header or "z" not in header:
+        raise ValueError("data file needs a header with at least columns d and z")
+    if want_y and "y" not in header:
+        raise ValueError("outcome test requested but the data file has no y column")
     column = {name: i for i, name in enumerate(header)}
-    if all(name in column for name in names):
-        body = _parse_body(raw, pos, [column[name] for name in names])
-        if body is not None:
-            d, z, *y = body
-            return MicroData(d, z, y[0] if want_y else None, provenance=path)
-    return _read_csv_rows(path, want_y)
+    columns = [column[name] for name in names]
+    body = _parse_body(raw, text.tell(), columns)
+    if body is None:
+        body = _read_rows(reader, columns, names)
+    d, z, *y = body
+    return MicroData(d, z, y[0] if want_y else None, provenance=path)
 
 
 def _parse_body(raw: bytes, pos: int, columns: list[int]):
@@ -376,39 +369,25 @@ def _parse_body(raw: bytes, pos: int, columns: list[int]):
     return out
 
 
-def _read_csv_rows(path: str, want_y: bool) -> MicroData:
-    """Read the CSV one row at a time: the fallback of ``read_csv``, and
-    the source of its header and row-indexed error messages."""
+def _read_rows(reader, columns: list[int], names: tuple[str, ...]):
+    """The int64 arrays of the given columns of the rows left in
+    ``reader``, parsed one at a time as ``csv.DictReader`` and ``int``
+    would: blank rows are skipped, a missing field reads as None and
+    errors (including values outside int64) are indexed by row."""
     import numpy as np
 
-    from .simulate import MicroData
-
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "d" not in reader.fieldnames or "z" not in reader.fieldnames:
-            raise ValueError("data file needs a header with at least columns d and z")
-        if want_y and "y" not in reader.fieldnames:
-            raise ValueError("outcome test requested but the data file has no y column")
-        names = ("d", "z", "y") if want_y else ("d", "z")
-        d, z, y = [], [], []
-        for i, row in enumerate(reader):
-            try:
-                values = [int(row[name]) for name in names]
-                for name, v in zip(names, values):
-                    if not INT64_MIN <= v <= INT64_MAX:
-                        raise ValueError(f"{name}={v} is outside the int64 range")
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"row {i}: {exc}") from exc
-            d.append(values[0])
-            z.append(values[1])
-            if want_y:
-                y.append(values[2])
-    return MicroData(
-        np.array(d, dtype=np.int64),
-        np.array(z, dtype=np.int64),
-        np.array(y, dtype=np.int64) if want_y else None,
-        provenance=path,
-    )
+    out = [[] for _ in columns]
+    for i, row in enumerate(filter(None, reader)):
+        try:
+            values = [int(row[c] if c < len(row) else None) for c in columns]
+            for name, v in zip(names, values):
+                if not INT64_MIN <= v <= INT64_MAX:
+                    raise ValueError(f"{name}={v} is outside the int64 range")
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"row {i}: {exc}") from exc
+        for col, v in zip(out, values):
+            col.append(v)
+    return [np.array(col, dtype=np.int64) for col in out]
 
 
 # ------------------------------------------------------------- reports
@@ -680,6 +659,7 @@ def run(argv) -> int:
         OSError,
         ZeroDivisionError,
         json.JSONDecodeError,
+        csv.Error,
     ) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

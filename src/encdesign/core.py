@@ -8,6 +8,7 @@ representation ("0.3" becomes 3/10, not the nearest double).
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -248,10 +249,16 @@ def pushforward(
     """The observed table induced by q through the observation map:
     p[z][j] = sum of q over response types with d_z = j, exactly."""
     config = q.config
-    rows = {z: [ZERO] * config.J for z in config.z_support}
+    # sum integer numerators over the lcm of the denominators, then make
+    # one Fraction per cell
+    scale = math.lcm(*(m.denominator for m in q.mass.values()))
+    rows = [[0] * config.J for _ in config.z_support]
     for rt, m in q.mass.items():
-        for i, z in enumerate(config.z_support):
-            rows[z][rt.d[i]] += m
+        n = m.numerator * (scale // m.denominator)
+        for row, j in zip(rows, rt.d):
+            row[j] += n
     return ObservedDistribution(
-        config, {z: tuple(row) for z, row in rows.items()}, pz=pz
+        config,
+        {z: tuple(Fraction(n, scale) for n in row) for z, row in zip(config.z_support, rows)},
+        pz=pz,
     )

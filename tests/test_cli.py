@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, file formats, exit codes, and
 deterministic output."""
 
+import csv
 import json
 import os
 import subprocess
@@ -393,6 +394,19 @@ def test_test_command_rejects_values_past_int64(tmp_path, capsys):
     assert code == EXIT_INPUT
     err = capsys.readouterr().err
     assert err == "input error: row 1: d=99999999999999999999 is outside the int64 range\n"
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+def test_test_command_reports_oversized_csv_fields_as_input_errors(tmp_path, capsys, quoted):
+    # csv.reader refuses a field longer than csv.field_size_limit()
+    field = "7" * 200_000
+    if quoted:
+        field = f'"{field}"'
+    path = tmp_path / "big.csv"
+    path.write_text(f"d,z\n0,1\n{field},0\n", encoding="utf-8")
+    assert run(["test", "--data", str(path), "--J", "2", "--B", "99"]) == EXIT_INPUT
+    limit = csv.field_size_limit()
+    assert capsys.readouterr().err == f"input error: field larger than field limit ({limit})\n"
 
 
 def test_test_command_with_outcomes(tmp_path, capsys):

@@ -1,14 +1,15 @@
-r"""``cli.read_csv`` parses the body from its bytes when it is in the bulk
+r"""``cli.read_csv`` reads the file once and parses the header with one
+``csv.reader``. It parses the body from its bytes when it is in the bulk
 grammar (fields ``-?[0-9]{1,18}`` separated by ``,``, lines ending in
-``\n`` or ``\r\n``, one field count) and falls back to the row-by-row
-reader on anything else; on every input both must give the same arrays or
-the same error as the row-by-row oracle. ``cli.write_csv`` takes each
-column's alphabet as the range from its least to its greatest value,
-formats each value of it once and gathers the body from a table of line
-texts when the ranges multiply to at most one entry per row, and formats
-one line per row otherwise; on both sides of that guard it must write
-the bytes of the row-by-row writer, and its memory stays linear in the
-number of rows."""
+``\n`` or ``\r\n``, one field count) and on anything else lets the same
+``csv.reader`` go on row by row; on every input both must give the same
+arrays or the same error as the ``csv.DictReader`` oracle.
+``cli.write_csv`` takes each column's alphabet as the range from its least
+to its greatest value, formats each value of it once and gathers the body
+from a table of line texts when the ranges multiply to at most one entry
+per row, and formats one line per row otherwise; on both sides of that
+guard it must write the bytes of the row-by-row writer, and its memory
+stays linear in the number of rows."""
 
 import math
 import tempfile
@@ -143,7 +144,7 @@ def _bodies(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(
-    header=st.sampled_from(["d,z\n", "y,d,z\r\n", "z,w,d,y\n", '"d",z\n']),
+    header=st.sampled_from(["d,z\n", "y,d,z\r\n", "z,w,d,y\n", '"d",z\n', '"a\nb",d,z\n']),
     body=_bodies(),
     want_y=st.booleans(),
 )
@@ -155,10 +156,31 @@ def test_read_csv_matches_row_reader_on_drawn_bodies(header, body, want_y):
 
 
 def _refuse_rows(monkeypatch):
-    def refuse(path, want_y):
+    def refuse(reader, columns, names):
         raise AssertionError("fell back to the row reader")
 
-    monkeypatch.setattr(cli, "_read_csv_rows", refuse)
+    monkeypatch.setattr(cli, "_read_rows", refuse)
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+def test_read_csv_opens_the_file_once(tmp_path, monkeypatch, quoted):
+    # the bulk parser and the row reader both work on the bytes of one read
+    text = CORPUS["with_y"]
+    if quoted:
+        text = "".join(",".join(f'"{v}"' for v in line.split(",")) + "\n" for line in text.splitlines())
+    path = tmp_path / "once.csv"
+    _write(path, text)
+    want = _read(read_csv_rows, str(path), True)
+    assert want[0] == "data"
+    opened = []
+
+    def counting(file, *args, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", counting, raising=False)
+    assert _read(cli.read_csv, str(path), True) == want
+    assert opened == [str(path)]
 
 
 @pytest.mark.parametrize(
@@ -343,15 +365,15 @@ def test_quoted_outcome_file_is_read_row_by_row(tmp_path, capsys, monkeypatch):
     quoted.write_text("\n".join([header, *quoted_body]) + "\n", encoding="utf-8")
 
     calls = []
-    row_reader = cli._read_csv_rows
+    row_reader = cli._read_rows
 
-    def recording(path, want_y):
-        calls.append(path)
-        return row_reader(path, want_y)
+    def recording(reader, columns, names):
+        calls.append((columns, names))
+        return row_reader(reader, columns, names)
 
-    monkeypatch.setattr(cli, "_read_csv_rows", recording)
+    monkeypatch.setattr(cli, "_read_rows", recording)
     got = _read(cli.read_csv, str(quoted), True)
-    assert calls == [str(quoted)]
+    assert calls == [([1, 2, 0], ("d", "z", "y"))]
     assert got == _read(read_csv_rows, str(quoted), True)
     data = cli.read_csv(str(plain), True)
     assert (data.d.tolist(), data.z.tolist(), data.y.tolist()) == (got[2], got[4], got[5][1])
