@@ -282,27 +282,29 @@ def read_csv(path: str, want_y: bool) -> MicroData:
     line has the same number of fields, more than the highest needed
     column index. Any other body (quoted fields, spaces, ``+``, blank
     lines, a lone ``\r``, values of 19 or more digits, non-ASCII bytes,
-    short rows or no rows) is read row by row by the same ``csv.reader``
-    in ``_read_rows``, which returns the same arrays where both accept a
-    body and raises the row-indexed errors."""
+    short rows or no rows) is read row by row by a ``csv.reader`` that
+    goes on over the same text view in ``_read_rows``, which returns the
+    same arrays where both accept a body and raises the row-indexed
+    errors."""
     from .simulate import MicroData
 
     names = ("d", "z", "y") if want_y else ("d", "z")
     with open(path, "rb") as fh:
         raw = fh.read()
-    # readline, not iteration, keeps tell() at the body's byte offset
     text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
-    reader = csv.reader(iter(text.readline, ""))
-    header = next(reader, [])
+    # the header's lines are kept: their UTF-8 length is the body's offset
+    # (tell() is an opaque cookie, not an offset, after a trailing \r)
+    head = []
+    header = next(csv.reader(head.append(line) or line for line in text), [])
     if "d" not in header or "z" not in header:
         raise ValueError("data file needs a header with at least columns d and z")
     if want_y and "y" not in header:
         raise ValueError("outcome test requested but the data file has no y column")
     column = {name: i for i, name in enumerate(header)}
     columns = [column[name] for name in names]
-    body = _parse_body(raw, text.tell(), columns)
+    body = _parse_body(raw, len("".join(head).encode()), columns)
     if body is None:
-        body = _read_rows(reader, columns, names)
+        body = _read_rows(csv.reader(text), columns, names)
     d, z, *y = body
     return MicroData(d, z, y[0] if want_y else None, provenance=path)
 

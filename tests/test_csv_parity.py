@@ -1,8 +1,9 @@
 r"""``cli.read_csv`` reads the file once and parses the header with one
 ``csv.reader``. It parses the body from its bytes when it is in the bulk
 grammar (fields ``-?[0-9]{1,18}`` separated by ``,``, lines ending in
-``\n`` or ``\r\n``, one field count) and on anything else lets the same
-``csv.reader`` go on row by row; on every input both must give the same
+``\n`` or ``\r\n``, one field count) and on anything else lets a
+``csv.reader`` go on row by row over the same text, where the header
+ended; on every input both must give the same
 arrays or the same error as the ``csv.DictReader`` oracle.
 ``cli.write_csv`` takes each column's alphabet as the range from its least
 to its greatest value, formats each value of it once and gathers the body
@@ -144,7 +145,7 @@ def _bodies(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(
-    header=st.sampled_from(["d,z\n", "y,d,z\r\n", "z,w,d,y\n", '"d",z\n', '"a\nb",d,z\n']),
+    header=st.sampled_from(["d,z\n", "y,d,z\r\n", "z,w,d,y\n", '"d",z\n', '"a\nb",d,z\n', "d,z\r"]),
     body=_bodies(),
     want_y=st.booleans(),
 )
@@ -181,6 +182,18 @@ def test_read_csv_opens_the_file_once(tmp_path, monkeypatch, quoted):
     monkeypatch.setattr(cli, "open", counting, raising=False)
     assert _read(cli.read_csv, str(path), True) == want
     assert opened == [str(path)]
+
+
+@pytest.mark.parametrize("header", ["d,z\r", "\u00e9,d,z\r"])
+def test_read_csv_parses_the_body_after_a_lone_cr_header_in_bulk(tmp_path, monkeypatch, header):
+    # the body's offset is the header's UTF-8 length: after a trailing \r
+    # the text view's tell() is an opaque cookie, not a byte offset
+    path = tmp_path / "cr.csv"
+    _write(path, header + "".join(f"{i},{i % 2},{1 - i % 2}\n" for i in range(4)))
+    want = _read(read_csv_rows, str(path), False)
+    assert want[0] == "data"
+    _refuse_rows(monkeypatch)
+    assert _read(cli.read_csv, str(path), False) == want
 
 
 @pytest.mark.parametrize(
