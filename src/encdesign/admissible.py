@@ -55,10 +55,11 @@ def enumerate_admissible(
     z = 0 when J0 > 0). The diagonal and other types reachable from
     several defaults are emitted once. The cap bounds the number of types
     emitted (``closed_form_count``); the count itself is a tested
-    property of the output, not used to build it."""
-    count = closed_form_count(config)
-    if count > cap:
-        raise CapacityError(f"enumeration would emit {count} types, cap is {cap}")
+    property of the output, not used to build it. It is at least
+    2^(J-J0-1), so the check refuses once J - J0 - 1 reaches ``cap``'s
+    bit length without computing a count that may be too long to print."""
+    if config.J - config.J0 - 1 >= cap.bit_length() or closed_form_count(config) > cap:
+        raise CapacityError(f"enumeration would emit more than {cap} types")
     zs = config.z_support
     vectors = set()
     for j in range(config.J):

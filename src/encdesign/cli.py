@@ -660,6 +660,7 @@ def run(argv) -> int:
         KeyError,
         OSError,
         ZeroDivisionError,
+        OverflowError,
         json.JSONDecodeError,
         csv.Error,
     ) as exc:

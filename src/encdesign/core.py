@@ -226,15 +226,18 @@ class ResponseMeasure:
         for rt, m in self.mass.items():
             if not isinstance(rt, ResponseType):
                 rt = ResponseType(tuple(rt))
-            rt.validate(self.config)
+            # is_admissible validates each distinct type, once
+            old = clean.get(rt)
+            if old is None and not is_admissible(self.config, rt):
+                raise ValueError(f"response type {rt.d} is not admissible")
             m = as_fraction(m)
             if m < 0:
                 raise ValueError(f"negative mass {m} on {rt.d}")
-            if not is_admissible(self.config, rt):
-                raise ValueError(f"response type {rt.d} is not admissible")
-            clean[rt] = clean.get(rt, ZERO) + m
-        if sum(clean.values()) != ONE:
-            raise ValueError(f"masses sum to {sum(clean.values())}, not 1")
+            clean[rt] = m if old is None else old + m
+        scale = math.lcm(*(m.denominator for m in clean.values()))
+        total = sum(m.numerator * (scale // m.denominator) for m in clean.values())
+        if total != scale:
+            raise ValueError(f"masses sum to {Fraction(total, scale)}, not 1")
         object.__setattr__(
             self, "mass", {rt: m for rt, m in sorted(clean.items(), key=lambda kv: kv[0].d)}
         )

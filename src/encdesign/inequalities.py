@@ -88,12 +88,14 @@ def product_family(
     from ``targeted_set(j)`` in ``itertools.product`` order.
     A member takes one option per choice, last choice fastest. The size
     is checked against ``cap`` one factor |targeted_set(j)| at a time,
-    before any option is listed, so no large integer is built."""
-    sets = [config.targeted_set(j) for j in range(config.J)]
+    before any option or later choice's set is listed, so no large
+    integer or list is built."""
+    sets = []
     size = 1
-    for zs in sets:
+    for j in range(config.J):
+        sets.append(config.targeted_set(j))
         for _ in range(ny):
-            size *= len(zs)
+            size *= len(sets[-1])
             if size > cap:
                 raise CapacityError(f"family would hold more than {cap} inequalities")
     return [list(product(zs, repeat=ny)) for zs in sets]

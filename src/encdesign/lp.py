@@ -18,6 +18,12 @@ column (5,111 types at (10,0), times |Y|^J outcome vectors for outcome
 tables). Ratio ties leave by the lexicographic rule (Dantzig, Orden and
 Wolfe 1955), which never revisits a basis whatever column enters.
 
+Phase one stops once no structural column prices negative; the table is
+infeasible exactly when an artificial variable is still positive there.
+The prices y then satisfy A'y <= 0, so y / max(1, max y) is dual
+feasible and the phase-one optimum is positive exactly when the current
+objective is.
+
 The pivots are integer-preserving (fraction-free, Bareiss-style): the
 right-hand side is scaled to integers and every division is exact, so no
 cell is ever reduced by a gcd, yet the pivot sequence and the certificate
@@ -148,10 +154,11 @@ def _phase_one(columns, b: list[Fraction], m: int) -> dict | None:
     a 1.
 
     Phase-one simplex: minimize the sum of one artificial variable per
-    row. The column of least reduced cost enters; an artificial column
-    (the least, the first on a tie) only when no structural column is
-    negative. Of the rows tied at the least ratio, the one whose row of
-    the basis inverse, over its entering entry, is lexicographically
+    row. The structural column of least reduced cost enters, until none
+    is negative; the prices y then satisfy A'y <= 0, so y / max(1, max y)
+    is dual feasible and the optimum is zero exactly when every basic
+    artificial is. Of the rows tied at the least ratio, the one whose row
+    of the basis inverse, over its entering entry, is lexicographically
     least leaves; rows of a basis inverse are never proportional, so
     exactly one does. Returns {key: value} over the basic structural
     columns when the optimum is zero, None otherwise.
@@ -183,9 +190,8 @@ def _phase_one(columns, b: list[Fraction], m: int) -> dict | None:
     inverse = [{i: 1} for i in range(m)]
     factor = [1] * m
     holders = [{i} for i in range(m)]
-    # objective row over the artificial columns, and its value -(sum b)
+    # objective row over the artificial columns
     obj = [0] * m
-    value = -sum(rhs)
     # the key of each row's basic structural column, None for an artificial
     basis = [None] * m
     det = 1
@@ -193,14 +199,10 @@ def _phase_one(columns, b: list[Fraction], m: int) -> dict | None:
     while True:
         priced = [a - det for a in obj]
         enter = columns.most_negative(priced)
-        if enter is not None:
-            col = columns.rows(enter)
-            f = sum(map(priced.__getitem__, col))
-        else:
-            i = min(range(m), key=obj.__getitem__)
-            if obj[i] >= 0:
-                break
-            col, f = (i,), obj[i]
+        if enter is None:
+            break
+        col = columns.rows(enter)
+        f = sum(map(priced.__getitem__, col))
         coeffs = {}
         for r in col:
             for i in holders[r]:
@@ -253,11 +255,10 @@ def _phase_one(columns, b: list[Fraction], m: int) -> dict | None:
                 obj[k] -= f * v // own
         else:
             obj = [(a * pivot - f * prow.get(k, 0)) // own for k, a in enumerate(obj)]
-        value = (value * pivot - f * q) // own
         det = after
         basis[leave] = enter
 
-    if value != 0:
+    if any(rhs[i] for i, key in enumerate(basis) if key is None):
         return None
     return {
         key: Fraction(rhs[i], factor[i] * scale)

@@ -224,50 +224,29 @@ class RegionMixture:
     components: tuple[Region, ...]
 
 
-def _region_constraints(config: DesignConfig, betas, rt: ResponseType):
-    """The inequality system whose solutions realize ``rt``: the default
-    is the plain argmax, complying coordinates win when boosted, the
-    rest lose to the default even when boosted."""
+def _region(config: DesignConfig, betas, rt: ResponseType):
+    """The inequality system whose solutions realize ``rt``, and a point
+    inside it: the default is the plain argmax, complying coordinates win
+    when boosted, the rest lose to the default even when boosted."""
     J = config.J
     defaults = default_choice(config, rt)
     if len(defaults) > 1:  # full-compliance diagonal, J0 = 0
-        cons = [
-            (z, k, betas[z]) for z in config.z_support for k in range(J) if k != z
-        ]
-        return cons
-    j_star = next(iter(defaults))
-    lam = {
-        z for z in config.z_support if rt.d_at(config, z) == z and z != j_star
-    }
-    cons = [(j_star, k, 0.0) for k in range(J) if k != j_star]
-    for z in sorted(lam):
-        cons.extend((z, k, betas[z]) for k in range(J) if k != z)
-    for z in config.z_support:
-        if z != j_star and z not in lam:
-            cons.append((j_star, z, -betas[z]))
-    return cons
-
-
-def _interior_point(config: DesignConfig, betas, rt: ResponseType):
-    J = config.J
-    bmax = max(betas) if betas else 0.0
-    defaults = default_choice(config, rt)
-    vals = [0.0] * J
-    if len(defaults) > 1:
+        cons = [(z, k, betas[z]) for z in config.z_support for k in range(J) if k != z]
         step = min(b for b in betas if b > 0) / (2 * J) if any(betas) else 0.0
-        return tuple(-j * step for j in range(J))
+        return cons, tuple(-j * step for j in range(J))
     j_star = next(iter(defaults))
-    lam = sorted(
-        z for z in config.z_support if rt.d_at(config, z) == z and z != j_star
-    )
-    vals[j_star] = 0.0
+    lam = [z for z in config.z_support if rt.d_at(config, z) == z and z != j_star]
+    cons = [(j_star, k, 0.0) for k in range(J) if k != j_star]
+    vals = [0.0] * J
     for i, z in enumerate(lam):
+        cons.extend((z, k, betas[z]) for k in range(J) if k != z)
         vals[z] = -betas[z] / 2 - (i + 1) * betas[z] / (8 * (len(lam) + 1))
-    low = -(1.0 + bmax)
+    cons.extend((j_star, z, -betas[z]) for z in config.z_support if z != j_star and z not in lam)
+    low = -(1.0 + max(betas))
     rest = [j for j in range(J) if j != j_star and j not in lam]
     for i, j in enumerate(rest):
         vals[j] = low - (i + 1) * 0.25
-    return tuple(vals)
+    return cons, tuple(vals)
 
 
 def _point_in_region(point, cons, M: float) -> bool:
@@ -296,8 +275,7 @@ def build_epsilon_mixture(q: ResponseMeasure) -> RegionMixture:
     M = 3.0 * (1.0 + max(betas)) + J
     components = []
     for rt in support:
-        cons = _region_constraints(config, betas, rt)
-        point = _interior_point(config, betas, rt)
+        cons, point = _region(config, betas, rt)
         if not _point_in_region(point, cons, M):
             raise RuntimeError(
                 f"no interior point found for region of {rt.d}; construction bug"

@@ -15,10 +15,13 @@ No weight matrix is built. A member's sum, for its slack, its per-arm
 variance and each bootstrap draw, adds each choice's cells in outcome
 order, then the choice sums left to right, as outer sums in
 ``itertools.product`` order; so the output does not depend on how a BLAS
-library groups sums. The bootstrap maximum runs over chunks of whole
-moments in one buffer of at most 2**20 doubles. At J = 4 with three
-outcome values (531,477 moments, B = 99 or 999) the tracemalloc peak is
-about 22 MB, most of it the report's float64 and bool arrays.
+library groups sums. A moment's variance adds (|s_a| - s_a^2)/n_a over
+arms a, s_a its sum w p over its cells in arm a: a static row's two cells
+lie in different arms and product members weigh each cell +1, so |s_a|
+is exactly the sum of |w| p. The bootstrap maximum runs over chunks of
+whole moments in one buffer of at most 2**20 doubles. At J = 4 with
+three outcome values (531,477 moments, B = 99 or 999) the tracemalloc
+peak is about 22 MB, most of it the report's float64 and bool arrays.
 """
 
 from __future__ import annotations
@@ -244,8 +247,8 @@ def test_model(
     n_static = len(static)
     n_moments = n_static + (math.prod(map(len, options)) if options else 0)
 
-    def moment_sums(values, out, sign=np.subtract):
-        sign(values[lhs], values[rhs], out=out[:n_static])
+    def moment_sums(values, out):
+        np.subtract(values[lhs], values[rhs], out=out[:n_static])
         if options:
             _fold([_option_sums(values, o) for o in options], out[n_static:])
         return out
@@ -254,13 +257,12 @@ def test_model(
     violations[:n_static] -= [float(spec.bound) for spec in static]
     violations[n_static:] -= 1.0
     del static, pairs, index  # Python objects, about 1.3 MB at |Y| = 300
-    # per arm a, q_a and s_a sum |w| p and w p over the moment's cells in
-    # that arm; the variance adds (q_a - s_a^2)/n_a arm by arm from 0.0
+    # the variance adds (|s_a| - s_a^2)/n_a arm by arm from 0.0, s_a the
+    # sum of w p over the moment's cells in arm a (see the module docstring)
     q, s, se = np.empty(n_moments), np.empty(n_moments), np.zeros(n_moments)
     for a, n_a in enumerate(arm_n):
-        p_a = np.where(arm_of == a, p_vec, 0.0)
-        s, q = moment_sums(p_a, s), moment_sums(p_a, q, np.add)
-        np.subtract(q, np.multiply(s, s, out=s), out=q)
+        moment_sums(np.where(arm_of == a, p_vec, 0.0), s)
+        np.subtract(np.abs(s, out=q), np.multiply(s, s, out=s), out=q)
         np.add(se, np.divide(q, n_a, out=q), out=se)
     del q, s
     np.sqrt(np.maximum(se, 0.0, out=se), out=se)

@@ -193,8 +193,11 @@ def phase_one_fraction(
     reduced cost enters, the first on a tie, and artificial columns only
     when no structural one is negative; of the rows tied at the least
     ratio, the one whose (right-hand side, basis inverse) row over its
-    entering entry is lexicographically least leaves. Fails if a basis
-    repeats. Appends to ``pivots``, when given, one pair per pivot: the
+    entering entry is lexicographically least leaves. Where no structural
+    column is negative ``lp._phase_one`` stops, while this oracle goes on
+    entering artificial columns until none is negative either; agreeing
+    with it checks that stopping there loses no verdict and no
+    certificate. Fails if a basis repeats. Appends to ``pivots``, when given, one pair per pivot: the
     number of rows tied at the least ratio and the set of basic columns
     after it (artificial column i is n + i)."""
     n = len(columns)
@@ -324,10 +327,13 @@ def phase_one_scan(columns: list[list[int]], b: list[Fraction], m: int) -> list[
 
     Phase-one simplex: minimize the sum of one artificial variable per
     row. The column of least reduced cost enters, the first on a tie, and
-    an artificial column only when no structural one is negative. Of the
-    rows tied at the least ratio, the one whose basis-inverse row over
-    its entering entry is lexicographically least leaves. Returns the
-    structural solution when the optimum is zero, None otherwise.
+    an artificial column only when no structural one is negative: where
+    ``lp._phase_one`` stops, this oracle goes on until the artificial
+    columns are nonnegative too, so agreeing with it checks that
+    stopping early loses nothing. Of the rows tied at the least ratio,
+    the one whose basis-inverse row over its entering entry is
+    lexicographically least leaves. Returns the structural solution when
+    the optimum is zero, None otherwise.
 
     The tableau holds integers: b is scaled by the common denominator L
     of its entries, and every row (objective included) is stored as D
@@ -508,7 +514,11 @@ class ScanColumns:
 
 def phase_one_columns(columns: list[list[int]], b: list[Fraction], m: int) -> list[Fraction] | None:
     """``lp._phase_one`` on explicit columns, with its solution spread
-    into one value per column as ``phase_one_fraction`` returns it."""
+    into one value per column as ``phase_one_fraction`` returns it. It is
+    the solver itself, so it stops where the solver does, as soon as no
+    structural column is negative; ``phase_one_fraction`` and
+    ``phase_one_scan`` go on entering artificial columns, and comparing
+    it with them checks that stopping early loses nothing."""
     return solution_vector(lp._phase_one(ScanColumns(columns), b, m), range(len(columns)))
 
 

@@ -183,3 +183,19 @@ def test_example_restrictions_specific_vectors():
 def test_example_restrictions_unsupported_config():
     with pytest.raises(ValueError):
         satisfies_example_restrictions(DesignConfig(4, 1), ResponseType((0, 1, 2, 3)))
+
+
+def test_pairwise_restriction_needs_no_base_state():
+    with pytest.raises(ValueError, match="^the pairwise restriction is defined for J0 = 0$"):
+        satisfies_pairwise_restriction(DesignConfig(3, 1), ResponseType((0, 1, 2)))
+
+
+# (5,0) with caps 0 and 15 refuse on J - J0 - 1 >= the cap's bit length
+# alone; the others compare the closed-form count with the cap
+@pytest.mark.parametrize("J, J0, cap", [(5, 0, 0), (5, 0, 15), (4, 0, 28), (11, 1, 1000), (12, 11, 22)])
+def test_enumeration_cap_names_the_cap(J, J0, cap):
+    config = DesignConfig(J, J0)
+    assert closed_form_count(config) > cap
+    with pytest.raises(CapacityError, match=f"^enumeration would emit more than {cap} types$"):
+        enumerate_admissible(config, cap=cap)
+    assert len(enumerate_admissible(config, cap=closed_form_count(config))) == closed_form_count(config)

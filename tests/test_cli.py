@@ -84,6 +84,40 @@ def test_enumerate_capacity_exit(capsys):
     assert run(["enumerate", "--J", "9", "--J0", "0", "--cap", "100"]) == EXIT_CAPACITY
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # the selector family is refused on its second factor: listing
+        # every targeted set first peaked at about 607 MB
+        (["inequalities", "--J", "4000"], "family would hold more than 1000000 inequalities"),
+        # J * 2^(J-1) has over 30,000 digits here, too many to format as text
+        (["enumerate", "--J", "100000"], "enumeration would emit more than 1000000 types"),
+    ],
+)
+def test_capacity_checks_build_no_large_integer(capsys, argv, message):
+    tracemalloc.start()
+    try:
+        code = run(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_CAPACITY and peak < 5e6, peak
+    assert capsys.readouterr().err == f"capacity error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["inequalities", "mixture-verify"])
+def test_integers_too_large_for_a_c_integer_are_input_errors(tmp_path, capsys, command):
+    huge = "99999999999999999999"
+    if command == "inequalities":
+        argv = ["inequalities", "--J", huge]
+    else:
+        argv = _seeded_argv(tmp_path, command) + ["--n", huge, "--seed", "1"]
+    assert run(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ") and "too large" in captured.err
+
+
 def test_inequalities_count_and_full_flag(capsys):
     code, doc = run_json(capsys, ["inequalities", "--J", "3", "--J0", "1"])
     assert code == EXIT_OK and doc["count"] == 4

@@ -221,3 +221,47 @@ def test_response_measure_requires_unit_total():
     config = DesignConfig(2, 0)
     with pytest.raises(ValueError):
         ResponseMeasure(config, {ResponseType((0, 0)): F(1, 2)})
+
+
+UNIT_ROWS = {0: (F(1), F(0)), 1: (F(0), F(1))}
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda c: c.targeted_set(2), "choice 2 out of range"),
+        (lambda c: ObservedDistribution(c, UNIT_ROWS, pz={0: F(1)}), "pz missing instrument value 1"),
+        (
+            lambda c: ObservedDistribution(c, UNIT_ROWS, pz={0: F(1, 2), 1: F(1, 2), 2: F(1)}),
+            "pz has entries outside the instrument support",
+        ),
+        (lambda c: ObservedDistribution(c, {0: (F(1),), 1: (F(0), F(1))}), "row for z=0 must have 2 entries"),
+        (
+            lambda c: ObservedDistribution(c, {0: (F(3, 2), F(-1, 2)), 1: (F(0), F(1))}),
+            "probability 3/2 outside [0, 1] at z=0",
+        ),
+        (
+            lambda c: ObservedDistribution(c, {**UNIT_ROWS, 2: (F(1), F(0))}),
+            "rows contain instrument values outside the support",
+        ),
+        (
+            lambda c: ResponseMeasure(c, {(0, 1): F(3, 2), (0, 0): F(-1, 2)}),
+            "negative mass -1/2 on (0, 0)",
+        ),
+    ],
+)
+def test_core_input_checks_name_the_fault(build, message):
+    with pytest.raises(ValueError) as err:
+        build(DesignConfig(2, 0))
+    assert str(err.value) == message
+
+
+def test_response_measure_keeps_zero_masses_and_merges_repeated_types():
+    config = DesignConfig(3, 0)
+    q = ResponseMeasure(config, {(2, 1, 2): F(0), ResponseType((0, 1, 2)): F(1, 3), (0, 1, 2): F(2, 3)})
+    assert list(q.mass.items()) == [(ResponseType((0, 1, 2)), F(1)), (ResponseType((2, 1, 2)), F(0))]
+    assert q.support() == (ResponseType((0, 1, 2)),)
+    with pytest.raises(ValueError, match=r"^masses sum to 5/6, not 1$"):
+        ResponseMeasure(config, {(0, 1, 2): F(1, 2), (0, 0, 0): F(1, 3)})
+    with pytest.raises(ValueError, match=r"^masses sum to 0, not 1$"):
+        ResponseMeasure(config, {})

@@ -13,6 +13,7 @@ import pytest
 from encdesign.core import DesignConfig, ObservedDistribution, pushforward
 from encdesign.errors import CapacityError
 from encdesign.inequalities import (
+    CheckReport,
     OutcomeDistribution,
     check,
     check_outcome,
@@ -363,3 +364,8 @@ def test_outcome_distribution_stores_numpy_integer_labels_as_int():
     assert PY == OutcomeDistribution(DesignConfig(2, 0), (0, 1), _half_cells())
     assert all(type(y) is int for y in PY.y_support)
     assert all(type(k) is int for by_j in PY.cells.values() for j, by_y in by_j.items() for k in (j, *by_y))
+
+
+def test_report_needs_a_nonempty_family():
+    with pytest.raises(ValueError, match="^cannot build a report from an empty family$"):
+        CheckReport.from_slacks(())

@@ -188,6 +188,53 @@ def test_feasible_outcome_matches_fraction_tableau(phase_one_pairs):
     assert any(phase_one_pairs)
 
 
+# Benchmark tables (perfbench.inputs, keyed by seed, design and kind) on
+# which the Fraction tableau, having priced every structural column
+# nonnegative, goes on to enter an artificial column
+@pytest.mark.parametrize(
+    "case, kind, seed",
+    [((4, 0), "random", 4), ((5, 0), "boundary", 0), ((6, 0), "boundary", 4),
+     ((6, 0), "random", 0), ((6, 2), "random", 5), ((8, 2), "feasible", 5),
+     ((8, 2), "boundary", 12), ((8, 2), "random", 1), ((3, 0, 3), "boundary", 10),
+     ((3, 1, 2), "boundary", 5), ((4, 2, 2), "random", 10)],
+    ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else str(v),
+)
+def test_stopping_where_pricing_stops_loses_nothing(monkeypatch, case, kind, seed):
+    from perfbench import inputs
+
+    config = DesignConfig(*case[:2])
+    rng = inputs.rng_for(seed, case, kind)
+    solved = []
+    fast = lp._phase_one
+
+    def recorded(columns, b, m):
+        solved.append((columns, b, m, fast(columns, b, m)))
+        return solved[-1][-1]
+
+    monkeypatch.setattr(lp, "_phase_one", recorded)
+    if len(case) == 2:
+        ok, cert = lp.feasible(inputs.treatment_table(config, kind, rng))
+    else:
+        ok = lp.feasible_outcome(inputs.outcome_table(config, tuple(range(case[2])), kind, rng))
+    [(columns, b, m, got)] = solved
+    keys = type_column_keys(columns)
+    explicit = [columns.rows(key) for key in keys]
+    pivots = []
+    want = phase_one_fraction(explicit, b, m, pivots)
+    # some pivot of the tableau enters an artificial column (index >= n)
+    n = len(keys)
+    bases = [frozenset(range(n, n + m))] + [basis for _, basis in pivots]
+    assert any(min(after - before) >= n for before, after in zip(bases, bases[1:]))
+    assert ok == (want is not None)
+    assert solution_vector(got, keys) == want
+    assert phase_one_scan(explicit, b, m) == want
+    assert phase_one_columns(explicit, b, m) == want
+    if len(case) == 2 and ok:
+        assert list(cert.mass.items()) == [
+            (ResponseType(d), v) for (d, _), v in zip(keys, want) if v > 0
+        ]
+
+
 @pytest.mark.parametrize(
     "J, J0, copies",
     [(2, 0, 6), (3, 0, 6), (3, 1, 6), (3, 2, 6), (4, 0, 4), (4, 2, 4), (5, 0, 2), (5, 3, 2),

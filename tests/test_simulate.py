@@ -22,6 +22,7 @@ from encdesign.errors import CapacityError
 from encdesign.inequalities import check
 from encdesign.simulate import (
     CHUNK_SIZE,
+    MicroData,
     RumSpec,
     _chunk_rng,
     _codes_for,
@@ -391,3 +392,26 @@ def test_sample_region_refuses_a_low_acceptance_rate():
     message = f"rejection acceptance rate below 1.0 for region {region.rtype.d}; adjust the bounding box"
     with pytest.raises(CapacityError, match=f"^{re.escape(message)}$"):
         _sample_region(np.random.default_rng(3), region, mix.M, 10**6, 1.0)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: make_spec(2, 0, (1.0,)), "need 2 encouragement sizes, got 1"),
+        (lambda: make_spec(2, 0, (1.0, 1.0), n=0), "draw count must be at least 1"),
+        (
+            lambda: make_spec(2, 0, (1.0, 1.0), normal_cov=((1.0, 0.0), (0.0, 1.0))),
+            "a covariance only makes sense for normal shocks",
+        ),
+        (
+            lambda: make_spec(2, 0, (1.0, 1.0), eps="normal", normal_cov=((1.0,),)),
+            "covariance must be J x J",
+        ),
+        (lambda: MicroData(np.zeros(3), np.zeros(2)), "d and z must be one-dimensional and equally long"),
+        (lambda: MicroData(np.zeros(2), np.zeros(2), np.zeros(3)), "y must have the same length as d and z"),
+    ],
+)
+def test_simulate_input_checks_name_the_fault(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
