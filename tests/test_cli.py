@@ -105,6 +105,39 @@ def test_capacity_checks_build_no_large_integer(capsys, argv, message):
     assert capsys.readouterr().err == f"capacity error: {message}\n"
 
 
+def test_pairwise_base_family_is_refused_before_any_spec(monkeypatch, capsys):
+    # 1001 * 1001 pairs at (1002, 1): past the cap of 10^6 members
+    from encdesign import inequalities
+
+    def no_spec(*args, **kwargs):
+        raise AssertionError("a spec was built")
+
+    monkeypatch.setattr(inequalities, "InequalitySpec", no_spec)
+    assert run(["inequalities", "--J", "1002", "--J0", "1"]) == EXIT_CAPACITY
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "capacity error: family would hold more than 1000000 inequalities\n"
+
+
+def test_memory_error_is_a_capacity_error(monkeypatch, capsys):
+    # no real allocation: whether a huge one fails at once depends on the
+    # host's overcommit setting
+    from encdesign import simulate
+
+    def too_large(spec):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)")
+
+    monkeypatch.setattr(simulate, "simulate", too_large)
+    argv = ["simulate", "--J", "3", "--betas", "1,1,1", "--pz", "1/3,1/3,1/3",
+            "--n", "1000000000000", "--seed", "1"]
+    assert run(argv) == EXIT_CAPACITY
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "capacity error: Unable to allocate 7.28 TiB for an array with shape (1000000000000,)\n"
+    )
+
+
 @pytest.mark.parametrize("command", ["inequalities", "mixture-verify"])
 def test_integers_too_large_for_a_c_integer_are_input_errors(tmp_path, capsys, command):
     huge = "99999999999999999999"

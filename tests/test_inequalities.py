@@ -105,6 +105,14 @@ def test_product_family_cap_is_on_the_member_count():
         partition_family_specs(DesignConfig(3, 0), (0, 1, 2, 3), cap=80)  # 2^12 members
 
 
+def test_pairwise_base_family_cap_is_on_the_member_count():
+    config = DesignConfig(5, 1)  # (J - 1)(J - J0) = 16 pairs
+    with pytest.raises(CapacityError, match="^family would hold more than 15 inequalities$"):
+        generate(config, cap=15)
+    specs = generate(config, cap=16)
+    assert len(specs) == 16 and all(s.tag == "pairwise-base" for s in specs)
+
+
 def test_product_family_refuses_a_wide_alphabet_before_listing(monkeypatch):
     from encdesign import inequalities
 

@@ -546,10 +546,11 @@ def test_test_model_matches_explicit_family_on_wide_alphabet(J, J0):
     assert_same_report(got, model_test_by_specs(data, config, B=99, seed=5))
 
 
-def test_test_model_one_row_last_block():
-    # B = 40,000 gives chunks of 26 moments: the 40 static rows at (2,0)
-    # with 20 outcome values take two, and the partition family's single
-    # member is a chunk of its own
+def test_test_model_one_row_last_block(monkeypatch):
+    # B = 40,000 and a buffer of 2**20 doubles give chunks of 26 moments:
+    # the 40 static rows at (2,0) with 20 outcome values take two, and
+    # the partition family's single member is a chunk of its own
+    monkeypatch.setattr(stats, "_CHUNK_DOUBLES", 1 << 20)
     config, data = _micro(2, 0, 20, 2000, seed=41)
     assert len(np.unique(data.y)) == 20
     assert stats._CHUNK_DOUBLES // 40_000 == 26
@@ -603,13 +604,28 @@ def _test_model_peak(config, data, B):
 
 
 def test_test_model_memory_is_one_block():
-    # 531,477 moments at B = 99: the report's arrays, their variance sums
-    # and one chunk of at most 2**20 doubles. The explicit family peaks at
-    # about 1.2 GB on this design, and the dense blocks of W at about 27 MB
+    # 531,477 moments at B = 99: the report's arrays (9.1 MB) and one
+    # chunk of at most 2**17 doubles, 11.3 MB in all; whole-family
+    # variance sums peaked at 21.7 MB. The explicit family peaks at about
+    # 1.2 GB on this design, and the dense blocks of W at about 27 MB
     config, data = _micro(4, 0, 3, 20_000, seed=11)
     report, peak = _test_model_peak(config, data, B=99)
     assert len(report.slacks) == 3 ** 12 + 36
-    assert peak < 24e6, peak
+    assert peak < 13e6, peak
+
+
+def test_test_model_and_its_summary_stay_within_one_block():
+    # the summary's binding moment is found a chunk at a time too: a
+    # whole-family studentized copy added 8.5 MB
+    config, data = _micro(4, 0, 3, 100_000, seed=12)
+    tracemalloc.start()
+    try:
+        summary = stats.test_model(data, config, B=99, seed=3).summary_dict()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary["moment_count"] == 3 ** 12 + 36
+    assert peak < 15e6, peak
 
 
 @pytest.mark.parametrize(
@@ -630,11 +646,12 @@ def test_test_model_memory_is_linear_in_the_outcome_alphabet(J, J0, B, limit):
 def test_test_model_holds_the_per_cell_draws_once():
     # the per-cell draws (B x cells) are held once: at (3,1) with B = 999
     # on 300 outcome values the peak went from 44.5 MB, the draws and
-    # their transpose, to 30.8 MB, the draws and the 8.4 MB buffer
+    # their transpose, to 30.8 MB, the draws and an 8.4 MB buffer, and to
+    # 23.7 MB with a 1 MB buffer
     config, data = _micro(3, 1, 300, 20_000, seed=303)
     report, peak = _test_model_peak(config, data, B=999)
     assert len(report.slacks) == 2400
-    assert peak < 34e6, peak
+    assert peak < 26e6, peak
 
 
 def _same_tables(a, b):

@@ -1,8 +1,10 @@
 """Random utility simulation and the region-mixture realization."""
 
+import copy
 import dataclasses
 import math
 import re
+import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
 from random import Random
@@ -21,6 +23,7 @@ from encdesign.core import DesignConfig, ResponseMeasure, ResponseType
 from encdesign.errors import CapacityError
 from encdesign.inequalities import check
 from encdesign.simulate import (
+    BLOCK_SIZE,
     CHUNK_SIZE,
     MicroData,
     RumSpec,
@@ -32,7 +35,7 @@ from encdesign.simulate import (
     simulate,
     verify_mixture,
 )
-from helpers import potential_type_codes_by_rows, random_measure
+from helpers import potential_type_codes_by_rows, random_measure, simulate_by_chunks
 
 
 def uniform_pz(config):
@@ -369,18 +372,101 @@ def test_verify_mixture_asks_for_at_most_a_chunk(monkeypatch):
 def test_codes_for_redraws_exactly_the_tied_rows():
     # integer shocks and zero encouragement: about half the rows tie
     config = DesignConfig(3, 0)
+    spec = make_spec(3, 0, (0.0, 0.0, 0.0), n=500, eps="normal")
     gen = np.random.default_rng(8)
     eps = gen.integers(0, 3, size=(500, 3)).astype(np.float64)
-    before = eps.copy()
     betas = np.zeros(3)
-    _, tied = kernels.potential_type_codes(before, betas, config.z_support)
+    codes, tied = kernels.potential_type_codes(eps, betas, config.z_support)
     assert 0 < tied.sum() < len(tied)
-    codes = _codes_for(eps, betas, np.asarray(config.z_support), gen, lambda r, k: r.normal(size=(k, 3)))
-    changed = (eps != before).any(axis=1)
-    assert changed.tolist() == tied.tolist()
+    untied = codes[~tied].copy()
+    stream = copy.deepcopy(gen)
+    _codes_for(gen, spec, betas, np.asarray(config.z_support), codes, np.flatnonzero(tied))
+    # normal shocks do not tie: one draw of a row per tied row, in order
+    eps[tied] = stream.normal(size=(int(tied.sum()), 3))
+    assert gen.random() == stream.random()
+    assert codes[~tied].tolist() == untied.tolist()
     want_codes, want_ties = potential_type_codes_by_rows(eps, betas, config.z_support)
     assert not any(want_ties)
     assert codes.tolist() == want_codes
+
+
+def _parity_spec(J, J0, family, n):
+    config = DesignConfig(J, J0)
+    betas = tuple(0.0 if j < J0 else 0.4 + 0.2 * j for j in range(J))
+    weights = [1 + i % 3 for i in range(len(config.z_support))]
+    pz = {z: F(w, sum(weights)) for z, w in zip(config.z_support, weights)}
+    cov = None
+    if family == "normal_cov":
+        family, cov = "normal", tuple(tuple(1.3 if i == j else 0.3 for j in range(J)) for i in range(J))
+    return RumSpec(config, betas, pz, n, 31 + n % 7, family, cov)
+
+
+def _same_result(got, want):
+    assert got.data.d.tobytes() == want.data.d.tobytes()
+    assert got.data.z.tobytes() == want.data.z.tobytes()
+    assert got.table == want.table
+    assert list(got.type_counts.items()) == list(want.type_counts.items())
+    assert got.n == want.n
+
+
+def _same_simulation(spec):
+    """simulate and its whole-chunk oracle give the same rows, table and
+    type counts in the same order, or the same error."""
+    try:
+        want = simulate_by_chunks(spec)
+    except Exception as err:
+        with pytest.raises(type(err)) as got:
+            simulate(spec)
+        assert str(got.value) == str(err)
+        return
+    _same_result(simulate(spec), want)
+
+
+@pytest.mark.parametrize("family", ["gumbel", "normal", "uniform", "normal_cov"])
+@pytest.mark.parametrize("J, J0", [(2, 0), (3, 1), (5, 0), (6, 2)])
+def test_simulate_matches_whole_chunk_draws(J, J0, family):
+    # one row (no draw on most instrument values: the same error), a
+    # block and a chunk each +-1, and several chunks with a short last one
+    sizes = [1, BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1, CHUNK_SIZE - 1, CHUNK_SIZE,
+             CHUNK_SIZE + 1, 150_000, 3 * CHUNK_SIZE + 1]
+    for n in sizes:
+        _same_simulation(_parity_spec(J, J0, family, n))
+
+
+@pytest.mark.parametrize("J, J0, n", [(3, 0, 3 * CHUNK_SIZE + 1), (6, 2, 150_000), (2, 0, BLOCK_SIZE + 1)])
+def test_simulate_matches_whole_chunk_draws_when_half_the_rows_tie(monkeypatch, J, J0, n):
+    # shocks in {-2, -1, 0, 1} and no encouragement: a quarter (J = 2) to
+    # over a half of the rows tie, and a chunk's redraws span its blocks
+    sizes = []
+
+    def integer_shocks(rng, k, spec):
+        sizes.append(k)
+        return np.floor(2 * rng.uniform(-1.0, 1.0, size=(k, spec.config.J)))
+
+    monkeypatch.setattr(simulate_module, "_draw_eps", integer_shocks)
+    config = DesignConfig(J, J0)
+    spec = RumSpec(config, (0.0,) * J, uniform_pz(config), n, 3, "uniform")
+    want = simulate_by_chunks(spec)
+    sizes.clear()
+    _same_result(simulate(spec), want)
+    assert sum(sizes) - n > n // 5
+    # first draws come a block at a time; a larger one is a redraw
+    assert max(sizes) > BLOCK_SIZE or n < CHUNK_SIZE
+
+
+def test_simulate_memory_is_blocks_not_chunks():
+    # 150,000 (6,2) rows: the output rows (2.4 MB), one chunk's codes
+    # under every instrument value and one block through the kernel.
+    # Whole-chunk shocks peaked at 21.4 MB
+    config = DesignConfig(6, 2)
+    spec = RumSpec(config, (0, 0, 1, 1, 1, 1), uniform_pz(config), 150_000, 7, "gumbel")
+    tracemalloc.start()
+    try:
+        simulate(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6, peak
 
 
 def test_sample_region_refuses_a_low_acceptance_rate():

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from encdesign import stats
 from encdesign.core import DesignConfig, ObservedDistribution
 from encdesign.simulate import MicroData, RumSpec, simulate
 from encdesign.stats import TestReport as Report
@@ -188,3 +189,25 @@ def test_summary_binds_the_first_moment_that_attains_the_statistic():
     for values in (report.slacks, report.standard_errors, report.floored):
         with pytest.raises(ValueError, match="read-only"):
             values[0] = 0
+
+
+def test_binding_is_the_first_maximum_across_chunks(monkeypatch):
+    # studentized violations 1, 3, 2, 2 | 3, 3, 0, 3 | 1 in chunks of
+    # four: the maximum ties across the boundary, and the first one binds
+    monkeypatch.setattr(stats, "_CHUNK_DOUBLES", 4)
+    ratios = [1.0, 3.0, 2.0, 2.0, 3.0, 3.0, 0.0, 3.0, 1.0]
+    se = [0.5, 1.0, 2.0, 0.25, 1.0, 0.5, 1.0, 2.0, 1.0]
+    for first in (1, 4):
+        values = list(ratios)
+        if first == 4:
+            values[1] = 2.5
+        report = Report(
+            arm_counts={0: 5, 1: 5}, p_hat={"0": [0.5, 0.5], "1": [0.5, 0.5]},
+            slacks=[-r * s for r, s in zip(values, se)], standard_errors=se,
+            floored=[False] * len(se), statistic=3.0, critical_value=1.5,
+            p_value=0.01, reject=True, alpha=0.05, B=99, seed=4,
+        )
+        studentized = -report.slacks / report.standard_errors
+        assert int(np.argmax(studentized)) == first
+        assert report.summary_dict()["binding"] == first
+        assert stats._largest_violation(report.slacks, report.standard_errors) == (3.0, first)
