@@ -18,6 +18,19 @@ column (5,111 types at (10,0), times |Y|^J outcome vectors for outcome
 tables). Ratio ties leave by the lexicographic rule (Dantzig, Orden and
 Wolfe 1955), which never revisits a basis whatever column enters.
 
+Cells of probability zero close columns: the zero-row reduction of
+Andersen and Andersen (1995, "Presolving in linear programming", Math.
+Programming 71). A is 0/1 and x >= 0, so a row with b_i = 0 forces every
+column through it to zero, and so does a zero implied cell (a slice whose
+listed cells sum to 1). Pricing charges a closed cell +inf, so no such
+column ever enters, and the feasible set is unchanged. It reads only the
+table, so the LP still shares nothing with the other two oracles. The
+rows of closed cells stay: no entering column touches one, so its
+artificial stays basic at 0 and the row is never rewritten, and deleting
+it would renumber the other rows in order, which keeps every
+lexicographic ratio choice. A table with no zero cell closes nothing and
+pivots exactly as it would without the reduction.
+
 Phase one stops once no structural column prices negative; the table is
 infeasible exactly when an artificial variable is still positive there.
 The prices y then satisfy A'y <= 0, so y / max(1, max y) is dual
@@ -62,21 +75,26 @@ class _TypeColumns:
     coordinate (z_k, d_k, u[d_k]) and in the normalization row. Row
     ``k * (J*ny - 1) + j*ny + u`` is coordinate (z_k, j, u), except the
     last cell (J-1, ny-1) of each position, which its slice total implies
-    and which has no row; row m-1 is the normalization.
+    and which has no row; row m-1 is the normalization. ``closed`` lists
+    the cells (k, j*ny + u) of probability zero, implied cells (k, width)
+    among them; no column through one is priced.
     """
 
-    def __init__(self, config, ny: int):
+    def __init__(self, config, ny: int, closed=()):
         zs = config.z_support
         self.config = config
         self.J, self.ny, self.zs = config.J, ny, zs
-        self.width = config.J * ny - 1
-        self.m = len(zs) * self.width + 1
+        self.width = width = config.J * ny - 1
+        self.m = len(zs) * width + 1
         # the entry targeting each choice (the base state targets none)
         targets = {z: k for k, z in enumerate(zs) if k or not config.J0}
         self.target = [targets.get(j) for j in range(config.J)]
         # the cells (z_k, z_k, u) of each entry's own choice, as j*ny + u
         self.own = [range(z * ny, z * ny + ny) for z in zs]
-        self.implied = [0] * len(zs)
+        self.closed = frozenset(closed)
+        # the listed closed cells, as most_negative's cells[c][k]
+        self.shut = [(c, k) for k, c in self.closed if c != width]
+        self.implied = [inf if (k, width) in self.closed else 0 for k in range(len(zs))]
 
     def rows(self, key) -> list[int]:
         d, u = key
@@ -101,21 +119,32 @@ class _TypeColumns:
         cheapest outcome, a_k = min_u w(k, z_k, u), and on a tie the
         smaller choice. That is the least (cost, key) under (j, u), and
         the least of these over all (j, u) is the answer.
+
+        A closed cell is priced at +inf (Andersen and Andersen 1995), so
+        no entry takes it, and a (j, u) whose forced cells are closed
+        costs +inf and yields no column. The entry targeting j is charged
+        min(w(k, j, u), +inf), never cost + w(k, j, u) - a_k, which is
+        inf - inf (NaN) when both cells are closed. Finite costs stay
+        exact integers. Closed rows are kept, not renumbered: the
+        artificial of each stays basic at 0 and its row is never
+        rewritten, and deleting them would keep the order of the other
+        rows and so every ratio-test choice.
         """
         ny, width = self.ny, self.width
         t = -priced[-1]  # a column is negative when its cells sum below t
         # cells[j*ny + u][k] = w(k, j, u), with the implied cell last
         cells = [priced[c:-1:width] for c in range(width)] + [self.implied]
+        for c, k in self.shut:
+            cells[c][k] = inf
         own = [[cells[c][k] for c in cs] for k, cs in enumerate(self.own)]
         a = [min(x) for x in own]
         if self.config.J0:
             a[0] = inf  # the base state never complies
         costs = []
         for j, k in enumerate(self.target):
-            for take in cells[j * ny : j * ny + ny]:
-                cost = sum(map(min, take, a))
-                # the entry targeting j takes w(k, j, u), not min's a_k
-                costs.append(cost if k is None else cost + take[k] - a[k])
+            # the entry targeting j takes w(k, j, u), never its own a_k
+            aj = a if k is None else a[:k] + [inf] + a[k + 1 :]
+            costs.extend(sum(map(min, take, aj)) for take in cells[j * ny : j * ny + ny])
         least = min(costs)
         if least >= t:
             return None
@@ -267,13 +296,20 @@ def _phase_one(columns, b: list[Fraction], m: int) -> dict | None:
     }
 
 
-def _solve(config, ny: int, b: list[Fraction], cap: int) -> dict | None:
-    columns = _TypeColumns(config, ny)
+def _solve(config, ny: int, p: list[Fraction], cap: int) -> dict | None:
+    """Phase one on the table ``p``: every cell (z_k, j, y) in position
+    order, the implied last cell of each slice included. Its rows are the
+    listed cells, then the normalization; its closed cells are the zero
+    ones, the implied cells among them."""
+    size = config.J * ny  # cells per slice, the implied one last
+    closed = [divmod(i, size) for i, v in enumerate(p) if not v]
+    columns = _TypeColumns(config, ny, closed)
     m = columns.m
     if m * (m + 1) > cap:
         raise CapacityError(
             f"LP basis inverse could hold {m * (m + 1)} entries ({m} rows), cap is {cap}"
         )
+    b = [v for i, v in enumerate(p) if i % size != size - 1] + [ONE]
     return _phase_one(columns, b, m)
 
 
@@ -284,10 +320,7 @@ def feasible(
     pushforward equals P. The certificate lists its types in
     lexicographic order."""
     config = P.config
-    # one equality per coordinate except the last of each instrument
-    # slice (implied by the slice total), then the normalization
-    b = [P.p(z, j) for z in config.z_support for j in range(config.J - 1)] + [ONE]
-    x = _solve(config, 1, b, cap)
+    x = _solve(config, 1, [v for z in config.z_support for v in P.rows[z]], cap)
     if x is None:
         return False, None
     measure = ResponseMeasure(
@@ -301,6 +334,5 @@ def feasible_outcome(PY: OutcomeDistribution, cap: int = DEFAULT_LP_CAP) -> bool
     (response type, outcome vector) pair."""
     config = PY.config
     ys = PY.y_support
-    cells = [(j, y) for j in range(config.J) for y in ys][:-1]
-    b = [PY.p(z, j, y) for z in config.z_support for j, y in cells] + [ONE]
-    return _solve(config, len(ys), b, cap) is not None
+    p = [PY.p(z, j, y) for z in config.z_support for j in range(config.J) for y in ys]
+    return _solve(config, len(ys), p, cap) is not None

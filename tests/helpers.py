@@ -529,10 +529,45 @@ def solution_vector(solution: dict | None, keys) -> list[Fraction] | None:
 
 
 def type_column_keys(columns) -> list:
-    """Every column key of an ``lp._TypeColumns`` in column order, listed
-    from ``enumerate_admissible`` and ``itertools.product``."""
+    """Every column key of an ``lp._TypeColumns`` that the solver prices,
+    in column order, listed from ``enumerate_admissible`` and
+    ``itertools.product``: those whose cells (k, d_k * ny + u[d_k]) are
+    none of ``columns.closed``. With no closed cell, every key."""
     types = enumerate_admissible(columns.config).types
-    return [(rt.d, u) for rt in types for u in product(range(columns.ny), repeat=columns.J)]
+    ny, closed = columns.ny, columns.closed
+    return [
+        (rt.d, u)
+        for rt in types
+        for u in product(range(ny), repeat=columns.J)
+        if not any((k, j * ny + u[j]) in closed for k, j in enumerate(rt.d))
+    ]
+
+
+def solved_by_lp(solver, table):
+    """``solver`` (``lp.feasible`` or ``lp.feasible_outcome``) on
+    ``table``, with the one ``lp._phase_one`` call it makes: returns
+    (result, columns, b, m, solution)."""
+    calls = []
+    fast = lp._phase_one
+
+    def recorded(columns, b, m):
+        calls.append((columns, b, m, fast(columns, b, m)))
+        return calls[-1][-1]
+
+    lp._phase_one = recorded
+    try:
+        result = solver(table)
+    finally:
+        lp._phase_one = fast
+    [(columns, b, m, solution)] = calls
+    return result, columns, b, m, solution
+
+
+def priced_tableau(columns, b, m, pivots: list | None = None):
+    """``phase_one_fraction`` on the columns of an ``lp._TypeColumns``
+    that the solver prices: returns their keys and the solution."""
+    keys = type_column_keys(columns)
+    return keys, phase_one_fraction([columns.rows(key) for key in keys], b, m, pivots)
 
 
 def most_negative_by_scan(columns, priced: list[int]):

@@ -77,3 +77,27 @@ def test_walk_returns_none_without_a_negative_column(J, J0, ny):
         assert columns.most_negative(priced) is None
     # every column sums to exactly zero: none is negative
     assert columns.most_negative([0] * columns.m) is None
+
+
+@pytest.mark.parametrize(
+    "J, J0, ny",
+    [(2, 0, 1), (3, 0, 1), (3, 1, 1), (4, 2, 1), (5, 0, 1), (6, 2, 1), (2, 1, 2), (3, 0, 2),
+     (3, 1, 3), (4, 2, 3), (4, 3, 2)],
+)
+def test_pricing_never_takes_a_closed_cell(J, J0, ny):
+    # closed cells, implied ones among them, price at +inf: the scan over
+    # the keys that cross none of them is the oracle
+    config = DesignConfig(J, J0)
+    rng = Random(433 + 100 * ny + 10 * J + J0)
+    cells = [(k, c) for k in range(len(config.z_support)) for c in range(J * ny)]
+    found = 0
+    for share in (0.1, 0.2, 0.3, 0.5):
+        columns = lp._TypeColumns(config, ny, [cell for cell in cells if rng.random() < share])
+        if type_column_keys(columns):
+            found += _check_pricing(columns, rng)
+        else:
+            assert columns.most_negative([-1] * columns.m) is None
+    assert found > 0
+    # every column closed: none is priced, however negative its cells
+    columns = lp._TypeColumns(config, ny, cells)
+    assert columns.most_negative([-1] * columns.m) is None

@@ -4,13 +4,21 @@ cell of every pivot, the cap sized a dense tableau of variables x rows
 that the solver no longer builds, and later counted the entries of the
 listed columns (|types| x |Y|^J of them for outcome tables), which the
 solver no longer lists; and the first negative column entered (Bland's
-rule), not the cheapest, for thousands of pivots."""
+rule), not the cheapest, for thousands of pivots. Sparse tables also
+priced, and entered at zero, columns through cells of probability zero;
+their guards count pricings, not seconds."""
 
 from random import Random
+from statistics import mean
 
+import pytest
+
+from encdesign import lp
 from encdesign.core import DesignConfig, pushforward
-from encdesign.inequalities import check_outcome
+from encdesign.errors import ConstructionError
+from encdesign.inequalities import check, check_outcome
 from encdesign.lp import feasible, feasible_outcome
+from encdesign.witness import construct
 from helpers import (
     feasible_outcome_table,
     feasible_table,
@@ -80,3 +88,61 @@ def test_outcome_lp_answers_six_choices_three_outcomes():
     assert feasible_outcome(feasible_outcome_table(config, ys, Random(6003)))
     PY = random_outcome_table(config, ys, Random(6003))
     assert feasible_outcome(PY) == check_outcome(PY).passed
+
+
+def _pricings(monkeypatch, solve, table) -> int:
+    """The number of ``_TypeColumns.most_negative`` calls ``solve`` makes
+    on ``table``: one per pivot, plus the last, which finds no column."""
+    calls = []
+    method = lp._TypeColumns.most_negative
+
+    def counted(self, priced):
+        calls.append(None)
+        return method(self, priced)
+
+    monkeypatch.setattr(lp._TypeColumns, "most_negative", counted)
+    solve(table)
+    monkeypatch.undo()
+    return len(calls)
+
+
+# pricings with every column priced were 688, 628 and 128
+@pytest.mark.parametrize("kind, bound", [("feasible", 250), ("boundary", 350), ("random", 25)])
+def test_sparse_twelve_choice_tables_price_few_columns(monkeypatch, kind, bound):
+    from perfbench import inputs
+
+    P = inputs.treatment_table(DesignConfig(12, 0), kind, inputs.rng_for(1, 12, kind))
+    assert _pricings(monkeypatch, feasible, P) <= bound
+
+
+# Bland's rule, the first negative column entering, averaged 40.5 and
+# 29.0 pricings on the benchmark's feasible (4,2)|Y|=3 and (3,1)|Y|=3
+# tables, and 49.3 and 31.0 on these; the least reduced cost over every
+# column took 64.0 and 40.3 on these
+@pytest.mark.parametrize("case, bland", [((4, 2, 3), 40.5), ((3, 1, 3), 29.0)])
+def test_base_state_outcome_tables_price_no_more_than_bland(monkeypatch, case, bland):
+    from perfbench import inputs
+
+    config, ys = DesignConfig(*case[:2]), tuple(range(case[2]))
+    counts = [
+        _pricings(
+            monkeypatch,
+            feasible_outcome,
+            inputs.outcome_table(config, ys, "feasible", inputs.rng_for(seed, case, "feasible")),
+        )
+        for seed in (1, 2, 3)
+    ]
+    assert mean(counts) <= bland
+
+
+def test_sparse_sixteen_choice_table_agrees_with_check_and_construct():
+    # 391 pricings with every column priced, 50 now (about 0.02 s); the
+    # (16,0) feasible and boundary tables still take 3-5 s each
+    from perfbench import inputs
+
+    config = DesignConfig(16, 0)
+    P = inputs.treatment_table(config, "random", inputs.rng_for(1, 16, "random"))
+    assert feasible(P) == (False, None)
+    assert not check(P).passed
+    with pytest.raises(ConstructionError):
+        construct(P)

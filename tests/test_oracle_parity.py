@@ -57,6 +57,7 @@ from helpers import (
     phase_one_fraction,
     phase_one_scan,
     potential_type_codes_by_argmax,
+    priced_tableau,
     random_measure,
     random_outcome_measure,
     random_outcome_table,
@@ -65,6 +66,7 @@ from helpers import (
     region_points_by_box_rejection,
     sample_region_by_reductions,
     solution_vector,
+    solved_by_lp,
     targeted_outcome_table,
     type_column_keys,
 )
@@ -188,39 +190,39 @@ def test_feasible_outcome_matches_fraction_tableau(phase_one_pairs):
     assert any(phase_one_pairs)
 
 
-# Benchmark tables (perfbench.inputs, keyed by seed, design and kind) on
-# which the Fraction tableau, having priced every structural column
-# nonnegative, goes on to enter an artificial column
-@pytest.mark.parametrize(
-    "case, kind, seed",
-    [((4, 0), "random", 4), ((5, 0), "boundary", 0), ((6, 0), "boundary", 4),
-     ((6, 0), "random", 0), ((6, 2), "random", 5), ((8, 2), "feasible", 5),
-     ((8, 2), "boundary", 12), ((8, 2), "random", 1), ((3, 0, 3), "boundary", 10),
-     ((3, 1, 2), "boundary", 5), ((4, 2, 2), "random", 10)],
-    ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else str(v),
-)
-def test_stopping_where_pricing_stops_loses_nothing(monkeypatch, case, kind, seed):
+def _benchmark_lp(case, kind, seed):
+    """The perfbench.inputs table keyed by (seed, case, kind), for case
+    (J, J0) or (J, J0, |Y|), and the LP on it: (table, (verdict,
+    certificate), columns, b, m, solution)."""
     from perfbench import inputs
 
     config = DesignConfig(*case[:2])
     rng = inputs.rng_for(seed, case, kind)
-    solved = []
-    fast = lp._phase_one
-
-    def recorded(columns, b, m):
-        solved.append((columns, b, m, fast(columns, b, m)))
-        return solved[-1][-1]
-
-    monkeypatch.setattr(lp, "_phase_one", recorded)
     if len(case) == 2:
-        ok, cert = lp.feasible(inputs.treatment_table(config, kind, rng))
-    else:
-        ok = lp.feasible_outcome(inputs.outcome_table(config, tuple(range(case[2])), kind, rng))
-    [(columns, b, m, got)] = solved
-    keys = type_column_keys(columns)
-    explicit = [columns.rows(key) for key in keys]
+        table = inputs.treatment_table(config, kind, rng)
+        return table, *solved_by_lp(lp.feasible, table)
+    table = inputs.outcome_table(config, tuple(range(case[2])), kind, rng)
+    ok, *solved = solved_by_lp(lp.feasible_outcome, table)
+    return table, (ok, None), *solved
+
+
+# Benchmark tables (perfbench.inputs, keyed by seed, design and kind) on
+# which the Fraction tableau over the columns the solver prices, having
+# priced every one of them nonnegative, goes on to enter an artificial
+# column
+@pytest.mark.parametrize(
+    "case, kind, seed",
+    [((4, 0), "random", 8), ((5, 0), "boundary", 0), ((6, 0), "boundary", 4),
+     ((6, 0), "random", 4), ((6, 2), "random", 6), ((8, 2), "feasible", 5),
+     ((8, 2), "boundary", 12), ((8, 2), "random", 1), ((3, 0, 3), "boundary", 10),
+     ((3, 1, 2), "boundary", 5), ((4, 2, 2), "random", 10)],
+    ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else str(v),
+)
+def test_stopping_where_pricing_stops_loses_nothing(case, kind, seed):
+    table, (ok, cert), columns, b, m, got = _benchmark_lp(case, kind, seed)
     pivots = []
-    want = phase_one_fraction(explicit, b, m, pivots)
+    keys, want = priced_tableau(columns, b, m, pivots)
+    explicit = [columns.rows(key) for key in keys]
     # some pivot of the tableau enters an artificial column (index >= n)
     n = len(keys)
     bases = [frozenset(range(n, n + m))] + [basis for _, basis in pivots]
@@ -233,6 +235,40 @@ def test_stopping_where_pricing_stops_loses_nothing(monkeypatch, case, kind, see
         assert list(cert.mass.items()) == [
             (ResponseType(d), v) for (d, _), v in zip(keys, want) if v > 0
         ]
+
+
+# Benchmark tables are sparse: perfbench.inputs pushes forward 3J or 4J
+# sampled types, or draws cells from 0..6, so many cells are zero and
+# close every column through them. (8,0) is left out: there the Fraction
+# tableau takes about 4 s per table on the priced columns and 12-17 s on
+# all of them.
+@pytest.mark.parametrize(
+    "case, seeds",
+    [((3, 0), 3), ((4, 0), 3), ((5, 0), 2), ((6, 0), 1), ((4, 2), 3), ((6, 2), 2), ((8, 2), 1),
+     ((3, 1, 3), 2), ((4, 2, 3), 1), ((4, 0, 2), 1)],
+    ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else None,
+)
+def test_closed_cells_keep_tableau_parity_on_sparse_tables(case, seeds):
+    closed = []
+    verdicts = set()
+    for kind in ("feasible", "boundary", "random"):
+        for seed in range(1, seeds + 1):
+            table, (ok, cert), columns, b, m, got = _benchmark_lp(case, kind, seed)
+            keys, want = priced_tableau(columns, b, m)
+            assert solution_vector(got, keys) == want
+            if cert is not None:
+                assert pushforward(cert).rows == table.rows
+            # the verdict over every column, none closed
+            every = lp._TypeColumns(columns.config, columns.ny)
+            explicit = [every.rows(key) for key in type_column_keys(every)]
+            assert (phase_one_fraction(explicit, b, m) is not None) == ok
+            if len(case) == 2:
+                assert feasible_by_scan(table)[0] == ok
+            else:
+                assert feasible_outcome_by_scan(table) == ok
+            closed.append(bool(columns.closed))
+            verdicts.add(ok)
+    assert any(closed) and verdicts == {True, False}
 
 
 @pytest.mark.parametrize(
