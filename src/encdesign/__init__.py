@@ -17,7 +17,6 @@ from .core import (
     pushforward,
 )
 from .admissible import (
-    AdmissibleSet,
     default_choice,
     enumerate_admissible,
     is_admissible,
@@ -45,7 +44,6 @@ from .witness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmissibleSet",
     "CapacityError",
     "CheckReport",
     "ConstructionError",

@@ -12,7 +12,6 @@ comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .core import DesignConfig, ResponseType
@@ -34,21 +33,9 @@ def is_admissible(config: DesignConfig, rt: ResponseType) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class AdmissibleSet:
-    config: DesignConfig
-    types: tuple[ResponseType, ...]
-
-    def __contains__(self, rt: ResponseType) -> bool:
-        return rt in self.types
-
-    def __len__(self) -> int:
-        return len(self.types)
-
-
 def enumerate_admissible(
     config: DesignConfig, cap: int = DEFAULT_ENUMERATION_CAP
-) -> AdmissibleSet:
+) -> tuple[ResponseType, ...]:
     """Every admissible type, in lexicographic order, generated directly
     as a default choice times a compliance subset: each instrument value
     either complies or falls back to the default (the choice taken at
@@ -57,7 +44,8 @@ def enumerate_admissible(
     emitted (``closed_form_count``); the count itself is a tested
     property of the output, not used to build it. It is at least
     2^(J-J0-1), so the check refuses once J - J0 - 1 reaches ``cap``'s
-    bit length without computing a count that may be too long to print."""
+    bit length without computing a count that may be too long to print.
+    The types are returned as a tuple."""
     if config.J - config.J0 - 1 >= cap.bit_length() or closed_form_count(config) > cap:
         raise CapacityError(f"enumeration would emit more than {cap} types")
     zs = config.z_support
@@ -68,7 +56,7 @@ def enumerate_admissible(
         else:
             options = [{j}] + [{z, j} for z in zs[1:]]
         vectors.update(product(*options))
-    return AdmissibleSet(config, tuple(ResponseType(d) for d in sorted(vectors)))
+    return tuple(ResponseType(d) for d in sorted(vectors))
 
 
 def default_choice(config: DesignConfig, rt: ResponseType) -> frozenset[int]:

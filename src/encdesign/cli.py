@@ -306,7 +306,7 @@ def read_csv(path: str, want_y: bool) -> MicroData:
     if body is None:
         body = _read_rows(csv.reader(text), columns, names)
     d, z, *y = body
-    return MicroData(d, z, y[0] if want_y else None, provenance=path)
+    return MicroData(d, z, y[0] if want_y else None)
 
 
 def _parse_body(raw: bytes, pos: int, columns: list[int]):
@@ -505,7 +505,7 @@ def _build_parser() -> _Parser:
 def _dispatch(args) -> int:
     if args.command == "enumerate":
         config = DesignConfig(args.J, args.J0)
-        types = admissible.enumerate_admissible(config, cap=args.cap).types
+        types = admissible.enumerate_admissible(config, cap=args.cap)
         _emit(
             {
                 "J": config.J,
@@ -598,7 +598,7 @@ def _dispatch(args) -> int:
             write_csv(result.data, args.out)
         _emit(
             {
-                "n": result.n,
+                "n": spec.n,
                 "seed": args.seed,
                 "table": distribution_doc(result.table),
                 "type_counts": {
@@ -666,7 +666,6 @@ def run(argv) -> int:
         OSError,
         ZeroDivisionError,
         OverflowError,
-        json.JSONDecodeError,
         csv.Error,
     ) as exc:
         print(f"input error: {exc}", file=sys.stderr)

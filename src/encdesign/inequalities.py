@@ -101,6 +101,12 @@ def product_family(
     return [list(product(zs, repeat=ny)) for zs in sets]
 
 
+def _selector_spec(selector: tuple[int, ...]) -> InequalitySpec:
+    """The selector inequality sum_j p(selector[j], j) <= 1."""
+    lhs = tuple((z, j) for j, z in enumerate(selector))
+    return InequalitySpec(lhs=lhs, bound=ONE, selector=selector, tag="selector")
+
+
 def generate(
     config: DesignConfig, full: bool = False, cap: int = DEFAULT_FAMILY_CAP
 ) -> tuple[InequalitySpec, ...]:
@@ -114,14 +120,8 @@ def generate(
     family is checked against ``cap`` before any member is built.
     """
     if config.J0 == 0 or full:
-        specs = []
-        for member in product(*product_family(config, cap=cap)):
-            selector = tuple(z for (z,) in member)
-            lhs = tuple((z, j) for j, z in enumerate(selector))
-            specs.append(
-                InequalitySpec(lhs=lhs, bound=ONE, selector=selector, tag="selector")
-            )
-        return tuple(specs)
+        family = product(*product_family(config, cap=cap))
+        return tuple(_selector_spec(tuple(z for (z,) in member)) for member in family)
     # every choice j against each non-base k != j
     if (config.J - 1) * (config.J - config.J0) > cap:
         raise CapacityError(f"family would hold more than {cap} inequalities")
@@ -172,15 +172,7 @@ def check(P: ObservedDistribution, cap: int = DEFAULT_FAMILY_CAP) -> CheckReport
         if _count_violated(levels, hi, lo, scale, cap) > cap:
             raise CapacityError(f"check would emit more than {cap} violations")
         return tuple(
-            (
-                InequalitySpec(
-                    lhs=tuple((z, j) for j, z in enumerate(selector)),
-                    bound=ONE,
-                    selector=selector,
-                    tag="selector",
-                ),
-                Fraction(scale - total, scale),
-            )
+            (_selector_spec(selector), Fraction(scale - total, scale))
             for selector, total in _violated_selectors(levels, hi, scale)
         )
 
@@ -354,8 +346,10 @@ def check_outcome(PY: OutcomeDistribution) -> CheckReport:
 def partition_family_specs(
     config: DesignConfig, y_support, cap: int = DEFAULT_FAMILY_CAP
 ) -> tuple[InequalitySpec, ...]:
-    """Every partition inequality as an explicit spec; the finite moment
-    family used by the statistical test when there is no base state."""
+    """Every partition inequality as an explicit spec. ``stats.test_model``
+    sums the same family through ``product_family`` without listing it;
+    this listing is kept for the oracle tests and the benchmark tracer's
+    span."""
     ys = tuple(y_support)
     per_choice = [
         [tuple((z, j, y) for z, y in zip(option, ys)) for option in options]

@@ -324,7 +324,7 @@ def feasible(
     if x is None:
         return False, None
     measure = ResponseMeasure(
-        config, {ResponseType(d): v for (d, _), v in sorted(x.items()) if v > 0}
+        config, {ResponseType(d): v for (d, _), v in x.items() if v > 0}
     )
     return True, measure
 

@@ -43,6 +43,8 @@ CHUNK_SIZE = 65536
 # rows of a chunk drawn and run through the kernel at a time: a block's
 # shocks and the kernel's columns over them stay near a 2 MiB L2 cache
 BLOCK_SIZE = CHUNK_SIZE // 4
+# the region sampler refuses past 10**6 proposals below this acceptance rate
+MIN_ACCEPTANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -96,7 +98,6 @@ class MicroData:
     d: np.ndarray
     z: np.ndarray
     y: np.ndarray | None = None
-    provenance: str = "external"
 
     def __post_init__(self):
         d = np.asarray(self.d, dtype=np.int64)
@@ -120,7 +121,6 @@ class SimulationResult:
     data: MicroData
     table: ObservedDistribution
     type_counts: Mapping[ResponseType, int]
-    n: int
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -234,9 +234,8 @@ def simulate(spec: RumSpec) -> SimulationResult:
             raise ValueError(f"no draws landed on instrument value {z}; increase n")
         rows[z] = tuple(Fraction(c, size) for c in arm)
     table = ObservedDistribution(config, rows)
-    data = MicroData(d_out, z_out, provenance=f"rum(seed={spec.seed})")
     ordered = dict(sorted(type_counts.items(), key=lambda kv: kv[0].d))
-    return SimulationResult(data, table, ordered, spec.n)
+    return SimulationResult(MicroData(d_out, z_out), table, ordered)
 
 
 @dataclass(frozen=True)
@@ -349,7 +348,6 @@ def _sample_region(
     region: Region,
     M: float,
     want: int,
-    min_acceptance: float,
 ) -> np.ndarray:
     """``want`` shocks uniform in region ∩ box, |eps| <= M.
 
@@ -361,10 +359,7 @@ def _sample_region(
     probability (2M - span) / 2M, draw the shift uniformly on its
     interval, and keep the rows that satisfy every region constraint and
     the box. Past 10**6 proposals, an acceptance rate below
-    ``min_acceptance`` raises a CapacityError."""
-    lhs = np.asarray(region.lhs, dtype=np.int64)
-    rhs = np.asarray(region.rhs, dtype=np.int64)
-    offs = np.asarray(region.offsets, dtype=np.float64)
+    MIN_ACCEPTANCE raises a CapacityError."""
     lo, hi = _difference_box(region, M)
     J = len(lo)
     # rng.uniform(lo, hi) computes lo + (hi - lo) * next_double, as the
@@ -411,14 +406,14 @@ def _sample_region(
         # fl(x + shift) is monotone in x, so the extreme shocks of a row
         # are its extreme differences plus the shift: the box test
         # |eps| <= M needs only those two
-        mask = kernels.region_accept(cols.T, lhs, rhs, offs)
+        mask = kernels.region_accept(cols.T, region.lhs, region.rhs, region.offsets)
         mask &= (low + shift >= -M) & (high + shift <= M)
         accepted = cols.take(np.flatnonzero(mask)[:need], 1)
         chunks.append(accepted)
         got += accepted.shape[1]
-        if proposed > 1e6 and got / proposed < min_acceptance:
+        if proposed > 1e6 and got / proposed < MIN_ACCEPTANCE:
             raise CapacityError(
-                f"rejection acceptance rate below {min_acceptance} for region "
+                f"rejection acceptance rate below {MIN_ACCEPTANCE} for region "
                 f"{region.rtype.d}; adjust the bounding box"
             )
     # (want, J) rows over the accepted columns
@@ -430,7 +425,6 @@ def verify_mixture(
     q: ResponseMeasure,
     n: int,
     seed: int,
-    min_acceptance: float = 1e-6,
 ) -> float:
     """Sample n shocks from the mixture (components by weight, points
     uniform in region ∩ box), push them through the utility argmax,
@@ -454,7 +448,7 @@ def verify_mixture(
         got = 0
         while got < want:  # tied rows are dropped and drawn again
             # a chunk at a time: memory stays O(CHUNK_SIZE x J) at any n
-            eps = _sample_region(rng, region, mix.M, min(want - got, CHUNK_SIZE), min_acceptance)
+            eps = _sample_region(rng, region, mix.M, min(want - got, CHUNK_SIZE))
             codes, ties = kernels.potential_type_codes(eps, betas, z_support)
             wrong = codes[:, 0] != expected[0]
             for t in range(1, len(expected)):

@@ -61,11 +61,9 @@ class EstimatedTables:
     """Arm-level cell frequencies. ``cells`` maps each instrument value
     to a (J,) vector, or a (J, |Y|) matrix when outcomes are present."""
 
-    config: DesignConfig
     arm_counts: Mapping[int, int]
     cells: Mapping[int, np.ndarray]
     y_support: tuple[int, ...] | None
-    degenerate_arms: tuple[int, ...]
 
 
 def estimate(data: MicroData, config: DesignConfig) -> EstimatedTables:
@@ -105,8 +103,7 @@ def estimate(data: MicroData, config: DesignConfig) -> EstimatedTables:
         if n_z == 0:
             raise ValueError(f"no rows with instrument value {zv}")
     cells = dict(zip(config.z_support, counts.astype(float)))
-    degenerate = tuple(zv for zv, c in arm_counts.items() if c == 1)
-    return EstimatedTables(config, arm_counts, cells, ys, degenerate)
+    return EstimatedTables(arm_counts, cells, ys)
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,7 +265,6 @@ def test_model(
     lhs, rhs = np.array(pairs, dtype=int).reshape(-1, 2).T
     n_static = len(static)
     n_moments = n_static + (math.prod(map(len, options)) if options else 0)
-    bounds = np.array([float(spec.bound) for spec in static])
     del static, pairs, index  # Python objects, about 1.3 MB at |Y| = 300
 
     # One row per cell and one column per sum a moment needs: B bootstrap
@@ -330,8 +326,9 @@ def test_model(
         stop = start + len(out)
         chunk_sums, q = sums[:, : len(out)], terms[:, : len(out)]
         np.copyto(chunk_sums, out[:, B:].T)
-        # a static row's bound is its own, a product member's is 1
-        bound = bounds[start:stop] if start < n_static else 1.0
+        # a static row's bound is 0 (``generate``'s base-state rows and
+        # ``generate_outcome``'s rows), a product member's is 1
+        bound = 0.0 if start < n_static else 1.0
         slack = slacks[start:stop]
         np.negative(np.subtract(chunk_sums[0], bound, out=slack), out=slack)
         # the variance adds (|s_a| - s_a^2)/n_a arm by arm from 0.0, s_a

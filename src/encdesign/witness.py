@@ -125,7 +125,6 @@ class TraceEntry:
 
 @dataclass(frozen=True)
 class ConstructionTrace:
-    config: DesignConfig
     orderings: Mapping[int, tuple[int, ...]]
     entries: tuple[TraceEntry, ...]
     feasible: bool
@@ -156,7 +155,7 @@ def diagnose(P: ObservedDistribution) -> ConstructionTrace:
                 TraceEntry("compliance", j, None, _compliance_type(config, j), gap)
             )
     feasible = all(e.mass >= 0 for e in entries)
-    return ConstructionTrace(config, orderings, tuple(entries), feasible)
+    return ConstructionTrace(orderings, tuple(entries), feasible)
 
 
 def construct(P: ObservedDistribution) -> ResponseMeasure:
@@ -199,7 +198,7 @@ class OutcomeResponseMeasure:
             if not isinstance(rt, ResponseType):
                 rt = ResponseType(tuple(rt))
             if rt not in checked:
-                rt.validate(config)
+                # is_admissible validates the type first
                 if not is_admissible(config, rt):
                     raise ValueError(f"response type {rt.d} is not admissible")
                 checked.add(rt)

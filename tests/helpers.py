@@ -55,7 +55,7 @@ from encdesign.witness import (
 
 def random_measure(config: DesignConfig, rng: Random, max_weight: int = 8) -> ResponseMeasure:
     """Random exact measure supported on the admissible set."""
-    types = enumerate_admissible(config).types
+    types = enumerate_admissible(config)
     weights = [rng.randint(0, max_weight) for _ in types]
     while sum(weights) == 0:
         weights = [rng.randint(0, max_weight) for _ in types]
@@ -109,7 +109,7 @@ def feasible_table(config: DesignConfig, rng: Random) -> ObservedDistribution:
 def random_outcome_measure(
     config: DesignConfig, y_support, rng: Random, max_weight: int = 8
 ) -> OutcomeResponseMeasure:
-    types = enumerate_admissible(config).types
+    types = enumerate_admissible(config)
     keys = [(t, yv) for t in types for yv in product(y_support, repeat=config.J)]
     weights = [rng.randint(0, max_weight) for _ in keys]
     while sum(weights) == 0:
@@ -451,7 +451,7 @@ def feasible_by_scan(
     """Oracle for ``lp.feasible``: the LP over the enumerated admissible
     set, solved by ``phase_one_scan``."""
     config = P.config
-    types = enumerate_admissible(config).types
+    types = enumerate_admissible(config)
     coords = []
     for z in config.z_support:
         for j in range(config.J):
@@ -474,7 +474,7 @@ def feasible_outcome_by_scan(PY: OutcomeDistribution, cap: int = 200_000) -> boo
     (response type, outcome vector) pair, solved by ``phase_one_scan``."""
     config = PY.config
     ys = PY.y_support
-    types = enumerate_admissible(config).types
+    types = enumerate_admissible(config)
     variables = [
         (rt, yvec) for rt in types for yvec in product(ys, repeat=config.J)
     ]
@@ -533,7 +533,7 @@ def type_column_keys(columns) -> list:
     in column order, listed from ``enumerate_admissible`` and
     ``itertools.product``: those whose cells (k, d_k * ny + u[d_k]) are
     none of ``columns.closed``. With no closed cell, every key."""
-    types = enumerate_admissible(columns.config).types
+    types = enumerate_admissible(columns.config)
     ny, closed = columns.ny, columns.closed
     return [
         (rt.d, u)
@@ -738,7 +738,7 @@ def sample_region_by_reductions(
     region: Region,
     M: float,
     want: int,
-    min_acceptance: float,
+    min_acceptance: float = 1e-6,
 ) -> np.ndarray:
     """Oracle for ``simulate._sample_region``: the same generator calls,
     the shift drawn by ``rng.uniform``, the extreme differences and the
@@ -894,9 +894,8 @@ def simulate_by_chunks(spec: simulate.RumSpec) -> simulate.SimulationResult:
             raise ValueError(f"no draws landed on instrument value {z}; increase n")
         rows[z] = tuple(Fraction(c, size) for c in arm)
     table = ObservedDistribution(config, rows)
-    data = MicroData(d_out, z_out, provenance=f"rum(seed={spec.seed})")
     ordered = dict(sorted(type_counts.items(), key=lambda kv: kv[0].d))
-    return simulate.SimulationResult(data, table, ordered, spec.n)
+    return simulate.SimulationResult(MicroData(d_out, z_out), table, ordered)
 
 
 def estimate_by_rows(data: MicroData, config: DesignConfig) -> EstimatedTables:
@@ -934,8 +933,7 @@ def estimate_by_rows(data: MicroData, config: DesignConfig) -> EstimatedTables:
             for dv, yv in zip(d[arm], data.y[arm]):
                 mat[dv, y_index[int(yv)]] += 1
             cells[zv] = mat
-    degenerate = tuple(zv for zv, c in arm_counts.items() if c == 1)
-    return EstimatedTables(config, arm_counts, cells, ys, degenerate)
+    return EstimatedTables(arm_counts, cells, ys)
 
 
 def _moment_family(config, y_support):
@@ -1170,7 +1168,6 @@ def read_csv_rows(path: str, want_y: bool) -> simulate.MicroData:
         np.array(d, dtype=np.int64),
         np.array(z, dtype=np.int64),
         np.array(y, dtype=np.int64) if want_y else None,
-        provenance=path,
     )
 
 

@@ -34,17 +34,17 @@ J3_TYPES = {
 
 def test_enumeration_matches_published_list_for_three_choices():
     got = enumerate_admissible(DesignConfig(3, 0))
-    assert {t.d for t in got.types} == J3_TYPES
+    assert {t.d for t in got} == J3_TYPES
     assert len(got) == 10
 
 
 def test_enumeration_small_base_state_designs():
-    assert {t.d for t in enumerate_admissible(DesignConfig(2, 1)).types} == {
+    assert {t.d for t in enumerate_admissible(DesignConfig(2, 1))} == {
         (0, 0),
         (0, 1),
         (1, 1),
     }
-    assert {t.d for t in enumerate_admissible(DesignConfig(3, 2)).types} == {
+    assert {t.d for t in enumerate_admissible(DesignConfig(3, 2))} == {
         (0, 0),
         (0, 2),
         (1, 1),
@@ -55,7 +55,7 @@ def test_enumeration_small_base_state_designs():
 
 def test_enumeration_is_sorted_and_duplicate_free():
     for J, J0 in [(2, 0), (3, 1), (4, 0), (4, 2)]:
-        types = enumerate_admissible(DesignConfig(J, J0)).types
+        types = enumerate_admissible(DesignConfig(J, J0))
         ds = [t.d for t in types]
         assert ds == sorted(ds)
         assert len(set(ds)) == len(ds)
@@ -99,10 +99,10 @@ def test_base_state_set_nests_inside_unrestricted_set():
         config = DesignConfig(3, J0)
         free = DesignConfig(3, 0)
         projected = set()
-        for t in enumerate_admissible(free).types:
+        for t in enumerate_admissible(free):
             if t.d[0] in default_choice(free, t):
                 projected.add(tuple(t.d[free.z_index(z)] for z in config.z_support))
-        got = {t.d for t in enumerate_admissible(config).types}
+        got = {t.d for t in enumerate_admissible(config)}
         assert got == projected
     assert len(enumerate_admissible(DesignConfig(3, 1))) == 8
 
@@ -118,7 +118,7 @@ def test_default_choice_singleton_off_diagonal():
     for J, J0 in [(2, 0), (3, 0), (4, 0), (3, 1), (3, 2), (4, 2)]:
         config = DesignConfig(J, J0)
         diagonal = tuple(config.z_support)
-        for t in enumerate_admissible(config).types:
+        for t in enumerate_admissible(config):
             feasible = default_choice(config, t)
             if config.J0 == 0 and t.d == diagonal:
                 assert feasible == set(range(J))

@@ -110,7 +110,7 @@ def _read(reader, path, want_y):
     except Exception as exc:  # the outcome compared is the exception itself
         return ("error", type(exc), str(exc))
     y = None if data.y is None else (data.y.dtype, data.y.tolist())
-    return ("data", data.d.dtype, data.d.tolist(), data.z.dtype, data.z.tolist(), y, data.provenance)
+    return ("data", data.d.dtype, data.d.tolist(), data.z.dtype, data.z.tolist(), y)
 
 
 @pytest.mark.parametrize("want_y", [False, True])

@@ -57,6 +57,23 @@ def test_reduced_family_for_base_state_designs():
         assert s.pair == (j, k)
 
 
+def test_static_rows_are_one_cell_against_one_cell_of_another_arm_with_bound_zero():
+    # stats.test_model relies on all three: it takes the bound of every
+    # static row as 0, unpacks one cell per side, and adds each cell's
+    # variance term to its own arm alone
+    for J in range(2, 8):
+        for J0 in range(J):
+            config = DesignConfig(J, J0)
+            for ny in (1, 2, 3):
+                static = list(generate_outcome(config, (3, 5, 8)[:ny]))
+                if J0:
+                    static += generate(config)
+                for spec in static:
+                    assert spec.bound == 0, (J, J0, ny, spec)
+                    assert len(spec.lhs) == len(spec.rhs) == 1, (J, J0, ny, spec)
+                    assert spec.lhs[0][0] != spec.rhs[0][0], (J, J0, ny, spec)
+
+
 def test_single_inequality_at_two_choices():
     (spec,) = generate(DesignConfig(2, 0))
     # z(0) = 1, z(1) = 0: P{D=0|Z=1} + P{D=1|Z=0} <= 1

@@ -119,10 +119,10 @@ def test_simulate_realized_types_admissible_and_counts_add_up():
         betas = tuple(0.0 if j < J0 else 1.0 for j in range(J))
         res = simulate(make_spec(J, J0, betas, n=30000, seed=21, eps=eps))
         config = DesignConfig(J, J0)
-        assert sum(res.type_counts.values()) == res.n
+        assert sum(res.type_counts.values()) == len(res.data)
         for rt in res.type_counts:
             assert is_admissible(config, rt)
-        assert check(res.table).min_slack >= F(-4) / int(math.isqrt(res.n))
+        assert check(res.table).min_slack >= F(-4) / int(math.isqrt(len(res.data)))
 
 
 def test_simulate_packs_types_past_int64():
@@ -316,7 +316,7 @@ def test_sample_region_batch_arithmetic_does_not_wrap():
     mix = build_epsilon_mixture(random_measure(DesignConfig(4, 0), Random(5)))
     rng = _FirstSize()
     with pytest.raises(_Stop):
-        _sample_region(rng, mix.components[0], mix.M, np.int64(2**62), 1e-6)
+        _sample_region(rng, mix.components[0], mix.M, np.int64(2**62))
     assert rng.sizes == [(CHUNK_SIZE, 4)]
 
 
@@ -324,7 +324,7 @@ def test_sample_region_batch_arithmetic_does_not_wrap():
 def test_sample_region_returns_no_rows_when_none_are_wanted(want):
     mix = build_epsilon_mixture(random_measure(DesignConfig(4, 0), Random(5)))
     rng = np.random.default_rng(6)
-    eps = _sample_region(rng, mix.components[0], mix.M, want, 1e-6)
+    eps = _sample_region(rng, mix.components[0], mix.M, want)
     assert eps.dtype == np.float64 and eps.shape == (0, 4)
     # no draw was taken from the stream
     assert rng.random() == np.random.default_rng(6).random()
@@ -333,7 +333,7 @@ def test_sample_region_returns_no_rows_when_none_are_wanted(want):
 def test_verify_mixture_passes_python_ints_to_the_sampler(monkeypatch):
     wants = []
 
-    def first_want(rng, region, M, want, min_acceptance):
+    def first_want(rng, region, M, want):
         wants.append(want)
         raise _Stop
 
@@ -347,9 +347,9 @@ def test_verify_mixture_passes_python_ints_to_the_sampler(monkeypatch):
 def test_verify_mixture_asks_for_at_most_a_chunk(monkeypatch):
     wants = []
 
-    def recording(rng, region, M, want, min_acceptance):
+    def recording(rng, region, M, want):
         wants.append(want)
-        return _sample_region(rng, region, M, want, min_acceptance)
+        return _sample_region(rng, region, M, want)
 
     monkeypatch.setattr(simulate_module, "_sample_region", recording)
     q = ResponseMeasure(
@@ -406,7 +406,6 @@ def _same_result(got, want):
     assert got.data.z.tobytes() == want.data.z.tobytes()
     assert got.table == want.table
     assert list(got.type_counts.items()) == list(want.type_counts.items())
-    assert got.n == want.n
 
 
 def _same_simulation(spec):
@@ -469,15 +468,16 @@ def test_simulate_memory_is_blocks_not_chunks():
     assert peak < 12e6, peak
 
 
-def test_sample_region_refuses_a_low_acceptance_rate():
-    # min_acceptance 1 fails on the first check, which comes once more than
+def test_sample_region_refuses_a_low_acceptance_rate(monkeypatch):
+    # MIN_ACCEPTANCE 1 fails on the first check, which comes once more than
     # 10**6 rows are proposed: 16 full batches, while 10**6 rows are wanted
     mix = build_epsilon_mixture(random_measure(DesignConfig(3, 0), Random(2)))
     region = mix.components[0]
     assert 15 * CHUNK_SIZE < 10**6 < 16 * CHUNK_SIZE
     message = f"rejection acceptance rate below 1.0 for region {region.rtype.d}; adjust the bounding box"
+    monkeypatch.setattr(simulate_module, "MIN_ACCEPTANCE", 1.0)
     with pytest.raises(CapacityError, match=f"^{re.escape(message)}$"):
-        _sample_region(np.random.default_rng(3), region, mix.M, 10**6, 1.0)
+        _sample_region(np.random.default_rng(3), region, mix.M, 10**6)
 
 
 @pytest.mark.parametrize(

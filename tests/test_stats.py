@@ -49,13 +49,6 @@ def test_estimate_matches_simulation_table():
             assert p_hat(est, z, j) == float(res.table.p(z, j))
 
 
-def test_estimate_flags_single_row_arms():
-    config = DesignConfig(2, 0)
-    data = MicroData(np.array([0, 1, 1]), np.array([0, 1, 1]))
-    est = estimate(data, config)
-    assert est.degenerate_arms == (0,)
-
-
 def test_estimate_errors():
     config = DesignConfig(2, 0)
     with pytest.raises(ValueError, match="instrument value 1"):
