@@ -2,8 +2,11 @@
 
 A vector of potential treatments is admissible when a single default
 choice rationalizes it: every coordinate either complies with its
-instrument value or falls back to the default. With a base state
-(J0 > 0) the default is pinned to the choice taken at z = 0. This
+instrument value or falls back to the default, and at the base state
+(J0 > 0), which targets nothing, every type takes its default. So a
+type's fallback entries, those with d_z != z plus its entry at the base
+state, must share at most one value; that value is the default, and a
+type with no fallback entry (the diagonal) fits every default. This
 restriction neither implies nor is implied by unordered-monotonicity
 style assumptions, which compare indicator functions across instrument
 pairs instead; only the weaker pairwise condition below is provided for
@@ -21,16 +24,12 @@ DEFAULT_ENUMERATION_CAP = 1_000_000
 
 
 def is_admissible(config: DesignConfig, rt: ResponseType) -> bool:
-    """True iff some default choice j* gives d_z in {z, j*} for every z
-    (J0 = 0), or d_z in {z, d_0} for every targeted z (J0 > 0)."""
+    """True iff the fallback entries, d_z != z or z the base state, share
+    at most one value: some default j* gives d_z in {z, j*} at every
+    targeting z and d_z = j* at the base state."""
     rt.validate(config)
-    if config.J0 == 0:
-        defaults = {d for z, d in zip(config.z_support, rt.d) if d != z}
-        return len(defaults) <= 1
-    base = rt.d[0]
-    return all(
-        d in (z, base) for z, d in zip(config.z_support[1:], rt.d[1:])
-    )
+    base = config.base
+    return len({d for z, d in zip(config.z_support, rt.d) if d != z or z == base}) <= 1
 
 
 def enumerate_admissible(
@@ -48,33 +47,27 @@ def enumerate_admissible(
     The types are returned as a tuple."""
     if config.J - config.J0 - 1 >= cap.bit_length() or closed_form_count(config) > cap:
         raise CapacityError(f"enumeration would emit more than {cap} types")
-    zs = config.z_support
+    zs, base = config.z_support, config.base
     vectors = set()
     for j in range(config.J):
-        if config.J0 == 0:
-            options = [{z, j} for z in zs]
-        else:
-            options = [{j}] + [{z, j} for z in zs[1:]]
-        vectors.update(product(*options))
+        vectors.update(product(*({j} if z == base else {z, j} for z in zs)))
     return tuple(ResponseType(d) for d in sorted(vectors))
 
 
 def default_choice(config: DesignConfig, rt: ResponseType) -> frozenset[int]:
     """The set of default choices consistent with an admissible type.
 
-    A singleton for every non-diagonal type; the full choice set for the
-    diagonal when J0 = 0 (nothing pins the default there). Callers must
-    not assume a canonical default for the diagonal.
+    The value the fallback entries share: a singleton for every type but
+    the diagonal of a design without a base state, whose entries all
+    comply and which takes the full choice set (nothing pins the default
+    there). Callers must not assume a canonical default for the diagonal.
     """
-    if not is_admissible(config, rt):
+    rt.validate(config)
+    base = config.base
+    fallback = frozenset(d for z, d in zip(config.z_support, rt.d) if d != z or z == base)
+    if len(fallback) > 1:
         raise ValueError(f"response type {rt.d} is not admissible")
-    if config.J0 > 0:
-        return frozenset({rt.d[0]})
-    return frozenset(
-        j
-        for j in range(config.J)
-        if all(d in (z, j) for z, d in zip(config.z_support, rt.d))
-    )
+    return fallback or frozenset(range(config.J))
 
 
 def satisfies_pairwise_restriction(config: DesignConfig, rt: ResponseType) -> bool:

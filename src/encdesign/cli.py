@@ -614,7 +614,7 @@ def _dispatch(args) -> int:
 
         q = load_measure(args.q)
         mixture = simulate.build_epsilon_mixture(q)
-        error = simulate.verify_mixture(mixture, q, args.n, args.seed)
+        error = simulate.verify_mixture(mixture, args.n, args.seed)
         _emit(
             {
                 "max_error": error,

@@ -80,6 +80,7 @@ class DesignConfig:
     never targets. With J0 = 0 every choice has its own instrument value
     and the support is {0, ..., J-1}; with J0 > 0 the support is
     {0, J0, ..., J-1} and value 0 is the base state that boosts nothing.
+    ``base`` names that value: 0 with a base state, None without one.
     """
 
     J: int
@@ -92,6 +93,13 @@ class DesignConfig:
             raise ValueError(f"J must be at least 2, got {self.J}")
         if not 0 <= self.J0 <= self.J - 1:
             raise ValueError(f"J0 must satisfy 0 <= J0 <= J-1, got J0={self.J0}")
+
+    @property
+    def base(self) -> int | None:
+        """The base state, the instrument value that targets no choice
+        and at which every type takes its default: 0 when J0 > 0, None
+        when every value targets a choice."""
+        return 0 if self.J0 else None
 
     @property
     def z_support(self) -> tuple[int, ...]:

@@ -87,7 +87,7 @@ class _TypeColumns:
         self.width = width = config.J * ny - 1
         self.m = len(zs) * width + 1
         # the entry targeting each choice (the base state targets none)
-        targets = {z: k for k, z in enumerate(zs) if k or not config.J0}
+        targets = {z: k for k, z in enumerate(zs) if z != config.base}
         self.target = [targets.get(j) for j in range(config.J)]
         # the cells (z_k, z_k, u) of each entry's own choice, as j*ny + u
         self.own = [range(z * ny, z * ny + ny) for z in zs]

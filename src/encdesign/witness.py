@@ -43,23 +43,14 @@ DEFAULT_TABLE_CAP = 1_000_000
 
 
 def instrument_ordering(config: DesignConfig, values: Mapping[int, Fraction], target: int) -> tuple[int, ...]:
-    """Instrument values sorted by ascending coordinate value with the
-    forced placements: the targeting value (if any) last, and with a base
-    state the base value last among the non-targeting slots. Remaining
-    ties break by ascending instrument value."""
-    if config.J0 == 0:
-        others = sorted(
-            (z for z in config.z_support if z != target),
-            key=lambda z: (values[z], z),
-        )
-        return tuple(others) + (target,)
-    others = sorted(
-        (z for z in config.z_support if z != 0 and z != target),
-        key=lambda z: (values[z], z),
-    )
-    if target >= config.J0:
-        return tuple(others) + (0, target)
-    return tuple(others) + (0,)
+    """Instrument values sorted by ascending coordinate value, ties by
+    ascending instrument value, then the forced tail: the base state (if
+    any), then the value targeting ``target`` (if the choice is
+    targeted)."""
+    base = config.base
+    tail = (() if base is None else (base,)) + ((target,) if target >= config.J0 else ())
+    others = sorted((z for z in config.z_support if z not in tail), key=lambda z: (values[z], z))
+    return tuple(others) + tail
 
 
 def _type_with_prefix(config: DesignConfig, target: int, prefix) -> ResponseType:
@@ -74,9 +65,8 @@ def _type_with_prefix(config: DesignConfig, target: int, prefix) -> ResponseType
 def _compliance_type(config: DesignConfig, default: int) -> ResponseType:
     """Full compliance with default ``default``: at the base state (if
     any) the default, elsewhere the targeted choice."""
-    if config.J0 == 0:
-        return ResponseType(tuple(config.z_support))
-    return ResponseType((default,) + tuple(range(config.J0, config.J)))
+    base = config.base
+    return ResponseType(tuple(default if z == base else z for z in config.z_support))
 
 
 def _column_steps(config: DesignConfig, values: Mapping[int, Fraction], target: int):

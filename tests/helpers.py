@@ -48,7 +48,6 @@ from encdesign.witness import (
     OutcomeResponseMeasure,
     _compliance_type,
     _type_with_prefix,
-    instrument_ordering,
     pushforward_outcome,
 )
 
@@ -1230,6 +1229,22 @@ def outcome_measure_by_fractions(config: DesignConfig, y_support, mass) -> dict:
     return dict(sorted(clean.items(), key=lambda kv: (kv[0][0].d, kv[0][1])))
 
 
+def instrument_ordering_by_branches(config: DesignConfig, values, target: int) -> tuple[int, ...]:
+    """Oracle for ``witness.instrument_ordering``, one branch per kind of
+    design: without a base state the target goes last; with one the base
+    value 0 goes last among the non-targeting values, followed by the
+    target if the choice is targeted. Other values ascend by (value, z)."""
+    if config.J0 == 0:
+        others = sorted((z for z in config.z_support if z != target), key=lambda z: (values[z], z))
+        return tuple(others) + (target,)
+    others = sorted(
+        (z for z in config.z_support if z != 0 and z != target), key=lambda z: (values[z], z)
+    )
+    if target >= config.J0:
+        return tuple(others) + (0, target)
+    return tuple(others) + (0,)
+
+
 # oracle for the mixing weights that ``witness.construct_outcome`` takes
 # from the tops of its step columns
 def lambda_weights(PY: OutcomeDistribution) -> dict[int, dict[int, Fraction]]:
@@ -1250,7 +1265,8 @@ def lambda_weights(PY: OutcomeDistribution) -> dict[int, dict[int, Fraction]]:
             continue
         gaps = {}
         for y in ys:
-            order = instrument_ordering(config, {z: PY.p(z, j, y) for z in config.z_support}, j)
+            values = {z: PY.p(z, j, y) for z in config.z_support}
+            order = instrument_ordering_by_branches(config, values, j)
             gaps[y] = PY.p(j, j, y) - PY.p(order[-2], j, y)
             if gaps[y] < 0:
                 raise ConstructionError(
@@ -1311,7 +1327,8 @@ def construct_outcome_by_fractions(PY: OutcomeDistribution, cap: int = DEFAULT_T
     top_sum = ZERO
     for j in range(config.J):
         for y in ys:
-            order = instrument_ordering(config, {z: PY.p(z, j, y) for z in config.z_support}, j)
+            values = {z: PY.p(z, j, y) for z in config.z_support}
+            order = instrument_ordering_by_branches(config, values, j)
             spread(
                 _type_with_prefix(config, j, ()),
                 j,

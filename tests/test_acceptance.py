@@ -243,7 +243,7 @@ def test_criterion_10_region_mixture():
         config = DesignConfig(*configs[i % len(configs)])
         q = random_measure(config, rng)
         mixture = build_epsilon_mixture(q)
-        error = verify_mixture(mixture, q, 100_000, seed=rng.randint(0, 2**31))
+        error = verify_mixture(mixture, 100_000, seed=rng.randint(0, 2**31))
         assert error <= 0.02, (config, error)
 
 

@@ -2,6 +2,7 @@
 predicates."""
 
 from itertools import product
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -124,6 +125,42 @@ def test_default_choice_singleton_off_diagonal():
                 assert feasible == set(range(J))
             else:
                 assert len(feasible) == 1
+
+
+def _vectors_by_definition():
+    """Every vector for 2 <= J <= 5 and every J0, and 2,000 sampled per
+    design at J = 6, each with the defaults the paper's definition allows:
+    the j with d_z in {z, j} at every targeting z and d = j at the base
+    state z = 0 (J0 > 0), written out here without the package's rule."""
+    rng = Random(2801)
+    for J in range(2, 7):
+        for J0 in range(J):
+            config = DesignConfig(J, J0)
+            zs = (0,) + tuple(range(J0, J)) if J0 else tuple(range(J))
+            if J < 6:
+                vectors = product(range(J), repeat=len(zs))
+            else:
+                vectors = (tuple(rng.randrange(J) for _ in zs) for _ in range(2000))
+            for d in vectors:
+                defaults = {
+                    j
+                    for j in range(J)
+                    if all(dz == j if J0 and z == 0 else dz in (z, j) for z, dz in zip(zs, d))
+                }
+                yield config, ResponseType(d), defaults
+
+
+def test_admissibility_and_default_match_the_definition():
+    seen = 0
+    for config, rt, defaults in _vectors_by_definition():
+        assert is_admissible(config, rt) == bool(defaults), (config, rt.d)
+        if defaults:
+            assert default_choice(config, rt) == defaults, (config, rt.d)
+            seen += 1
+        else:
+            with pytest.raises(ValueError, match="is not admissible$"):
+                default_choice(config, rt)
+    assert seen > 0
 
 
 def test_default_choice_rejects_inadmissible():

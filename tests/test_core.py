@@ -1,6 +1,7 @@
 """Core objects: configurations, exact tables, the observation map, and
 the pushforward."""
 
+import dataclasses
 from fractions import Fraction as F
 from random import Random
 
@@ -26,6 +27,17 @@ def test_config_supports():
     assert DesignConfig(3, 2).z_support == (0, 2)
     assert DesignConfig(5, 2).z_support == (0, 2, 3, 4)
     assert DesignConfig(2, 1).z_support == (0, 1)
+
+
+def test_config_base_state():
+    assert DesignConfig(3, 0).base is None
+    for J0 in (1, 2):
+        config = DesignConfig(3, J0)
+        assert config.base == 0 == config.z_support[0]
+        # derived from J0, not a field
+        with pytest.raises(AttributeError):
+            config.base = 1
+    assert "base" not in dataclasses.asdict(DesignConfig(3, 1))
 
 
 def test_config_support_sizes():

@@ -18,7 +18,7 @@ def test_mixture_verifies_large_designs(J, J0):
     q = random_measure(DesignConfig(J, J0), rng)
     mix = build_epsilon_mixture(q)
     start = time.perf_counter()
-    error = verify_mixture(mix, q, 20_000, seed=rng.randint(0, 2**31))
+    error = verify_mixture(mix, 20_000, seed=rng.randint(0, 2**31))
     elapsed = time.perf_counter() - start
     assert error <= 0.02, (J, J0, error)
     assert elapsed < 2.0, f"verify_mixture took {elapsed:.2f} s"

@@ -447,12 +447,12 @@ def _full_support_mixture(J, J0):
     rng = Random(601 + 10 * J + J0)
     weights = [rng.randint(1, 8) for _ in types]
     q = ResponseMeasure(config, {t: F(w, sum(weights)) for t, w in zip(types, weights)})
-    return q, build_epsilon_mixture(q)
+    return build_epsilon_mixture(q)
 
 
 @pytest.mark.parametrize("J, J0", SAMPLER_DESIGNS)
 def test_region_sampler_folds_match_axis_reductions(J, J0):
-    _, mix = _full_support_mixture(J, J0)
+    mix = _full_support_mixture(J, J0)
     diagonal = 0
     for i, region in enumerate(mix.components):
         is_diagonal = region.rtype.d == tuple(range(J))
@@ -471,10 +471,10 @@ def test_verify_mixture_memory_is_one_chunk():
     # 2e6 draws over the 29 regions at (4,0): the sampler's draws, columns
     # and accepted rows stay O(CHUNK_SIZE x J), about 11.4 MB; rows kept
     # for all draws would take 64 MB
-    q, mix = _full_support_mixture(4, 0)
+    mix = _full_support_mixture(4, 0)
     tracemalloc.start()
     try:
-        verify_mixture(mix, q, 2_000_000, seed=5)
+        verify_mixture(mix, 2_000_000, seed=5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -495,16 +495,14 @@ def _reduction_oracles(monkeypatch):
 
 
 def test_verify_mixture_matches_axis_reduction_oracles(monkeypatch):
-    cases = []
+    mixes = []
     for J, J0 in SAMPLER_DESIGNS:
-        q, mix = _full_support_mixture(J, J0)
-        cases.append((q, mix))
-        q = random_measure(DesignConfig(J, J0), Random(613 + J))
-        cases.append((q, build_epsilon_mixture(q)))
-    runs = [(q, mix, n, seed) for q, mix in cases for n, seed in ((20_000, 3), (997, 2**64 - 1))]
-    new = [verify_mixture(mix, q, n, seed) for q, mix, n, seed in runs]
+        mixes.append(_full_support_mixture(J, J0))
+        mixes.append(build_epsilon_mixture(random_measure(DesignConfig(J, J0), Random(613 + J))))
+    runs = [(mix, n, seed) for mix in mixes for n, seed in ((20_000, 3), (997, 2**64 - 1))]
+    new = [verify_mixture(*run) for run in runs]
     _reduction_oracles(monkeypatch)
-    old = [verify_mixture(mix, q, n, seed) for q, mix, n, seed in runs]
+    old = [verify_mixture(*run) for run in runs]
     assert new == old
 
 

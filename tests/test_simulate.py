@@ -219,7 +219,7 @@ def test_mixture_unit_mass():
     q = ResponseMeasure(config, {ResponseType((0, 0, 0)): F(1)})
     mix = build_epsilon_mixture(q)
     assert mix.betas == (0.0, 0.0, 0.0)
-    assert verify_mixture(mix, q, 5000, seed=3) == 0.0
+    assert verify_mixture(mix, 5000, seed=3) == 0.0
 
 
 def test_mixture_constant_types():
@@ -227,7 +227,7 @@ def test_mixture_constant_types():
     q = ResponseMeasure(config, {ResponseType((v, v, v)): F(1, 3) for v in range(3)})
     mix = build_epsilon_mixture(q)
     assert len(mix.components) == 3
-    err = verify_mixture(mix, q, 50000, seed=5)
+    err = verify_mixture(mix, 50000, seed=5)
     assert err <= 4 * math.sqrt(math.log(10) / (2 * 50000))
 
 
@@ -236,7 +236,7 @@ def test_mixture_diagonal_only():
     q = ResponseMeasure(config, {ResponseType((0, 1, 2)): F(1)})
     mix = build_epsilon_mixture(q)
     assert mix.betas == (1.0, 1.0, 1.0)
-    assert verify_mixture(mix, q, 5000, seed=7) == 0.0
+    assert verify_mixture(mix, 5000, seed=7) == 0.0
 
 
 def test_mixture_random_measures():
@@ -245,7 +245,7 @@ def test_mixture_random_measures():
         config = DesignConfig(J, J0)
         q = random_measure(config, rng)
         mix = build_epsilon_mixture(q)
-        err = verify_mixture(mix, q, 50000, seed=rng.randint(0, 10**6))
+        err = verify_mixture(mix, 50000, seed=rng.randint(0, 10**6))
         assert err <= 4 * math.sqrt(math.log(10) / (2 * 50000)), (J, J0)
 
 
@@ -267,7 +267,7 @@ def test_mixture_type_check_catches_swapped_region():
     ) + mix.components[2:]
     bad = dataclasses.replace(mix, components=swapped)
     with pytest.raises(RuntimeError, match=r"region for .* produced .*; region bug"):
-        verify_mixture(bad, q, 20000, seed=11)
+        verify_mixture(bad, 20000, seed=11)
 
 
 def test_mixture_error_is_the_multinomial_gap():
@@ -282,7 +282,7 @@ def test_mixture_error_is_the_multinomial_gap():
             abs(int(c) / n - float(q.mass[region.rtype]))
             for region, c in zip(mix.components, counts)
         )
-        assert verify_mixture(mix, q, n, seed) == want, (J, J0)
+        assert verify_mixture(mix, n, seed) == want, (J, J0)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -340,7 +340,7 @@ def test_verify_mixture_passes_python_ints_to_the_sampler(monkeypatch):
     monkeypatch.setattr(simulate_module, "_sample_region", first_want)
     q = random_measure(DesignConfig(4, 0), Random(5))
     with pytest.raises(_Stop):
-        verify_mixture(build_epsilon_mixture(q), q, 10**12, seed=1)
+        verify_mixture(build_epsilon_mixture(q), 10**12, seed=1)
     assert type(wants[0]) is int and wants[0] == CHUNK_SIZE
 
 
@@ -358,7 +358,7 @@ def test_verify_mixture_asks_for_at_most_a_chunk(monkeypatch):
     )
     mix = build_epsilon_mixture(q)
     n = 3 * CHUNK_SIZE + 1
-    got = verify_mixture(mix, q, n, seed=4)
+    got = verify_mixture(mix, n, seed=4)
     assert wants.count(CHUNK_SIZE) >= 2 and max(wants) == CHUNK_SIZE
     assert all(type(w) is int for w in wants)
     # the error depends only on the component counts, drawn first

@@ -3,6 +3,7 @@ outcome construction."""
 
 import json
 from fractions import Fraction as F
+from itertools import product
 from random import Random
 
 import numpy as np
@@ -29,6 +30,7 @@ from helpers import (
     construct_outcome_by_fractions,
     feasible_outcome_table,
     feasible_table,
+    instrument_ordering_by_branches,
     lambda_weights,
     outcome_measure_by_fractions,
     partition_check,
@@ -65,6 +67,24 @@ def test_ordering_base_state_placement():
     assert instrument_ordering(config, values, 2) == (3, 0, 2)
     # untargeted choice: non-base values ascending, base last
     assert instrument_ordering(config, values, 0) == (3, 2, 0)
+
+
+def test_ordering_matches_the_two_branch_oracle():
+    # every design with J <= 6, every target (the untargeted choices, 0
+    # among them, with a base state), every assignment of values drawn
+    # from {0, 1/4, 1/2} so that ties occur
+    levels = (F(0), F(1, 4), F(1, 2))
+    for J in range(2, 7):
+        for J0 in range(J):
+            config = DesignConfig(J, J0)
+            zs = config.z_support
+            for row in product(levels, repeat=len(zs)):
+                values = dict(zip(zs, row))
+                for target in range(J):
+                    got = instrument_ordering(config, values, target)
+                    assert got == instrument_ordering_by_branches(config, values, target), (
+                        J, J0, target, row,
+                    )
 
 
 def test_construct_uniform_table():
