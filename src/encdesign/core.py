@@ -12,6 +12,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
 ZERO = Fraction(0)
@@ -101,22 +102,23 @@ class DesignConfig:
         when every value targets a choice."""
         return 0 if self.J0 else None
 
-    @property
+    # Computed once per instance. cached_property writes the instance
+    # __dict__ directly, past the frozen __setattr__; ==, hash and repr
+    # read only (J, J0).
+    @cached_property
     def z_support(self) -> tuple[int, ...]:
-        if self.J0 == 0:
-            return tuple(range(self.J))
-        return (0,) + tuple(range(self.J0, self.J))
+        return (() if self.base is None else (self.base,)) + tuple(range(self.J0, self.J))
+
+    @cached_property
+    def _z_positions(self) -> dict[int, int]:
+        return {z: i for i, z in enumerate(self.z_support)}
 
     def z_index(self, z: int) -> int:
         """Position of instrument value z within the support."""
-        if self.J0 == 0:
-            if 0 <= z < self.J:
-                return z
-        elif z == 0:
-            return 0
-        elif self.J0 <= z < self.J:
-            return z - self.J0 + 1
-        raise ValueError(f"instrument value {z} not in support {self.z_support}")
+        try:
+            return self._z_positions[z]
+        except KeyError:
+            raise ValueError(f"instrument value {z} not in support {self.z_support}") from None
 
     def targeted_set(self, j: int) -> tuple[int, ...]:
         """Instrument values allowed as z(j): the full support for an
@@ -254,9 +256,7 @@ class ResponseMeasure:
         return tuple(rt for rt, m in self.mass.items() if m > 0)
 
 
-def pushforward(
-    q: ResponseMeasure, pz: Mapping[int, Fraction] | None = None
-) -> ObservedDistribution:
+def pushforward(q: ResponseMeasure) -> ObservedDistribution:
     """The observed table induced by q through the observation map:
     p[z][j] = sum of q over response types with d_z = j, exactly."""
     config = q.config
@@ -271,5 +271,4 @@ def pushforward(
     return ObservedDistribution(
         config,
         {z: tuple(Fraction(n, scale) for n in row) for z, row in zip(config.z_support, rows)},
-        pz=pz,
     )

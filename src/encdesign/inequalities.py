@@ -22,7 +22,7 @@ from typing import Callable, Mapping
 from .core import ONE, ZERO, DesignConfig, ObservedDistribution, _as_int, _outcome_support, _validate_pz, as_fraction
 from .errors import CapacityError
 
-DEFAULT_FAMILY_CAP = 1_000_000
+FAMILY_CAP = 1_000_000
 
 # A coordinate is (z, j) on treatment tables and (z, j, y) on outcome tables.
 
@@ -80,15 +80,13 @@ class CheckReport:
         )
 
 
-def product_family(
-    config: DesignConfig, ny: int = 1, cap: int = DEFAULT_FAMILY_CAP
-) -> list[list[tuple[int, ...]]]:
+def product_family(config: DesignConfig, ny: int = 1) -> list[list[tuple[int, ...]]]:
     """The selector (``ny = 1``) or partition (``ny = |Y|``) family as
     one option list per choice j: the tuples of ``ny`` instrument values
     from ``targeted_set(j)`` in ``itertools.product`` order.
     A member takes one option per choice, last choice fastest. The size
-    is checked against ``cap`` one factor |targeted_set(j)| at a time,
-    before any option or later choice's set is listed, so no large
+    is checked against ``FAMILY_CAP`` one factor |targeted_set(j)| at a
+    time, before any option or later choice's set is listed, so no large
     integer or list is built."""
     sets = []
     size = 1
@@ -96,8 +94,8 @@ def product_family(
         sets.append(config.targeted_set(j))
         for _ in range(ny):
             size *= len(sets[-1])
-            if size > cap:
-                raise CapacityError(f"family would hold more than {cap} inequalities")
+            if size > FAMILY_CAP:
+                raise CapacityError(f"family would hold more than {FAMILY_CAP} inequalities")
     return [list(product(zs, repeat=ny)) for zs in sets]
 
 
@@ -107,9 +105,7 @@ def _selector_spec(selector: tuple[int, ...]) -> InequalitySpec:
     return InequalitySpec(lhs=lhs, bound=ONE, selector=selector, tag="selector")
 
 
-def generate(
-    config: DesignConfig, full: bool = False, cap: int = DEFAULT_FAMILY_CAP
-) -> tuple[InequalitySpec, ...]:
+def generate(config: DesignConfig, full: bool = False) -> tuple[InequalitySpec, ...]:
     """The inequality family for a design.
 
     Without a base state: every selector tuple z(j), giving (J-1)^J
@@ -117,14 +113,14 @@ def generate(
     state the family reduces to P{D=j | Z=k} <= P{D=j | Z=0} over
     non-base k != j; pass ``full=True`` to get the unreduced selector
     family instead (the two are equivalent, which tests verify). Either
-    family is checked against ``cap`` before any member is built.
+    family is checked against ``FAMILY_CAP`` before any member is built.
     """
     if config.J0 == 0 or full:
-        family = product(*product_family(config, cap=cap))
+        family = product(*product_family(config))
         return tuple(_selector_spec(tuple(z for (z,) in member)) for member in family)
     # every choice j against each non-base k != j
-    if (config.J - 1) * (config.J - config.J0) > cap:
-        raise CapacityError(f"family would hold more than {cap} inequalities")
+    if (config.J - 1) * (config.J - config.J0) > FAMILY_CAP:
+        raise CapacityError(f"family would hold more than {FAMILY_CAP} inequalities")
     specs = []
     for j in range(config.J):
         for k in range(config.J0, config.J):
@@ -138,7 +134,7 @@ def generate(
     return tuple(specs)
 
 
-def check(P: ObservedDistribution, cap: int = DEFAULT_FAMILY_CAP) -> CheckReport:
+def check(P: ObservedDistribution) -> CheckReport:
     """Decide the table against its sharp family exactly. The family is
     sharp, so a passing table is consistent with the model, not merely
     unrejected.
@@ -146,8 +142,8 @@ def check(P: ObservedDistribution, cap: int = DEFAULT_FAMILY_CAP) -> CheckReport
     Without a base state the selector family is never built:
     its largest left-hand side is the sum over choices of the largest
     p(z, j) on the targeted set, so the verdict and ``min_slack`` take
-    O(J * |Z|). ``cap`` bounds the violations listed when the report's
-    ``violations`` is read; more than ``cap`` raise CapacityError there.
+    O(J * |Z|). ``FAMILY_CAP`` bounds the violations listed when the
+    report's ``violations`` is read; more raise CapacityError there.
     """
     config = P.config
     if config.J0:
@@ -169,8 +165,8 @@ def check(P: ObservedDistribution, cap: int = DEFAULT_FAMILY_CAP) -> CheckReport
     lo.reverse()
 
     def list_violations() -> Violations:
-        if _count_violated(levels, hi, lo, scale, cap) > cap:
-            raise CapacityError(f"check would emit more than {cap} violations")
+        if _count_violated(levels, hi, lo, scale, FAMILY_CAP) > FAMILY_CAP:
+            raise CapacityError(f"check would emit more than {FAMILY_CAP} violations")
         return tuple(
             (_selector_spec(selector), Fraction(scale - total, scale))
             for selector, total in _violated_selectors(levels, hi, scale)
@@ -343,9 +339,7 @@ def check_outcome(PY: OutcomeDistribution) -> CheckReport:
     return CheckReport.from_slacks(slacks)
 
 
-def partition_family_specs(
-    config: DesignConfig, y_support, cap: int = DEFAULT_FAMILY_CAP
-) -> tuple[InequalitySpec, ...]:
+def partition_family_specs(config: DesignConfig, y_support) -> tuple[InequalitySpec, ...]:
     """Every partition inequality as an explicit spec. ``stats.test_model``
     sums the same family through ``product_family`` without listing it;
     this listing is kept for the oracle tests and the benchmark tracer's
@@ -353,7 +347,7 @@ def partition_family_specs(
     ys = tuple(y_support)
     per_choice = [
         [tuple((z, j, y) for z, y in zip(option, ys)) for option in options]
-        for j, options in enumerate(product_family(config, len(ys), cap))
+        for j, options in enumerate(product_family(config, len(ys)))
     ]
     return tuple(
         InequalitySpec(lhs=tuple(chain.from_iterable(combo)), bound=ONE, tag="partition")

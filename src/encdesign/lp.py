@@ -44,7 +44,7 @@ are those of the rational tableau under the same rules. Only the basis
 inverse is stored, as sparse rows (7-20% of its entries are nonzero on
 tables with J = 4 to 8), beside the dense right-hand side and objective
 row; a row that a pivot leaves unchanged keeps its own integer factor
-instead of being rescaled. ``cap`` bounds the entries that store can
+instead of being rescaled. ``LP_CAP`` bounds the entries that store can
 hold, m * (m + 1) for m rows, and is checked before the first pivot.
 """
 
@@ -61,7 +61,7 @@ from .core import ONE, ObservedDistribution, ResponseMeasure, ResponseType
 from .errors import CapacityError
 from .inequalities import OutcomeDistribution
 
-DEFAULT_LP_CAP = 200_000
+LP_CAP = 200_000
 
 
 class _TypeColumns:
@@ -138,8 +138,8 @@ class _TypeColumns:
             cells[c][k] = inf
         own = [[cells[c][k] for c in cs] for k, cs in enumerate(self.own)]
         a = [min(x) for x in own]
-        if self.config.J0:
-            a[0] = inf  # the base state never complies
+        if self.config.base is not None:
+            a[self.config.base] = inf  # the base state never complies
         costs = []
         for j, k in enumerate(self.target):
             # the entry targeting j takes w(k, j, u), never its own a_k
@@ -296,7 +296,7 @@ def _phase_one(columns, b: list[Fraction], m: int) -> dict | None:
     }
 
 
-def _solve(config, ny: int, p: list[Fraction], cap: int) -> dict | None:
+def _solve(config, ny: int, p: list[Fraction]) -> dict | None:
     """Phase one on the table ``p``: every cell (z_k, j, y) in position
     order, the implied last cell of each slice included. Its rows are the
     listed cells, then the normalization; its closed cells are the zero
@@ -305,22 +305,20 @@ def _solve(config, ny: int, p: list[Fraction], cap: int) -> dict | None:
     closed = [divmod(i, size) for i, v in enumerate(p) if not v]
     columns = _TypeColumns(config, ny, closed)
     m = columns.m
-    if m * (m + 1) > cap:
+    if m * (m + 1) > LP_CAP:
         raise CapacityError(
-            f"LP basis inverse could hold {m * (m + 1)} entries ({m} rows), cap is {cap}"
+            f"LP basis inverse could hold {m * (m + 1)} entries ({m} rows), cap is {LP_CAP}"
         )
     b = [v for i, v in enumerate(p) if i % size != size - 1] + [ONE]
     return _phase_one(columns, b, m)
 
 
-def feasible(
-    P: ObservedDistribution, cap: int = DEFAULT_LP_CAP
-) -> tuple[bool, ResponseMeasure | None]:
+def feasible(P: ObservedDistribution) -> tuple[bool, ResponseMeasure | None]:
     """Exact LP verdict plus, when feasible, a certificate measure whose
     pushforward equals P. The certificate lists its types in
     lexicographic order."""
     config = P.config
-    x = _solve(config, 1, [v for z in config.z_support for v in P.rows[z]], cap)
+    x = _solve(config, 1, [v for z in config.z_support for v in P.rows[z]])
     if x is None:
         return False, None
     measure = ResponseMeasure(
@@ -329,10 +327,10 @@ def feasible(
     return True, measure
 
 
-def feasible_outcome(PY: OutcomeDistribution, cap: int = DEFAULT_LP_CAP) -> bool:
+def feasible_outcome(PY: OutcomeDistribution) -> bool:
     """Exact LP verdict on the outcome table, over one variable per
     (response type, outcome vector) pair."""
     config = PY.config
     ys = PY.y_support
     p = [PY.p(z, j, y) for z in config.z_support for j in range(config.J) for y in ys]
-    return _solve(config, len(ys), p, cap) is not None
+    return _solve(config, len(ys), p) is not None

@@ -302,7 +302,7 @@ def build_epsilon_mixture(q: ResponseMeasure) -> RegionMixture:
     betas = [0.0] * J
     support = q.support()
     for j in config.z_support:
-        if j < config.J0:
+        if j == config.base:
             continue
         for rt in support:
             if rt.d_at(config, j) == j and any(v != j for v in rt.d):

@@ -25,8 +25,8 @@ draws) are taken in one pass over chunks of whole moments, in one buffer
 of at most 2**17 doubles (1 MiB, which stays in a 2 MiB L2 cache). On a
 2-core x86-64 host buffers of 2**16 to 2**20 doubles ran within noise of
 one another at J = 4 with three outcome values, the smaller ones with
-lower peaks. The statistic and the summary's binding moment are found a
-chunk at a time as well, so no array the size of the family is built
+lower peaks. The statistic and its binding moment are found a chunk at
+a time as well, so no array the size of the family is built
 besides the report's own. At J = 4 with three outcome values (531,477
 moments, B = 99 or 999) the tracemalloc peak is about 11 MB, 9.1 MB of
 it the report's float64 and bool arrays.
@@ -111,8 +111,9 @@ class TestReport:
     """The test's verdict and, per moment in family order (static rows
     first, then the product members in ``itertools.product`` order), its
     slack, standard error and floored flag as read-only float64 and bool
-    arrays. Arrays have no single truth value, so reports compare by
-    identity."""
+    arrays. ``binding`` is the index of the first moment whose studentized
+    violation -slack / se is the statistic. Arrays have no single truth
+    value, so reports compare by identity."""
 
     arm_counts: Mapping[int, int]
     p_hat: Mapping
@@ -120,6 +121,7 @@ class TestReport:
     standard_errors: np.ndarray
     floored: np.ndarray
     statistic: float
+    binding: int
     critical_value: float
     p_value: float
     reject: bool
@@ -147,14 +149,12 @@ class TestReport:
         }
 
     def summary_dict(self) -> dict:
-        """The verdict with the moment and floored counts and ``binding``,
-        the index of the first moment whose studentized violation is the
-        statistic."""
+        """The verdict with the moment and floored counts and ``binding``."""
         return {
             **self._verdict(),
             "moment_count": len(self.slacks),
             "floored_count": int(np.count_nonzero(self.floored)),
-            "binding": _largest_violation(self.slacks, self.standard_errors)[1],
+            "binding": self.binding,
         }
 
     def to_dict(self) -> dict:
@@ -170,20 +170,6 @@ class TestReport:
 
 # No buffer of the moment pass holds more than this many doubles.
 _CHUNK_DOUBLES = 1 << 17
-
-
-def _largest_violation(slacks: np.ndarray, se: np.ndarray) -> tuple[float, int]:
-    """The largest studentized violation -slack / se and the first
-    moment attaining it, taken over _CHUNK_DOUBLES moments at a time."""
-    best, at = -math.inf, 0
-    scratch = np.empty(min(_CHUNK_DOUBLES, len(slacks)))
-    for lo in range(0, len(slacks), _CHUNK_DOUBLES):
-        ratio = np.negative(slacks[lo:lo + _CHUNK_DOUBLES], out=scratch[: len(slacks) - lo])
-        np.divide(ratio, se[lo:lo + _CHUNK_DOUBLES], out=ratio)
-        i = int(np.argmax(ratio))
-        if lo == 0 or ratio[i] > best:
-            best, at = float(ratio[i]), lo + i
-    return best, at
 
 
 def _option_sums(values: np.ndarray, options: np.ndarray) -> np.ndarray:
@@ -344,12 +330,16 @@ def test_model(
         np.sqrt(np.maximum(se_c, 0.0, out=se_c), out=se_c)
         np.less(se_c, SE_FLOOR, out=floored[start:stop])
         np.maximum(se_c, SE_FLOOR, out=se_c)
+        # the statistic and the first moment attaining it
+        ratio = np.divide(np.negative(slack, out=q[0]), se_c, out=q[0])
+        i = int(np.argmax(ratio))
+        if start == 0 or ratio[i] > statistic:
+            statistic, binding = float(ratio[i]), start + i
         # the whole contiguous chunk is divided, its spent sums included,
         # which runs about twice as fast as a strided view of the draws
         np.divide(out, se_c[:, None], out=out)
         np.maximum(t_star, out[:, :B].max(axis=0), out=t_star)
         start = stop
-    statistic = _largest_violation(slacks, se)[0]
     k = min(B - 1, max(0, math.ceil((1 - alpha) * (B + 1)) - 1))
     critical = float(np.sort(t_star)[k])
     p_value = float((1 + (t_star >= statistic).sum()) / (B + 1))
@@ -364,6 +354,7 @@ def test_model(
         standard_errors=se,
         floored=floored,
         statistic=statistic,
+        binding=binding,
         critical_value=critical,
         p_value=p_value,
         reject=statistic > critical,

@@ -39,7 +39,7 @@ from .core import (
 from .errors import CapacityError, ConstructionError
 from .inequalities import OutcomeDistribution
 
-DEFAULT_TABLE_CAP = 1_000_000
+TABLE_CAP = 1_000_000
 
 
 def instrument_ordering(config: DesignConfig, values: Mapping[int, Fraction], target: int) -> tuple[int, ...]:
@@ -216,9 +216,7 @@ class OutcomeResponseMeasure:
         return ResponseMeasure(self.config, mass)
 
 
-def pushforward_outcome(
-    q: OutcomeResponseMeasure, pz: Mapping[int, Fraction] | None = None
-) -> OutcomeDistribution:
+def pushforward_outcome(q: OutcomeResponseMeasure) -> OutcomeDistribution:
     """Observed outcome table induced by the measure:
     p[z][j][y] accumulates mass with d_z = j and j-th outcome y."""
     config = q.config
@@ -230,7 +228,7 @@ def pushforward_outcome(
         for i, z in enumerate(config.z_support):
             j = rt.d[i]
             cells[z][j][yvec[j]] += m
-    return OutcomeDistribution(config, q.y_support, cells, pz=pz)
+    return OutcomeDistribution(config, q.y_support, cells)
 
 
 def _weighted_vectors(factors) -> list[tuple[tuple[int, ...], int]]:
@@ -242,9 +240,7 @@ def _weighted_vectors(factors) -> list[tuple[tuple[int, ...], int]]:
     return out
 
 
-def construct_outcome(
-    PY: OutcomeDistribution, cap: int = DEFAULT_TABLE_CAP
-) -> OutcomeResponseMeasure:
+def construct_outcome(PY: OutcomeDistribution) -> OutcomeResponseMeasure:
     """Build the outcome witness: its positive masses over (response
     type, outcome vector). Zero masses are not stored.
 
@@ -269,13 +265,15 @@ def construct_outcome(
     mass becomes a Fraction once, at the end. A negative increment raises
     ConstructionError with its target, its step (numbered as in
     ``diagnose``; None for a compliance remainder) and its exact mass.
+    A witness that could hold more than ``TABLE_CAP`` entries (one per
+    admissible type and outcome vector) raises CapacityError first.
     """
     config = PY.config
     ys = PY.y_support
     n_types = closed_form_count(config)
-    if n_types * len(ys) ** config.J > cap:
+    if n_types * len(ys) ** config.J > TABLE_CAP:
         raise CapacityError(
-            f"witness table would hold up to {n_types * len(ys) ** config.J} entries, cap is {cap}"
+            f"witness table would hold up to {n_types * len(ys) ** config.J} entries, cap is {TABLE_CAP}"
         )
     # scale is L; cell[z][j][y] and every density below are integers over it
     scale = lcm(

@@ -32,7 +32,7 @@ from encdesign.core import (
 )
 from encdesign.errors import CapacityError, ConstructionError
 from encdesign.inequalities import (
-    DEFAULT_FAMILY_CAP,
+    FAMILY_CAP,
     CheckReport,
     InequalitySpec,
     OutcomeDistribution,
@@ -44,7 +44,7 @@ from encdesign.inequalities import (
 from encdesign.simulate import MicroData, Region, RegionMixture
 from encdesign.stats import SE_FLOOR, EstimatedTables, TestReport, estimate
 from encdesign.witness import (
-    DEFAULT_TABLE_CAP,
+    TABLE_CAP,
     OutcomeResponseMeasure,
     _compliance_type,
     _type_with_prefix,
@@ -589,17 +589,36 @@ def admissible_by_filter(config: DesignConfig) -> tuple[ResponseType, ...]:
     )
 
 
-def check_by_family(
-    P: ObservedDistribution, full: bool = False, cap: int = DEFAULT_FAMILY_CAP
-) -> CheckReport:
+def z_support_by_fork(config: DesignConfig) -> tuple[int, ...]:
+    """Oracle for ``DesignConfig.z_support``: the support built on each
+    side of a fork on J0."""
+    if config.J0 == 0:
+        return tuple(range(config.J))
+    return (0,) + tuple(range(config.J0, config.J))
+
+
+def z_index_by_fork(config: DesignConfig, z: int) -> int:
+    """Oracle for ``DesignConfig.z_index``: the position of z computed by
+    range tests on each side of a fork on J0, with the same error."""
+    if config.J0 == 0:
+        if 0 <= z < config.J:
+            return z
+    elif z == 0:
+        return 0
+    elif config.J0 <= z < config.J:
+        return z - config.J0 + 1
+    raise ValueError(f"instrument value {z} not in support {z_support_by_fork(config)}")
+
+
+def check_by_family(P: ObservedDistribution, full: bool = False) -> CheckReport:
     """Oracle for ``inequalities.check``: build the whole family and
     evaluate the slack of every inequality in it."""
-    specs = generate(P.config, full=full, cap=cap)
+    specs = generate(P.config, full=full)
     return CheckReport.from_slacks((s, s.slack(P)) for s in specs)
 
 
 def brute_force_partition_check(
-    PY: OutcomeDistribution, cap: int = DEFAULT_FAMILY_CAP
+    PY: OutcomeDistribution, cap: int = FAMILY_CAP
 ) -> bool:
     """Literal oracle: enumerate every tuple of partitions (each outcome
     value assigned to one allowed instrument value, independently per
@@ -979,7 +998,8 @@ def _bootstrap_draws(est: EstimatedTables, config: DesignConfig, B: int, seed: i
 
 
 def _report(est, config, violations, se, floored, statistic, t_star, alpha, B, seed) -> TestReport:
-    """The report of a test from its moments and bootstrap maxima."""
+    """The report of a test from its moments and bootstrap maxima; the
+    binding moment is the first to attain the statistic."""
     k = min(B - 1, max(0, math.ceil((1 - alpha) * (B + 1)) - 1))
     critical = float(np.sort(t_star)[k])
     p_value = float((1 + (t_star >= statistic).sum()) / (B + 1))
@@ -999,6 +1019,7 @@ def _report(est, config, violations, se, floored, statistic, t_star, alpha, B, s
         standard_errors=se,
         floored=floored,
         statistic=statistic,
+        binding=int(np.argmax(violations / se)),
         critical_value=critical,
         p_value=p_value,
         reject=statistic > critical,
@@ -1133,9 +1154,14 @@ def assert_same_report(got: TestReport, want: TestReport) -> None:
 def report_doc_by_fields(report: TestReport) -> dict:
     """Oracle for ``TestReport.to_dict``: every field of the report under
     its own name, the arm counts keyed by text and the moment arrays as
-    lists. ``encdesign test`` printed this document by default until it
-    printed a summary, and prints it with ``--moments``."""
-    doc = {field.name: getattr(report, field.name) for field in dataclasses.fields(TestReport)}
+    lists, less ``binding``, which only the summary prints. ``encdesign
+    test`` printed this document by default until it printed a summary,
+    and prints it with ``--moments``."""
+    doc = {
+        field.name: getattr(report, field.name)
+        for field in dataclasses.fields(TestReport)
+        if field.name != "binding"
+    }
     doc["arm_counts"] = {str(z): n for z, n in report.arm_counts.items()}
     for name in ("slacks", "standard_errors", "floored"):
         doc[name] = doc[name].tolist()
@@ -1284,7 +1310,7 @@ def lambda_weights(PY: OutcomeDistribution) -> dict[int, dict[int, Fraction]]:
     return out
 
 
-def construct_outcome_by_fractions(PY: OutcomeDistribution, cap: int = DEFAULT_TABLE_CAP) -> dict:
+def construct_outcome_by_fractions(PY: OutcomeDistribution, cap: int = TABLE_CAP) -> dict:
     """Oracle for ``witness.construct_outcome``: every completion weight
     recomputed as a product of Fraction mixing weights at every step.
     Returns the witness's ordered mass dict, or raises the same

@@ -105,6 +105,41 @@ def test_capacity_checks_build_no_large_integer(capsys, argv, message):
     assert capsys.readouterr().err == f"capacity error: {message}\n"
 
 
+UNIFORM24 = {"J": 24, "p": {str(z): {str(j): "1/24" for j in range(24)} for z in range(24)}}
+NO_COMPLIER8 = {"J": 8, "p": {str(z): {str(j): "0" if j == z else "1/7" for j in range(8)} for z in range(8)}}
+UNIFORM6_Y6 = {
+    "J": 6,
+    "y_support": list(range(6)),
+    "p": {str(z): {str(j): {str(y): "1/36" for y in range(6)} for j in range(6)} for z in range(6)},
+}
+
+
+@pytest.mark.parametrize(
+    "doc, command, code, message",
+    [
+        (UNIFORM24, "lp-check", EXIT_CAPACITY, "LP basis inverse could hold 306362 entries (553 rows), cap is 200000"),
+        (UNIFORM24, "check", EXIT_OK, None),
+        (UNIFORM24, "construct", EXIT_OK, None),
+        (NO_COMPLIER8, "check", EXIT_CAPACITY, "check would emit more than 1000000 violations"),
+        (NO_COMPLIER8, "construct", EXIT_VERDICT, None),
+        (NO_COMPLIER8, "lp-check", EXIT_VERDICT, None),
+        (UNIFORM6_Y6, "construct", EXIT_CAPACITY, "witness table would hold up to 8724672 entries, cap is 1000000"),
+    ],
+    ids=["u24-lp", "u24-check", "u24-construct", "v8-check", "v8-construct", "v8-lp", "y6-construct"],
+)
+def test_shipped_caps_refuse_at_their_values(tmp_path, capsys, doc, command, code, message):
+    # every other refusal test lowers a cap; these tables meet the LP's
+    # store cap, check's violation cap and the outcome witness's table cap
+    # at their shipped values, and the other oracles still answer
+    path = write_json(tmp_path / "table.json", doc)
+    assert run([command, "--input", path]) == code
+    err = capsys.readouterr().err
+    if message is None:
+        assert "capacity error" not in err
+    else:
+        assert err == f"capacity error: {message}\n"
+
+
 def test_pairwise_base_family_is_refused_before_any_spec(monkeypatch, capsys):
     # 1001 * 1001 pairs at (1002, 1): past the cap of 10^6 members
     from encdesign import inequalities

@@ -19,7 +19,7 @@ from encdesign.core import (
     observation_map,
     pushforward,
 )
-from helpers import mix, random_measure
+from helpers import mix, random_measure, z_index_by_fork, z_support_by_fork
 
 
 def test_config_supports():
@@ -48,6 +48,35 @@ def test_config_support_sizes():
             assert len(config.z_support) == J - J0 + 1
             assert 0 in config.z_support
             assert all(j in config.z_support for j in range(J0, J))
+
+
+def test_config_support_and_index_match_the_forked_definitions():
+    for J in range(2, 9):
+        for J0 in range(J):
+            config = DesignConfig(J, J0)
+            support = config.z_support
+            assert support == z_support_by_fork(config)
+            assert config.z_support is support
+            for z in range(-2, J + 2):
+                for value in (z, np.int64(z), np.int16(z)):
+                    try:
+                        want = z_index_by_fork(config, value)
+                    except ValueError as err:
+                        with pytest.raises(ValueError) as got:
+                            config.z_index(value)
+                        assert str(got.value) == str(err)
+                    else:
+                        assert config.z_index(value) == want
+
+
+def test_config_cached_support_leaves_equality_hash_and_repr_to_the_fields():
+    config, fresh = DesignConfig(5, 2), DesignConfig(5, 2)
+    config.z_index(3)  # fills the cached support and positions
+    assert config == fresh and hash(config) == hash(fresh)
+    assert repr(config) == repr(fresh) == "DesignConfig(J=5, J0=2)"
+    assert config != DesignConfig(5, 1)
+    with pytest.raises(AttributeError):
+        config.z_support = (0,)
 
 
 def test_config_rejects_bad_parameters():
@@ -164,13 +193,6 @@ def test_pushforward_base_state_example():
     P = pushforward(q)
     assert P.rows[0] == (F(3, 4), F(1, 4))
     assert P.rows[1] == (F(1, 2), F(1, 2))
-
-
-def test_pushforward_passes_pz_through():
-    config = DesignConfig(2, 1)
-    q = ResponseMeasure(config, {ResponseType((0, 1)): F(1)})
-    P = pushforward(q, pz={0: F(1, 3), 1: F(2, 3)})
-    assert P.pz == {0: F(1, 3), 1: F(2, 3)}
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,6 +10,7 @@ from random import Random
 import numpy as np
 import pytest
 
+from encdesign import inequalities
 from encdesign.core import DesignConfig, ObservedDistribution, pushforward
 from encdesign.errors import CapacityError
 from encdesign.inequalities import (
@@ -90,9 +91,10 @@ def test_selector_family_respects_targeted_sets():
             assert z in config.targeted_set(j)
 
 
-def test_family_capacity_cap():
+def test_family_capacity_cap(monkeypatch):
+    monkeypatch.setattr(inequalities, "FAMILY_CAP", 10_000)
     with pytest.raises(CapacityError):
-        generate(DesignConfig(9, 0), cap=10_000)
+        generate(DesignConfig(9, 0))
 
 
 @pytest.mark.parametrize(
@@ -111,28 +113,30 @@ def test_product_family_lists_the_selector_and_partition_members(J, J0, ny):
         assert [s.selector for s in generate(config, full=True)] == want
 
 
-def test_product_family_cap_is_on_the_member_count():
+def test_product_family_cap_is_on_the_member_count(monkeypatch):
     config = DesignConfig(4, 0)  # 3^4 = 81 selectors
-    assert len(product_family(config, cap=81)) == 4
+    monkeypatch.setattr(inequalities, "FAMILY_CAP", 81)
+    assert len(product_family(config)) == 4
+    monkeypatch.setattr(inequalities, "FAMILY_CAP", 80)
     with pytest.raises(CapacityError, match="^family would hold more than 80 inequalities$"):
-        product_family(config, cap=80)
+        product_family(config)
     with pytest.raises(CapacityError, match="^family would hold more than 80 inequalities$"):
-        generate(config, cap=80)
+        generate(config)
     with pytest.raises(CapacityError, match="^family would hold more than 80 inequalities$"):
-        partition_family_specs(DesignConfig(3, 0), (0, 1, 2, 3), cap=80)  # 2^12 members
+        partition_family_specs(DesignConfig(3, 0), (0, 1, 2, 3))  # 2^12 members
 
 
-def test_pairwise_base_family_cap_is_on_the_member_count():
+def test_pairwise_base_family_cap_is_on_the_member_count(monkeypatch):
     config = DesignConfig(5, 1)  # (J - 1)(J - J0) = 16 pairs
+    monkeypatch.setattr(inequalities, "FAMILY_CAP", 15)
     with pytest.raises(CapacityError, match="^family would hold more than 15 inequalities$"):
-        generate(config, cap=15)
-    specs = generate(config, cap=16)
+        generate(config)
+    monkeypatch.setattr(inequalities, "FAMILY_CAP", 16)
+    specs = generate(config)
     assert len(specs) == 16 and all(s.tag == "pairwise-base" for s in specs)
 
 
 def test_product_family_refuses_a_wide_alphabet_before_listing(monkeypatch):
-    from encdesign import inequalities
-
     def no_options(*args, **kwargs):
         raise AssertionError("an option was listed")
 
@@ -143,10 +147,9 @@ def test_product_family_refuses_a_wide_alphabet_before_listing(monkeypatch):
 
 
 def test_check_cap_refuses_before_building_specs(monkeypatch):
-    from encdesign import inequalities
-
     P = random_table(DesignConfig(5, 0), Random(41))
-    report = check(P, cap=10)
+    monkeypatch.setattr(inequalities, "FAMILY_CAP", 10)
+    report = check(P)
     assert not report.passed
 
     def no_spec(*args, **kwargs):

@@ -166,11 +166,12 @@ def test_degenerate_outcome_lp_matches_marginal_lp():
         assert feasible_outcome(PY) == feasible(P)[0]
 
 
-def test_lp_capacity_cap():
+def test_lp_capacity_cap(monkeypatch):
     config = DesignConfig(3, 0)
     P = feasible_table(config, Random(2))
+    monkeypatch.setattr(lp, "LP_CAP", 10)
     with pytest.raises(CapacityError):
-        feasible(P, cap=10)
+        feasible(P)
 
 
 def _closed_cells(table):

@@ -19,7 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from encdesign import lp, simulate, stats
+from encdesign import inequalities, lp, simulate, stats
 from encdesign.admissible import enumerate_admissible, is_admissible
 from encdesign.core import DesignConfig, ResponseMeasure, ResponseType, pushforward
 from encdesign.errors import CapacityError, ConstructionError
@@ -358,7 +358,7 @@ def test_check_matches_explicit_family(J, J0, full, copies):
 
 
 @pytest.mark.parametrize("J, J0", [(4, 0), (5, 0)])
-def test_check_cap_bounds_the_violations_listed(J, J0):
+def test_check_cap_bounds_the_violations_listed(monkeypatch, J, J0):
     config = DesignConfig(J, J0)
     rng = Random(233 + 10 * J + J0)
     tried = 0
@@ -368,9 +368,13 @@ def test_check_cap_bounds_the_violations_listed(J, J0):
         if not want:
             continue
         tried += 1
-        assert check(P, cap=len(want)).violations == want
-        with pytest.raises(CapacityError, match=f"more than {len(want) - 1} violations"):
-            check(P, cap=len(want) - 1).violations
+        # the lowered cap would refuse the oracle's whole family too
+        with monkeypatch.context() as patch:
+            patch.setattr(inequalities, "FAMILY_CAP", len(want))
+            assert check(P).violations == want
+            patch.setattr(inequalities, "FAMILY_CAP", len(want) - 1)
+            with pytest.raises(CapacityError, match=f"more than {len(want) - 1} violations"):
+                check(P).violations
     assert tried
 
 

@@ -14,6 +14,7 @@ from encdesign.stats import estimate
 from encdesign.stats import test_model as run_model_test
 
 from helpers import assert_same_report, p_hat
+from helpers import test_model_by_specs as model_test_by_specs
 
 
 def draw_from_table(P: ObservedDistribution, n: int, rng) -> MicroData:
@@ -171,7 +172,7 @@ def test_summary_binds_the_first_moment_that_attains_the_statistic():
     report = Report(
         arm_counts={1: 3, 0: 2}, p_hat={"0": [1.0, 0.0], "1": [0.0, 1.0]},
         slacks=[0.5, -2.0, -1.0, -2.0], standard_errors=[1.0, 1.0, 0.5, 1.0],
-        floored=[False, True, False, True], statistic=2.0, critical_value=1.5,
+        floored=[False, True, False, True], statistic=2.0, binding=1, critical_value=1.5,
         p_value=0.01, reject=True, alpha=0.05, B=99, seed=4,
     )
     summary = report.summary_dict()
@@ -184,23 +185,30 @@ def test_summary_binds_the_first_moment_that_attains_the_statistic():
             values[0] = 0
 
 
+def _arm_rows(counts: dict) -> MicroData:
+    """Rows (d, z) with counts[z][d] rows of each pair."""
+    pairs = [(d, z) for z, by_d in counts.items() for d, n in enumerate(by_d) for _ in range(n)]
+    d, z = map(np.array, zip(*pairs))
+    return MicroData(d, z)
+
+
 def test_binding_is_the_first_maximum_across_chunks(monkeypatch):
-    # studentized violations 1, 3, 2, 2 | 3, 3, 0, 3 | 1 in chunks of
-    # four: the maximum ties across the boundary, and the first one binds
-    monkeypatch.setattr(stats, "_CHUNK_DOUBLES", 4)
-    ratios = [1.0, 3.0, 2.0, 2.0, 3.0, 3.0, 0.0, 3.0, 1.0]
-    se = [0.5, 1.0, 2.0, 0.25, 1.0, 0.5, 1.0, 2.0, 1.0]
-    for first in (1, 4):
-        values = list(ratios)
-        if first == 4:
-            values[1] = 2.5
-        report = Report(
-            arm_counts={0: 5, 1: 5}, p_hat={"0": [0.5, 0.5], "1": [0.5, 0.5]},
-            slacks=[-r * s for r, s in zip(values, se)], standard_errors=se,
-            floored=[False] * len(se), statistic=3.0, critical_value=1.5,
-            p_value=0.01, reject=True, alpha=0.05, B=99, seed=4,
-        )
-        studentized = -report.slacks / report.standard_errors
-        assert int(np.argmax(studentized)) == first
-        assert report.summary_dict()["binding"] == first
-        assert stats._largest_violation(report.slacks, report.standard_errors) == (3.0, first)
+    # At (3,1) the moments are p(1,0) - p(0,0), p(2,0) - p(0,0),
+    # p(2,1) - p(0,1) and p(1,2) - p(0,2). With arms z = 1 and z = 2 each
+    # other's mirror, the last two violate by 0.4 - 0.25 with equal
+    # standard errors, bit for bit, so the maximum ties; one row moved
+    # from d = 1 to d = 2 at z = 1 makes the last one larger. A chunk
+    # holds 103 doubles per moment at B = 99: one moment, three (so the
+    # tie straddles the boundary), or all four.
+    config = DesignConfig(3, 1)
+    for chunk_doubles in (4, 3 * 103, 1 << 17):
+        monkeypatch.setattr(stats, "_CHUNK_DOUBLES", chunk_doubles)
+        for first, at_one in ((2, [40, 20, 40]), (3, [40, 19, 41])):
+            data = _arm_rows({0: [50, 25, 25], 1: at_one, 2: [40, 40, 20]})
+            report = run_model_test(data, config, B=99, seed=4)
+            studentized = -report.slacks / report.standard_errors
+            assert int(np.argmax(studentized)) == first
+            assert (studentized[2] == studentized[3]) == (first == 2)
+            assert report.binding == report.summary_dict()["binding"] == first
+            assert report.statistic == studentized[first]
+            assert_same_report(report, model_test_by_specs(data, config, B=99, seed=4))

@@ -9,6 +9,7 @@ from random import Random
 import numpy as np
 import pytest
 
+from encdesign import witness
 from encdesign.admissible import is_admissible
 from encdesign.core import (
     DesignConfig,
@@ -525,11 +526,12 @@ def test_outcome_measure_stores_numpy_support_as_int():
 
 
 @pytest.mark.parametrize("J, J0, ys", [(2, 0, (0, 1)), (3, 1, (0, 1, 2))])
-def test_construct_outcome_capacity_error_matches_fraction_construction(J, J0, ys):
+def test_construct_outcome_capacity_error_matches_fraction_construction(monkeypatch, J, J0, ys):
     # (2, 0) holds 3 types x 2**2 vectors = 12 entries at most, past cap 10
     PY = feasible_outcome_table(DesignConfig(J, J0), ys, Random(J))
+    monkeypatch.setattr(witness, "TABLE_CAP", 10)
     with pytest.raises(CapacityError) as err:
-        construct_outcome(PY, cap=10)
+        construct_outcome(PY)
     with pytest.raises(CapacityError) as want:
         construct_outcome_by_fractions(PY, cap=10)
     assert str(err.value) == str(want.value)
