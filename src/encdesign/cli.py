@@ -215,7 +215,11 @@ def measure_doc(q: ResponseMeasure) -> dict:
 
 
 def load_measure(path: str) -> ResponseMeasure:
+    """Parse a treatment witness file into a response-type measure. An
+    outcome witness, whose keys also carry outcome vectors, is refused."""
     doc = _load_object(path)
+    if "y_support" in doc:
+        raise ValueError("a treatment witness is needed, not an outcome witness (it has y_support)")
     config = _design(doc)
     mass = {ResponseType(d): _frac(m) for d, m in _keyed(doc["mass"], "mass", _ints).items()}
     return ResponseMeasure(config, mass)

@@ -20,22 +20,34 @@ arms a, s_a its sum w p over its cells in arm a: a static row's two cells
 lie in different arms and product members weigh each cell +1, so |s_a|
 is exactly the sum of |w| p.
 
-All of a moment's sums (its slack, its s_a per arm and its B bootstrap
-draws) are taken in one pass over chunks of whole moments, in one buffer
-of at most 2**17 doubles (1 MiB, which stays in a 2 MiB L2 cache). On a
-2-core x86-64 host buffers of 2**16 to 2**20 doubles ran within noise of
-one another at J = 4 with three outcome values, the smaller ones with
-lower peaks. The statistic and its binding moment are found a chunk at
-a time as well, so no array the size of the family is built
-besides the report's own. At J = 4 with three outcome values (531,477
-moments, B = 99 or 999) the tracemalloc peak is about 11 MB, 9.1 MB of
-it the report's float64 and bool arrays.
+The moments are taken in chunks of static rows and groups of product
+members, in one buffer of at most 2**17 doubles (1 MiB, which stays in a
+2 MiB L2 cache). On a 2-core x86-64 host buffers of 2**16 to 2**20
+doubles ran within noise of one another at J = 4 with three outcome
+values, the smaller ones with lower peaks. A group is a block of sums
+over all but the last choice, acc, with the last choice's options:
+member (i, k) sums acc[i] + last[k]. Its report pass adds only the
+slack and per-arm columns. Its bootstrap pass first bounds every row of
+acc in every draw b, using two monotone roundings: fl(x + y) is monotone
+in y, so acc[i, b] + max_k last[k, b] is exactly the row's largest
+member sum, and fl(G / se) is monotone in G and, for G >= 0, falls as se
+grows, so that sum over the row's least standard error bounds every
+studentized draw of the row. A draw whose bound is at most a positive
+running maximum cannot move it; the others are evaluated exactly, and a
+group that needs more than a quarter of its draws is evaluated whole
+(see ``_group_max``). Since the maximum only grows, the critical value
+is bit for bit the one that every moment would give. The statistic and
+its binding moment are found a chunk at a time as well, so no array the
+size of the family is built besides the report's own. At J = 4 with
+three outcome values (531,477 moments, B = 99 or 999) the tracemalloc
+peak is about 11 MB, 9.1 MB of it the report's float64 and bool arrays,
+and the bootstrap pass evaluates 7% of the members' draws at B = 99
+and 3% at B = 999 (100,000 rows of a random feasible measure).
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -168,8 +180,13 @@ class TestReport:
         }
 
 
-# No buffer of the moment pass holds more than this many doubles.
+# The moment pass works in one buffer of at most this many doubles.
 _CHUNK_DOUBLES = 1 << 17
+# Most cells the bootstrap evaluates on their own at a time: the index
+# temporaries of whole groups took fresh pages on every call (about 400
+# page faults per call at J = 3 with three outcome values and B = 999,
+# against 9 in blocks of 2**10 cells).
+_SPARSE_CELLS = 1 << 11
 
 
 def _option_sums(values: np.ndarray, options: np.ndarray) -> np.ndarray:
@@ -179,31 +196,98 @@ def _option_sums(values: np.ndarray, options: np.ndarray) -> np.ndarray:
 
 
 def _fold(pieces, out: np.ndarray, head=None) -> np.ndarray:
-    """Write into ``out`` (and return it) one sum per member of a product
-    over choices, in ``itertools.product`` order: ``head`` if given, then
-    the member's row of each piece, added left to right."""
+    """One sum per member of a product over choices, in
+    ``itertools.product`` order: ``head`` if given, then the member's row
+    of each piece, added left to right. The sums are written into ``out``,
+    except that a lone piece without a head is its own sums."""
     acc, rest = (pieces[0], pieces[1:]) if head is None else (head[None], pieces)
     for i, piece in enumerate(rest, 1):
         shape = (len(acc), *piece.shape)
         dest = out.reshape(shape) if i == len(rest) else np.empty(shape)
         acc = np.add(acc[:, None], piece, out=dest).reshape(-1, *piece.shape[1:])
-    return out
+    return acc
 
 
 def _product_chunks(pieces, buf: np.ndarray, head=None):
-    """The members' sums in ``itertools.product`` order, in chunks of
-    whole members written into ``buf``: a range of the first choice's
-    options with all members of the later choices, or, if those alone
-    overflow ``buf``, each option in turn as the head of their chunks."""
-    first, rest = pieces[0], pieces[1:]
+    """The members in ``itertools.product`` order, in groups ``(acc,
+    last)`` of whole members: member (i, k) of a group sums acc[i] +
+    last[k], ``last`` the last choice's options and ``acc`` the earlier
+    choices' sums folded into ``buf``, a range of the first choice's
+    options with all members of the choices between or, if those alone
+    overflow ``buf``, each option in turn as the head of their groups."""
+    *front, last = pieces
+    if not front:
+        yield head[None], last
+        return
+    first, rest = front[0], front[1:]
     tail = math.prod(map(len, rest))
     if tail > len(buf):
         for option in first:
-            yield from _product_chunks(rest, buf, option if head is None else head + option)
+            yield from _product_chunks([*rest, last], buf, option if head is None else head + option)
         return
     width = len(buf) // tail
     for lo in range(0, len(first), width):
-        yield _fold([first[lo:lo + width], *rest], buf[: len(first[lo:lo + width]) * tail], head)
+        yield _fold([first[lo:lo + width], *rest], buf[: len(first[lo:lo + width]) * tail], head), last
+
+
+def _dense_max(t_star: np.ndarray, acc, last, se: np.ndarray, work: np.ndarray) -> None:
+    """Fold into ``t_star`` the studentized draws (acc[i] + last[k]) /
+    se[i, k] of every member of a group, in member order, as many rows of
+    ``acc`` at a time as ``work`` holds."""
+    B = len(t_star)
+    rows = work.size // (len(last) * B)
+    for lo in range(0, len(acc), rows):
+        block = work[: len(acc[lo:lo + rows]) * len(last) * B].reshape(-1, len(last), B)
+        np.add(acc[lo:lo + rows, None, :B], last[:, :B], out=block)
+        np.divide(block, se[lo:lo + rows, :, None], out=block)
+        np.maximum(t_star, block.reshape(-1, B).max(axis=0), out=t_star)
+
+
+def _sparse_max(t_star: np.ndarray, acc, last, se: np.ndarray, hit: np.ndarray, work: np.ndarray) -> None:
+    """Fold into ``t_star`` the draws of the cells (i, b) that ``hit``
+    marks: for each, the largest (acc[i, b] + last[k, b]) / se[i, k] over
+    k, in blocks of at most _SPARSE_CELLS cells within ``work``."""
+    B, k = len(t_star), len(last)
+    se_by_option = np.ascontiguousarray(se.T)
+    cells = np.flatnonzero(hit)
+    step = min(work.size // (2 * k), _SPARSE_CELLS)
+    for lo in range(0, len(cells), step):
+        i, b = np.divmod(cells[lo:lo + step], B)
+        # one row per option of the last choice; x + y and y + x round alike
+        draws, scale = work[: 2 * k * len(i)].reshape(2, k, len(i))
+        np.add(np.take(last, b, axis=1, out=draws), np.take(acc, i * acc.shape[1] + b), out=draws)
+        np.divide(draws, np.take(se_by_option, i, axis=1, out=scale), out=draws)
+        np.maximum.at(t_star, b, draws.max(axis=0))
+
+
+def _group_max(t_star: np.ndarray, acc, last, se: np.ndarray, work: np.ndarray, hit: np.ndarray) -> None:
+    """Fold into ``t_star`` the studentized draws of a group's members,
+    which leave it as ``_dense_max`` would.
+
+    Each row i of ``acc`` is bounded in each draw b first. fl(x + y) is
+    monotone in y, so T = acc[i, b] + max_k last[k, b] is the row's
+    largest member sum; fl(G / se) is monotone in G and, for G >= 0,
+    falls as se grows, so T / min_k se[i, k] bounds every studentized
+    draw of the row (for T < 0 they are all negative). A cell whose bound
+    is at most a positive t_star[b] cannot move it; the others are
+    evaluated exactly, cell by cell. A group that fits in one block of
+    ``work`` is evaluated whole, and so is one with more than a quarter
+    of its cells to evaluate: on a 2-core x86-64 host a cell cost 50 to
+    370 ns and a whole row of k members about 4k ns. Of 0.0 and -0.0 the
+    maximum is the later in member order, which the cells do not keep,
+    so a group that leaves a zero in t_star is evaluated again, whole."""
+    B, m = len(t_star), len(acc)
+    if len(last) * m * B > work.size:
+        bound = np.add(acc[:, :B], last[:, :B].max(axis=0), out=work[: m * B].reshape(m, B))
+        np.divide(bound, se.min(axis=1)[:, None], out=bound)
+        np.greater(bound, np.where(t_star > 0, t_star, -np.inf), out=hit)
+        if 4 * np.count_nonzero(hit) <= m * B:
+            before = t_star.copy()
+            _sparse_max(t_star, acc, last, se, hit, work)
+            if t_star.all():
+                return
+            np.copyto(t_star, before)
+    _dense_max(t_star, acc, last, se, work)
 
 
 def test_model(
@@ -286,42 +370,48 @@ def test_model(
         block /= n_a
     del block, row
 
-    buf = np.empty((min(max(1, _CHUNK_DOUBLES // W.shape[1]), n_moments), W.shape[1]))
-
-    def static_chunks():
-        # take() buffers its output in the default mode="raise", and a
-        # gather of the rhs rows would be one more buffer: the lhs rows
-        # are taken in mode="clip" (the indices are in range) and each
-        # rhs row is subtracted in place
-        for lo in range(0, n_static, len(buf)):
-            out = np.take(W, lhs[lo:lo + len(buf)], axis=0, out=buf[: n_static - lo], mode="clip")
-            for diff, right in zip(out, rhs[lo:lo + len(buf)].tolist()):
-                diff -= W[right]
-            yield out
-
-    chunks = static_chunks()
+    # One buffer of at most _CHUNK_DOUBLES doubles (more only if one
+    # moment alone needs it). It holds a chunk of static rows, then their
+    # slack and per-arm sums as contiguous rows and the per-arm variance
+    # terms. For the product members it holds a group's sums over all but
+    # the last choice, ``acc``, and after them the group's slack and
+    # per-arm sums, then its bounds, then its blocks of draws. A group is
+    # up to m_max rows of acc with all K options of the last choice or,
+    # where those overflow the buffer, one row with k_step of them.
+    C = W.shape[1]
+    rows = max(1, min(_CHUNK_DOUBLES // (C + 1 + 2 * A), n_static))
+    size = rows * (C + 1 + 2 * A) if n_static else 0
+    m_max = 0
     if options:
-        chunks = itertools.chain(chunks, _product_chunks([_option_sums(W, o) for o in options], buf))
+        K = len(options[-1])
+        k_step = max(1, min(K, (_CHUNK_DOUBLES - C) // max(B, 1 + 2 * A)))
+        m_max = 1
+        if k_step == K:
+            # per row of acc, the row and its members' sums and variance
+            # terms or its bounds; and one row's draws
+            fit = min(_CHUNK_DOUBLES // (C + max(B, (1 + 2 * A) * K)), (_CHUNK_DOUBLES - K * B) // C)
+            m_max = min(fit, (n_moments - n_static) // K)
+        # and room for a whole group's draws where the buffer allows
+        need = m_max * C + max(m_max * max(B, (1 + 2 * A) * k_step), k_step * B)
+        size = max(size, need, min(_CHUNK_DOUBLES, m_max * (C + k_step * B)))
+    arena = np.empty(size)
     slacks, se = np.empty(n_moments), np.empty(n_moments)
     floored = np.empty(n_moments, dtype=bool)
-    # a chunk's slack and per-arm sums as contiguous rows, and its
-    # per-arm variance terms
-    sums, terms = np.empty((1 + A, len(buf))), np.empty((A, len(buf)))
-    t_star, start = np.full(B, -np.inf), 0
-    for out in chunks:
-        stop = start + len(out)
-        chunk_sums, q = sums[:, : len(out)], terms[:, : len(out)]
-        np.copyto(chunk_sums, out[:, B:].T)
-        # a static row's bound is 0 (``generate``'s base-state rows and
-        # ``generate_outcome``'s rows), a product member's is 1
-        bound = 0.0 if start < n_static else 1.0
-        slack = slacks[start:stop]
-        np.negative(np.subtract(chunk_sums[0], bound, out=slack), out=slack)
+    t_star, start, statistic, binding = np.full(B, -np.inf), 0, -np.inf, 0
+
+    def moments(sums: np.ndarray, count: int, bound: float) -> np.ndarray:
+        """The next ``count`` moments' slacks, standard errors and floored
+        flags from ``sums``, which holds their slack row and per-arm rows
+        and room for as many more; returns their standard errors."""
+        nonlocal start, statistic, binding
+        stop = start + count
+        slack, se_c = slacks[start:stop], se[start:stop]
+        s = sums[count : (1 + A) * count].reshape(A, count)
+        q = sums[(1 + A) * count : (1 + 2 * A) * count].reshape(A, count)
+        np.negative(np.subtract(sums[:count], bound, out=slack), out=slack)
         # the variance adds (|s_a| - s_a^2)/n_a arm by arm from 0.0, s_a
         # the sum of w p over the moment's cells in arm a (see the module
         # docstring)
-        se_c = se[start:stop]
-        s = chunk_sums[1:]
         np.subtract(np.abs(s, out=q), np.multiply(s, s, out=s), out=q)
         np.divide(q, arm_n[:, None], out=q)
         se_c[:] = 0.0
@@ -333,13 +423,44 @@ def test_model(
         # the statistic and the first moment attaining it
         ratio = np.divide(np.negative(slack, out=q[0]), se_c, out=q[0])
         i = int(np.argmax(ratio))
-        if start == 0 or ratio[i] > statistic:
+        if ratio[i] > statistic:
             statistic, binding = float(ratio[i]), start + i
+        start = stop
+        return se_c
+
+    # Static rows, the lhs row minus the rhs row. take() buffers its
+    # output in the default mode="raise", and a gather of the rhs rows
+    # would be one more buffer: the lhs rows are taken in mode="clip" (the
+    # indices are in range) and each rhs row is subtracted in place.
+    for lo in range(0, n_static, rows):
+        out = arena[: rows * C].reshape(rows, C)[: n_static - lo]
+        np.take(W, lhs[lo:lo + rows], axis=0, out=out, mode="clip")
+        for diff, right in zip(out, rhs[lo:lo + rows].tolist()):
+            diff -= W[right]
+        sums = arena[rows * C :]
+        np.copyto(sums[: (1 + A) * len(out)].reshape(1 + A, -1), out[:, B:].T)
+        # ``generate``'s base-state rows and ``generate_outcome``'s rows
+        # have bound 0
+        se_c = moments(sums, len(out), 0.0)
         # the whole contiguous chunk is divided, its spent sums included,
         # which runs about twice as fast as a strided view of the draws
         np.divide(out, se_c[:, None], out=out)
         np.maximum(t_star, out[:, :B].max(axis=0), out=t_star)
-        start = stop
+
+    # Product members, a group at a time: first their slacks and standard
+    # errors from the 1 + A trailing columns alone, then their draws.
+    acc_buf = arena[: m_max * C].reshape(m_max, C)
+    groups = _product_chunks([_option_sums(W, o) for o in options], acc_buf) if options else ()
+    work = arena[m_max * C :]
+    hit = np.empty((m_max, B), dtype=bool)
+    for acc, last in groups:
+        for lo in range(0, len(last), k_step):
+            part = last[lo:lo + k_step]
+            m, k = len(acc), len(part)
+            sums = work[: (1 + A) * m * k].reshape(1 + A, m, k)
+            np.add(acc[:, B:].T[:, :, None], part[:, B:].T[:, None, :], out=sums)
+            # a product member's bound is 1
+            _group_max(t_star, acc, part, moments(work, m * k, 1.0).reshape(m, k), work, hit[:m])
     k = min(B - 1, max(0, math.ceil((1 - alpha) * (B + 1)) - 1))
     critical = float(np.sort(t_star)[k])
     p_value = float((1 + (t_star >= statistic).sum()) / (B + 1))

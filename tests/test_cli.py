@@ -13,7 +13,7 @@ from random import Random
 
 import pytest
 
-from encdesign import admissible
+from encdesign import admissible, stats
 from encdesign.cli import (
     EXIT_CAPACITY,
     EXIT_INPUT,
@@ -44,6 +44,7 @@ from helpers import (
     random_outcome_table,
     random_table,
 )
+from helpers import test_model_by_specs as model_test_by_specs
 import numpy as np
 
 
@@ -460,6 +461,43 @@ def test_mixture_verify_roundtrip(tmp_path, capsys):
     )
     assert code == EXIT_OK
     assert doc["max_error"] <= 0.02
+
+
+def test_mixture_verify_refuses_an_outcome_witness(tmp_path, capsys):
+    # construct --output writes an outcome witness for a table with
+    # y_support; its keys "d|y" are not the treatment witness's "d"
+    row = {"0": {"0": "1/2"}, "1": {"1": "1/2"}}
+    src = write_json(tmp_path / "py.json", {"J": 2, "y_support": [0, 1], "p": {"0": row, "1": row}})
+    witness = tmp_path / "qy.json"
+    assert run(["construct", "--input", src, "--output", str(witness)]) == EXIT_OK
+    assert "|" in next(iter(json.loads(witness.read_text())["mass"]))
+    capsys.readouterr()
+    assert run(["mixture-verify", "--q", str(witness), "--n", "100", "--seed", "1"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "input error: a treatment witness is needed, not an outcome witness (it has y_support)\n"
+    )
+
+
+@pytest.mark.parametrize("rows", [1, 5, 30, None])
+def test_test_prints_the_sign_of_a_zero_critical_value(tmp_path, capsys, monkeypatch, rows):
+    # every unit takes d = z, so every draw of every moment is 0.0 or
+    # -0.0 and each bootstrap maximum is the last zero in moment order:
+    # at (4,0) with seed 14 the critical value is -0.0. The 81 selector
+    # moments fall into groups of ``rows`` rows of sums or the default.
+    z = np.repeat(np.arange(4), 20)
+    data = MicroData(z.copy(), z)
+    path = tmp_path / "d.csv"
+    write_csv(data, str(path))
+    if rows:
+        monkeypatch.setattr(stats, "_CHUNK_DOUBLES", 105 * rows)
+    want = model_test_by_specs(data, DesignConfig(4, 0), B=99, seed=14)
+    assert str(want.critical_value) == "-0.0"
+    argv = ["test", "--data", str(path), "--J", "4", "--B", "99", "--seed", "14"]
+    for moments, doc in (([], want.summary_dict()), (["--moments"], want.to_dict())):
+        assert run(argv + moments) == EXIT_OK
+        assert capsys.readouterr().out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def test_test_command_exit_codes(tmp_path, capsys):

@@ -608,6 +608,110 @@ def test_test_model_does_not_depend_on_the_chunk_size(monkeypatch, J, J0, ny, ro
     assert_same_report(got, model_test_by_specs(data, config, B=99, seed=rows))
 
 
+def _spy_groups(monkeypatch) -> list:
+    """Per product group that ``stats.test_model`` hands to
+    ``_group_max``: whether it holds a floored member, whether some of its
+    draws were evaluated cell by cell, and its own maximum per draw."""
+    log = []
+    group_max, sparse_max = stats._group_max, stats._sparse_max
+
+    def spy_group(t_star, acc, last, se, work, hit):
+        alone = np.full(len(t_star), -np.inf)
+        stats._dense_max(alone, acc, last, se, np.empty(work.size))
+        log.append({"floored": bool((se == stats.SE_FLOOR).any()), "sparse": False, "maxima": alone})
+        group_max(t_star, acc, last, se, work, hit)
+
+    def spy_sparse(*args):
+        log[-1]["sparse"] = True
+        sparse_max(*args)
+
+    monkeypatch.setattr(stats, "_group_max", spy_group)
+    monkeypatch.setattr(stats, "_sparse_max", spy_sparse)
+    return log
+
+
+@pytest.mark.parametrize("B", [99, 999])
+@pytest.mark.parametrize("rows", [30, 200, None])
+@pytest.mark.parametrize("J, ny", [(4, 2), (3, 3), (5, 0)])
+def test_bounded_bootstrap_matches_explicit_family(monkeypatch, J, ny, rows, B):
+    # many groups of the product family (a buffer of ``rows`` rows of
+    # sums, or the default), most of whose draws are skipped by their
+    # bound: the report is still the explicit family's, bit for bit
+    config, data = _micro(J, 0, ny, 3000, seed=10 * J + ny)
+    chunk = (B + 6) * rows if rows else stats._CHUNK_DOUBLES
+    monkeypatch.setattr(stats, "_CHUNK_DOUBLES", chunk)
+    log = _spy_groups(monkeypatch)
+    got = stats.test_model(data, config, B=B, seed=B + chunk)
+    assert sum(g["sparse"] for g in log) >= len(log) // 2, [g["sparse"] for g in log]
+    assert_same_report(got, model_test_by_specs(data, config, B=B, seed=B + chunk))
+
+
+def _empty_cell_micro(J, ny, n, seed, shifts):
+    """``_micro``'s rows less those with d = z + s (mod J) for s = 1 ..
+    ``shifts``. Every choice j then has options whose cells are all
+    empty, one per outcome value and empty arm: members that take such
+    options everywhere have no variance (they are floored) and draws of
+    0.0 or -0.0, and with two empty arms per choice, members that differ
+    only in empty cells tie bit for bit, across groups too."""
+    config, data = _micro(J, 0, ny, n, seed)
+    keep = np.all([data.d != (data.z + s) % J for s in range(1, shifts + 1)], axis=0)
+    return config, MicroData(data.d[keep], data.z[keep], None if data.y is None else data.y[keep])
+
+
+@pytest.mark.parametrize("B", [99, 999])
+@pytest.mark.parametrize("shifts", [1, 2])
+@pytest.mark.parametrize("J, ny", [(4, 2), (5, 0)])
+def test_bounded_bootstrap_keeps_floored_members_and_ties(monkeypatch, J, ny, shifts, B):
+    config, data = _empty_cell_micro(J, ny, 4000, J + ny, shifts)
+    monkeypatch.setattr(stats, "_CHUNK_DOUBLES", (B + 6) * 30)
+    log = _spy_groups(monkeypatch)
+    got = stats.test_model(data, config, B=B, seed=7)
+    assert got.floored.any()
+    if shifts == 1:
+        # a floored member inside a group whose draws were bounded
+        assert any(g["floored"] and g["sparse"] for g in log)
+    else:
+        # draws whose maximum over the groups two groups attain
+        maxima = np.array([g["maxima"] for g in log])
+        assert ((maxima == maxima.max(axis=0)).sum(axis=0) > 1).sum() > B // 2
+    assert_same_report(got, model_test_by_specs(data, config, B=B, seed=7))
+
+
+def test_group_max_leaves_the_dense_maximum_bit_for_bit(monkeypatch):
+    # draws from a few values, 0.0 and -0.0 among them, so that ties and
+    # signed zeros are everywhere; standard errors with the floor among
+    # them; running maxima of every sign, -0.0 and -inf included, most of
+    # them out of reach so that most cells are skipped. Each group must
+    # leave t_star with the bytes the dense fold leaves, also when the
+    # cells leave a zero and the group is taken again whole.
+    calls, dense_max = [], stats._dense_max
+    for name in ("_sparse_max", "_dense_max"):
+        def spy(*args, _name=name, _f=getattr(stats, name)):
+            calls.append(_name)
+            _f(*args)
+
+        monkeypatch.setattr(stats, name, spy)
+    rng = np.random.default_rng(31)
+    values = np.array([0.0, -0.0, 0.5, -0.5, 1.0, 3.0])
+    B, paths = 99, set()
+    for trial in range(300):
+        m, k = rng.integers(1, 40), rng.integers(1, 9)
+        acc = rng.choice(values, size=(m, B + 3))
+        last = rng.choice(values, size=(k, B + 3))
+        se = rng.choice([stats.SE_FLOOR, 0.25, 0.5, 1.0], size=(m, k))
+        t_star = rng.choice([-np.inf, -1.0, -0.0, 0.0, 0.5, 2.0, 4.0, 8.0], size=B)
+        t_star[rng.random(B) < 0.8] = 1e9
+        want = t_star.copy()
+        dense_max(want, acc, last, se, np.empty(k * B))
+        calls.clear()
+        got = t_star.copy()
+        stats._group_max(got, acc, last, se, np.empty(max(k, m) * B), np.empty((m, B), dtype=bool))
+        assert got.tobytes() == want.tobytes(), trial
+        paths.add(tuple(calls))
+    # cells alone, and cells that left a zero and were taken again whole
+    assert {("_sparse_max",), ("_sparse_max", "_dense_max")} <= paths, paths
+
+
 @pytest.mark.parametrize(
     "J, J0, ny, message",
     [
@@ -643,13 +747,26 @@ def _test_model_peak(config, data, B):
 
 def test_test_model_memory_is_one_block():
     # 531,477 moments at B = 99: the report's arrays (9.1 MB) and one
-    # chunk of at most 2**17 doubles, 11.3 MB in all; whole-family
+    # buffer of at most 2**17 doubles, 10.8 MB in all (10.5 MB before the
+    # bootstrap pass bounded its groups, 11.3 MB before that); whole-family
     # variance sums peaked at 21.7 MB. The explicit family peaks at about
     # 1.2 GB on this design, and the dense blocks of W at about 27 MB
     config, data = _micro(4, 0, 3, 20_000, seed=11)
     report, peak = _test_model_peak(config, data, B=99)
     assert len(report.slacks) == 3 ** 12 + 36
     assert peak < 13e6, peak
+
+
+def test_treatment_test_memory_is_one_block():
+    # the benchmark's (5,0) treatment test: 150,000 rows, B = 999 and
+    # 1,024 selector moments. The peak was 2.40 MB before the bootstrap
+    # pass bounded its groups, and is the same after it, since the bounds
+    # and the groups' sums share the one 2**17-double (1 MiB) buffer; the
+    # margin of 0.3 MB is less than a third of a second such buffer
+    config, data = _micro(5, 0, 0, 150_000, seed=5)
+    report, peak = _test_model_peak(config, data, B=999)
+    assert len(report.slacks) == 4 ** 5
+    assert peak < 2.7e6, peak
 
 
 def test_test_model_and_its_summary_stay_within_one_block():
