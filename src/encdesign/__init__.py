@@ -13,15 +13,12 @@ from .core import (
     ResponseMeasure,
     ResponseType,
     as_fraction,
-    observation_map,
     pushforward,
 )
 from .admissible import (
     default_choice,
     enumerate_admissible,
     is_admissible,
-    satisfies_example_restrictions,
-    satisfies_pairwise_restriction,
 )
 from .errors import CapacityError, ConstructionError
 from .inequalities import (
@@ -66,9 +63,6 @@ __all__ = [
     "generate",
     "generate_outcome",
     "is_admissible",
-    "observation_map",
     "pushforward",
     "pushforward_outcome",
-    "satisfies_example_restrictions",
-    "satisfies_pairwise_restriction",
 ]

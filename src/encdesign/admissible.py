@@ -1,4 +1,4 @@
-"""The admissible set of response types and the comparison predicates.
+"""The admissible set of response types.
 
 A vector of potential treatments is admissible when a single default
 choice rationalizes it: every coordinate either complies with its
@@ -9,8 +9,9 @@ state, must share at most one value; that value is the default, and a
 type with no fallback entry (the diagonal) fits every default. This
 restriction neither implies nor is implied by unordered-monotonicity
 style assumptions, which compare indicator functions across instrument
-pairs instead; only the weaker pairwise condition below is provided for
-comparison.
+pairs instead. The weaker pairwise condition and the published example
+restrictions it is compared with are test definitions, in the tests'
+helpers.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from itertools import product
 from .core import DesignConfig, ResponseType
 from .errors import CapacityError
 
-DEFAULT_ENUMERATION_CAP = 1_000_000
+ENUMERATION_CAP = 1_000_000
 
 
 def is_admissible(config: DesignConfig, rt: ResponseType) -> bool:
@@ -32,19 +33,18 @@ def is_admissible(config: DesignConfig, rt: ResponseType) -> bool:
     return len({d for z, d in zip(config.z_support, rt.d) if d != z or z == base}) <= 1
 
 
-def enumerate_admissible(
-    config: DesignConfig, cap: int = DEFAULT_ENUMERATION_CAP
-) -> tuple[ResponseType, ...]:
+def enumerate_admissible(config: DesignConfig) -> tuple[ResponseType, ...]:
     """Every admissible type, in lexicographic order, generated directly
     as a default choice times a compliance subset: each instrument value
     either complies or falls back to the default (the choice taken at
     z = 0 when J0 > 0). The diagonal and other types reachable from
-    several defaults are emitted once. The cap bounds the number of types
-    emitted (``closed_form_count``); the count itself is a tested
-    property of the output, not used to build it. It is at least
-    2^(J-J0-1), so the check refuses once J - J0 - 1 reaches ``cap``'s
-    bit length without computing a count that may be too long to print.
-    The types are returned as a tuple."""
+    several defaults are emitted once. ``ENUMERATION_CAP``, read at call
+    time, bounds the number of types emitted (``closed_form_count``); the
+    count itself is a tested property of the output, not used to build
+    it. It is at least 2^(J-J0-1), so the check refuses once J - J0 - 1
+    reaches the cap's bit length without computing a count that may be
+    too long to print. The types are returned as a tuple."""
+    cap = ENUMERATION_CAP
     if config.J - config.J0 - 1 >= cap.bit_length() or closed_form_count(config) > cap:
         raise CapacityError(f"enumeration would emit more than {cap} types")
     zs, base = config.z_support, config.base
@@ -68,47 +68,6 @@ def default_choice(config: DesignConfig, rt: ResponseType) -> frozenset[int]:
     if len(fallback) > 1:
         raise ValueError(f"response type {rt.d} is not admissible")
     return fallback or frozenset(range(config.J))
-
-
-def satisfies_pairwise_restriction(config: DesignConfig, rt: ResponseType) -> bool:
-    """The weaker pairwise condition: whenever some non-targeting value
-    yields choice j, the targeting value must too. Coincides with
-    admissibility at J = 3 but not beyond (witness (1,1,2,2) at J = 4)."""
-    if config.J0 != 0:
-        raise ValueError("the pairwise restriction is defined for J0 = 0")
-    rt.validate(config)
-    for j in range(config.J):
-        hit = any(rt.d[k] == j for k in range(config.J) if k != j)
-        if hit and rt.d[j] != j:
-            return False
-    return True
-
-
-def satisfies_example_restrictions(config: DesignConfig, rt: ResponseType) -> bool:
-    """Literal evaluation of the published behavioral restrictions for the
-    two three-choice designs: the close-substitute design (J=3, J0=2) and
-    the field-of-study design (J=3, J0=1). Conditional statements become
-    implications on the deterministic vector."""
-    rt.validate(config)
-    if config.J == 3 and config.J0 == 2:
-        d0, d2 = rt.d
-        # switching on the offer forces the offered choice
-        return d0 == d2 or d2 == 2
-    if config.J == 3 and config.J0 == 1:
-        d0, d1, d2 = rt.d
-        if d0 == 1 and d1 != 1:
-            return False
-        if d0 == 2 and d2 != 2:
-            return False
-        if d0 != 1 and d1 != 1 and (d1 == 2) != (d0 == 2):
-            return False
-        if d0 != 2 and d2 != 2 and (d2 == 1) != (d0 == 1):
-            return False
-        return True
-    raise ValueError(
-        f"example restrictions are defined for (J=3, J0=1) and (J=3, J0=2), "
-        f"got (J={config.J}, J0={config.J0})"
-    )
 
 
 def closed_form_count(config: DesignConfig) -> int:

@@ -446,8 +446,7 @@ def trace_doc(trace: witness.ConstructionTrace) -> dict:
 @functools.cache
 def _build_parser() -> _Parser:
     """The argument parser, built on first use and shared by every later
-    ``run`` in the process; parsing leaves it unchanged. Its defaults,
-    such as ``enumerate --cap``, are read when it is built."""
+    ``run`` in the process; parsing leaves it unchanged."""
     parser = _Parser(prog="encdesign", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -457,12 +456,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("enumerate", help="list the admissible response types")
     design_args(p)
-    p.add_argument(
-        "--cap",
-        type=int,
-        default=admissible.DEFAULT_ENUMERATION_CAP,
-        help="largest number of types to emit (exit 4 above it)",
-    )
 
     p = sub.add_parser("inequalities", help="emit the inequality family")
     design_args(p)
@@ -509,7 +502,7 @@ def _build_parser() -> _Parser:
 def _dispatch(args) -> int:
     if args.command == "enumerate":
         config = DesignConfig(args.J, args.J0)
-        types = admissible.enumerate_admissible(config, cap=args.cap)
+        types = admissible.enumerate_admissible(config)
         _emit(
             {
                 "J": config.J,

@@ -1,4 +1,4 @@
-"""Design configuration, exact probability tables, and the observation map.
+"""Design configuration, exact probability tables, and the pushforward.
 
 Everything on this path is exact: probabilities are `fractions.Fraction`
 and floats are rejected outright, so no value ever passes through binary
@@ -159,12 +159,6 @@ class ResponseType:
                 raise ValueError(f"treatment value {v} out of range for J={config.J}")
 
 
-def observation_map(config: DesignConfig, rt: ResponseType, z: int) -> int:
-    """The map T: observed treatment when the instrument lands on z."""
-    rt.validate(config)
-    return rt.d_at(config, z)
-
-
 def _validate_pz(config: DesignConfig, pz) -> dict[int, Fraction] | None:
     if pz is None:
         return None
@@ -183,6 +177,18 @@ def _validate_pz(config: DesignConfig, pz) -> dict[int, Fraction] | None:
     return out
 
 
+def _check_instrument_keys(config: DesignConfig, table: Mapping, item: str, items: str) -> None:
+    """Refuse a table whose keys are not the instrument support. Called
+    before any row or slice is read, since each holds J (or J x |Y|)
+    entries: a file of one row at a large J is refused without reading
+    that row."""
+    for z in config.z_support:
+        if z not in table:
+            raise ValueError(f"missing {item} for instrument value {z}")
+    if len(table) != len(config.z_support):
+        raise ValueError(f"{items} contain instrument values outside the support")
+
+
 @dataclass(frozen=True)
 class ObservedDistribution:
     """Conditional choice probabilities P{D=j | Z=z} as an exact table.
@@ -199,10 +205,9 @@ class ObservedDistribution:
 
     def __post_init__(self):
         config = self.config
+        _check_instrument_keys(config, self.rows, "row", "rows")
         clean: dict[int, tuple[Fraction, ...]] = {}
         for z in config.z_support:
-            if z not in self.rows:
-                raise ValueError(f"missing row for instrument value {z}")
             row = tuple(as_fraction(v) for v in self.rows[z])
             if len(row) != config.J:
                 raise ValueError(f"row for z={z} must have {config.J} entries")
@@ -212,8 +217,6 @@ class ObservedDistribution:
             if sum(row) != ONE:
                 raise ValueError(f"row for z={z} sums to {sum(row)}, not 1")
             clean[z] = row
-        if len(self.rows) != len(clean):
-            raise ValueError("rows contain instrument values outside the support")
         object.__setattr__(self, "rows", clean)
         object.__setattr__(self, "pz", _validate_pz(config, self.pz))
 

@@ -19,7 +19,17 @@ from itertools import chain, product
 from math import lcm
 from typing import Callable, Mapping
 
-from .core import ONE, ZERO, DesignConfig, ObservedDistribution, _as_int, _outcome_support, _validate_pz, as_fraction
+from .core import (
+    ONE,
+    ZERO,
+    DesignConfig,
+    ObservedDistribution,
+    _as_int,
+    _check_instrument_keys,
+    _outcome_support,
+    _validate_pz,
+    as_fraction,
+)
 from .errors import CapacityError
 
 FAMILY_CAP = 1_000_000
@@ -29,14 +39,28 @@ FAMILY_CAP = 1_000_000
 
 @dataclass(frozen=True)
 class InequalitySpec:
-    """One inequality: sum(lhs coords) <= bound + sum(rhs coords)."""
+    """One inequality: sum(lhs coords) <= bound + sum(rhs coords). Every
+    family member is either a sum of cells bounded by 1 (no rhs) or one
+    cell p(k, j) against one cell of choice j in another arm (bound 0),
+    so the bound, the selector and the pair follow from the coords."""
 
     lhs: tuple[tuple, ...]
     rhs: tuple[tuple, ...] = ()
-    bound: Fraction = ZERO
-    selector: tuple[int, ...] | None = None
-    pair: tuple[int, int] | None = None
     tag: str = ""
+
+    @property
+    def bound(self) -> Fraction:
+        return ZERO if self.rhs else ONE
+
+    @property
+    def selector(self) -> tuple[int, ...] | None:
+        """z(j) for each choice j of a selector inequality, else None."""
+        return tuple(z for z, _ in self.lhs) if self.tag == "selector" else None
+
+    @property
+    def pair(self) -> tuple[int, int] | None:
+        """(j, k) of a row p(k, j) <= p(., j), else None."""
+        return (self.lhs[0][1], self.lhs[0][0]) if self.rhs else None
 
     def slack(self, table) -> Fraction:
         total = self.bound
@@ -102,7 +126,7 @@ def product_family(config: DesignConfig, ny: int = 1) -> list[list[tuple[int, ..
 def _selector_spec(selector: tuple[int, ...]) -> InequalitySpec:
     """The selector inequality sum_j p(selector[j], j) <= 1."""
     lhs = tuple((z, j) for j, z in enumerate(selector))
-    return InequalitySpec(lhs=lhs, bound=ONE, selector=selector, tag="selector")
+    return InequalitySpec(lhs=lhs, tag="selector")
 
 
 def generate(config: DesignConfig, full: bool = False) -> tuple[InequalitySpec, ...]:
@@ -126,11 +150,7 @@ def generate(config: DesignConfig, full: bool = False) -> tuple[InequalitySpec, 
         for k in range(config.J0, config.J):
             if k == j:
                 continue
-            specs.append(
-                InequalitySpec(
-                    lhs=((k, j),), rhs=((0, j),), pair=(j, k), tag="pairwise-base"
-                )
-            )
+            specs.append(InequalitySpec(lhs=((k, j),), rhs=((0, j),), tag="pairwise-base"))
     return tuple(specs)
 
 
@@ -239,10 +259,9 @@ class OutcomeDistribution:
         ys = _outcome_support(self.y_support)
         object.__setattr__(self, "y_support", ys)
         yset = set(ys)
+        _check_instrument_keys(self.config, self.cells, "slice", "cells")
         clean: dict[int, dict[int, dict[int, Fraction]]] = {}
         for z in self.config.z_support:
-            if z not in self.cells:
-                raise ValueError(f"missing slice for instrument value {z}")
             slice_ = {j: {y: ZERO for y in ys} for j in range(self.config.J)}
             total = ZERO
             for j, by_y in self.cells[z].items():
@@ -261,8 +280,6 @@ class OutcomeDistribution:
             if total != ONE:
                 raise ValueError(f"slice for z={z} sums to {total}, not 1")
             clean[z] = slice_
-        if len(self.cells) != len(clean):
-            raise ValueError("cells contain instrument values outside the support")
         object.__setattr__(self, "cells", clean)
         object.__setattr__(self, "pz", _validate_pz(self.config, self.pz))
 
@@ -296,22 +313,14 @@ def generate_outcome(
             if k == j:
                 continue
             for y in y_support:
-                specs.append(
-                    InequalitySpec(
-                        lhs=((k, j, y),), rhs=((j, j, y),), pair=(j, k), tag="outcome-target"
-                    )
-                )
+                specs.append(InequalitySpec(lhs=((k, j, y),), rhs=((j, j, y),), tag="outcome-target"))
     if config.J0 > 0:
         for j in range(config.J):
             for k in range(config.J0, config.J):
                 if k == j:
                     continue
                 for y in y_support:
-                    specs.append(
-                        InequalitySpec(
-                            lhs=((k, j, y),), rhs=((0, j, y),), pair=(j, k), tag="outcome-base"
-                        )
-                    )
+                    specs.append(InequalitySpec(lhs=((k, j, y),), rhs=((0, j, y),), tag="outcome-base"))
     return tuple(specs)
 
 
@@ -326,7 +335,7 @@ def partition_reduction_spec(PY: OutcomeDistribution) -> InequalitySpec:
         for y in PY.y_support:
             best = max(config.targeted_set(j), key=lambda z: (PY.p(z, j, y), -z))
             lhs.append((best, j, y))
-    return InequalitySpec(lhs=tuple(lhs), bound=ONE, tag="partition-max")
+    return InequalitySpec(lhs=tuple(lhs), tag="partition-max")
 
 
 def check_outcome(PY: OutcomeDistribution) -> CheckReport:
@@ -350,6 +359,6 @@ def partition_family_specs(config: DesignConfig, y_support) -> tuple[InequalityS
         for j, options in enumerate(product_family(config, len(ys)))
     ]
     return tuple(
-        InequalitySpec(lhs=tuple(chain.from_iterable(combo)), bound=ONE, tag="partition")
+        InequalitySpec(lhs=tuple(chain.from_iterable(combo)), tag="partition")
         for combo in product(*per_choice)
     )

@@ -106,18 +106,29 @@ def _negative_assignment(rtype, mass, target, step, y=None) -> ConstructionError
 
 @dataclass(frozen=True)
 class TraceEntry:
-    kind: str  # "base", "step", "compliance"
     target: int | None
-    step: int | None
+    step: int | None  # None for a compliance remainder
     rtype: ResponseType
     mass: Fraction
+
+    @property
+    def kind(self) -> str:
+        """The entry's kind: "compliance" for a remainder, "base" for
+        step 1 and "step" for the later steps."""
+        if self.step is None:
+            return "compliance"
+        return "base" if self.step == 1 else "step"
 
 
 @dataclass(frozen=True)
 class ConstructionTrace:
     orderings: Mapping[int, tuple[int, ...]]
     entries: tuple[TraceEntry, ...]
-    feasible: bool
+
+    @property
+    def feasible(self) -> bool:
+        """True iff no entry's mass is negative."""
+        return all(e.mass >= 0 for e in self.entries)
 
 
 def diagnose(P: ObservedDistribution) -> ConstructionTrace:
@@ -132,20 +143,15 @@ def diagnose(P: ObservedDistribution) -> ConstructionTrace:
         column = {z: P.p(z, j) for z in config.z_support}
         orderings[j], steps, top_values[j] = _column_steps(config, column, j)
         for ell, rtype, mass in steps:
-            entries.append(TraceEntry("base" if ell == 1 else "step", j, ell, rtype, mass))
+            entries.append(TraceEntry(j, ell, rtype, mass))
     if config.J0 == 0:
         remainder = ONE - sum(top_values.values())
-        entries.append(
-            TraceEntry("compliance", None, None, _compliance_type(config, 0), remainder)
-        )
+        entries.append(TraceEntry(None, None, _compliance_type(config, 0), remainder))
     else:
         for j in range(config.J0):
             gap = P.p(0, j) - top_values[j]
-            entries.append(
-                TraceEntry("compliance", j, None, _compliance_type(config, j), gap)
-            )
-    feasible = all(e.mass >= 0 for e in entries)
-    return ConstructionTrace(orderings, tuple(entries), feasible)
+            entries.append(TraceEntry(j, None, _compliance_type(config, j), gap))
+    return ConstructionTrace(orderings, tuple(entries))
 
 
 def construct(P: ObservedDistribution) -> ResponseMeasure:
@@ -208,12 +214,6 @@ class OutcomeResponseMeasure:
             raise ValueError(f"masses sum to {Fraction(total, scale)}, not 1")
         ordered = dict(sorted(clean.items(), key=lambda kv: (kv[0][0].d, kv[0][1])))
         object.__setattr__(self, "mass", ordered)
-
-    def type_marginal(self) -> ResponseMeasure:
-        mass: dict[ResponseType, Fraction] = {}
-        for (rt, _), m in self.mass.items():
-            mass[rt] = mass.get(rt, ZERO) + m
-        return ResponseMeasure(self.config, mass)
 
 
 def pushforward_outcome(q: OutcomeResponseMeasure) -> OutcomeDistribution:

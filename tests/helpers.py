@@ -2,8 +2,10 @@
 slow reference implementations kept as oracles for the fast paths, and
 the exponential or test-only definitions the package does not need:
 brute-force partition enumeration, the implied encouragement form, the
-partition check on its own, the convex mixture of two measures and the
-reader of outcome witness files."""
+partition check on its own, the paper's comparison restrictions (the
+pairwise condition and the two published example designs), the
+observation map, the type marginal of an outcome witness, the convex
+mixture of two measures and the reader of outcome witness files."""
 
 import csv
 import dataclasses
@@ -589,6 +591,61 @@ def admissible_by_filter(config: DesignConfig) -> tuple[ResponseType, ...]:
     )
 
 
+def satisfies_pairwise_restriction(config: DesignConfig, rt: ResponseType) -> bool:
+    """The weaker pairwise condition: whenever some non-targeting value
+    yields choice j, the targeting value must too. Coincides with
+    admissibility at J = 3 but not beyond (witness (1,1,2,2) at J = 4)."""
+    if config.J0 != 0:
+        raise ValueError("the pairwise restriction is defined for J0 = 0")
+    rt.validate(config)
+    for j in range(config.J):
+        hit = any(rt.d[k] == j for k in range(config.J) if k != j)
+        if hit and rt.d[j] != j:
+            return False
+    return True
+
+
+def satisfies_example_restrictions(config: DesignConfig, rt: ResponseType) -> bool:
+    """Literal evaluation of the published behavioral restrictions for the
+    two three-choice designs: the close-substitute design (J=3, J0=2) and
+    the field-of-study design (J=3, J0=1). Conditional statements become
+    implications on the deterministic vector."""
+    rt.validate(config)
+    if config.J == 3 and config.J0 == 2:
+        d0, d2 = rt.d
+        # switching on the offer forces the offered choice
+        return d0 == d2 or d2 == 2
+    if config.J == 3 and config.J0 == 1:
+        d0, d1, d2 = rt.d
+        if d0 == 1 and d1 != 1:
+            return False
+        if d0 == 2 and d2 != 2:
+            return False
+        if d0 != 1 and d1 != 1 and (d1 == 2) != (d0 == 2):
+            return False
+        if d0 != 2 and d2 != 2 and (d2 == 1) != (d0 == 1):
+            return False
+        return True
+    raise ValueError(
+        f"example restrictions are defined for (J=3, J0=1) and (J=3, J0=2), "
+        f"got (J={config.J}, J0={config.J0})"
+    )
+
+
+def observation_map(config: DesignConfig, rt: ResponseType, z: int) -> int:
+    """The map T: observed treatment when the instrument lands on z."""
+    rt.validate(config)
+    return rt.d_at(config, z)
+
+
+def type_marginal(q: OutcomeResponseMeasure) -> ResponseMeasure:
+    """The witness's marginal over response types."""
+    mass: dict[ResponseType, Fraction] = {}
+    for (rt, _), m in q.mass.items():
+        mass[rt] = mass.get(rt, ZERO) + m
+    return ResponseMeasure(q.config, mass)
+
+
 def z_support_by_fork(config: DesignConfig) -> tuple[int, ...]:
     """Oracle for ``DesignConfig.z_support``: the support built on each
     side of a fork on J0."""
@@ -651,9 +708,7 @@ def encouragement_specs(config: DesignConfig) -> tuple[InequalitySpec, ...]:
         for k in config.z_support:
             if k == j:
                 continue
-            specs.append(
-                InequalitySpec(lhs=((k, j),), rhs=((j, j),), pair=(j, k), tag="encourage")
-            )
+            specs.append(InequalitySpec(lhs=((k, j),), rhs=((j, j),), tag="encourage"))
     return tuple(specs)
 
 

@@ -12,11 +12,7 @@ from random import Random
 import numpy as np
 
 from encdesign import cli
-from encdesign.admissible import (
-    enumerate_admissible,
-    is_admissible,
-    satisfies_pairwise_restriction,
-)
+from encdesign.admissible import enumerate_admissible, is_admissible
 from encdesign.core import (
     DesignConfig,
     ObservedDistribution,
@@ -38,6 +34,7 @@ from helpers import (
     random_measure,
     random_outcome_table,
     random_table,
+    satisfies_pairwise_restriction,
 )
 
 ROUNDTRIP_CONFIGS = [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2), (4, 0), (4, 2)]

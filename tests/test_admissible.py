@@ -8,16 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from encdesign import admissible
 from encdesign.admissible import (
     closed_form_count,
     default_choice,
     enumerate_admissible,
     is_admissible,
-    satisfies_example_restrictions,
-    satisfies_pairwise_restriction,
 )
 from encdesign.core import DesignConfig, ResponseType
 from encdesign.errors import CapacityError
+from helpers import satisfies_example_restrictions, satisfies_pairwise_restriction
 
 J3_TYPES = {
     (0, 0, 0),
@@ -69,9 +69,10 @@ def test_closed_form_counts_match_enumeration():
             assert len(enumerate_admissible(config)) == closed_form_count(config)
 
 
-def test_enumeration_capacity_cap():
+def test_enumeration_capacity_cap(monkeypatch):
+    monkeypatch.setattr(admissible, "ENUMERATION_CAP", 1000)
     with pytest.raises(CapacityError):
-        enumerate_admissible(DesignConfig(10, 0), cap=1000)
+        enumerate_admissible(DesignConfig(10, 0))
 
 
 def test_is_admissible_examples():
@@ -230,9 +231,11 @@ def test_pairwise_restriction_needs_no_base_state():
 # (5,0) with caps 0 and 15 refuse on J - J0 - 1 >= the cap's bit length
 # alone; the others compare the closed-form count with the cap
 @pytest.mark.parametrize("J, J0, cap", [(5, 0, 0), (5, 0, 15), (4, 0, 28), (11, 1, 1000), (12, 11, 22)])
-def test_enumeration_cap_names_the_cap(J, J0, cap):
+def test_enumeration_cap_names_the_cap(monkeypatch, J, J0, cap):
     config = DesignConfig(J, J0)
     assert closed_form_count(config) > cap
+    monkeypatch.setattr(admissible, "ENUMERATION_CAP", cap)
     with pytest.raises(CapacityError, match=f"^enumeration would emit more than {cap} types$"):
-        enumerate_admissible(config, cap=cap)
-    assert len(enumerate_admissible(config, cap=closed_form_count(config))) == closed_form_count(config)
+        enumerate_admissible(config)
+    monkeypatch.setattr(admissible, "ENUMERATION_CAP", closed_form_count(config))
+    assert len(enumerate_admissible(config)) == closed_form_count(config)

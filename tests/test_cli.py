@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
@@ -81,8 +82,9 @@ def test_enumerate_three_choices(capsys):
     assert [0, 1, 0] in doc["types"]
 
 
-def test_enumerate_capacity_exit(capsys):
-    assert run(["enumerate", "--J", "9", "--J0", "0", "--cap", "100"]) == EXIT_CAPACITY
+def test_enumerate_capacity_exit(monkeypatch, capsys):
+    monkeypatch.setattr(admissible, "ENUMERATION_CAP", 100)
+    assert run(["enumerate", "--J", "9", "--J0", "0"]) == EXIT_CAPACITY
 
 
 @pytest.mark.parametrize(
@@ -116,29 +118,36 @@ UNIFORM6_Y6 = {
 
 
 @pytest.mark.parametrize(
-    "doc, command, code, message",
+    "doc, argv, code, message",
     [
-        (UNIFORM24, "lp-check", EXIT_CAPACITY, "LP basis inverse could hold 306362 entries (553 rows), cap is 200000"),
-        (UNIFORM24, "check", EXIT_OK, None),
-        (UNIFORM24, "construct", EXIT_OK, None),
-        (NO_COMPLIER8, "check", EXIT_CAPACITY, "check would emit more than 1000000 violations"),
-        (NO_COMPLIER8, "construct", EXIT_VERDICT, None),
-        (NO_COMPLIER8, "lp-check", EXIT_VERDICT, None),
-        (UNIFORM6_Y6, "construct", EXIT_CAPACITY, "witness table would hold up to 8724672 entries, cap is 1000000"),
+        (UNIFORM24, ["lp-check"], EXIT_CAPACITY, "capacity error: LP basis inverse could hold 306362 entries (553 rows), cap is 200000"),
+        (UNIFORM24, ["check"], EXIT_OK, None),
+        (UNIFORM24, ["construct"], EXIT_OK, None),
+        (NO_COMPLIER8, ["check"], EXIT_CAPACITY, "capacity error: check would emit more than 1000000 violations"),
+        (NO_COMPLIER8, ["construct"], EXIT_VERDICT, None),
+        (NO_COMPLIER8, ["lp-check"], EXIT_VERDICT, None),
+        (UNIFORM6_Y6, ["construct"], EXIT_CAPACITY, "capacity error: witness table would hold up to 8724672 entries, cap is 1000000"),
+        # 17 * 2^16 - 16 = 1,114,096 types
+        (None, ["enumerate", "--J", "17"], EXIT_CAPACITY, "capacity error: enumeration would emit more than 1000000 types"),
+        # the cap is a constant, not an option
+        (None, ["enumerate", "--J", "3", "--cap", "5"], EXIT_USAGE, "usage error: unrecognized arguments: --cap 5"),
     ],
-    ids=["u24-lp", "u24-check", "u24-construct", "v8-check", "v8-construct", "v8-lp", "y6-construct"],
+    ids=["u24-lp", "u24-check", "u24-construct", "v8-check", "v8-construct", "v8-lp", "y6-construct",
+         "e17-enumerate", "e3-cap-option"],
 )
-def test_shipped_caps_refuse_at_their_values(tmp_path, capsys, doc, command, code, message):
+def test_shipped_caps_refuse_at_their_values(tmp_path, capsys, doc, argv, code, message):
     # every other refusal test lowers a cap; these tables meet the LP's
     # store cap, check's violation cap and the outcome witness's table cap
-    # at their shipped values, and the other oracles still answer
-    path = write_json(tmp_path / "table.json", doc)
-    assert run([command, "--input", path]) == code
+    # at their shipped values, and the other oracles still answer;
+    # enumerate meets its cap at J = 17
+    if doc is not None:
+        argv = [*argv, "--input", write_json(tmp_path / "table.json", doc)]
+    assert run(argv) == code
     err = capsys.readouterr().err
     if message is None:
         assert "capacity error" not in err
     else:
-        assert err == f"capacity error: {message}\n"
+        assert err == f"{message}\n"
 
 
 def test_pairwise_base_family_is_refused_before_any_spec(monkeypatch, capsys):
@@ -827,6 +836,29 @@ def test_zero_denominator_is_input_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"J": 10**6, "p": {"0": {"0": "1"}}}, "missing row for instrument value 1"),
+        ({"J": 10**6, "y_support": [0], "p": {"0": {"0": {"0": "1"}}}}, "missing slice for instrument value 1"),
+    ],
+    ids=["treatment", "outcome"],
+)
+@pytest.mark.parametrize("command", ["check", "construct", "lp-check"])
+def test_a_missing_instrument_key_is_named_before_any_row_is_built(tmp_path, capsys, doc, message, command):
+    # a one-row file at J = 10^6 once built and checked its whole padded
+    # row (or a J x |Y| slice) first: 1.3 to 4.4 s per call; the key
+    # check takes tens of ms
+    path = write_json(tmp_path / "one_row.json", doc)
+    start = time.perf_counter()
+    code = run([command, "--input", path])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT and captured.out == ""
+    assert captured.err == f"input error: {message}\n"
+    assert elapsed < 1.0, elapsed
+
+
 def test_stdout_is_byte_identical_across_invocations(tmp_path, capsys):
     src = write_json(tmp_path / "p.json", UNIFORM3)
     run(["construct", "--input", src, "--trace"])
@@ -847,7 +879,7 @@ def test_parser_is_built_once():
     assert _build_parser() is _build_parser()
 
 
-def test_runs_in_one_process_share_no_state(tmp_path, capsys):
+def test_runs_in_one_process_share_no_state(monkeypatch, tmp_path, capsys):
     # run reuses one parser; each call must still see only its own
     # arguments and the declared defaults
     src = write_json(tmp_path / "p.json", UNIFORM3)
@@ -861,7 +893,8 @@ def test_runs_in_one_process_share_no_state(tmp_path, capsys):
     code, doc = run_json(capsys, ["check", "--input", src])
     assert code == EXIT_OK and doc["passed"]
 
-    assert run(["enumerate", "--J", "9", "--cap", "100"]) == EXIT_CAPACITY
+    monkeypatch.setattr(admissible, "ENUMERATION_CAP", 100)
+    assert run(["enumerate", "--J", "9"]) == EXIT_CAPACITY
     capsys.readouterr()
     rng = np.random.default_rng(5)
     data = tmp_path / "data.csv"
@@ -870,7 +903,7 @@ def test_runs_in_one_process_share_no_state(tmp_path, capsys):
         code, doc = run_json(capsys, ["test", "--data", str(data), "--J", "2", "--B", "99", *flag])
         assert code in (EXIT_OK, EXIT_VERDICT) and ("slacks" in doc) == has_moments
     parse = _build_parser().parse_args
-    assert parse(["enumerate", "--J", "3"]).cap == admissible.DEFAULT_ENUMERATION_CAP
+    assert vars(parse(["enumerate", "--J", "3"])) == {"command": "enumerate", "J": 3, "J0": 0}
     assert parse(["simulate", "--J", "2", "--betas", "1,1", "--pz", "1/2,1/2", "--n", "5",
                   "--seed", "1", "--eps", "normal"]).eps == "normal"
     args = parse(["simulate", "--J", "2", "--betas", "1,1", "--pz", "1/2,1/2", "--n", "5",

@@ -16,10 +16,9 @@ from encdesign.core import (
     ResponseMeasure,
     ResponseType,
     as_fraction,
-    observation_map,
     pushforward,
 )
-from helpers import mix, random_measure, z_index_by_fork, z_support_by_fork
+from helpers import mix, observation_map, random_measure, z_index_by_fork, z_support_by_fork
 
 
 def test_config_supports():
@@ -276,6 +275,12 @@ UNIT_ROWS = {0: (F(1), F(0)), 1: (F(0), F(1))}
         ),
         (
             lambda c: ObservedDistribution(c, {**UNIT_ROWS, 2: (F(1), F(0))}),
+            "rows contain instrument values outside the support",
+        ),
+        # the keys are checked before any row
+        (lambda c: ObservedDistribution(c, {0: (F(1),)}), "missing row for instrument value 1"),
+        (
+            lambda c: ObservedDistribution(c, {0: (F(1),), 1: (F(0), F(1)), 2: (F(1), F(0))}),
             "rows contain instrument values outside the support",
         ),
         (

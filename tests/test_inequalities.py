@@ -357,8 +357,16 @@ def _edit(change):
         ),
         ((0, 1), _edit(lambda c: c[1][1].update({1: F(1, 4)})), "slice for z=1 sums to 3/4, not 1"),
         ((0, 1), _edit(lambda c: c.update({2: c[0]})), "cells contain instrument values outside the support"),
+        # the keys are checked before any slice
+        ((0, 1), _edit(lambda c: (c.pop(1), c[0][0].update({0: F(3, 4)}))), "missing slice for instrument value 1"),
+        (
+            (0, 1),
+            _edit(lambda c: (c.update({2: c[0]}), c[0][0].update({0: F(3, 4)}))),
+            "cells contain instrument values outside the support",
+        ),
     ],
-    ids=["empty", "duplicate", "missing-z", "choice", "outcome", "negative", "sum", "extra-z"],
+    ids=["empty", "duplicate", "missing-z", "choice", "outcome", "negative", "sum", "extra-z",
+         "missing-z-first", "extra-z-first"],
 )
 def test_outcome_distribution_rejects_malformed_tables(ys, cells, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

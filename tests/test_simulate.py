@@ -14,11 +14,7 @@ import pytest
 
 from encdesign import kernels
 from encdesign import simulate as simulate_module
-from encdesign.admissible import (
-    default_choice,
-    is_admissible,
-    satisfies_example_restrictions,
-)
+from encdesign.admissible import default_choice, is_admissible
 from encdesign.core import DesignConfig, ResponseMeasure, ResponseType
 from encdesign.errors import CapacityError
 from encdesign.inequalities import check
@@ -35,7 +31,12 @@ from encdesign.simulate import (
     simulate,
     verify_mixture,
 )
-from helpers import potential_type_codes_by_rows, random_measure, simulate_by_chunks
+from helpers import (
+    potential_type_codes_by_rows,
+    random_measure,
+    satisfies_example_restrictions,
+    simulate_by_chunks,
+)
 
 
 def uniform_pz(config):

@@ -36,6 +36,7 @@ from helpers import (
     outcome_measure_by_fractions,
     partition_check,
     random_table,
+    type_marginal,
 )
 
 CONFIGS = [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2), (4, 0), (4, 2)]
@@ -246,7 +247,7 @@ def test_degenerate_outcome_reduces_to_treatment_construction():
         }
         PY = OutcomeDistribution(config, (0,), cells)
         qstar = construct_outcome(PY)
-        assert qstar.type_marginal().mass == construct(P).mass
+        assert type_marginal(qstar).mass == construct(P).mass
 
 
 def test_product_outcome_table_marginalizes_to_treatment_witness():
@@ -261,7 +262,7 @@ def test_product_outcome_table_marginalizes_to_treatment_witness():
     }
     PY = OutcomeDistribution(config, (0, 1), cells)
     qstar = construct_outcome(PY)
-    assert qstar.type_marginal().mass == construct(P).mass
+    assert type_marginal(qstar).mass == construct(P).mass
     assert pushforward_outcome(qstar).cells == PY.cells
 
 
