@@ -31,6 +31,8 @@ from .core import (
     ObservedDistribution,
     ResponseMeasure,
     ResponseType,
+    _check_instrument_keys,
+    _validate_pz,
     as_fraction,
 )
 from .errors import CapacityError, ConstructionError
@@ -142,9 +144,13 @@ def _design(doc: dict) -> DesignConfig:
 
 
 def _write_json(doc, fh) -> None:
-    """Write ``doc`` to ``fh`` as ``json.dump(sort_keys=True, indent=2)``
-    and a line end. The text is streamed, never held whole."""
-    json.dump(doc, fh, sort_keys=True, indent=2)
+    """Write ``doc`` to ``fh`` as ``json.dumps(doc, sort_keys=True,
+    indent=2)`` and a line end. The encoder's chunks are joined 4096 at a
+    time: the text is streamed, never held whole, in one write per batch
+    rather than ``json.dump``'s one per chunk."""
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc)
+    while batch := list(itertools.islice(chunks, 4096)):
+        fh.write("".join(batch))
     fh.write("\n")
 
 
@@ -157,7 +163,8 @@ def _emit(doc) -> None:
 
 def load_distribution(path: str):
     """Parse a distribution file into an exact table; the presence of
-    y_support selects the outcome form."""
+    y_support selects the outcome form. An optional instrument marginal
+    ``pz`` is checked once the table is built, then dropped."""
     doc = _load_object(path)
     config = _design(doc)
     pz = None
@@ -173,37 +180,33 @@ def load_distribution(path: str):
             }
             for z, by_j in p.items()
         }
-        return OutcomeDistribution(config, ys, cells, pz=pz)
-    rows = {}
-    for z, by_j in p.items():
-        row = [Fraction(0)] * config.J
-        for j, v in _keyed(by_j, f'p["{z}"]').items():
-            if not 0 <= j < config.J:
-                raise ValueError(f"choice {j} out of range for J={config.J}")
-            row[j] = _frac(v)
-        rows[z] = tuple(row)
-    return ObservedDistribution(config, rows, pz=pz)
-
-
-def distribution_doc(table) -> dict:
-    doc = {"J": table.config.J, "J0": table.config.J0}
-    if isinstance(table, OutcomeDistribution):
-        doc["y_support"] = list(table.y_support)
-        doc["p"] = {
-            str(z): {
-                str(j): {str(y): str(table.p(z, j, y)) for y in table.y_support}
-                for j in range(table.config.J)
-            }
-            for z in table.config.z_support
-        }
+        table = OutcomeDistribution(config, ys, cells)
     else:
-        doc["p"] = {
-            str(z): {str(j): str(table.p(z, j)) for j in range(table.config.J)}
-            for z in table.config.z_support
-        }
-    if table.pz is not None:
-        doc["pz"] = {str(z): str(v) for z, v in table.pz.items()}
-    return doc
+        # each row is padded to J entries, so the keys come first
+        _check_instrument_keys(config, p, "row", "rows")
+        rows = {}
+        for z, by_j in p.items():
+            row = [Fraction(0)] * config.J
+            for j, v in _keyed(by_j, f'p["{z}"]').items():
+                if not 0 <= j < config.J:
+                    raise ValueError(f"choice {j} out of range for J={config.J}")
+                row[j] = _frac(v)
+            rows[z] = tuple(row)
+        table = ObservedDistribution(config, rows)
+    _validate_pz(config, pz)
+    return table
+
+
+def distribution_doc(P: ObservedDistribution) -> dict:
+    """The file form of a treatment table, as ``simulate`` prints it."""
+    return {
+        "J": P.config.J,
+        "J0": P.config.J0,
+        "p": {
+            str(z): {str(j): str(P.p(z, j)) for j in range(P.config.J)}
+            for z in P.config.z_support
+        },
+    }
 
 
 def measure_doc(q: ResponseMeasure) -> dict:

@@ -179,13 +179,17 @@ def _validate_pz(config: DesignConfig, pz) -> dict[int, Fraction] | None:
 
 def _check_instrument_keys(config: DesignConfig, table: Mapping, item: str, items: str) -> None:
     """Refuse a table whose keys are not the instrument support. Called
-    before any row or slice is read, since each holds J (or J x |Y|)
-    entries: a file of one row at a large J is refused without reading
-    that row."""
-    for z in config.z_support:
+    before any row or slice is read or padded, since each holds J (or
+    J x |Y|) entries. The support is walked lazily, the base state and
+    then range(J0, J), and its size is counted rather than listed, so a
+    file of one row at a large J is refused without building anything
+    of size J."""
+    if config.base is not None and config.base not in table:
+        raise ValueError(f"missing {item} for instrument value {config.base}")
+    for z in range(config.J0, config.J):
         if z not in table:
             raise ValueError(f"missing {item} for instrument value {z}")
-    if len(table) != len(config.z_support):
+    if len(table) != config.J - config.J0 + (config.base is not None):
         raise ValueError(f"{items} contain instrument values outside the support")
 
 
@@ -194,14 +198,12 @@ class ObservedDistribution:
     """Conditional choice probabilities P{D=j | Z=z} as an exact table.
 
     ``rows`` maps each supported instrument value to a J-tuple of
-    Fractions summing to exactly 1. ``pz`` (instrument marginals) is
-    optional because the testable implications constrain conditionals
-    only; operations that need it must ask for it explicitly.
+    Fractions summing to exactly 1. No instrument marginal is kept: the
+    testable implications constrain the conditionals only.
     """
 
     config: DesignConfig
     rows: Mapping[int, tuple[Fraction, ...]]
-    pz: Mapping[int, Fraction] | None = None
 
     def __post_init__(self):
         config = self.config
@@ -218,7 +220,6 @@ class ObservedDistribution:
                 raise ValueError(f"row for z={z} sums to {sum(row)}, not 1")
             clean[z] = row
         object.__setattr__(self, "rows", clean)
-        object.__setattr__(self, "pz", _validate_pz(config, self.pz))
 
     def p(self, z: int, j: int) -> Fraction:
         self.config.z_index(z)

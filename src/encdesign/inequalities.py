@@ -27,7 +27,6 @@ from .core import (
     _as_int,
     _check_instrument_keys,
     _outcome_support,
-    _validate_pz,
     as_fraction,
 )
 from .errors import CapacityError
@@ -253,7 +252,6 @@ class OutcomeDistribution:
     config: DesignConfig
     y_support: tuple[int, ...]
     cells: Mapping[int, Mapping[int, Mapping[int, Fraction]]]
-    pz: Mapping[int, Fraction] | None = None
 
     def __post_init__(self):
         ys = _outcome_support(self.y_support)
@@ -281,19 +279,10 @@ class OutcomeDistribution:
                 raise ValueError(f"slice for z={z} sums to {total}, not 1")
             clean[z] = slice_
         object.__setattr__(self, "cells", clean)
-        object.__setattr__(self, "pz", _validate_pz(self.config, self.pz))
 
     def p(self, z: int, j: int, y: int) -> Fraction:
         self.config.z_index(z)
         return self.cells[z][j][y]
-
-    def marginal(self) -> ObservedDistribution:
-        """Collapse the outcome: p[z][j] = sum_y p[z][j][y]."""
-        rows = {
-            z: tuple(sum(self.cells[z][j].values(), ZERO) for j in range(self.config.J))
-            for z in self.config.z_support
-        }
-        return ObservedDistribution(self.config, rows, pz=self.pz)
 
 
 def generate_outcome(

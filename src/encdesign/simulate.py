@@ -8,11 +8,11 @@ here and in stats only; empirical tables are returned as exact counts
 over n.
 
 Inside a chunk, ``simulate`` draws its shocks and instrument uniforms
-BLOCK_SIZE rows at a time. numpy's gumbel, normal, uniform and Cholesky
-multivariate-normal draws give the same values in consecutive blocks as
-in one call over the chunk, so the rows are those of whole-chunk draws
-(numpy 2.4.6; tests/test_simulate.py checks it against the whole-chunk
-oracle). A block's shocks and the kernel's columns over them take about
+BLOCK_SIZE rows at a time. numpy's gumbel, normal and uniform draws give
+the same values in consecutive blocks as in one call over the chunk, so
+the rows are those of whole-chunk draws (numpy 2.4.6;
+tests/test_simulate.py checks it against the whole-chunk oracle). A
+block's shocks and the kernel's columns over them take about
 3 MB at J = 6, where a whole chunk's took four times that: on 150,000
 rows at (6,2) the tracemalloc peak is about 10 MB, 2.4 MB of it the
 output rows, against 21 MB with whole-chunk draws.
@@ -58,7 +58,6 @@ class RumSpec:
     n: int
     seed: int
     eps_family: str = "gumbel"
-    normal_cov: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self):
         config = self.config
@@ -78,17 +77,6 @@ class RumSpec:
             raise ValueError("draw count must be at least 1")
         if self.eps_family not in EPS_FAMILIES:
             raise ValueError(f"unknown shock family {self.eps_family!r}")
-        if self.normal_cov is not None:
-            if self.eps_family != "normal":
-                raise ValueError("a covariance only makes sense for normal shocks")
-            cov = tuple(tuple(float(v) for v in row) for row in self.normal_cov)
-            if len(cov) != config.J or any(len(r) != config.J for r in cov):
-                raise ValueError("covariance must be J x J")
-            try:
-                np.linalg.cholesky(np.asarray(cov))
-            except np.linalg.LinAlgError:
-                raise ValueError("covariance must be symmetric positive definite") from None
-            object.__setattr__(self, "normal_cov", cov)
 
 
 @dataclass(frozen=True)
@@ -136,11 +124,7 @@ def _draw_eps(rng: np.random.Generator, k: int, spec: RumSpec) -> np.ndarray:
         return rng.gumbel(size=(k, J))
     if spec.eps_family == "uniform":
         return rng.uniform(-1.0, 1.0, size=(k, J))
-    if spec.normal_cov is None:
-        return rng.normal(size=(k, J))
-    return rng.multivariate_normal(
-        np.zeros(J), np.asarray(spec.normal_cov), size=k, method="cholesky"
-    )
+    return rng.normal(size=(k, J))
 
 
 def _codes_for(rng, spec: RumSpec, betas, z_support, codes: np.ndarray, tied: np.ndarray) -> None:

@@ -215,11 +215,7 @@ def _product_chunks(pieces, buf: np.ndarray, head=None):
     choices' sums folded into ``buf``, a range of the first choice's
     options with all members of the choices between or, if those alone
     overflow ``buf``, each option in turn as the head of their groups."""
-    *front, last = pieces
-    if not front:
-        yield head[None], last
-        return
-    first, rest = front[0], front[1:]
+    first, *rest, last = pieces
     tail = math.prod(map(len, rest))
     if tail > len(buf):
         for option in first:

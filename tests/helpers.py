@@ -4,8 +4,10 @@ the exponential or test-only definitions the package does not need:
 brute-force partition enumeration, the implied encouragement form, the
 partition check on its own, the paper's comparison restrictions (the
 pairwise condition and the two published example designs), the
-observation map, the type marginal of an outcome witness, the convex
-mixture of two measures and the reader of outcome witness files."""
+observation map, the treatment marginal of an outcome table, the type
+marginal of an outcome witness, the convex mixture of two measures, the
+writer of outcome table files and the reader of outcome witness
+files."""
 
 import csv
 import dataclasses
@@ -636,6 +638,31 @@ def observation_map(config: DesignConfig, rt: ResponseType, z: int) -> int:
     """The map T: observed treatment when the instrument lands on z."""
     rt.validate(config)
     return rt.d_at(config, z)
+
+
+def marginal(PY: OutcomeDistribution) -> ObservedDistribution:
+    """Collapse the outcome: p[z][j] = sum_y p[z][j][y]."""
+    rows = {
+        z: tuple(sum(PY.cells[z][j].values(), ZERO) for j in range(PY.config.J))
+        for z in PY.config.z_support
+    }
+    return ObservedDistribution(PY.config, rows)
+
+
+def outcome_table_doc(PY: OutcomeDistribution) -> dict:
+    """The file form of an outcome table, as the exact commands read it."""
+    return {
+        "J": PY.config.J,
+        "J0": PY.config.J0,
+        "y_support": list(PY.y_support),
+        "p": {
+            str(z): {
+                str(j): {str(y): str(PY.p(z, j, y)) for y in PY.y_support}
+                for j in range(PY.config.J)
+            }
+            for z in PY.config.z_support
+        },
+    }
 
 
 def type_marginal(q: OutcomeResponseMeasure) -> ResponseMeasure:

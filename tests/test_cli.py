@@ -8,7 +8,6 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from fractions import Fraction as F
 from pathlib import Path
 from random import Random
 
@@ -32,7 +31,7 @@ from encdesign.cli import (
     run,
     write_csv,
 )
-from encdesign.core import DesignConfig, ObservedDistribution, pushforward
+from encdesign.core import DesignConfig, pushforward
 from encdesign.simulate import MicroData
 from helpers import (
     boundary_measure,
@@ -40,6 +39,7 @@ from helpers import (
     feasible_outcome_table,
     feasible_table,
     load_outcome_measure,
+    outcome_table_doc,
     random_measure,
     random_outcome_measure,
     random_outcome_table,
@@ -288,7 +288,7 @@ def test_lp_check(tmp_path, capsys):
 def test_outcome_commands(tmp_path, capsys):
     rng = Random(5)
     PY = feasible_outcome_table(DesignConfig(2, 1), (0, 1), rng)
-    src = write_json(tmp_path / "py.json", distribution_doc(PY))
+    src = write_json(tmp_path / "py.json", outcome_table_doc(PY))
     code, doc = run_json(capsys, ["check", "--input", src])
     assert code == EXIT_OK and doc["passed"]
     out = tmp_path / "qy.json"
@@ -314,7 +314,7 @@ def test_exact_commands_read_the_table_kind_from_the_file(tmp_path, capsys):
         ("feasible", feasible_outcome_table(config, (0, 1), rng)),
         ("random", random_outcome_table(config, (0, 1), rng)),
     ]:
-        src = write_json(tmp_path / f"{name}.json", distribution_doc(PY))
+        src = write_json(tmp_path / f"{name}.json", outcome_table_doc(PY))
         report = check_outcome(PY)
         code = run(["check", "--input", src])
         assert code == (EXIT_OK if report.passed else EXIT_VERDICT)
@@ -764,6 +764,24 @@ def test_out_of_range_choice_keys_are_input_errors(tmp_path, capsys):
             {"J": 2, "J0": 1, "mass": {"0,1": "1/2", "00,1": "1/2"}},
             'mass keys "0,1" and "00,1" both read as (0, 1)',
         ),
+        (
+            "check",
+            "--input",
+            {"J": 2, "J0": 0, "pz": {"0": "1"}, "p": {"0": {"0": "1"}, "1": {"1": "1"}}},
+            "pz missing instrument value 1",
+        ),
+        (
+            "check",
+            "--input",
+            {"J": 2, "J0": 0, "pz": {"0": "1/2", "1": "1/2", "2": "1"}, "p": {"0": {"0": "1"}, "1": {"1": "1"}}},
+            "pz has entries outside the instrument support",
+        ),
+        (
+            "check",
+            "--input",
+            {"J": 2, "J0": 0, "pz": {"0": "1", "1": "0"}, "p": {"0": {"0": "1"}, "1": {"0": "1"}}},
+            "pz[1] must be strictly positive, got 0",
+        ),
     ],
     ids=[
         "p",
@@ -778,6 +796,9 @@ def test_out_of_range_choice_keys_are_input_errors(tmp_path, capsys):
         "y_support-str",
         "repeated-row",
         "repeated-type",
+        "pz-missing",
+        "pz-outside",
+        "pz-non-positive",
     ],
 )
 def test_non_object_json_fields_are_input_errors(tmp_path, capsys, command, option, doc, message):
@@ -841,22 +862,33 @@ def test_zero_denominator_is_input_error(tmp_path, capsys):
     [
         ({"J": 10**6, "p": {"0": {"0": "1"}}}, "missing row for instrument value 1"),
         ({"J": 10**6, "y_support": [0], "p": {"0": {"0": {"0": "1"}}}}, "missing slice for instrument value 1"),
+        ({"J": 10**7, "p": {"0": {"0": "1"}}}, "missing row for instrument value 1"),
+        ({"J": 10**7, "y_support": [0], "p": {"0": {"0": {"0": "1"}}}}, "missing slice for instrument value 1"),
+        # a key fault is named before a fault inside a row
+        ({"J": 3, "p": {"0": {"0": "1", "7": "0"}, "1": {"1": "1"}}}, "missing row for instrument value 2"),
     ],
-    ids=["treatment", "outcome"],
+    ids=["treatment", "outcome", "treatment-1e7", "outcome-1e7", "key-and-choice-faults"],
 )
 @pytest.mark.parametrize("command", ["check", "construct", "lp-check"])
 def test_a_missing_instrument_key_is_named_before_any_row_is_built(tmp_path, capsys, doc, message, command):
     # a one-row file at J = 10^6 once built and checked its whole padded
-    # row (or a J x |Y| slice) first: 1.3 to 4.4 s per call; the key
-    # check takes tens of ms
+    # row (or a J x |Y| slice) first: 1.3 to 4.4 s per call. At J = 10^7
+    # the support tuple and the padded row alone took 0.45 to 0.88 s and
+    # 400 to 552 MB; the keys are now checked over range(J0, J) first
     path = write_json(tmp_path / "one_row.json", doc)
-    start = time.perf_counter()
-    code = run([command, "--input", path])
-    elapsed = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code = run([command, "--input", path])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     captured = capsys.readouterr()
     assert code == EXIT_INPUT and captured.out == ""
     assert captured.err == f"input error: {message}\n"
     assert elapsed < 1.0, elapsed
+    assert peak < 1e6, peak
 
 
 def test_stdout_is_byte_identical_across_invocations(tmp_path, capsys):
@@ -919,7 +951,7 @@ def test_serialization_roundtrips_exactly(tmp_path):
         path = write_json(tmp_path / f"p{J}{J0}.json", distribution_doc(P))
         assert load_distribution(path).rows == P.rows
         PY = feasible_outcome_table(config, (0, 1), rng)
-        path = write_json(tmp_path / f"py{J}{J0}.json", distribution_doc(PY))
+        path = write_json(tmp_path / f"py{J}{J0}.json", outcome_table_doc(PY))
         assert load_distribution(path).cells == PY.cells
         q = random_measure(config, rng)
         path = tmp_path / f"q{J}{J0}.json"
@@ -944,13 +976,33 @@ def test_csv_roundtrip_with_outcomes(tmp_path):
     assert back.y.tolist() == [5, 2, 5]
 
 
-def test_pz_survives_distribution_roundtrip(tmp_path):
-    config = DesignConfig(2, 1)
-    P = ObservedDistribution(
-        config,
-        {0: (F(1, 2), F(1, 2)), 1: (F(1, 4), F(3, 4))},
-        pz={0: F(1, 3), 1: F(2, 3)},
-    )
-    path = write_json(tmp_path / "pz.json", distribution_doc(P))
-    back = load_distribution(path)
-    assert back.pz == P.pz
+@pytest.mark.parametrize("kind", ["treatment", "outcome"])
+def test_a_valid_pz_leaves_the_exact_commands_output_unchanged(tmp_path, capsys, kind):
+    # a file's instrument marginal is checked and dropped: the exact
+    # commands print the same bytes and write the same witness with it as
+    # without it, on a feasible and on an infeasible table
+    rng = Random(29)
+    config = DesignConfig(3, 1)
+    if kind == "treatment":
+        tables = [distribution_doc(feasible_table(config, rng)), distribution_doc(random_table(config, rng))]
+    else:
+        tables = [
+            outcome_table_doc(feasible_outcome_table(config, (0, 1), rng)),
+            outcome_table_doc(random_outcome_table(config, (0, 1), rng)),
+        ]
+    pz = {"0": "1/6", "1": "1/3", "2": "1/2"}
+    for i, doc in enumerate(tables):
+        plain = write_json(tmp_path / f"t{i}.json", doc)
+        with_pz = write_json(tmp_path / f"t{i}_pz.json", {**doc, "pz": pz})
+        for command in ("check", "construct", "lp-check"):
+            outputs = []
+            for src in (plain, with_pz):
+                argv = [command, "--input", src]
+                if command == "construct":
+                    argv += ["--output", str(tmp_path / "q.json")]
+                code = run(argv)
+                captured = capsys.readouterr()
+                written = (tmp_path / "q.json").read_bytes() if code == EXIT_OK and command == "construct" else None
+                (tmp_path / "q.json").unlink(missing_ok=True)
+                outputs.append((code, captured.out, captured.err, written))
+            assert outputs[0] == outputs[1], (kind, i, command)

@@ -238,10 +238,6 @@ def test_observed_distribution_validates_rows():
         ObservedDistribution(config, {0: (F(1, 2), F(1, 4)), 1: (F(1), F(0))})
     with pytest.raises(ValueError):
         ObservedDistribution(config, {0: (F(1), F(0))})
-    with pytest.raises(ValueError):
-        ObservedDistribution(
-            config, {0: (F(1), F(0)), 1: (F(1), F(0))}, pz={0: F(1), 1: F(0)}
-        )
 
 
 def test_response_measure_rejects_inadmissible_support():
@@ -263,11 +259,6 @@ UNIT_ROWS = {0: (F(1), F(0)), 1: (F(0), F(1))}
     "build, message",
     [
         (lambda c: c.targeted_set(2), "choice 2 out of range"),
-        (lambda c: ObservedDistribution(c, UNIT_ROWS, pz={0: F(1)}), "pz missing instrument value 1"),
-        (
-            lambda c: ObservedDistribution(c, UNIT_ROWS, pz={0: F(1, 2), 1: F(1, 2), 2: F(1)}),
-            "pz has entries outside the instrument support",
-        ),
         (lambda c: ObservedDistribution(c, {0: (F(1),), 1: (F(0), F(1))}), "row for z=0 must have 2 entries"),
         (
             lambda c: ObservedDistribution(c, {0: (F(3, 2), F(-1, 2)), 1: (F(0), F(1))}),

@@ -3,6 +3,7 @@ subcommand are the text of ``json.dumps(sort_keys=True, indent=2)``.
 ``test --moments`` prints every field of the report, and the default
 summary agrees with it."""
 
+import io
 import json
 from pathlib import Path
 from random import Random
@@ -13,7 +14,13 @@ from encdesign import cli
 from encdesign.cli import EXIT_OK, EXIT_VERDICT, distribution_doc, run, write_csv
 from encdesign.core import DesignConfig
 from encdesign.simulate import MicroData
-from helpers import feasible_outcome_table, feasible_table, random_table, report_doc_by_fields
+from helpers import (
+    feasible_outcome_table,
+    feasible_table,
+    outcome_table_doc,
+    random_table,
+    report_doc_by_fields,
+)
 from helpers import test_model_by_specs as model_test_by_specs
 
 
@@ -38,7 +45,7 @@ def _invocations(tmp_path) -> list:
     bad = _write_json(tmp_path / "bad.json", distribution_doc(random_table(DesignConfig(4, 0), Random(2))))
     outcome = _write_json(
         tmp_path / "py.json",
-        distribution_doc(feasible_outcome_table(DesignConfig(2, 1), (0, 1, 2), rng)),
+        outcome_table_doc(feasible_outcome_table(DesignConfig(2, 1), (0, 1, 2), rng)),
     )
     q, qy = str(tmp_path / "q.json"), str(tmp_path / "qy.json")
     csv, ycsv = str(tmp_path / "d.csv"), str(tmp_path / "y.csv")
@@ -125,3 +132,19 @@ def test_summary_is_the_verdict_with_counts_and_the_binding_moment(tmp_path, cap
         studentized = [-s / e for s, e in zip(full["slacks"], full["standard_errors"])]
         assert summary["binding"] == studentized.index(max(studentized))
         assert studentized[summary["binding"]] == summary["statistic"] == report.statistic
+
+
+def test_write_json_batches_the_encoders_chunks_into_the_same_text():
+    # more than three batches of 4096 chunks, the last one short, over
+    # nested objects, lists, strings, floats and empty containers
+    doc = {
+        "rows": [{"z": z, "p": [f"{j}/7" for j in range(3)], "w": z / 7} for z in range(1500)],
+        "empty": [{}, []],
+        "b": True,
+        "none": None,
+    }
+    chunks = sum(1 for _ in json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc))
+    assert chunks > 3 * 4096 and chunks % 4096
+    out = io.StringIO()
+    cli._write_json(doc, out)
+    _same_text(out.getvalue(), json.dumps(doc, sort_keys=True, indent=2) + "\n")

@@ -29,6 +29,7 @@ from helpers import (
     encouragement_specs,
     feasible_outcome_table,
     feasible_table,
+    marginal,
     partition_check,
     random_measure,
     random_outcome_table,
@@ -309,7 +310,7 @@ def test_outcome_check_implies_marginal_check():
         for _ in range(60):
             PY = random_outcome_table(config, (0, 1), rng)
             if check_outcome(PY).passed:
-                assert check(PY.marginal()).passed
+                assert check(marginal(PY)).passed
 
 
 def test_partition_family_specs_count():

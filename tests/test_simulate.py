@@ -15,7 +15,7 @@ import pytest
 from encdesign import kernels
 from encdesign import simulate as simulate_module
 from encdesign.admissible import default_choice, is_admissible
-from encdesign.core import DesignConfig, ResponseMeasure, ResponseType
+from encdesign.core import DesignConfig, ObservedDistribution, ResponseMeasure, ResponseType
 from encdesign.errors import CapacityError
 from encdesign.inequalities import check
 from encdesign.simulate import (
@@ -44,11 +44,11 @@ def uniform_pz(config):
     return {z: F(1, m) for z in config.z_support}
 
 
-def make_spec(J, J0, betas, n=20000, seed=1, eps="gumbel", **kw):
+def make_spec(J, J0, betas, n=20000, seed=1, eps="gumbel"):
     config = DesignConfig(J, J0)
     return RumSpec(
         config=config, betas=betas, pz=uniform_pz(config), n=n, seed=seed,
-        eps_family=eps, **kw,
+        eps_family=eps,
     )
 
 
@@ -190,17 +190,24 @@ def test_simulate_empty_arm_errors():
         simulate(spec)
 
 
-def test_non_psd_covariance_rejected():
-    with pytest.raises(ValueError, match="positive definite"):
-        make_spec(2, 0, (1.0, 1.0), eps="normal",
-                  normal_cov=((1.0, 2.0), (2.0, 1.0)))
-
-
 def test_correlated_normal_shocks():
-    cov = ((1.0, 0.5, 0.0), (0.5, 1.0, 0.0), (0.0, 0.0, 1.0))
-    res = simulate(make_spec(3, 0, (1.0, 1.0, 1.0), n=20000, seed=51,
-                             eps="normal", normal_cov=cov))
-    assert check(res.table).min_slack >= F(-4) / int(math.isqrt(20000))
+    # the inequalities hold under dependent shocks: correlated normal
+    # shocks, drawn independently of a uniform instrument, through the
+    # kernel's observation map
+    config = DesignConfig(3, 0)
+    n = 20000
+    rng = np.random.default_rng(51)
+    cov = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    eps = rng.multivariate_normal(np.zeros(3), cov, size=n, method="cholesky")
+    codes, ties = kernels.potential_type_codes(eps, np.ones(3), np.asarray(config.z_support))
+    assert not ties.any()
+    z = rng.integers(0, 3, n)
+    d = codes[np.arange(n), z]
+    rows = {}
+    for zi in config.z_support:
+        counts = np.bincount(d[z == zi], minlength=3).tolist()
+        rows[zi] = tuple(F(c, sum(counts)) for c in counts)
+    assert check(ObservedDistribution(config, rows)).min_slack >= F(-4) / int(math.isqrt(n))
 
 
 def test_example_design_predicates_hold_on_every_draw():
@@ -396,10 +403,7 @@ def _parity_spec(J, J0, family, n):
     betas = tuple(0.0 if j < J0 else 0.4 + 0.2 * j for j in range(J))
     weights = [1 + i % 3 for i in range(len(config.z_support))]
     pz = {z: F(w, sum(weights)) for z, w in zip(config.z_support, weights)}
-    cov = None
-    if family == "normal_cov":
-        family, cov = "normal", tuple(tuple(1.3 if i == j else 0.3 for j in range(J)) for i in range(J))
-    return RumSpec(config, betas, pz, n, 31 + n % 7, family, cov)
+    return RumSpec(config, betas, pz, n, 31 + n % 7, family)
 
 
 def _same_result(got, want):
@@ -422,7 +426,7 @@ def _same_simulation(spec):
     _same_result(simulate(spec), want)
 
 
-@pytest.mark.parametrize("family", ["gumbel", "normal", "uniform", "normal_cov"])
+@pytest.mark.parametrize("family", ["gumbel", "normal", "uniform"])
 @pytest.mark.parametrize("J, J0", [(2, 0), (3, 1), (5, 0), (6, 2)])
 def test_simulate_matches_whole_chunk_draws(J, J0, family):
     # one row (no draw on most instrument values: the same error), a
@@ -486,14 +490,6 @@ def test_sample_region_refuses_a_low_acceptance_rate(monkeypatch):
     [
         (lambda: make_spec(2, 0, (1.0,)), "need 2 encouragement sizes, got 1"),
         (lambda: make_spec(2, 0, (1.0, 1.0), n=0), "draw count must be at least 1"),
-        (
-            lambda: make_spec(2, 0, (1.0, 1.0), normal_cov=((1.0, 0.0), (0.0, 1.0))),
-            "a covariance only makes sense for normal shocks",
-        ),
-        (
-            lambda: make_spec(2, 0, (1.0, 1.0), eps="normal", normal_cov=((1.0,),)),
-            "covariance must be J x J",
-        ),
         (lambda: MicroData(np.zeros(3), np.zeros(2)), "d and z must be one-dimensional and equally long"),
         (lambda: MicroData(np.zeros(2), np.zeros(2), np.zeros(3)), "y must have the same length as d and z"),
     ],

@@ -33,7 +33,9 @@ from helpers import (
     feasible_table,
     instrument_ordering_by_branches,
     lambda_weights,
+    marginal,
     outcome_measure_by_fractions,
+    outcome_table_doc,
     partition_check,
     random_table,
     type_marginal,
@@ -361,7 +363,7 @@ def test_construct_outcome_error_names_negative_compliance_remainder():
     )
     assert (err.target, err.step, err.mass) == (0, None, F(-1, 10))
     # diagnose names the same default for the same remainder
-    (entry,) = [e for e in diagnose(PY.marginal()).entries if e.kind == "compliance"]
+    (entry,) = [e for e in diagnose(marginal(PY)).entries if e.kind == "compliance"]
     assert (entry.target, entry.step) == (err.target, err.step)
 
 
@@ -379,12 +381,12 @@ def test_construct_outcome_error_names_negative_full_compliance():
 
 
 def test_construct_y_failure_keeps_its_stderr_line(tmp_path, capsys):
-    from encdesign.cli import EXIT_VERDICT, distribution_doc, run
+    from encdesign.cli import EXIT_VERDICT, run
 
     rows = [("1/12", "1/6"), ("1/6", "1/3"), ("1/12", "1/6")]
     PY = _outcome_table(3, 1, [[("1/6", "1/3"), ("1/12", "1/6"), ("1/12", "1/6")], rows, rows])
     src = tmp_path / "py.json"
-    src.write_text(json.dumps(distribution_doc(PY)))
+    src.write_text(json.dumps(outcome_table_doc(PY)))
     assert run(["construct", "--input", str(src)]) == EXIT_VERDICT
     captured = capsys.readouterr()
     assert captured.out == ""
