@@ -171,7 +171,11 @@ def load_distribution(path: str):
     if "pz" in doc:
         pz = {z: _frac(v) for z, v in _keyed(doc["pz"], "pz").items()}
     p = _keyed(doc["p"], "p")
-    if "y_support" in doc:
+    outcome = "y_support" in doc
+    # each row is padded to J entries (each slice to J x |Y|), so the keys
+    # come first
+    _check_instrument_keys(config, p, *(("slice", "cells") if outcome else ("row", "rows")))
+    if outcome:
         ys = _int_list(doc["y_support"], "y_support")
         cells = {
             z: {
@@ -182,8 +186,6 @@ def load_distribution(path: str):
         }
         table = OutcomeDistribution(config, ys, cells)
     else:
-        # each row is padded to J entries, so the keys come first
-        _check_instrument_keys(config, p, "row", "rows")
         rows = {}
         for z, by_j in p.items():
             row = [Fraction(0)] * config.J

@@ -2,8 +2,8 @@
 
 
 class CapacityError(Exception):
-    """An enumeration or table would exceed its configured size cap, or a
-    rejection sampler's acceptance rate fell below its configured floor."""
+    """An enumeration, inequality family, table or LP basis would exceed
+    its configured size cap."""
 
 
 class ConstructionError(ValueError):

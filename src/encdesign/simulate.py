@@ -1,6 +1,8 @@
 """Monte Carlo side: draw data from explicit additive random utility
 models, and realize a given response-type measure as a mixture of
-uniform distributions on shock-space regions.
+uniform distributions on shock-space regions. ``verify_mixture``
+certifies each region exactly from its constraints and samples no shock
+in it; only the multinomial draw of component labels is random.
 
 All draws are chunked with per-chunk seeding derived from (seed, chunk
 index), so results do not depend on scheduling. Floating point lives
@@ -37,14 +39,11 @@ from .core import (
     ResponseType,
     _validate_pz,
 )
-from .errors import CapacityError
 
 CHUNK_SIZE = 65536
 # rows of a chunk drawn and run through the kernel at a time: a block's
 # shocks and the kernel's columns over them stay near a 2 MiB L2 cache
 BLOCK_SIZE = CHUNK_SIZE // 4
-# the region sampler refuses past 10**6 proposals below this acceptance rate
-MIN_ACCEPTANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -280,7 +279,8 @@ def build_epsilon_mixture(q: ResponseMeasure) -> RegionMixture:
     encouragement for every choice some supported type switches into,
     one bounded region per supported type, uniform density inside each.
     Every positively weighted region is certified nonempty by an explicit
-    interior point."""
+    interior point; ``verify_mixture`` certifies that it realizes its
+    type."""
     config = q.config
     J = config.J
     betas = [0.0] * J
@@ -307,137 +307,47 @@ def build_epsilon_mixture(q: ResponseMeasure) -> RegionMixture:
     return RegionMixture(config, tuple(betas), M, tuple(components))
 
 
-def _difference_box(region: Region, M: float):
-    """The box lo < eps - eps[p] < hi (lo[p] = hi[p] = 0) holding every
-    difference vector of the region inside |eps| <= M, for the pivot p
-    at the interior point's largest shock. The bounds come from the
-    region's constraints on p: (p, k, c) gives eps[k] - eps[p] < c and
-    (k, p, c) gives eps[k] - eps[p] > -c; two shocks in the box differ
-    by at most 2M."""
-    J = len(region.interior)
-    p = int(np.argmax(region.interior))
-    lo = np.full(J, -2.0 * M)
-    hi = np.full(J, 2.0 * M)
-    lo[p] = hi[p] = 0.0
+def _certified(config: DesignConfig, betas, region: Region) -> bool:
+    """Whether one constraint of the region settles each comparison its
+    type makes: under every instrument value z, with t = d_z and g(x) =
+    betas[z] at x = z and 0.0 elsewhere, the region must hold
+    eps[t] + c > eps[k] with c <= g(t) - g(k) for every k != t. Then every
+    shock vector in it has eps[t] + g(t) > eps[k] + g(k), so t is the
+    strict argmax under z. One of g(t) and g(k) is 0.0, so the difference
+    and the comparison are exact. The rule is sufficient, not necessary:
+    a comparison that follows only from a chain of constraints is
+    refused, and ``_region`` writes each one as a single constraint."""
+    tightest = {}
     for a, b, c in zip(region.lhs, region.rhs, region.offsets):
-        if a == p:
-            hi[b] = min(hi[b], c)
-        elif b == p:
-            lo[a] = max(lo[a], -c)
-    return lo, hi
-
-
-def _sample_region(
-    rng: np.random.Generator,
-    region: Region,
-    M: float,
-    want: int,
-) -> np.ndarray:
-    """``want`` shocks uniform in region ∩ box, |eps| <= M.
-
-    Write eps = delta + s with delta = eps - eps[p]. A delta is feasible
-    for a shift interval [-M - min(delta), M - max(delta)] of length
-    2M - span(delta) (span over all coordinates, delta[p] = 0 included),
-    so the delta marginal of the uniform law has density proportional to
-    that length. Draw delta uniformly in the difference box, keep it with
-    probability (2M - span) / 2M, draw the shift uniformly on its
-    interval, and keep the rows that satisfy every region constraint and
-    the box. Past 10**6 proposals, an acceptance rate below
-    MIN_ACCEPTANCE raises a CapacityError."""
-    lo, hi = _difference_box(region, M)
-    J = len(lo)
-    # rng.uniform(lo, hi) computes lo + (hi - lo) * next_double, as the
-    # differences below spell it out, one column at a time
-    pairs = list(zip(lo.tolist(), (hi - lo).tolist()))
-    width = 2.0 * M
-    want = int(want)  # Python ints: the batch arithmetic must not wrap
-    chunks = []
-    got = 0
-    proposed = 0
-    while got < want:
-        need = want - got
-        # the proposals the rows still needed take at the rate seen so
-        # far, plus one per row as margin; doubling until a row is kept
-        batch = need * proposed // got + need if got else 2 * max(need, proposed)
-        batch = min(batch, CHUNK_SIZE)
-        proposed += batch
-        # the differences as contiguous (J, batch) columns: the same
-        # multiply and add per element as on the (batch, J) draws, whose
-        # length-J broadcast runs a J-element inner loop per row
-        draws = rng.random((batch, J))
-        cols = np.empty((J, batch))
-        for j, (lo_j, span_j) in enumerate(pairs):
-            np.multiply(draws[:, j], span_j, out=cols[j])
-            cols[j] += lo_j
-        del draws
-        low = high = cols[0]
-        for j in range(1, J):
-            low = np.minimum(low, cols[j])
-            high = np.maximum(high, cols[j])
-        keep = rng.random(batch) * width < width - (high - low)
-        # take() on the kept indices copies the same entries as a boolean
-        # index, about five times faster on a (J, batch) array
-        keep = np.flatnonzero(keep)
-        cols, low, high = cols.take(keep, 1), low.take(keep), high.take(keep)
-        # rng.uniform(start, M - high) computes start + (M - high - start)
-        # * next_double per row; spelled out over rng.random it draws the
-        # same doubles and gives the same bits without uniform's slow path
-        # for array bounds. The keep test leaves span < 2M, so the range
-        # 2M - span is positive.
-        start = -M - low
-        shift = start + ((M - high) - start) * rng.random(len(start))
-        cols += shift
-        # fl(x + shift) is monotone in x, so the extreme shocks of a row
-        # are its extreme differences plus the shift: the box test
-        # |eps| <= M needs only those two
-        mask = kernels.region_accept(cols.T, region.lhs, region.rhs, region.offsets)
-        mask &= (low + shift >= -M) & (high + shift <= M)
-        accepted = cols.take(np.flatnonzero(mask)[:need], 1)
-        chunks.append(accepted)
-        got += accepted.shape[1]
-        if proposed > 1e6 and got / proposed < MIN_ACCEPTANCE:
-            raise CapacityError(
-                f"rejection acceptance rate below {MIN_ACCEPTANCE} for region "
-                f"{region.rtype.d}; adjust the bounding box"
-            )
-    # (want, J) rows over the accepted columns
-    return np.concatenate([np.empty((J, 0)), *chunks], axis=1).T
+        tightest[a, b] = min(c, tightest.get((a, b), c))
+    for z, t in zip(config.z_support, region.rtype.d):
+        for k in range(config.J):
+            if k == t:
+                continue
+            gap = (betas[z] if t == z else 0.0) - (betas[z] if k == z else 0.0)
+            if tightest.get((t, k), math.inf) > gap:
+                return False
+    return True
 
 
 def verify_mixture(mix: RegionMixture, n: int, seed: int) -> float:
-    """Sample n shocks from the mixture (components by weight, points
-    uniform in region ∩ box), push them through the utility argmax and
-    check that every point realizes its region's type; raise if one does
-    not. Return the largest absolute gap between a component's share of
-    the n draws and its weight. The points only verify the regions: each
-    kept point realizes its component's type, so the realized type
-    frequencies are the component counts."""
+    """Certify every region, then draw n component labels by weight.
+    Each region must hold its interior point and pass ``_certified``, so
+    every shock in it realizes its type; raise if one does not. Return
+    the largest absolute gap between a component's share of the n draws
+    and its weight: the realized type frequencies are the component
+    counts, and no shock is sampled."""
     if n < 1:
         raise ValueError("draw count must be at least 1")
-    config = mix.config
-    z_support = np.asarray(config.z_support, dtype=np.int64)
-    betas = np.asarray(mix.betas, dtype=np.float64)
     rng = _chunk_rng(seed, 0)
+    for region in mix.components:
+        cons = list(zip(region.lhs, region.rhs, region.offsets))
+        if not (
+            _point_in_region(region.interior, cons, mix.M)
+            and _certified(mix.config, mix.betas, region)
+        ):
+            raise RuntimeError(f"region for {region.rtype.d} does not realize it; region bug")
     weights = np.array([float(c.weight) for c in mix.components])
     weights = weights / weights.sum()
     counts = rng.multinomial(n, weights).tolist()
-    for region, want in zip(mix.components, counts):
-        if want == 0:
-            continue
-        expected = region.rtype.d
-        got = 0
-        while got < want:  # tied rows are dropped and drawn again
-            # a chunk at a time: memory stays O(CHUNK_SIZE x J) at any n
-            eps = _sample_region(rng, region, mix.M, min(want - got, CHUNK_SIZE))
-            codes, ties = kernels.potential_type_codes(eps, betas, z_support)
-            wrong = codes[:, 0] != expected[0]
-            for t in range(1, len(expected)):
-                wrong |= codes[:, t] != expected[t]
-            wrong = np.flatnonzero(wrong & ~ties)
-            if len(wrong):
-                produced = tuple(int(v) for v in codes[wrong[0]])
-                raise RuntimeError(
-                    f"region for {region.rtype.d} produced {produced}; region bug"
-                )
-            got += len(ties) - int(np.count_nonzero(ties))
     return max(abs(want / n - float(c.weight)) for c, want in zip(mix.components, counts))

@@ -775,12 +775,12 @@ def region_points_by_box_rejection(
     rng: np.random.Generator,
     min_acceptance: float = 1e-6,
 ) -> np.ndarray:
-    """Oracle for ``simulate._sample_region``: ``want`` shocks uniform in
-    region ∩ box by drawing uniformly from the whole box [-M, M]^J and
-    keeping the draws that satisfy every region constraint. This is the
-    per-region loop ``verify_mixture`` ran before it sampled in
-    difference coordinates, type check and tie drop included; it returns
-    the points it accepted."""
+    """Monte Carlo oracle for the region certificate in
+    ``verify_mixture``: ``want`` shocks uniform in region ∩ box, drawn
+    uniformly from the whole box [-M, M]^J and kept when they satisfy
+    every region constraint. Tied rows are dropped, and a kept row of
+    another type raises a RuntimeError naming it; returns the points it
+    accepted."""
     config = mix.config
     z_support = np.asarray(config.z_support, dtype=np.int64)
     betas = np.asarray(mix.betas, dtype=np.float64)
@@ -831,54 +831,6 @@ def region_accept_by_rows(eps, lhs, rhs, offsets):
     for a, b, c in zip(lhs, rhs, offsets):
         mask &= eps[:, a] + c > eps[:, b]
     return mask
-
-
-def sample_region_by_reductions(
-    rng: np.random.Generator,
-    region: Region,
-    M: float,
-    want: int,
-    min_acceptance: float = 1e-6,
-) -> np.ndarray:
-    """Oracle for ``simulate._sample_region``: the same generator calls,
-    the shift drawn by ``rng.uniform``, the extreme differences and the
-    box test taken as reductions along ``axis=1``, the rows kept by
-    boolean indexing and the constraints tested by
-    ``region_accept_by_rows``. It takes
-    ``want`` as it comes, so a numpy integer makes its batch arithmetic
-    wrap."""
-    lhs = np.asarray(region.lhs, dtype=np.int64)
-    rhs = np.asarray(region.rhs, dtype=np.int64)
-    offs = np.asarray(region.offsets, dtype=np.float64)
-    lo, hi = simulate._difference_box(region, M)
-    width = 2.0 * M
-    chunks = []
-    got = 0
-    proposed = 0
-    while got < want:
-        need = want - got
-        # the proposals the rows still needed take at the rate seen so
-        # far, plus one per row as margin; doubling until a row is kept
-        batch = need * proposed // got + need if got else 2 * max(need, proposed)
-        batch = min(batch, simulate.CHUNK_SIZE)
-        proposed += batch
-        delta = rng.uniform(lo, hi, size=(batch, len(lo)))
-        low = delta.min(axis=1)
-        high = delta.max(axis=1)
-        keep = rng.random(batch) * width < width - (high - low)
-        delta, low, high = delta[keep], low[keep], high[keep]
-        eps = delta + rng.uniform(-M - low, M - high)[:, None]
-        mask = region_accept_by_rows(eps, lhs, rhs, offs)
-        mask &= (np.abs(eps) <= M).all(axis=1)
-        accepted = eps[mask][:need]
-        chunks.append(accepted)
-        got += len(accepted)
-        if proposed > 1e6 and got / proposed < min_acceptance:
-            raise RuntimeError(
-                f"rejection acceptance rate below {min_acceptance} for region "
-                f"{region.rtype.d}; adjust the bounding box"
-            )
-    return np.concatenate(chunks)
 
 
 def potential_type_codes_by_argmax(eps, betas, z_targets):

@@ -837,17 +837,24 @@ def test_deeply_nested_json_is_input_error(tmp_path, capsys, command, option):
     assert captured.err == "input error: the JSON document is nested too deeply\n"
 
 
-def test_mixture_verify_below_the_acceptance_floor_is_capacity_error(tmp_path, capsys):
-    # the full-compliance diagonal at J = 26: past 10**6 proposals its
-    # region keeps fewer than one in 10**6
+def test_mixture_verify_answers_the_full_compliance_witness_at_j26(tmp_path, capsys):
+    # the full-compliance diagonal at J = 26, whose region box rejection
+    # hits less than once in 10**6 proposals: it is certified from its
+    # constraints, with nothing sampled
     d = tuple(range(26))
     path = write_json(tmp_path / "q.json", {"J": 26, "mass": {",".join(map(str, d)): "1"}})
-    assert run(["mixture-verify", "--q", path, "--n", "10", "--seed", "1"]) == EXIT_CAPACITY
+    start = time.perf_counter()
+    code = run(["mixture-verify", "--q", path, "--n", "10", "--seed", "1"])
+    elapsed = time.perf_counter() - start
+    assert code == EXIT_OK
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        f"capacity error: rejection acceptance rate below 1e-06 for region {d}; adjust the bounding box\n"
+    betas = ",\n".join(["    1.0"] * 26)
+    assert captured.out == (
+        f'{{\n  "betas": [\n{betas}\n  ],\n  "bound": 32.0,\n  "max_error": 0.0,\n'
+        '  "n": 10,\n  "seed": 1\n}\n'
     )
+    assert captured.err == ""
+    assert elapsed < 1.0, elapsed
 
 
 def test_zero_denominator_is_input_error(tmp_path, capsys):
@@ -866,8 +873,13 @@ def test_zero_denominator_is_input_error(tmp_path, capsys):
         ({"J": 10**7, "y_support": [0], "p": {"0": {"0": {"0": "1"}}}}, "missing slice for instrument value 1"),
         # a key fault is named before a fault inside a row
         ({"J": 3, "p": {"0": {"0": "1", "7": "0"}, "1": {"1": "1"}}}, "missing row for instrument value 2"),
+        # and before a fault inside a slice
+        ({"J": 3, "y_support": [0], "p": {"0": {"0": {"0": 0.5}}}}, "missing slice for instrument value 1"),
     ],
-    ids=["treatment", "outcome", "treatment-1e7", "outcome-1e7", "key-and-choice-faults"],
+    ids=[
+        "treatment", "outcome", "treatment-1e7", "outcome-1e7", "key-and-choice-faults",
+        "key-and-float-faults",
+    ],
 )
 @pytest.mark.parametrize("command", ["check", "construct", "lp-check"])
 def test_a_missing_instrument_key_is_named_before_any_row_is_built(tmp_path, capsys, doc, message, command):

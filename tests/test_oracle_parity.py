@@ -2,13 +2,15 @@
 ``helpers``: the integer-preserving simplex against the Fraction tableau
 and the explicit-column scan, direct admissible generation against the
 brute-force filter, the per-choice-maxima check against the explicit
-inequality family, the difference-coordinate region sampler against
-whole-box rejection and its column folds against ``axis=1`` reductions,
-the per-choice moment test and bincount cell counts against the
-explicit family (exactly, spec by spec, and to 1e-12 of the dense
-weight matrix) and the per-row loop, and the integer-scale outcome
-witness against the Fraction construction."""
+inequality family, the single-constraint region certificate against
+whole-box rejection on moved offsets, the simulation kernel's column
+folds against ``axis=1`` reductions, the per-choice moment test and
+bincount cell counts against the explicit family (exactly, spec by
+spec, and to 1e-12 of the dense weight matrix) and the per-row loop,
+and the integer-scale outcome witness against the Fraction
+construction."""
 
+import dataclasses
 import tracemalloc
 from fractions import Fraction as F
 from itertools import product
@@ -27,8 +29,6 @@ from encdesign.inequalities import OutcomeDistribution, check
 from encdesign.simulate import (
     CHUNK_SIZE,
     _chunk_rng,
-    _difference_box,
-    _sample_region,
     MicroData,
     RumSpec,
     build_epsilon_mixture,
@@ -62,9 +62,7 @@ from helpers import (
     random_outcome_measure,
     random_outcome_table,
     random_table,
-    region_accept_by_rows,
     region_points_by_box_rejection,
-    sample_region_by_reductions,
     solution_vector,
     solved_by_lp,
     targeted_outcome_table,
@@ -378,74 +376,45 @@ def test_check_cap_bounds_the_violations_listed(monkeypatch, J, J0):
     assert tried
 
 
-REGION_DESIGNS = [(2, 0), (3, 0), (3, 1), (4, 2)]
+MUTATION_DESIGNS = [(3, 0), (3, 1), (4, 2)]
+MUTATION_STEPS = (-0.5, 0.5, 1.0)
 
 
-def _mixtures(J, J0, copies):
+def _single_offset_mutations(J, J0):
+    """Each offset of the first three regions of four random mixtures,
+    moved by each of MUTATION_STEPS; yields the mixture and the moved
+    region."""
     rng = Random(307 + 10 * J + J0)
-    for _ in range(copies):
-        yield build_epsilon_mixture(random_measure(DesignConfig(J, J0), rng))
+    for _ in range(4):
+        mix = build_epsilon_mixture(random_measure(DesignConfig(J, J0), rng))
+        for region in mix.components[:3]:
+            for i in range(len(region.offsets)):
+                for step in MUTATION_STEPS:
+                    offsets = list(region.offsets)
+                    offsets[i] += step
+                    yield mix, dataclasses.replace(region, offsets=tuple(offsets))
 
 
-@pytest.mark.parametrize("J, J0", REGION_DESIGNS)
-def test_difference_box_contains_interior_point(J, J0):
-    diagonal = 0
-    for mix in _mixtures(J, J0, 4):
-        for region in mix.components:
-            p = int(np.argmax(region.interior))
-            lo, hi = _difference_box(region, mix.M)
-            delta = np.asarray(region.interior) - region.interior[p]
-            others = np.arange(J) != p
-            assert lo[p] == hi[p] == 0.0
-            assert (lo[others] < delta[others]).all(), (region.rtype.d, lo, delta)
-            assert (delta[others] < hi[others]).all(), (region.rtype.d, hi, delta)
-            diagonal += region.rtype.d == tuple(range(J))
-    assert J0 or diagonal
-
-
-@pytest.mark.parametrize("J, J0", REGION_DESIGNS)
-def test_region_samples_satisfy_constraints_and_box(J, J0):
-    for copy, mix in enumerate(_mixtures(J, J0, 2)):
-        for i, region in enumerate(mix.components):
-            pts = _sample_region(_chunk_rng(313 + copy, i), region, mix.M, 500)
-            assert pts.shape == (500, J)
-            assert (np.abs(pts) <= mix.M).all()
-            for a, b, c in zip(region.lhs, region.rhs, region.offsets):
-                assert (pts[:, a] + c > pts[:, b]).all(), (region.rtype.d, a, b, c)
-
-
-def _ks_statistic(a, b):
-    """Two-sample Kolmogorov-Smirnov distance between empirical CDFs."""
-    a, b = np.sort(a), np.sort(b)
-    grid = np.concatenate([a, b])
-    cdf_a = np.searchsorted(a, grid, side="right") / len(a)
-    cdf_b = np.searchsorted(b, grid, side="right") / len(b)
-    return np.abs(cdf_a - cdf_b).max()
-
-
-# For two same-law samples of 4000 points each, the two-sample statistic
-# exceeds 2.4 * sqrt(2 / 4000) = 0.054 with probability about 1e-5.
-KS_POINTS = 4000
-KS_THRESHOLD = 0.06
-
-
-@pytest.mark.parametrize("J, J0", REGION_DESIGNS)
-def test_region_sampler_matches_box_rejection_in_law(J, J0):
-    mix = next(_mixtures(J, J0, 1))
-    for i, region in enumerate(mix.components):
-        new = _sample_region(_chunk_rng(317, i), region, mix.M, KS_POINTS)
-        old = region_points_by_box_rejection(mix, region, KS_POINTS, _chunk_rng(331, i))
-        for k in range(J):
-            stat = _ks_statistic(new[:, k], old[:, k])
-            assert stat < KS_THRESHOLD, (region.rtype.d, k, stat)
-
-
-SAMPLER_DESIGNS = [(3, 0), (4, 2), (4, 0), (5, 0), (6, 2)]
+@pytest.mark.parametrize("J, J0", MUTATION_DESIGNS)
+def test_certificate_refuses_every_region_box_rejection_catches(J, J0):
+    # box rejection draws uniform points of the moved region and raises on
+    # one of another type; the certificate must refuse every such region
+    caught = refused = 0
+    for k, (mix, region) in enumerate(_single_offset_mutations(J, J0)):
+        certified = simulate._certified(mix.config, mix.betas, region)
+        refused += not certified
+        try:
+            region_points_by_box_rejection(mix, region, 300, _chunk_rng(331, k))
+        except RuntimeError as exc:
+            assert "produced" in str(exc), str(exc)
+            caught += 1
+            assert not certified, (region.rtype.d, region.offsets, str(exc))
+    assert 0 < caught <= refused
 
 
 def _full_support_mixture(J, J0):
     """The mixture of a witness that weights every admissible type, so
-    every region of the design is sampled, the diagonal one included."""
+    every region of the design is built, the diagonal one included."""
     config = DesignConfig(J, J0)
     types = enumerate_admissible(config)
     rng = Random(601 + 10 * J + J0)
@@ -454,27 +423,11 @@ def _full_support_mixture(J, J0):
     return build_epsilon_mixture(q)
 
 
-@pytest.mark.parametrize("J, J0", SAMPLER_DESIGNS)
-def test_region_sampler_folds_match_axis_reductions(J, J0):
-    mix = _full_support_mixture(J, J0)
-    diagonal = 0
-    for i, region in enumerate(mix.components):
-        is_diagonal = region.rtype.d == tuple(range(J))
-        diagonal += is_diagonal
-        # past CHUNK_SIZE rows the batches are capped, so the diagonal
-        # region also runs several full batches
-        for want in (1, 700) + ((CHUNK_SIZE + 5000,) if is_diagonal else ()):
-            new = _sample_region(_chunk_rng(607, i), region, mix.M, want)
-            old = sample_region_by_reductions(_chunk_rng(607, i), region, mix.M, want, 1e-6)
-            assert new.dtype == old.dtype and new.shape == old.shape == (want, J)
-            assert new.tobytes() == old.tobytes(), (region.rtype.d, want)
-    assert diagonal == (J0 == 0)
-
-
 def test_verify_mixture_memory_is_one_chunk():
-    # 2e6 draws over the 29 regions at (4,0): the sampler's draws, columns
-    # and accepted rows stay O(CHUNK_SIZE x J), about 11.4 MB; rows kept
-    # for all draws would take 64 MB
+    # 2e6 draws over the 29 regions at (4,0): no shock is sampled, so the
+    # peak is the certificate's offsets and the component weights and
+    # counts, about 6 kB; one chunk of shocks would take 2 MB and rows
+    # kept for all draws 64 MB
     mix = _full_support_mixture(4, 0)
     tracemalloc.start()
     try:
@@ -482,32 +435,7 @@ def test_verify_mixture_memory_is_one_chunk():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 15e6, peak
-
-
-def _reduction_oracles(monkeypatch):
-    """Route the sampling path through the axis=1 oracles."""
-    monkeypatch.setattr(
-        simulate,
-        "kernels",
-        SimpleNamespace(
-            potential_type_codes=potential_type_codes_by_argmax,
-            region_accept=region_accept_by_rows,
-        ),
-    )
-    monkeypatch.setattr(simulate, "_sample_region", sample_region_by_reductions)
-
-
-def test_verify_mixture_matches_axis_reduction_oracles(monkeypatch):
-    mixes = []
-    for J, J0 in SAMPLER_DESIGNS:
-        mixes.append(_full_support_mixture(J, J0))
-        mixes.append(build_epsilon_mixture(random_measure(DesignConfig(J, J0), Random(613 + J))))
-    runs = [(mix, n, seed) for mix in mixes for n, seed in ((20_000, 3), (997, 2**64 - 1))]
-    new = [verify_mixture(*run) for run in runs]
-    _reduction_oracles(monkeypatch)
-    old = [verify_mixture(*run) for run in runs]
-    assert new == old
+    assert peak < 1e6, peak
 
 
 def test_simulate_matches_axis_reduction_oracles(monkeypatch):
@@ -521,7 +449,8 @@ def test_simulate_matches_axis_reduction_oracles(monkeypatch):
         # two chunks, the second one short
         specs.append(RumSpec(config, betas, pz, CHUNK_SIZE + 4000, 619 + J, family))
     new = [simulate.simulate(spec) for spec in specs]
-    _reduction_oracles(monkeypatch)
+    kernels = SimpleNamespace(potential_type_codes=potential_type_codes_by_argmax)
+    monkeypatch.setattr(simulate, "kernels", kernels)
     old = [simulate.simulate(spec) for spec in specs]
     for a, b in zip(new, old):
         assert np.array_equal(a.data.d, b.data.d) and np.array_equal(a.data.z, b.data.z)

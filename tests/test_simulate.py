@@ -16,17 +16,18 @@ from encdesign import kernels
 from encdesign import simulate as simulate_module
 from encdesign.admissible import default_choice, is_admissible
 from encdesign.core import DesignConfig, ObservedDistribution, ResponseMeasure, ResponseType
-from encdesign.errors import CapacityError
 from encdesign.inequalities import check
 from encdesign.simulate import (
     BLOCK_SIZE,
     CHUNK_SIZE,
     MicroData,
+    Region,
+    RegionMixture,
     RumSpec,
+    _certified,
     _chunk_rng,
     _codes_for,
     _draw_eps,
-    _sample_region,
     build_epsilon_mixture,
     simulate,
     verify_mixture,
@@ -34,6 +35,7 @@ from encdesign.simulate import (
 from helpers import (
     potential_type_codes_by_rows,
     random_measure,
+    region_points_by_box_rejection,
     satisfies_example_restrictions,
     simulate_by_chunks,
 )
@@ -274,8 +276,43 @@ def test_mixture_type_check_catches_swapped_region():
         dataclasses.replace(second, rtype=first.rtype),
     ) + mix.components[2:]
     bad = dataclasses.replace(mix, components=swapped)
-    with pytest.raises(RuntimeError, match=r"region for .* produced .*; region bug"):
+    message = f"region for {second.rtype.d} does not realize it; region bug"
+    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
         verify_mixture(bad, 20000, seed=11)
+
+
+CERTIFIED_DESIGNS = [
+    (2, 0), (2, 1), (3, 0), (3, 1), (3, 2), (4, 0),
+    (4, 2), (5, 0), (6, 2), (8, 0), (8, 4), (10, 3),
+]
+
+
+@pytest.mark.parametrize("J, J0", CERTIFIED_DESIGNS)
+def test_every_built_region_is_certified(J, J0):
+    config = DesignConfig(J, J0)
+    rng = Random(89 + 10 * J + J0)
+    for _ in range(2):
+        mix = build_epsilon_mixture(random_measure(config, rng))
+        for region in mix.components:
+            assert _certified(config, mix.betas, region), region.rtype.d
+
+
+def test_certificate_refuses_a_comparison_that_needs_a_chain():
+    # eps[0] > eps[1] > eps[2] realizes the constant type 0 at zero
+    # encouragement, but eps[0] > eps[2] follows only from the chain; box
+    # rejection finds no point of another type, and the direct constraint
+    # makes the region pass
+    config = DesignConfig(3, 0)
+    rtype = ResponseType((0, 0, 0))
+    chain = Region(rtype, F(1), (0, 1), (1, 2), (0.0, 0.0), (1.0, 0.0, -1.0))
+    mix = RegionMixture(config, (0.0, 0.0, 0.0), 6.0, (chain,))
+    points = region_points_by_box_rejection(mix, chain, 2000, np.random.default_rng(5))
+    assert points.shape == (2000, 3)
+    message = "region for (0, 0, 0) does not realize it; region bug"
+    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+        verify_mixture(mix, 10, seed=1)
+    direct = dataclasses.replace(chain, lhs=(0, 1, 0), rhs=(1, 2, 2), offsets=(0.0, 0.0, 0.0))
+    assert verify_mixture(dataclasses.replace(mix, components=(direct,)), 10, seed=1) == 0.0
 
 
 def test_mixture_error_is_the_multinomial_gap():
@@ -302,79 +339,6 @@ def test_chunk_rng_rejects_seeds_outside_64_bits(seed):
 def test_chunk_rng_accepts_the_largest_64_bit_seed():
     seq = np.random.SeedSequence(entropy=(2**64 - 1, 3))
     assert _chunk_rng(2**64 - 1, 3).random() == np.random.default_rng(seq).random()
-
-
-class _Stop(Exception):
-    pass
-
-
-class _FirstSize:
-    """Generator stand-in: records the size of the first draw, then stops."""
-
-    def __init__(self):
-        self.sizes = []
-
-    def random(self, size=None):
-        self.sizes.append(size)
-        raise _Stop
-
-
-def test_sample_region_batch_arithmetic_does_not_wrap():
-    # 2 * 2**62 wraps in int64; the first batch must still be one full chunk
-    mix = build_epsilon_mixture(random_measure(DesignConfig(4, 0), Random(5)))
-    rng = _FirstSize()
-    with pytest.raises(_Stop):
-        _sample_region(rng, mix.components[0], mix.M, np.int64(2**62))
-    assert rng.sizes == [(CHUNK_SIZE, 4)]
-
-
-@pytest.mark.parametrize("want", [0, np.int64(0)])
-def test_sample_region_returns_no_rows_when_none_are_wanted(want):
-    mix = build_epsilon_mixture(random_measure(DesignConfig(4, 0), Random(5)))
-    rng = np.random.default_rng(6)
-    eps = _sample_region(rng, mix.components[0], mix.M, want)
-    assert eps.dtype == np.float64 and eps.shape == (0, 4)
-    # no draw was taken from the stream
-    assert rng.random() == np.random.default_rng(6).random()
-
-
-def test_verify_mixture_passes_python_ints_to_the_sampler(monkeypatch):
-    wants = []
-
-    def first_want(rng, region, M, want):
-        wants.append(want)
-        raise _Stop
-
-    monkeypatch.setattr(simulate_module, "_sample_region", first_want)
-    q = random_measure(DesignConfig(4, 0), Random(5))
-    with pytest.raises(_Stop):
-        verify_mixture(build_epsilon_mixture(q), 10**12, seed=1)
-    assert type(wants[0]) is int and wants[0] == CHUNK_SIZE
-
-
-def test_verify_mixture_asks_for_at_most_a_chunk(monkeypatch):
-    wants = []
-
-    def recording(rng, region, M, want):
-        wants.append(want)
-        return _sample_region(rng, region, M, want)
-
-    monkeypatch.setattr(simulate_module, "_sample_region", recording)
-    q = ResponseMeasure(
-        DesignConfig(2, 0),
-        {ResponseType((0, 1)): F(3, 4), ResponseType((0, 0)): F(1, 8), ResponseType((1, 1)): F(1, 8)},
-    )
-    mix = build_epsilon_mixture(q)
-    n = 3 * CHUNK_SIZE + 1
-    got = verify_mixture(mix, n, seed=4)
-    assert wants.count(CHUNK_SIZE) >= 2 and max(wants) == CHUNK_SIZE
-    assert all(type(w) is int for w in wants)
-    # the error depends only on the component counts, drawn first
-    weights = np.array([float(c.weight) for c in mix.components])
-    counts = _chunk_rng(4, 0).multinomial(n, weights / weights.sum())
-    assert got == max(
-        abs(int(c) / n - float(q.mass[comp.rtype])) for c, comp in zip(counts, mix.components)
-    )
 
 
 def test_codes_for_redraws_exactly_the_tied_rows():
@@ -471,18 +435,6 @@ def test_simulate_memory_is_blocks_not_chunks():
     finally:
         tracemalloc.stop()
     assert peak < 12e6, peak
-
-
-def test_sample_region_refuses_a_low_acceptance_rate(monkeypatch):
-    # MIN_ACCEPTANCE 1 fails on the first check, which comes once more than
-    # 10**6 rows are proposed: 16 full batches, while 10**6 rows are wanted
-    mix = build_epsilon_mixture(random_measure(DesignConfig(3, 0), Random(2)))
-    region = mix.components[0]
-    assert 15 * CHUNK_SIZE < 10**6 < 16 * CHUNK_SIZE
-    message = f"rejection acceptance rate below 1.0 for region {region.rtype.d}; adjust the bounding box"
-    monkeypatch.setattr(simulate_module, "MIN_ACCEPTANCE", 1.0)
-    with pytest.raises(CapacityError, match=f"^{re.escape(message)}$"):
-        _sample_region(np.random.default_rng(3), region, mix.M, 10**6)
 
 
 @pytest.mark.parametrize(
