@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -28,6 +29,10 @@ def as_fraction(value) -> Fraction:
 
     Accepts Fraction, int, and strings ("2/3", "0.3", "1"). Floats are
     rejected: their binary representation silently changes the number.
+    A string whose decimal exponent exceeds the interpreter's limit on
+    the digits of an integer's text (``sys.get_int_max_str_digits()``,
+    4300 by default; no bound where it is 0 or missing) is refused
+    before ``Fraction`` builds that power of ten: it could not be printed.
     """
     if isinstance(value, Fraction):
         return value
@@ -36,6 +41,14 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        exponent = value.lower().partition("e")[2].strip()
+        if exponent:
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            digits = exponent[1:] if exponent[0] in "+-" else exponent
+            digits = digits.replace("_", "").lstrip("0")
+            # digits no longer than the limit's own text convert at once
+            if limit and digits.isdecimal() and (len(digits) > len(str(limit)) or int(digits) > limit):
+                raise ValueError(f"probability {value!r} needs more than {limit} digits")
         return Fraction(value)
     raise TypeError(
         f"probabilities must be Fraction, int, or string, not {type(value).__name__}"

@@ -9,7 +9,8 @@ and int64 arrays, so Python lists are accepted. ``BACKEND`` is a
 constant kept for the benchmark's environment stamp.
 
 Shocks are finite or ±inf: no sampler makes NaN, and the encouragement
-sizes are finite. The kernels fold over the J columns one elementwise
+sizes are finite and at least 0, so the argmax kernel keeps one
+unboosted top per row. The kernels fold over the J columns one elementwise
 operation at a time instead of reducing along ``axis=1``: a reduction
 over only J columns runs a short inner loop per row, and on a
 (20000, 4) array ``min(axis=1)`` takes 1.1 ms against 45 µs for a fold
@@ -41,11 +42,11 @@ def potential_type_codes(eps, betas, z_targets):
     instrument value z boosts choice z by betas[z]. Returns the (n, m)
     int64 matrix of chosen treatments (the first index attaining the
     maximum) and an (n,) tie mask marking rows where some top utility
-    was attained twice exactly.
+    was attained twice exactly. The betas must be finite and at least 0.
 
-    The unboosted maxima of the columns before and after each z are
-    shared by every z; under z the top utility is the larger of those
-    two and the boosted column. Scanning the columns against the top,
+    Then fl(eps_z + betas[z]) >= eps_z, so under z the top utility is
+    the larger of the row's unboosted maximum, shared by every z, and
+    the boosted column. Scanning the columns against the top,
     ``seen`` marks rows whose top has already appeared, a second hit
     is a tie, and the count of columns at which the top has been seen
     is J minus the first index attaining it."""
@@ -53,12 +54,9 @@ def potential_type_codes(eps, betas, z_targets):
     betas = np.ascontiguousarray(betas, dtype=np.float64)
     z_targets = np.ascontiguousarray(z_targets, dtype=np.int64)
     J, n = cols.shape
-    before = [None] * J  # before[j]: max of the columns left of j
-    after = [None] * J  # after[j]: max of the columns right of j
-    for j in range(1, J):
-        before[j] = cols[0] if j == 1 else np.maximum(before[j - 1], cols[j - 1])
-    for j in range(J - 2, -1, -1):
-        after[j] = cols[J - 1] if j == J - 2 else np.maximum(after[j + 1], cols[j + 1])
+    peak = np.maximum(cols[0], cols[1])  # the unboosted maximum of each row (J >= 2)
+    for j in range(2, J):
+        np.maximum(peak, cols[j], out=peak)
     d = np.empty((n, len(z_targets)), dtype=np.int64)
     ties = np.zeros(n, dtype=bool)
     boosted = np.empty(n)
@@ -70,11 +68,9 @@ def potential_type_codes(eps, betas, z_targets):
     found = np.empty(n, dtype=np.min_scalar_type(J))
     for t, z in enumerate(z_targets.tolist()):
         np.add(cols[z], betas[z], out=boosted)
-        top[:] = boosted
-        if before[z] is not None:
-            np.maximum(before[z], top, out=top)
-        if after[z] is not None:
-            np.maximum(top, after[z], out=top)
+        # peak may count column z unboosted; that value never exceeds
+        # boosted, so the larger of the two is the top under z
+        np.maximum(peak, boosted, out=top)
         seen[:] = False
         found[:] = 0
         for j in range(J):

@@ -223,15 +223,14 @@ def simulate(spec: RumSpec) -> SimulationResult:
 
 @dataclass(frozen=True)
 class Region:
-    """One shock-space region: uniform sampling inside reproduces one
-    response type. Constraints are strict inequalities
-    eps[lhs] + offset > eps[rhs]; the box |eps| <= M is separate."""
+    """One shock-space region: every shock vector inside it realizes one
+    response type. Each constraint (lhs, rhs, offset) is the strict
+    inequality eps[lhs] + offset > eps[rhs]; the box |eps| <= M is
+    separate."""
 
     rtype: ResponseType
     weight: Fraction
-    lhs: tuple[int, ...]
-    rhs: tuple[int, ...]
-    offsets: tuple[float, ...]
+    constraints: tuple[tuple[int, int, float], ...]
     interior: tuple[float, ...]
 
 
@@ -246,21 +245,22 @@ class RegionMixture:
 def _region(config: DesignConfig, betas, rt: ResponseType):
     """The inequality system whose solutions realize ``rt``, and a point
     inside it: the default is the plain argmax, complying coordinates win
-    when boosted, the rest lose to the default even when boosted."""
+    when boosted, the rest lose to the default even when boosted. The
+    diagonal fits every default and takes the smallest, 0; its betas are
+    all 1.0, so the same rule realizes it.
+
+    Each comparison is written once, as ``_certified`` needs: the
+    default's constraint against k has offset 0.0 if k complies and
+    -betas[k] if not, which implies eps[j*] > eps[k] as the betas are at
+    least 0."""
     J = config.J
-    defaults = default_choice(config, rt)
-    if len(defaults) > 1:  # full-compliance diagonal, J0 = 0
-        cons = [(z, k, betas[z]) for z in config.z_support for k in range(J) if k != z]
-        step = min(b for b in betas if b > 0) / (2 * J) if any(betas) else 0.0
-        return cons, tuple(-j * step for j in range(J))
-    j_star = next(iter(defaults))
+    j_star = min(default_choice(config, rt))
     lam = [z for z in config.z_support if rt.d_at(config, z) == z and z != j_star]
-    cons = [(j_star, k, 0.0) for k in range(J) if k != j_star]
+    cons = [(j_star, k, 0.0 if k in lam else -betas[k]) for k in range(J) if k != j_star]
     vals = [0.0] * J
     for i, z in enumerate(lam):
         cons.extend((z, k, betas[z]) for k in range(J) if k != z)
         vals[z] = -betas[z] / 2 - (i + 1) * betas[z] / (8 * (len(lam) + 1))
-    cons.extend((j_star, z, -betas[z]) for z in config.z_support if z != j_star and z not in lam)
     low = -(1.0 + max(betas))
     rest = [j for j in range(J) if j != j_star and j not in lam]
     for i, j in enumerate(rest):
@@ -300,10 +300,7 @@ def build_epsilon_mixture(q: ResponseMeasure) -> RegionMixture:
             raise RuntimeError(
                 f"no interior point found for region of {rt.d}; construction bug"
             )
-        lhs, rhs, offs = zip(*cons) if cons else ((), (), ())
-        components.append(
-            Region(rt, q.mass[rt], tuple(lhs), tuple(rhs), tuple(offs), point)
-        )
+        components.append(Region(rt, q.mass[rt], tuple(cons), point))
     return RegionMixture(config, tuple(betas), M, tuple(components))
 
 
@@ -318,7 +315,7 @@ def _certified(config: DesignConfig, betas, region: Region) -> bool:
     a comparison that follows only from a chain of constraints is
     refused, and ``_region`` writes each one as a single constraint."""
     tightest = {}
-    for a, b, c in zip(region.lhs, region.rhs, region.offsets):
+    for a, b, c in region.constraints:
         tightest[a, b] = min(c, tightest.get((a, b), c))
     for z, t in zip(config.z_support, region.rtype.d):
         for k in range(config.J):
@@ -341,9 +338,8 @@ def verify_mixture(mix: RegionMixture, n: int, seed: int) -> float:
         raise ValueError("draw count must be at least 1")
     rng = _chunk_rng(seed, 0)
     for region in mix.components:
-        cons = list(zip(region.lhs, region.rhs, region.offsets))
         if not (
-            _point_in_region(region.interior, cons, mix.M)
+            _point_in_region(region.interior, region.constraints, mix.M)
             and _certified(mix.config, mix.betas, region)
         ):
             raise RuntimeError(f"region for {region.rtype.d} does not realize it; region bug")

@@ -304,6 +304,13 @@ def test_model(
         raise ValueError("need at least 99 bootstrap replications")
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie strictly between 0 and 1")
+    # The capacity check comes before any count, frequency or moment is
+    # computed. Without a base state the selector family is the smallest
+    # partition family, so one it refuses is refused for every |Y|; with
+    # one, the treatment family is generated here.
+    if config.J0 == 0:
+        product_family(config)
+    static = generate(config) if config.J0 and data.y is None else ()
     est = estimate(data, config)
     ys = est.y_support
 
@@ -314,8 +321,7 @@ def test_model(
     index = {c: i for i, c in enumerate(coords)}
 
     # Without a base state the product family follows the static rows:
-    # per choice, each option's cell indices. The capacity check comes
-    # before any frequency or moment is computed.
+    # per choice, each option's cell indices.
     options = [
         np.array([[index[(z, j, *t)] for z, t in zip(option, tails)] for option in opts])
         for j, opts in enumerate(product_family(config, len(tails)))
@@ -325,7 +331,8 @@ def test_model(
     p_vec = np.concatenate([p.ravel() for p in p_arm])
     arm_of = np.array([config.z_index(c[0]) for c in coords])
     arm_n = np.array([est.arm_counts[z] for z in config.z_support], dtype=float)
-    static = generate_outcome(config, ys) if ys is not None else generate(config) if config.J0 else ()
+    if ys is not None:
+        static = generate_outcome(config, ys)
     # a static row has one cell on each side
     pairs = [(index[left], index[right]) for (left,), (right,) in ((sp.lhs, sp.rhs) for sp in static)]
     lhs, rhs = np.array(pairs, dtype=int).reshape(-1, 2).T

@@ -68,6 +68,17 @@ def random_measure(config: DesignConfig, rng: Random, max_weight: int = 8) -> Re
     )
 
 
+def full_support_mixture(J: int, J0: int) -> RegionMixture:
+    """The mixture of a witness that weights every admissible type, so
+    every region of the design is built, the diagonal one included."""
+    config = DesignConfig(J, J0)
+    types = enumerate_admissible(config)
+    rng = Random(601 + 10 * J + J0)
+    weights = [rng.randint(1, 8) for _ in types]
+    q = ResponseMeasure(config, {t: Fraction(w, sum(weights)) for t, w in zip(types, weights)})
+    return simulate.build_epsilon_mixture(q)
+
+
 def boundary_measure(config: DesignConfig, rng: Random) -> ResponseMeasure:
     """Random measure whose pushforward sits exactly on the boundary:
     one inequality holds with slack zero.
@@ -785,9 +796,7 @@ def region_points_by_box_rejection(
     z_support = np.asarray(config.z_support, dtype=np.int64)
     betas = np.asarray(mix.betas, dtype=np.float64)
     points = []
-    lhs = np.asarray(region.lhs, dtype=np.int64)
-    rhs = np.asarray(region.rhs, dtype=np.int64)
-    offs = np.asarray(region.offsets, dtype=np.float64)
+    lhs, rhs, offs = zip(*region.constraints)
     got = 0
     proposed = 0
     batch = max(4096, 2 * want)

@@ -903,6 +903,43 @@ def test_a_missing_instrument_key_is_named_before_any_row_is_built(tmp_path, cap
     assert peak < 1e6, peak
 
 
+@pytest.mark.parametrize("command", ["check", "construct", "lp-check"])
+def test_a_probability_past_the_digit_limit_is_refused_at_once(tmp_path, capsys, command):
+    # Fraction("1e-9999999") took 11-13 s to build its power of ten, and
+    # the command then exited 2 with Python's own text about the limit
+    doc = {"J": 2, "p": {"0": {"0": "1e-9999999", "1": "1"}, "1": {"0": "0", "1": "1"}}}
+    path = write_json(tmp_path / "exponent.json", doc)
+    start = time.perf_counter()
+    code = run([command, "--input", path])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT and captured.out == ""
+    assert captured.err == "input error: probability '1e-9999999' needs more than 4300 digits\n"
+    assert elapsed < 0.5, elapsed
+
+
+def test_test_meets_the_family_cap_before_counting(tmp_path, capsys):
+    # the cells were counted and indexed, J x |Z| of each, before the
+    # family refused: 4.1 s and 808 MB maxrss at J = 2000, 14 s and
+    # 1.87 GB at (3000, 1)
+    for J, J0 in [(2000, 0), (3000, 1)]:
+        path = tmp_path / f"d{J}.csv"
+        path.write_text("d,z\n" + "".join(f"{i % J},{i % J}\n" for i in range(2 * J)))
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            code = run(["test", "--data", str(path), "--J", str(J), "--J0", str(J0), "--B", "99"])
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == EXIT_CAPACITY and captured.out == "", (J, J0)
+        assert captured.err == "capacity error: family would hold more than 1000000 inequalities\n"
+        assert elapsed < 1.0, (J, J0, elapsed)
+        assert peak < 10e6, (J, J0, peak)
+
+
 def test_stdout_is_byte_identical_across_invocations(tmp_path, capsys):
     src = write_json(tmp_path / "p.json", UNIFORM3)
     run(["construct", "--input", src, "--trace"])

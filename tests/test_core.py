@@ -278,6 +278,11 @@ UNIT_ROWS = {0: (F(1), F(0)), 1: (F(0), F(1))}
             lambda c: ResponseMeasure(c, {(0, 1): F(3, 2), (0, 0): F(-1, 2)}),
             "negative mass -1/2 on (0, 0)",
         ),
+        # refused before Fraction builds 10**9999999, which takes seconds
+        (
+            lambda c: ObservedDistribution(c, {0: ("1e-9999999", "1"), 1: (F(0), F(1))}),
+            "probability '1e-9999999' needs more than 4300 digits",
+        ),
     ],
 )
 def test_core_input_checks_name_the_fault(build, message):

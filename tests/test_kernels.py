@@ -107,17 +107,21 @@ def test_potential_codes_match_axis_reductions_bit_for_bit(J, J0, n):
     eps = _shocks_with_ties(rng, n, J)
     betas = np.where(np.arange(J) < J0, 0.0, rng.integers(1, 3, size=J).astype(np.float64))
     z_support = list(DesignConfig(J, J0).z_support)
-    d, ties = kernels.potential_type_codes(eps, betas, z_support)
-    want_d, want_ties = potential_type_codes_by_argmax(eps, betas, z_support)
-    assert d.dtype == want_d.dtype == np.int64 and d.shape == (n, len(z_support))
-    assert ties.dtype == want_ties.dtype == bool and ties.shape == (n,)
-    assert np.array_equal(d, want_d)
-    assert np.array_equal(ties, want_ties)
-    if n <= 400:
-        rows_d, rows_ties = potential_type_codes_by_rows(eps, betas, z_support)
-        assert d.tolist() == rows_d and ties.tolist() == rows_ties
-    if n >= 400:
-        assert ties.any() and not ties.all()
+    # and boosts that rounding absorbs on the targeted choice J - 1: its
+    # boosted column then meets the unboosted top exactly
+    absorbed = [np.where(np.arange(J) == J - 1, b, betas) for b in (2.0**-1074, 1e-300)]
+    for b in [betas, *absorbed]:
+        d, ties = kernels.potential_type_codes(eps, b, z_support)
+        want_d, want_ties = potential_type_codes_by_argmax(eps, b, z_support)
+        assert d.dtype == want_d.dtype == np.int64 and d.shape == (n, len(z_support))
+        assert ties.dtype == want_ties.dtype == bool and ties.shape == (n,)
+        assert np.array_equal(d, want_d)
+        assert np.array_equal(ties, want_ties)
+        if n <= 400:
+            rows_d, rows_ties = potential_type_codes_by_rows(eps, b, z_support)
+            assert d.tolist() == rows_d and ties.tolist() == rows_ties
+        if n >= 400:
+            assert ties.any() and not ties.all()
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 400, 14_000])

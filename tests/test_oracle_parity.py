@@ -23,7 +23,7 @@ import pytest
 
 from encdesign import inequalities, lp, simulate, stats
 from encdesign.admissible import enumerate_admissible, is_admissible
-from encdesign.core import DesignConfig, ResponseMeasure, ResponseType, pushforward
+from encdesign.core import DesignConfig, ResponseType, pushforward
 from encdesign.errors import CapacityError, ConstructionError
 from encdesign.inequalities import OutcomeDistribution, check
 from encdesign.simulate import (
@@ -51,6 +51,7 @@ from helpers import (
     feasible_outcome_by_scan,
     feasible_outcome_table,
     feasible_table,
+    full_support_mixture,
     lambda_weights,
     phase_one_bland,
     phase_one_columns,
@@ -388,11 +389,11 @@ def _single_offset_mutations(J, J0):
     for _ in range(4):
         mix = build_epsilon_mixture(random_measure(DesignConfig(J, J0), rng))
         for region in mix.components[:3]:
-            for i in range(len(region.offsets)):
+            for i, (a, b, c) in enumerate(region.constraints):
                 for step in MUTATION_STEPS:
-                    offsets = list(region.offsets)
-                    offsets[i] += step
-                    yield mix, dataclasses.replace(region, offsets=tuple(offsets))
+                    constraints = list(region.constraints)
+                    constraints[i] = (a, b, c + step)
+                    yield mix, dataclasses.replace(region, constraints=tuple(constraints))
 
 
 @pytest.mark.parametrize("J, J0", MUTATION_DESIGNS)
@@ -408,19 +409,8 @@ def test_certificate_refuses_every_region_box_rejection_catches(J, J0):
         except RuntimeError as exc:
             assert "produced" in str(exc), str(exc)
             caught += 1
-            assert not certified, (region.rtype.d, region.offsets, str(exc))
+            assert not certified, (region.rtype.d, region.constraints, str(exc))
     assert 0 < caught <= refused
-
-
-def _full_support_mixture(J, J0):
-    """The mixture of a witness that weights every admissible type, so
-    every region of the design is built, the diagonal one included."""
-    config = DesignConfig(J, J0)
-    types = enumerate_admissible(config)
-    rng = Random(601 + 10 * J + J0)
-    weights = [rng.randint(1, 8) for _ in types]
-    q = ResponseMeasure(config, {t: F(w, sum(weights)) for t, w in zip(types, weights)})
-    return build_epsilon_mixture(q)
 
 
 def test_verify_mixture_memory_is_one_chunk():
@@ -428,7 +418,7 @@ def test_verify_mixture_memory_is_one_chunk():
     # peak is the certificate's offsets and the component weights and
     # counts, about 6 kB; one chunk of shocks would take 2 MB and rows
     # kept for all draws 64 MB
-    mix = _full_support_mixture(4, 0)
+    mix = full_support_mixture(4, 0)
     tracemalloc.start()
     try:
         verify_mixture(mix, 2_000_000, seed=5)
@@ -646,10 +636,12 @@ def test_group_max_leaves_the_dense_maximum_bit_for_bit(monkeypatch):
     [
         (8, 0, 0, "family would hold more than 1000000 inequalities"),
         (4, 0, 4, "family would hold more than 1000000 inequalities"),
+        (1002, 1, 0, "family would hold more than 1000000 inequalities"),
     ],
 )
 def test_test_model_cap_refuses_before_building_rows(monkeypatch, J, J0, ny, message):
-    config, data = _micro(J, J0, ny, 2000, seed=7)
+    # rows on every arm, so the oracle too meets the cap
+    config, data = _micro(J, J0, ny, max(2000, 20 * J), seed=7)
     with pytest.raises(CapacityError) as oracle:
         model_test_by_family(data, config, B=99)
     assert str(oracle.value) == message
@@ -657,8 +649,14 @@ def test_test_model_cap_refuses_before_building_rows(monkeypatch, J, J0, ny, mes
     def refuse(*args, **kwargs):
         raise AssertionError("a moment row was built")
 
-    for name in ("_option_sums", "_fold", "generate", "generate_outcome"):
+    # with a base state the real generate refuses before it builds a spec
+    names = ["_option_sums", "_fold", "generate_outcome"] + ([] if J0 else ["generate"])
+    # where the treatment family is past the cap nothing is counted; at
+    # (4,0) only estimate learns that |Y| = 4
+    names += [] if ny else ["estimate"]
+    for name in names:
         monkeypatch.setattr(stats, name, refuse)
+    monkeypatch.setattr(inequalities, "InequalitySpec", refuse)
     with pytest.raises(CapacityError) as got:
         stats.test_model(data, config, B=99)
     assert str(got.value) == message

@@ -33,6 +33,7 @@ from encdesign.simulate import (
     verify_mixture,
 )
 from helpers import (
+    full_support_mixture,
     potential_type_codes_by_rows,
     random_measure,
     region_points_by_box_rejection,
@@ -289,12 +290,16 @@ CERTIFIED_DESIGNS = [
 
 @pytest.mark.parametrize("J, J0", CERTIFIED_DESIGNS)
 def test_every_built_region_is_certified(J, J0):
+    # two random measures and the full support, the diagonal included;
+    # each region writes an ordered pair once
     config = DesignConfig(J, J0)
     rng = Random(89 + 10 * J + J0)
-    for _ in range(2):
-        mix = build_epsilon_mixture(random_measure(config, rng))
+    mixtures = [build_epsilon_mixture(random_measure(config, rng)) for _ in range(2)]
+    for mix in mixtures + [full_support_mixture(J, J0)]:
         for region in mix.components:
             assert _certified(config, mix.betas, region), region.rtype.d
+            pairs = [(a, b) for a, b, _ in region.constraints]
+            assert len(set(pairs)) == len(pairs), region.rtype.d
 
 
 def test_certificate_refuses_a_comparison_that_needs_a_chain():
@@ -304,14 +309,14 @@ def test_certificate_refuses_a_comparison_that_needs_a_chain():
     # makes the region pass
     config = DesignConfig(3, 0)
     rtype = ResponseType((0, 0, 0))
-    chain = Region(rtype, F(1), (0, 1), (1, 2), (0.0, 0.0), (1.0, 0.0, -1.0))
+    chain = Region(rtype, F(1), ((0, 1, 0.0), (1, 2, 0.0)), (1.0, 0.0, -1.0))
     mix = RegionMixture(config, (0.0, 0.0, 0.0), 6.0, (chain,))
     points = region_points_by_box_rejection(mix, chain, 2000, np.random.default_rng(5))
     assert points.shape == (2000, 3)
     message = "region for (0, 0, 0) does not realize it; region bug"
     with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
         verify_mixture(mix, 10, seed=1)
-    direct = dataclasses.replace(chain, lhs=(0, 1, 0), rhs=(1, 2, 2), offsets=(0.0, 0.0, 0.0))
+    direct = dataclasses.replace(chain, constraints=chain.constraints + ((0, 2, 0.0),))
     assert verify_mixture(dataclasses.replace(mix, components=(direct,)), 10, seed=1) == 0.0
 
 
