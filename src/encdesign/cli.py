@@ -437,7 +437,7 @@ def trace_doc(trace: witness.ConstructionTrace) -> dict:
                 "kind": e.kind,
                 "target": e.target,
                 "step": e.step,
-                "type": list(e.rtype.d),
+                "type": list(trace.rtype(e).d),
                 "mass": str(e.mass),
             }
             for e in trace.entries

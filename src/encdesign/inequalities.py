@@ -6,8 +6,9 @@ the reduced pairwise family (no instrument value beats the base state)
 when a base state exists. The outcome extension adds per-cell pointwise
 dominance plus a partition inequality. The selector and partition
 families are one product over choices, listed and capped by
-``product_family``. Slacks are rationals; no tolerance parameter exists
-in this module.
+``product_family``. Every check evaluates its slacks as integers over
+the table's common denominator and reports them as ``Fraction``s; no
+tolerance parameter exists in this module.
 """
 
 from __future__ import annotations
@@ -61,14 +62,6 @@ class InequalitySpec:
         """(j, k) of a row p(k, j) <= p(., j), else None."""
         return (self.lhs[0][1], self.lhs[0][0]) if self.rhs else None
 
-    def slack(self, table) -> Fraction:
-        total = self.bound
-        for coord in self.rhs:
-            total += table.p(*coord)
-        for coord in self.lhs:
-            total -= table.p(*coord)
-        return total
-
 
 Violations = tuple[tuple[InequalitySpec, Fraction], ...]
 
@@ -90,17 +83,21 @@ class CheckReport:
     def violations(self) -> Violations:
         return self.list_violations()
 
-    @classmethod
-    def from_slacks(cls, slacks) -> "CheckReport":
-        slacks = tuple(slacks)
-        if not slacks:
-            raise ValueError("cannot build a report from an empty family")
-        violations = tuple((s, v) for s, v in slacks if v < 0)
-        return cls(
-            passed=not violations,
-            min_slack=min(v for _, v in slacks),
-            list_violations=lambda: violations,
-        )
+
+def _report(specs, value, scale, extra=()) -> CheckReport:
+    """The report on ``specs``, each one cell bounded by another cell of
+    the same choice (bound 0), followed by the ``extra`` (spec, slack)
+    pairs. ``value`` maps a coordinate to its integer over the common
+    denominator ``scale``, so every slack is an integer on that scale; a
+    Fraction is made only for ``min_slack`` and for each violation."""
+    slacks = [(s, value(s.rhs[0]) - value(s.lhs[0])) for s in specs]
+    slacks.extend(extra)
+    violations = tuple((s, Fraction(v, scale)) for s, v in slacks if v < 0)
+    return CheckReport(
+        passed=not violations,
+        min_slack=Fraction(min(v for _, v in slacks), scale),
+        list_violations=lambda: violations,
+    )
 
 
 def product_family(config: DesignConfig, ny: int = 1) -> list[list[tuple[int, ...]]]:
@@ -109,17 +106,17 @@ def product_family(config: DesignConfig, ny: int = 1) -> list[list[tuple[int, ..
     from ``targeted_set(j)`` in ``itertools.product`` order.
     A member takes one option per choice, last choice fastest. The size
     is checked against ``FAMILY_CAP`` one factor |targeted_set(j)| at a
-    time, before any option or later choice's set is listed, so no large
-    integer or list is built."""
-    sets = []
+    time, each counted from the design (|Z|, less 1 for a targeted j),
+    before any targeted set or option is listed, so no large integer or
+    list is built."""
+    n_z = len(range(config.J0, config.J)) + (config.base is not None)
     size = 1
     for j in range(config.J):
-        sets.append(config.targeted_set(j))
         for _ in range(ny):
-            size *= len(sets[-1])
+            size *= n_z - (j >= config.J0)
             if size > FAMILY_CAP:
                 raise CapacityError(f"family would hold more than {FAMILY_CAP} inequalities")
-    return [list(product(zs, repeat=ny)) for zs in sets]
+    return [list(product(config.targeted_set(j), repeat=ny)) for j in range(config.J)]
 
 
 def _selector_spec(selector: tuple[int, ...]) -> InequalitySpec:
@@ -163,16 +160,21 @@ def check(P: ObservedDistribution) -> CheckReport:
     p(z, j) on the targeted set, so the verdict and ``min_slack`` take
     O(J * |Z|). ``FAMILY_CAP`` bounds the violations listed when the
     report's ``violations`` is read; more raise CapacityError there.
+    With a base state the pairwise family is generated, and each row's
+    slack is one integer difference.
+
+    Both run on the integer form: every p(z, j) times the common
+    denominator L. A slack becomes a Fraction only where the report
+    holds it, as ``min_slack`` or a violation.
     """
     config = P.config
-    if config.J0:
-        specs = generate(config)
-        return CheckReport.from_slacks((s, s.slack(P)) for s in specs)
     # integer form: every p(z, j) scaled by the common denominator L
     scale = lcm(*(v.denominator for row in P.rows.values() for v in row))
     scaled = {
         z: [v.numerator * (scale // v.denominator) for v in row] for z, row in P.rows.items()
     }
+    if config.J0:
+        return _report(generate(config), lambda c: scaled[c[0]][c[1]], scale)
     levels = [[(z, scaled[z][j]) for z in config.targeted_set(j)] for j in range(config.J)]
     # hi[j], lo[j]: the largest and smallest sum over choices j, j+1, ...
     hi, lo = [0], [0]
@@ -327,14 +329,37 @@ def partition_reduction_spec(PY: OutcomeDistribution) -> InequalitySpec:
     return InequalitySpec(lhs=tuple(lhs), tag="partition-max")
 
 
+def _integer_cells(PY: OutcomeDistribution):
+    """The common denominator L of the cells, and every cell as an
+    integer over it: ``cell[z][j][y] = L * p[z][j][y]``."""
+    scale = lcm(
+        *(v.denominator for by_j in PY.cells.values() for by_y in by_j.values() for v in by_y.values())
+    )
+    cell = {
+        z: {
+            j: {y: v.numerator * (scale // v.denominator) for y, v in by_y.items()}
+            for j, by_y in by_j.items()
+        }
+        for z, by_j in PY.cells.items()
+    }
+    return scale, cell
+
+
 def check_outcome(PY: OutcomeDistribution) -> CheckReport:
     """Full outcome check: the static pointwise family plus, without a
-    base state, the partition reduction."""
-    slacks = [(s, s.slack(PY)) for s in generate_outcome(PY.config, PY.y_support)]
+    base state, the partition reduction, whose slack is L minus the sum
+    of its cells. Every slack is an integer over the common denominator
+    L of the cells."""
+    scale, cell = _integer_cells(PY)
+
+    def value(c):
+        return cell[c[0]][c[1]][c[2]]
+
+    extra = ()
     if PY.config.J0 == 0:
         spec = partition_reduction_spec(PY)
-        slacks.append((spec, spec.slack(PY)))
-    return CheckReport.from_slacks(slacks)
+        extra = ((spec, scale - sum(map(value, spec.lhs))),)
+    return _report(generate_outcome(PY.config, PY.y_support), value, scale, extra)
 
 
 def partition_family_specs(config: DesignConfig, y_support) -> tuple[InequalitySpec, ...]:

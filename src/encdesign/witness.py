@@ -3,10 +3,13 @@ table that passes the inequality check.
 
 The construction orders, for each target choice, the instrument values by
 ascending choice probability and assigns the successive increments to
-response types that comply with ever-larger prefixes of that ordering.
-The remaining mass lands on full compliance. Run on an infeasible table
-the same arithmetic produces a negative mass, which is reported rather
-than clamped: the negative mass is itself the diagnostic.
+response types that comply with ever-larger prefixes of that ordering:
+step s goes to the type complying with the first s - 1 values, so the
+ordering fixes each step's type, and a type is built only where it is
+reported. The remaining mass lands on full compliance. Run on an
+infeasible table the same arithmetic produces a negative mass, which is
+reported rather than clamped: the negative mass is itself the
+diagnostic.
 
 The outcome witness orders each (choice, outcome) cell once, and takes
 its mixing weights from the tops of those same orderings. It runs on one
@@ -37,7 +40,7 @@ from .core import (
     as_fraction,
 )
 from .errors import CapacityError, ConstructionError
-from .inequalities import OutcomeDistribution
+from .inequalities import OutcomeDistribution, _integer_cells
 
 TABLE_CAP = 1_000_000
 
@@ -71,15 +74,14 @@ def _compliance_type(config: DesignConfig, default: int) -> ResponseType:
 
 def _column_steps(config: DesignConfig, values: Mapping[int, Fraction], target: int):
     """One column of the construction for target choice ``target``: the
-    ordering of ``values`` (one per instrument value), its steps as
-    (step, response type, increment) with step 1 the base increment, and
-    the top non-targeting value ``values[order[-2]]``."""
+    ordering of ``values`` (one per instrument value), the increment of
+    each step (step s at index s - 1, step 1 the base increment) and the
+    top non-targeting value ``values[order[-2]]``. Step s's type is the
+    one complying with ``order[: s - 1]``; no type is built here."""
     order = instrument_ordering(config, values, target)
-    steps = [(1, _type_with_prefix(config, target, ()), values[order[0]])]
-    for ell in range(2, len(order)):
-        rtype = _type_with_prefix(config, target, order[: ell - 1])
-        steps.append((ell, rtype, values[order[ell - 1]] - values[order[ell - 2]]))
-    return order, steps, values[order[-2]]
+    column = [values[z] for z in order[:-1]]
+    increments = [v - below for below, v in zip([0] + column, column)]
+    return order, increments, column[-1]
 
 
 def _negative_assignment(rtype, mass, target, step, y=None) -> ConstructionError:
@@ -106,9 +108,12 @@ def _negative_assignment(rtype, mass, target, step, y=None) -> ConstructionError
 
 @dataclass(frozen=True)
 class TraceEntry:
+    """One assignment of the construction: its target, its step and its
+    mass. The type it goes to is not stored; ``ConstructionTrace.rtype``
+    derives it from the target's ordering."""
+
     target: int | None
     step: int | None  # None for a compliance remainder
-    rtype: ResponseType
     mass: Fraction
 
     @property
@@ -122,6 +127,12 @@ class TraceEntry:
 
 @dataclass(frozen=True)
 class ConstructionTrace:
+    """The construction's arithmetic on one table: each target's
+    instrument ordering and every entry, negative masses included. The
+    ordering fixes each entry's type, so none is built until ``rtype``
+    is asked for it."""
+
+    config: DesignConfig
     orderings: Mapping[int, tuple[int, ...]]
     entries: tuple[TraceEntry, ...]
 
@@ -129,6 +140,16 @@ class ConstructionTrace:
     def feasible(self) -> bool:
         """True iff no entry's mass is negative."""
         return all(e.mass >= 0 for e in self.entries)
+
+    def rtype(self, entry: TraceEntry) -> ResponseType:
+        """The type an entry's mass goes to: for step s of target j, the
+        type complying with the first s - 1 values of j's ordering; for
+        a remainder, full compliance with default its target (0 without
+        a base state)."""
+        if entry.step is None:
+            return _compliance_type(self.config, 0 if entry.target is None else entry.target)
+        prefix = self.orderings[entry.target][: entry.step - 1]
+        return _type_with_prefix(self.config, entry.target, prefix)
 
 
 def diagnose(P: ObservedDistribution) -> ConstructionTrace:
@@ -141,32 +162,32 @@ def diagnose(P: ObservedDistribution) -> ConstructionTrace:
     top_values: dict[int, Fraction] = {}
     for j in range(config.J):
         column = {z: P.p(z, j) for z in config.z_support}
-        orderings[j], steps, top_values[j] = _column_steps(config, column, j)
-        for ell, rtype, mass in steps:
-            entries.append(TraceEntry(j, ell, rtype, mass))
+        orderings[j], increments, top_values[j] = _column_steps(config, column, j)
+        entries.extend(TraceEntry(j, ell, mass) for ell, mass in enumerate(increments, 1))
     if config.J0 == 0:
-        remainder = ONE - sum(top_values.values())
-        entries.append(TraceEntry(None, None, _compliance_type(config, 0), remainder))
+        entries.append(TraceEntry(None, None, ONE - sum(top_values.values())))
     else:
         for j in range(config.J0):
-            gap = P.p(0, j) - top_values[j]
-            entries.append(TraceEntry(j, None, _compliance_type(config, j), gap))
-    return ConstructionTrace(orderings, tuple(entries))
+            entries.append(TraceEntry(j, None, P.p(0, j) - top_values[j]))
+    return ConstructionTrace(config, orderings, tuple(entries))
 
 
 def construct(P: ObservedDistribution) -> ResponseMeasure:
     """The explicit witness: a measure over admissible types whose
     pushforward reproduces P exactly. Raises ConstructionError naming the
-    first negative assignment when P fails the inequality check."""
+    first negative assignment when P fails the inequality check. A type
+    is built only for a nonzero mass."""
     trace = diagnose(P)
     mass: dict[ResponseType, Fraction] = {}
     for entry in trace.entries:
         if entry.mass < 0:
-            raise _negative_assignment(entry.rtype, entry.mass, entry.target, entry.step)
-        if entry.rtype in mass:
-            raise RuntimeError(f"two assignments hit {entry.rtype.d}; construction bug")
-        mass[entry.rtype] = entry.mass
-    return ResponseMeasure(P.config, {rt: m for rt, m in mass.items() if m > 0})
+            raise _negative_assignment(trace.rtype(entry), entry.mass, entry.target, entry.step)
+        if entry.mass:
+            rtype = trace.rtype(entry)
+            if rtype in mass:
+                raise RuntimeError(f"two assignments hit {rtype.d}; construction bug")
+            mass[rtype] = entry.mass
+    return ResponseMeasure(P.config, mass)
 
 
 @dataclass(frozen=True)
@@ -276,16 +297,7 @@ def construct_outcome(PY: OutcomeDistribution) -> OutcomeResponseMeasure:
             f"witness table would hold up to {n_types * len(ys) ** config.J} entries, cap is {TABLE_CAP}"
         )
     # scale is L; cell[z][j][y] and every density below are integers over it
-    scale = lcm(
-        *(v.denominator for by_j in PY.cells.values() for by_y in by_j.values() for v in by_y.values())
-    )
-    cell = {
-        z: {
-            j: {y: v.numerator * (scale // v.denominator) for y, v in by_y.items()}
-            for j, by_y in by_j.items()
-        }
-        for z, by_j in PY.cells.items()
-    }
+    scale, cell = _integer_cells(PY)
     columns = {}
     num = []
     for k in range(config.J):
@@ -328,9 +340,11 @@ def construct_outcome(PY: OutcomeDistribution) -> OutcomeResponseMeasure:
         for y in ys:
             factors[j] = {y: den[j]}
             completions = _weighted_vectors(factors)
-            _, steps, top = columns[j, y]
-            for ell, rtype, inc in steps:
-                spread(rtype, completions, inc, j, ell, y)
+            order, increments, top = columns[j, y]
+            for ell, inc in enumerate(increments, 1):
+                if inc:  # a type only where mass may land
+                    rtype = _type_with_prefix(config, j, order[: ell - 1])
+                    spread(rtype, completions, inc, j, ell, y)
             if j < config.J0:
                 spread(_compliance_type(config, j), completions, cell[0][j][y] - top, j, None, y)
             top_sum += top  # the remainder below needs it only without a base state

@@ -47,13 +47,7 @@ from encdesign.inequalities import (
 )
 from encdesign.simulate import MicroData, Region, RegionMixture
 from encdesign.stats import SE_FLOOR, EstimatedTables, TestReport, estimate
-from encdesign.witness import (
-    TABLE_CAP,
-    OutcomeResponseMeasure,
-    _compliance_type,
-    _type_with_prefix,
-    pushforward_outcome,
-)
+from encdesign.witness import TABLE_CAP, OutcomeResponseMeasure, pushforward_outcome
 
 
 def random_measure(config: DesignConfig, rng: Random, max_weight: int = 8) -> ResponseMeasure:
@@ -705,11 +699,35 @@ def z_index_by_fork(config: DesignConfig, z: int) -> int:
     raise ValueError(f"instrument value {z} not in support {z_support_by_fork(config)}")
 
 
+def spec_slack(spec: InequalitySpec, table) -> Fraction:
+    """The slack bound + sum(rhs) - sum(lhs) of one inequality, summed
+    in Fractions from ``table.p``."""
+    total = spec.bound
+    for coord in spec.rhs:
+        total += table.p(*coord)
+    for coord in spec.lhs:
+        total -= table.p(*coord)
+    return total
+
+
+def report_from_slacks(slacks) -> CheckReport:
+    """The report on (spec, Fraction slack) pairs in family order."""
+    slacks = tuple(slacks)
+    if not slacks:
+        raise ValueError("cannot build a report from an empty family")
+    violations = tuple((s, v) for s, v in slacks if v < 0)
+    return CheckReport(
+        passed=not violations,
+        min_slack=min(v for _, v in slacks),
+        list_violations=lambda: violations,
+    )
+
+
 def check_by_family(P: ObservedDistribution, full: bool = False) -> CheckReport:
     """Oracle for ``inequalities.check``: build the whole family and
     evaluate the slack of every inequality in it."""
     specs = generate(P.config, full=full)
-    return CheckReport.from_slacks((s, s.slack(P)) for s in specs)
+    return report_from_slacks((s, spec_slack(s, P)) for s in specs)
 
 
 def brute_force_partition_check(
@@ -757,9 +775,19 @@ def partition_check(PY: OutcomeDistribution) -> CheckReport:
     enumeration, which tests verify."""
     if PY.config.J0 == 0:
         spec = partition_reduction_spec(PY)
-        return CheckReport.from_slacks([(spec, spec.slack(PY))])
+        return report_from_slacks([(spec, spec_slack(spec, PY))])
     specs = [s for s in generate_outcome(PY.config, PY.y_support) if s.tag == "outcome-base"]
-    return CheckReport.from_slacks((s, s.slack(PY)) for s in specs)
+    return report_from_slacks((s, spec_slack(s, PY)) for s in specs)
+
+
+def check_outcome_by_family(PY: OutcomeDistribution) -> CheckReport:
+    """Oracle for ``inequalities.check_outcome``: the static family and,
+    without a base state, the partition reduction, each slack summed in
+    Fractions."""
+    specs = list(generate_outcome(PY.config, PY.y_support))
+    if PY.config.J0 == 0:
+        specs.append(partition_reduction_spec(PY))
+    return report_from_slacks((s, spec_slack(s, PY)) for s in specs)
 
 
 def mix(
@@ -1353,6 +1381,18 @@ def lambda_weights(PY: OutcomeDistribution) -> dict[int, dict[int, Fraction]]:
     return out
 
 
+def type_complying_with(config: DesignConfig, target: int, prefix) -> ResponseType:
+    """The response type that takes z at every instrument value z in
+    ``prefix`` and ``target`` at every other one."""
+    return ResponseType(tuple(z if z in prefix else target for z in config.z_support))
+
+
+def full_compliance(config: DesignConfig, default: int) -> ResponseType:
+    """The type that takes z at every targeting value z and ``default``
+    at the base state 0, the one value below J0 when J0 > 0."""
+    return ResponseType(tuple(z if z >= config.J0 else default for z in config.z_support))
+
+
 def construct_outcome_by_fractions(PY: OutcomeDistribution, cap: int = TABLE_CAP) -> dict:
     """Oracle for ``witness.construct_outcome``: every completion weight
     recomputed as a product of Fraction mixing weights at every step.
@@ -1399,7 +1439,7 @@ def construct_outcome_by_fractions(PY: OutcomeDistribution, cap: int = TABLE_CAP
             values = {z: PY.p(z, j, y) for z in config.z_support}
             order = instrument_ordering_by_branches(config, values, j)
             spread(
-                _type_with_prefix(config, j, ()),
+                type_complying_with(config, j, ()),
                 j,
                 y,
                 PY.p(order[0], j, y),
@@ -1407,7 +1447,7 @@ def construct_outcome_by_fractions(PY: OutcomeDistribution, cap: int = TABLE_CAP
                 1,
             )
             for ell in range(2, len(order)):
-                rtype = _type_with_prefix(config, j, order[: ell - 1])
+                rtype = type_complying_with(config, j, order[: ell - 1])
                 inc = PY.p(order[ell - 1], j, y) - PY.p(order[ell - 2], j, y)
                 spread(rtype, j, y, inc, f"target {j}, step {ell}, outcome {y}", ell)
             top = PY.p(order[-2], j, y)
@@ -1415,7 +1455,7 @@ def construct_outcome_by_fractions(PY: OutcomeDistribution, cap: int = TABLE_CAP
                 if j < config.J0:
                     gap = PY.p(0, j, y) - top
                     spread(
-                        _compliance_type(config, j),
+                        full_compliance(config, j),
                         j,
                         y,
                         gap,
@@ -1432,7 +1472,7 @@ def construct_outcome_by_fractions(PY: OutcomeDistribution, cap: int = TABLE_CAP
                 f"the table violates the outcome check",
                 mass=remainder,
             )
-        diag = _compliance_type(config, 0)
+        diag = full_compliance(config, 0)
         if remainder > 0:
             for yvec in product(ys, repeat=config.J):
                 weight = remainder

@@ -940,6 +940,47 @@ def test_test_meets_the_family_cap_before_counting(tmp_path, capsys):
         assert peak < 10e6, (J, J0, peak)
 
 
+def test_the_family_cap_is_met_before_any_targeted_set_is_listed(tmp_path, capsys):
+    # the first targeted set, about J values, was listed before the first
+    # factor was counted: 5 s and a 241 MB tracemalloc peak at J = 5e6
+    path = tmp_path / "two.csv"
+    path.write_text("d,z\n0,0\n1,1\n")
+    for argv in (["inequalities"], ["test", "--data", str(path)]):
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            code = run(argv + ["--J", "5000000"])
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == EXIT_CAPACITY and captured.out == "", argv
+        assert captured.err == "capacity error: family would hold more than 1000000 inequalities\n"
+        assert elapsed < 1.0, (argv, elapsed)
+        assert peak < 10e6, (argv, peak)
+
+
+def test_construct_builds_a_type_only_for_what_it_reports(tmp_path, capsys):
+    # every step's type, J x |Z| of them of |Z| entries each, was built
+    # though only one carries mass: a 78 MB tracemalloc peak at (200, 1)
+    config = DesignConfig(200, 1)
+    path = write_json(
+        tmp_path / "one_row.json",
+        {"J": 200, "J0": 1, "p": {str(z): {"0": "1"} for z in config.z_support}},
+    )
+    tracemalloc.start()
+    try:
+        code = run(["construct", "--input", path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    witness = {"J": 200, "J0": 1, "mass": {",".join(["0"] * 200): "1"}}
+    assert code == EXIT_OK
+    assert capsys.readouterr().out == json.dumps({"witness": witness}, sort_keys=True, indent=2) + "\n"
+    assert peak < 20e6, peak
+
+
 def test_stdout_is_byte_identical_across_invocations(tmp_path, capsys):
     src = write_json(tmp_path / "p.json", UNIFORM3)
     run(["construct", "--input", src, "--trace"])

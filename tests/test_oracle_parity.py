@@ -1,8 +1,9 @@
 """The fast paths against the slow reference implementations kept in
 ``helpers``: the integer-preserving simplex against the Fraction tableau
 and the explicit-column scan, direct admissible generation against the
-brute-force filter, the per-choice-maxima check against the explicit
-inequality family, the single-constraint region certificate against
+brute-force filter, the per-choice-maxima check and the integer-scale
+outcome check against the explicit inequality family summed in
+Fractions, the single-constraint region certificate against
 whole-box rejection on moved offsets, the simulation kernel's column
 folds against ``axis=1`` reductions, the per-choice moment test and
 bincount cell counts against the explicit family (exactly, spec by
@@ -25,7 +26,7 @@ from encdesign import inequalities, lp, simulate, stats
 from encdesign.admissible import enumerate_admissible, is_admissible
 from encdesign.core import DesignConfig, ResponseType, pushforward
 from encdesign.errors import CapacityError, ConstructionError
-from encdesign.inequalities import OutcomeDistribution, check
+from encdesign.inequalities import OutcomeDistribution, check, check_outcome
 from encdesign.simulate import (
     CHUNK_SIZE,
     _chunk_rng,
@@ -45,6 +46,7 @@ from helpers import (
     assert_same_report,
     boundary_measure,
     check_by_family,
+    check_outcome_by_family,
     construct_outcome_by_fractions,
     estimate_by_rows,
     feasible_by_scan,
@@ -354,6 +356,25 @@ def test_check_matches_explicit_family(J, J0, full, copies):
         boundary += got.min_slack == 0
     assert verdicts == {True, False}
     assert boundary >= copies
+
+
+@pytest.mark.parametrize(
+    "J, J0, ny", [(2, 0, 2), (3, 0, 2), (3, 0, 3), (3, 1, 2), (3, 2, 3), (4, 2, 2)]
+)
+def test_check_outcome_matches_explicit_family(J, J0, ny):
+    config = DesignConfig(J, J0)
+    rng = Random(241 + 100 * J + 10 * J0 + ny)
+    ys = tuple(range(ny))
+    verdicts = set()
+    for make in (random_outcome_table, feasible_outcome_table) * 3:
+        PY = make(config, ys, rng)
+        got, want = check_outcome(PY), check_outcome_by_family(PY)
+        assert got.passed == want.passed
+        assert got.min_slack == want.min_slack and type(got.min_slack) is F
+        assert got.violations == want.violations
+        assert all(type(v) is F for _, v in got.violations)
+        verdicts.add(got.passed)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("J, J0", [(4, 0), (5, 0)])

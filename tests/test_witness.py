@@ -31,6 +31,7 @@ from helpers import (
     construct_outcome_by_fractions,
     feasible_outcome_table,
     feasible_table,
+    full_compliance,
     instrument_ordering_by_branches,
     lambda_weights,
     marginal,
@@ -38,6 +39,7 @@ from helpers import (
     outcome_table_doc,
     partition_check,
     random_table,
+    type_complying_with,
     type_marginal,
 )
 
@@ -165,6 +167,32 @@ def test_step_masses_sum_to_top_value():
             )
             order = trace.orderings[j]
             assert total == P.p(order[-2], j)
+
+
+def test_trace_types_follow_the_orderings():
+    # step s of target j goes to the type complying with the first s - 1
+    # values of j's ordering, a remainder to full compliance; the types
+    # are pairwise distinct, and the witness keeps the nonzero entries
+    rng = Random(79)
+    for J, J0 in CONFIGS + [(5, 0), (5, 2)]:
+        config = DesignConfig(J, J0)
+        for make in (random_table, feasible_table):
+            for _ in range(6):
+                P = make(config, rng)
+                trace = diagnose(P)
+                types = []
+                for e in trace.entries:
+                    if e.step is None:
+                        want = full_compliance(config, 0 if e.target is None else e.target)
+                    else:
+                        prefix = trace.orderings[e.target][: e.step - 1]
+                        want = type_complying_with(config, e.target, prefix)
+                    assert trace.rtype(e) == want, (J, J0, e)
+                    types.append(want)
+                assert len(set(types)) == len(types), (J, J0)
+                if make is feasible_table:
+                    masses = {t: e.mass for t, e in zip(types, trace.entries) if e.mass}
+                    assert construct(P).mass == masses, (J, J0)
 
 
 def test_complement_identity():
