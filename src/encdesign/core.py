@@ -4,6 +4,10 @@ Everything on this path is exact: probabilities are `fractions.Fraction`
 and floats are rejected outright, so no value ever passes through binary
 floating point. Decimal strings are converted from their decimal
 representation ("0.3" becomes 3/10, not the nearest double).
+
+Each table class decides, once, its integer form: ``scale``, the lcm L
+of the cells' denominators, and ``scaled``, every cell times L. The
+inequality check, the witness and the LP all read that form.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
@@ -206,33 +210,54 @@ def _check_instrument_keys(config: DesignConfig, table: Mapping, item: str, item
         raise ValueError(f"{items} contain instrument values outside the support")
 
 
+def _integers(values) -> tuple[int, tuple[int, ...]]:
+    """The lcm L of the Fractions' denominators, and each value times L."""
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = math.lcm(*(d for _, d in ratios))
+    return scale, tuple(n * (scale // d) for n, d in ratios)
+
+
+def _common_scale(parts: dict) -> tuple[int, dict]:
+    """The lcm L of the scales of ``parts``, {z: (scale, integers)}, and
+    each part's integers over L."""
+    L = math.lcm(*(s for s, _ in parts.values()))
+    return L, {z: ns if s == L else tuple(n * (L // s) for n in ns) for z, (s, ns) in parts.items()}
+
+
 @dataclass(frozen=True)
 class ObservedDistribution:
     """Conditional choice probabilities P{D=j | Z=z} as an exact table.
 
     ``rows`` maps each supported instrument value to a J-tuple of
     Fractions summing to exactly 1. No instrument marginal is kept: the
-    testable implications constrain the conditionals only.
+    testable implications constrain the conditionals only. ``scaled[z][j]``
+    is ``scale`` * p(z, j), each row checked on its own integers first.
     """
 
     config: DesignConfig
     rows: Mapping[int, tuple[Fraction, ...]]
+    scale: int = field(init=False, repr=False, compare=False)
+    scaled: Mapping[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         config = self.config
         _check_instrument_keys(config, self.rows, "row", "rows")
-        clean: dict[int, tuple[Fraction, ...]] = {}
+        clean, parts = {}, {}
         for z in config.z_support:
-            row = tuple(as_fraction(v) for v in self.rows[z])
+            row = tuple(map(as_fraction, self.rows[z]))
             if len(row) != config.J:
                 raise ValueError(f"row for z={z} must have {config.J} entries")
-            for v in row:
-                if not 0 <= v <= 1:
-                    raise ValueError(f"probability {v} outside [0, 1] at z={z}")
-            if sum(row) != ONE:
-                raise ValueError(f"row for z={z} sums to {sum(row)}, not 1")
+            parts[z] = scale, ints = _integers(row)
+            if min(ints) < 0 or max(ints) > scale:
+                v = next(v for v, n in zip(row, ints) if not 0 <= n <= scale)
+                raise ValueError(f"probability {v} outside [0, 1] at z={z}")
+            if sum(ints) != scale:
+                raise ValueError(f"row for z={z} sums to {Fraction(sum(ints), scale)}, not 1")
             clean[z] = row
+        scale, scaled = _common_scale(parts)
         object.__setattr__(self, "rows", clean)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "scaled", scaled)
 
     def p(self, z: int, j: int) -> Fraction:
         self.config.z_index(z)
@@ -261,13 +286,10 @@ class ResponseMeasure:
             if m < 0:
                 raise ValueError(f"negative mass {m} on {rt.d}")
             clean[rt] = m if old is None else old + m
-        scale = math.lcm(*(m.denominator for m in clean.values()))
-        total = sum(m.numerator * (scale // m.denominator) for m in clean.values())
-        if total != scale:
-            raise ValueError(f"masses sum to {Fraction(total, scale)}, not 1")
-        object.__setattr__(
-            self, "mass", {rt: m for rt, m in sorted(clean.items(), key=lambda kv: kv[0].d)}
-        )
+        scale, masses = _integers(clean.values())
+        if sum(masses) != scale:
+            raise ValueError(f"masses sum to {Fraction(sum(masses), scale)}, not 1")
+        object.__setattr__(self, "mass", dict(sorted(clean.items(), key=lambda kv: kv[0].d)))
 
     def support(self) -> tuple[ResponseType, ...]:
         return tuple(rt for rt, m in self.mass.items() if m > 0)
@@ -277,12 +299,11 @@ def pushforward(q: ResponseMeasure) -> ObservedDistribution:
     """The observed table induced by q through the observation map:
     p[z][j] = sum of q over response types with d_z = j, exactly."""
     config = q.config
-    # sum integer numerators over the lcm of the denominators, then make
+    # sum the masses as integers over their common denominator, then make
     # one Fraction per cell
-    scale = math.lcm(*(m.denominator for m in q.mass.values()))
+    scale, masses = _integers(q.mass.values())
     rows = [[0] * config.J for _ in config.z_support]
-    for rt, m in q.mass.items():
-        n = m.numerator * (scale // m.denominator)
+    for rt, n in zip(q.mass, masses):
         for row, j in zip(rows, rt.d):
             row[j] += n
     return ObservedDistribution(

@@ -6,9 +6,9 @@ the reduced pairwise family (no instrument value beats the base state)
 when a base state exists. The outcome extension adds per-cell pointwise
 dominance plus a partition inequality. The selector and partition
 families are one product over choices, listed and capped by
-``product_family``. Every check evaluates its slacks as integers over
-the table's common denominator and reports them as ``Fraction``s; no
-tolerance parameter exists in this module.
+``product_family``. Every check evaluates its slacks on the table's
+integer form, integers over its common denominator, and reports them
+as ``Fraction``s; no tolerance parameter exists in this module.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, product
-from math import lcm
+from itertools import chain, islice, product
 from typing import Callable, Mapping
 
 from .core import (
@@ -27,6 +26,8 @@ from .core import (
     ObservedDistribution,
     _as_int,
     _check_instrument_keys,
+    _common_scale,
+    _integers,
     _outcome_support,
     as_fraction,
 )
@@ -84,20 +85,10 @@ class CheckReport:
         return self.list_violations()
 
 
-def _report(specs, value, scale, extra=()) -> CheckReport:
-    """The report on ``specs``, each one cell bounded by another cell of
-    the same choice (bound 0), followed by the ``extra`` (spec, slack)
-    pairs. ``value`` maps a coordinate to its integer over the common
-    denominator ``scale``, so every slack is an integer on that scale; a
-    Fraction is made only for ``min_slack`` and for each violation."""
-    slacks = [(s, value(s.rhs[0]) - value(s.lhs[0])) for s in specs]
-    slacks.extend(extra)
-    violations = tuple((s, Fraction(v, scale)) for s, v in slacks if v < 0)
-    return CheckReport(
-        passed=not violations,
-        min_slack=Fraction(min(v for _, v in slacks), scale),
-        list_violations=lambda: violations,
-    )
+def _cap_family(size: int) -> None:
+    """Refuse a family of more than ``FAMILY_CAP`` members."""
+    if size > FAMILY_CAP:
+        raise CapacityError(f"family would hold more than {FAMILY_CAP} inequalities")
 
 
 def product_family(config: DesignConfig, ny: int = 1) -> list[list[tuple[int, ...]]]:
@@ -114,8 +105,7 @@ def product_family(config: DesignConfig, ny: int = 1) -> list[list[tuple[int, ..
     for j in range(config.J):
         for _ in range(ny):
             size *= n_z - (j >= config.J0)
-            if size > FAMILY_CAP:
-                raise CapacityError(f"family would hold more than {FAMILY_CAP} inequalities")
+            _cap_family(size)
     return [list(product(config.targeted_set(j), repeat=ny)) for j in range(config.J)]
 
 
@@ -139,15 +129,13 @@ def generate(config: DesignConfig, full: bool = False) -> tuple[InequalitySpec, 
         family = product(*product_family(config))
         return tuple(_selector_spec(tuple(z for (z,) in member)) for member in family)
     # every choice j against each non-base k != j
-    if (config.J - 1) * (config.J - config.J0) > FAMILY_CAP:
-        raise CapacityError(f"family would hold more than {FAMILY_CAP} inequalities")
-    specs = []
-    for j in range(config.J):
-        for k in range(config.J0, config.J):
-            if k == j:
-                continue
-            specs.append(InequalitySpec(lhs=((k, j),), rhs=((0, j),), tag="pairwise-base"))
-    return tuple(specs)
+    _cap_family((config.J - 1) * (config.J - config.J0))
+    return tuple(_pair_spec(k, j) for j in range(config.J) for k in range(config.J0, config.J) if k != j)
+
+
+def _pair_spec(k: int, j: int) -> InequalitySpec:
+    """The base-state row p(k, j) <= p(0, j)."""
+    return InequalitySpec(lhs=((k, j),), rhs=((0, j),), tag="pairwise-base")
 
 
 def check(P: ObservedDistribution) -> CheckReport:
@@ -155,26 +143,33 @@ def check(P: ObservedDistribution) -> CheckReport:
     sharp, so a passing table is consistent with the model, not merely
     unrejected.
 
-    Without a base state the selector family is never built:
-    its largest left-hand side is the sum over choices of the largest
-    p(z, j) on the targeted set, so the verdict and ``min_slack`` take
-    O(J * |Z|). ``FAMILY_CAP`` bounds the violations listed when the
-    report's ``violations`` is read; more raise CapacityError there.
-    With a base state the pairwise family is generated, and each row's
-    slack is one integer difference.
-
-    Both run on the integer form: every p(z, j) times the common
-    denominator L. A slack becomes a Fraction only where the report
-    holds it, as ``min_slack`` or a violation.
+    Neither family is built. Without a base state the largest left-hand
+    side of a selector is the sum over choices of the largest p(z, j) on
+    the targeted set; with one, row (k, j) of the pairwise family binds
+    only at the largest p(k, j) over non-base k != j. So the verdict and
+    ``min_slack`` take O(J * |Z|) on the table's integer form, and a
+    slack becomes a Fraction only as ``min_slack`` or a violation. The
+    violations are listed in family order when the report's
+    ``violations`` is read; more than ``FAMILY_CAP`` raise CapacityError.
     """
     config = P.config
-    # integer form: every p(z, j) scaled by the common denominator L
-    scale = lcm(*(v.denominator for row in P.rows.values() for v in row))
-    scaled = {
-        z: [v.numerator * (scale // v.denominator) for v in row] for z, row in P.rows.items()
-    }
+    scale, scaled = P.scale, P.scaled
     if config.J0:
-        return _report(generate(config), lambda c: scaled[c[0]][c[1]], scale)
+        J0, base = config.J0, scaled[0]
+        # columns[j][k - J0] = L * p(k, j) over the non-base k
+        columns = list(zip(*(scaled[k] for k in range(J0, config.J))))
+        rivals = (c if j < J0 else c[: j - J0] + c[j - J0 + 1 :] for j, c in enumerate(columns))
+        least = min(b - max(r) for b, r in zip(base, rivals) if r)
+
+        def list_pairs() -> Violations:
+            # the rows p(k, j) > p(0, j) in family order, up to one past the cap
+            above = ((k, j) for j, c in enumerate(columns) for k, v in enumerate(c, J0) if v > base[j])
+            found = list(islice(((k, j) for k, j in above if k != j), FAMILY_CAP + 1))
+            if len(found) > FAMILY_CAP:
+                raise CapacityError(f"check would emit more than {FAMILY_CAP} violations")
+            return tuple((_pair_spec(k, j), Fraction(base[j] - scaled[k][j], scale)) for k, j in found)
+
+        return CheckReport(least >= 0, Fraction(least, scale), list_pairs)
     levels = [[(z, scaled[z][j]) for z in config.targeted_set(j)] for j in range(config.J)]
     # hi[j], lo[j]: the largest and smallest sum over choices j, j+1, ...
     hi, lo = [0], [0]
@@ -185,7 +180,7 @@ def check(P: ObservedDistribution) -> CheckReport:
     hi.reverse()
     lo.reverse()
 
-    def list_violations() -> Violations:
+    def list_selectors() -> Violations:
         if _count_violated(levels, hi, lo, scale, FAMILY_CAP) > FAMILY_CAP:
             raise CapacityError(f"check would emit more than {FAMILY_CAP} violations")
         return tuple(
@@ -193,11 +188,7 @@ def check(P: ObservedDistribution) -> CheckReport:
             for selector, total in _violated_selectors(levels, hi, scale)
         )
 
-    return CheckReport(
-        passed=hi[0] <= scale,
-        min_slack=Fraction(scale - hi[0], scale),
-        list_violations=list_violations,
-    )
+    return CheckReport(hi[0] <= scale, Fraction(scale - hi[0], scale), list_selectors)
 
 
 def _count_violated(levels, hi, lo, bound, limit) -> int:
@@ -248,22 +239,24 @@ class OutcomeDistribution:
     """Exact table of P{Y=y, D=j | Z=z} over a finite outcome alphabet.
 
     ``cells`` maps z -> j -> {y: probability}; missing outcome keys are
-    zero. Each z-slice sums to exactly 1.
+    zero. Each z-slice sums to exactly 1. As in ``ObservedDistribution``,
+    ``scaled[z][j][y]`` is ``scale`` * p[z][j][y], the table's integer form.
     """
 
     config: DesignConfig
     y_support: tuple[int, ...]
     cells: Mapping[int, Mapping[int, Mapping[int, Fraction]]]
+    scale: int = field(init=False, repr=False, compare=False)
+    scaled: Mapping[int, Mapping[int, Mapping[int, int]]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ys = _outcome_support(self.y_support)
         object.__setattr__(self, "y_support", ys)
         yset = set(ys)
         _check_instrument_keys(self.config, self.cells, "slice", "cells")
-        clean: dict[int, dict[int, dict[int, Fraction]]] = {}
+        clean, parts = {}, {}
         for z in self.config.z_support:
             slice_ = {j: {y: ZERO for y in ys} for j in range(self.config.J)}
-            total = ZERO
             for j, by_y in self.cells[z].items():
                 j = _as_int(j, "choice key")
                 if not 0 <= j < self.config.J:
@@ -273,14 +266,19 @@ class OutcomeDistribution:
                     if y not in yset:
                         raise ValueError(f"outcome {y} not in support at z={z}")
                     v = as_fraction(v)
-                    if v < 0:
+                    if v.numerator < 0:
                         raise ValueError(f"negative probability at (z={z}, j={j}, y={y})")
                     slice_[j][y] = v
-                    total += v
-            if total != ONE:
-                raise ValueError(f"slice for z={z} sums to {total}, not 1")
+            parts[z] = scale, ints = _integers([v for by_y in slice_.values() for v in by_y.values()])
+            if sum(ints) != scale:
+                raise ValueError(f"slice for z={z} sums to {Fraction(sum(ints), scale)}, not 1")
             clean[z] = slice_
+        scale, flat = _common_scale(parts)
+        n = len(ys)
+        nested = {z: {j: dict(zip(ys, ns[j * n : j * n + n])) for j in clean[z]} for z, ns in flat.items()}
         object.__setattr__(self, "cells", clean)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "scaled", nested)
 
     def p(self, z: int, j: int, y: int) -> Fraction:
         self.config.z_index(z)
@@ -298,21 +296,15 @@ def generate_outcome(
     non-base k != j. Pointwise inequalities over a discrete alphabet
     capture every Borel-set instance by summation.
     """
-    specs = []
-    for j in range(config.J0, config.J):
-        for k in config.z_support:
-            if k == j:
-                continue
-            for y in y_support:
-                specs.append(InequalitySpec(lhs=((k, j, y),), rhs=((j, j, y),), tag="outcome-target"))
-    if config.J0 > 0:
-        for j in range(config.J):
-            for k in range(config.J0, config.J):
-                if k == j:
-                    continue
-                for y in y_support:
-                    specs.append(InequalitySpec(lhs=((k, j, y),), rhs=((0, j, y),), tag="outcome-base"))
-    return tuple(specs)
+    targeted = (
+        InequalitySpec(lhs=((k, j, y),), rhs=((j, j, y),), tag="outcome-target")
+        for j in range(config.J0, config.J) for k in config.z_support if k != j for y in y_support
+    )
+    base = (
+        InequalitySpec(lhs=((k, j, y),), rhs=((0, j, y),), tag="outcome-base")
+        for j in range(config.J) for k in range(config.J0, config.J) if k != j for y in y_support
+    )
+    return (*targeted, *(base if config.J0 else ()))
 
 
 def partition_reduction_spec(PY: OutcomeDistribution) -> InequalitySpec:
@@ -324,42 +316,27 @@ def partition_reduction_spec(PY: OutcomeDistribution) -> InequalitySpec:
     lhs = []
     for j in range(config.J):
         for y in PY.y_support:
-            best = max(config.targeted_set(j), key=lambda z: (PY.p(z, j, y), -z))
+            best = max(config.targeted_set(j), key=lambda z: (PY.scaled[z][j][y], -z))
             lhs.append((best, j, y))
     return InequalitySpec(lhs=tuple(lhs), tag="partition-max")
-
-
-def _integer_cells(PY: OutcomeDistribution):
-    """The common denominator L of the cells, and every cell as an
-    integer over it: ``cell[z][j][y] = L * p[z][j][y]``."""
-    scale = lcm(
-        *(v.denominator for by_j in PY.cells.values() for by_y in by_j.values() for v in by_y.values())
-    )
-    cell = {
-        z: {
-            j: {y: v.numerator * (scale // v.denominator) for y, v in by_y.items()}
-            for j, by_y in by_j.items()
-        }
-        for z, by_j in PY.cells.items()
-    }
-    return scale, cell
 
 
 def check_outcome(PY: OutcomeDistribution) -> CheckReport:
     """Full outcome check: the static pointwise family plus, without a
     base state, the partition reduction, whose slack is L minus the sum
-    of its cells. Every slack is an integer over the common denominator
-    L of the cells."""
-    scale, cell = _integer_cells(PY)
+    of its cells. Every slack is an integer over the table's ``scale`` L,
+    made a Fraction only for ``min_slack`` and each violation."""
+    scale, cell = PY.scale, PY.scaled
 
     def value(c):
         return cell[c[0]][c[1]][c[2]]
 
-    extra = ()
+    slacks = [(s, value(s.rhs[0]) - value(s.lhs[0])) for s in generate_outcome(PY.config, PY.y_support)]
     if PY.config.J0 == 0:
         spec = partition_reduction_spec(PY)
-        extra = ((spec, scale - sum(map(value, spec.lhs))),)
-    return _report(generate_outcome(PY.config, PY.y_support), value, scale, extra)
+        slacks.append((spec, scale - sum(map(value, spec.lhs))))
+    violations = tuple((s, Fraction(v, scale)) for s, v in slacks if v < 0)
+    return CheckReport(not violations, Fraction(min(v for _, v in slacks), scale), lambda: violations)
 
 
 def partition_family_specs(config: DesignConfig, y_support) -> tuple[InequalitySpec, ...]:

@@ -31,16 +31,13 @@ it would renumber the other rows in order, which keeps every
 lexicographic ratio choice. A table with no zero cell closes nothing and
 pivots exactly as it would without the reduction.
 
-Phase one stops once no structural column prices negative; the table is
-infeasible exactly when an artificial variable is still positive there.
-The prices y then satisfy A'y <= 0, so y / max(1, max y) is dual
-feasible and the phase-one optimum is positive exactly when the current
-objective is.
-
-The pivots are integer-preserving (fraction-free, Bareiss-style): the
-right-hand side is scaled to integers and every division is exact, so no
-cell is ever reduced by a gcd, yet the pivot sequence and the certificate
-are those of the rational tableau under the same rules. Only the basis
+Phase one stops once no structural column prices negative (see
+``_phase_one``). Its pivots are integer-preserving (fraction-free,
+Bareiss-style): the right-hand side is the table's own integer form,
+``scale`` and ``scaled``, which the LP reads as it reads the table, and
+every division is exact. So no cell is ever reduced by a gcd, yet the
+pivot sequence and the certificate are those of the rational tableau
+under the same rules. Only the basis
 inverse is stored, as sparse rows (7-20% of its entries are nonzero on
 tables with J = 4 to 8), beside the dense right-hand side and objective
 row; a row that a pivot leaves unchanged keeps its own integer factor
@@ -51,13 +48,13 @@ hold, m * (m + 1) for m rows, and is checked before the first pivot.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf, lcm
+from math import inf
 
 # ``enumerate_admissible`` stays a name of this module: the benchmark's
 # per-layer tracing (perfbench/tracing.py) wraps it here. The LP itself
 # no longer enumerates the admissible set.
 from .admissible import enumerate_admissible  # noqa: F401
-from .core import ONE, ObservedDistribution, ResponseMeasure, ResponseType
+from .core import ObservedDistribution, ResponseMeasure, ResponseType
 from .errors import CapacityError
 from .inequalities import OutcomeDistribution
 
@@ -125,10 +122,7 @@ class _TypeColumns:
         costs +inf and yields no column. The entry targeting j is charged
         min(w(k, j, u), +inf), never cost + w(k, j, u) - a_k, which is
         inf - inf (NaN) when both cells are closed. Finite costs stay
-        exact integers. Closed rows are kept, not renumbered: the
-        artificial of each stays basic at 0 and its row is never
-        rewritten, and deleting them would keep the order of the other
-        rows and so every ratio-test choice.
+        exact integers. Closed rows are kept (see the module docstring).
         """
         ny, width = self.ny, self.width
         t = -priced[-1]  # a column is negative when its cells sum below t
@@ -173,8 +167,9 @@ def _first_difference(row: dict, other: dict, h: int, g: int) -> tuple[int, int]
             return here, best
 
 
-def _phase_one(columns, b: list[Fraction], m: int) -> dict | None:
-    """Feasibility of Ax = b, x >= 0 for a 0/1 matrix A with b >= 0.
+def _phase_one(columns, rhs: list[int], scale: int, m: int) -> dict | None:
+    """Feasibility of Ax = b, x >= 0 for a 0/1 matrix A with b >= 0,
+    given as the integers ``rhs`` = ``scale`` * b.
 
     ``columns`` gives A without listing it: ``columns.most_negative(c)``
     returns the key of the column whose entries of c have the least sum,
@@ -192,9 +187,8 @@ def _phase_one(columns, b: list[Fraction], m: int) -> dict | None:
     exactly one does. Returns {key: value} over the basic structural
     columns when the optimum is zero, None otherwise.
 
-    The tableau holds integers: b is scaled by the common denominator L
-    of its entries, and every row is stored as a positive integer times
-    the rational tableau row. The objective row's factor is D, the
+    The tableau holds integers: b times L, and every row is stored as a
+    positive integer times the rational tableau row. The objective row's factor is D, the
     determinant of the current basis; row i's factor s_i is the D of the
     pivot that last rewrote it. A pivot on entry p of row l (factor s_l)
     sets D' = D * p / s_l and rewrites every row i whose entering entry g
@@ -214,8 +208,7 @@ def _phase_one(columns, b: list[Fraction], m: int) -> dict | None:
     artificial columns of the rows it touches; its objective entry is
     that sum in the objective row less D per row.
     """
-    scale = lcm(*(v.denominator for v in b))
-    rhs = [v.numerator * (scale // v.denominator) for v in b]
+    rhs = list(rhs)
     inverse = [{i: 1} for i in range(m)]
     factor = [1] * m
     holders = [{i} for i in range(m)]
@@ -296,21 +289,21 @@ def _phase_one(columns, b: list[Fraction], m: int) -> dict | None:
     }
 
 
-def _solve(config, ny: int, p: list[Fraction]) -> dict | None:
-    """Phase one on the table ``p``: every cell (z_k, j, y) in position
-    order, the implied last cell of each slice included. Its rows are the
-    listed cells, then the normalization; its closed cells are the zero
-    ones, the implied cells among them."""
+def _solve(config, ny: int, cells: list[int], scale: int) -> dict | None:
+    """Phase one on a table's integer form: ``cells`` holds every cell
+    (z_k, j, y) times its ``scale`` L in position order, the implied last
+    cell of each slice included. Its rows are the listed cells, then the
+    normalization (right-hand side L); its closed cells are the zero ones."""
     size = config.J * ny  # cells per slice, the implied one last
-    closed = [divmod(i, size) for i, v in enumerate(p) if not v]
+    closed = [divmod(i, size) for i, n in enumerate(cells) if not n]
     columns = _TypeColumns(config, ny, closed)
     m = columns.m
     if m * (m + 1) > LP_CAP:
         raise CapacityError(
             f"LP basis inverse could hold {m * (m + 1)} entries ({m} rows), cap is {LP_CAP}"
         )
-    b = [v for i, v in enumerate(p) if i % size != size - 1] + [ONE]
-    return _phase_one(columns, b, m)
+    rhs = [n for i, n in enumerate(cells) if i % size != size - 1] + [scale]
+    return _phase_one(columns, rhs, scale, m)
 
 
 def feasible(P: ObservedDistribution) -> tuple[bool, ResponseMeasure | None]:
@@ -318,19 +311,15 @@ def feasible(P: ObservedDistribution) -> tuple[bool, ResponseMeasure | None]:
     pushforward equals P. The certificate lists its types in
     lexicographic order."""
     config = P.config
-    x = _solve(config, 1, [v for z in config.z_support for v in P.rows[z]])
+    x = _solve(config, 1, [n for z in config.z_support for n in P.scaled[z]], P.scale)
     if x is None:
         return False, None
-    measure = ResponseMeasure(
-        config, {ResponseType(d): v for (d, _), v in x.items() if v > 0}
-    )
-    return True, measure
+    return True, ResponseMeasure(config, {ResponseType(d): v for (d, _), v in x.items() if v > 0})
 
 
 def feasible_outcome(PY: OutcomeDistribution) -> bool:
     """Exact LP verdict on the outcome table, over one variable per
     (response type, outcome vector) pair."""
     config = PY.config
-    ys = PY.y_support
-    p = [PY.p(z, j, y) for z in config.z_support for j in range(config.J) for y in ys]
-    return _solve(config, len(ys), p) is not None
+    cells = [n for z in config.z_support for by_y in PY.scaled[z].values() for n in by_y.values()]
+    return _solve(config, len(PY.y_support), cells, PY.scale) is not None

@@ -58,6 +58,7 @@ from .core import DesignConfig
 # ``generate`` and ``partition_family_specs`` stay names of this module:
 # the benchmark's per-layer tracing (perfbench/tracing.py) wraps them here.
 from .inequalities import (  # noqa: F401
+    _cap_family,
     generate,
     generate_outcome,
     partition_family_specs,
@@ -307,9 +308,12 @@ def test_model(
     # The capacity check comes before any count, frequency or moment is
     # computed. Without a base state the selector family is the smallest
     # partition family, so one it refuses is refused for every |Y|; with
-    # one, the treatment family is generated here.
+    # one, the outcome family's base rows alone hold the treatment family's
+    # count at |Y| = 1, and the outcome family is counted once |Y| is known.
     if config.J0 == 0:
         product_family(config)
+    else:
+        _cap_family((config.J - 1) * (config.J - config.J0))
     static = generate(config) if config.J0 and data.y is None else ()
     est = estimate(data, config)
     ys = est.y_support
@@ -332,6 +336,9 @@ def test_model(
     arm_of = np.array([config.z_index(c[0]) for c in coords])
     arm_n = np.array([est.arm_counts[z] for z in config.z_support], dtype=float)
     if ys is not None:
+        # targeted rows, then (with a base state) base rows, per outcome
+        rivals = len(config.z_support) - 1 + (config.J - 1 if config.J0 else 0)
+        _cap_family((config.J - config.J0) * rivals * len(ys))
         static = generate_outcome(config, ys)
     # a static row has one cell on each side
     pairs = [(index[left], index[right]) for (left,), (right,) in ((sp.lhs, sp.rhs) for sp in static)]

@@ -24,23 +24,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 from typing import Mapping
 
 from .admissible import closed_form_count, is_admissible
 from .core import (
-    ONE,
     ZERO,
     DesignConfig,
     ObservedDistribution,
     ResponseMeasure,
     ResponseType,
     _as_ints,
+    _integers,
     _outcome_support,
     as_fraction,
 )
 from .errors import CapacityError, ConstructionError
-from .inequalities import OutcomeDistribution, _integer_cells
+from .inequalities import OutcomeDistribution
 
 TABLE_CAP = 1_000_000
 
@@ -72,12 +72,13 @@ def _compliance_type(config: DesignConfig, default: int) -> ResponseType:
     return ResponseType(tuple(default if z == base else z for z in config.z_support))
 
 
-def _column_steps(config: DesignConfig, values: Mapping[int, Fraction], target: int):
+def _column_steps(config: DesignConfig, values: Mapping[int, int], target: int):
     """One column of the construction for target choice ``target``: the
-    ordering of ``values`` (one per instrument value), the increment of
-    each step (step s at index s - 1, step 1 the base increment) and the
-    top non-targeting value ``values[order[-2]]``. Step s's type is the
-    one complying with ``order[: s - 1]``; no type is built here."""
+    ordering of ``values`` (integers, one per instrument value), the
+    increment of each step (step s at index s - 1, step 1 the base
+    increment) and the top non-targeting value ``values[order[-2]]``.
+    Step s's type is the one complying with ``order[: s - 1]``; no type
+    is built here."""
     order = instrument_ordering(config, values, target)
     column = [values[z] for z in order[:-1]]
     increments = [v - below for below, v in zip([0] + column, column)]
@@ -155,38 +156,44 @@ class ConstructionTrace:
 def diagnose(P: ObservedDistribution) -> ConstructionTrace:
     """Run the construction arithmetic without failing: per-target
     orderings, every step mass (negative ones included), and the
-    remainder."""
+    remainder, on the table's integer form: a mass is made a Fraction
+    only where it is nonzero, and every zero mass is ZERO."""
     config = P.config
+    scale, scaled = P.scale, P.scaled
+
+    def mass(n):
+        return Fraction(n, scale) if n else ZERO
+
     orderings: dict[int, tuple[int, ...]] = {}
     entries: list[TraceEntry] = []
-    top_values: dict[int, Fraction] = {}
-    for j in range(config.J):
-        column = {z: P.p(z, j) for z in config.z_support}
-        orderings[j], increments, top_values[j] = _column_steps(config, column, j)
-        entries.extend(TraceEntry(j, ell, mass) for ell, mass in enumerate(increments, 1))
+    tops = []
+    for j, column in enumerate(zip(*(scaled[z] for z in config.z_support))):
+        orderings[j], increments, top = _column_steps(config, dict(zip(config.z_support, column)), j)
+        entries.extend(TraceEntry(j, ell, mass(n)) for ell, n in enumerate(increments, 1))
+        tops.append(top)
     if config.J0 == 0:
-        entries.append(TraceEntry(None, None, ONE - sum(top_values.values())))
+        entries.append(TraceEntry(None, None, mass(scale - sum(tops))))
     else:
-        for j in range(config.J0):
-            entries.append(TraceEntry(j, None, P.p(0, j) - top_values[j]))
+        entries.extend(TraceEntry(j, None, mass(scaled[0][j] - tops[j])) for j in range(config.J0))
     return ConstructionTrace(config, orderings, tuple(entries))
 
 
 def construct(P: ObservedDistribution) -> ResponseMeasure:
     """The explicit witness: a measure over admissible types whose
     pushforward reproduces P exactly. Raises ConstructionError naming the
-    first negative assignment when P fails the inequality check. A type
-    is built only for a nonzero mass."""
+    first negative assignment when P fails the inequality check. Zero
+    entries are skipped first, so a type is built only for a nonzero mass."""
     trace = diagnose(P)
     mass: dict[ResponseType, Fraction] = {}
     for entry in trace.entries:
+        if not entry.mass:
+            continue
+        rtype = trace.rtype(entry)
         if entry.mass < 0:
-            raise _negative_assignment(trace.rtype(entry), entry.mass, entry.target, entry.step)
-        if entry.mass:
-            rtype = trace.rtype(entry)
-            if rtype in mass:
-                raise RuntimeError(f"two assignments hit {rtype.d}; construction bug")
-            mass[rtype] = entry.mass
+            raise _negative_assignment(rtype, entry.mass, entry.target, entry.step)
+        if rtype in mass:
+            raise RuntimeError(f"two assignments hit {rtype.d}; construction bug")
+        mass[rtype] = entry.mass
     return ResponseMeasure(P.config, mass)
 
 
@@ -229,10 +236,9 @@ class OutcomeResponseMeasure:
                 key = (rt, yvec)
                 clean[key] = clean[key] + m if key in clean else m
             masses.append(m)
-        scale = lcm(*(m.denominator for m in masses))
-        total = sum(m.numerator * (scale // m.denominator) for m in masses)
-        if total != scale:
-            raise ValueError(f"masses sum to {Fraction(total, scale)}, not 1")
+        scale, masses = _integers(masses)
+        if sum(masses) != scale:
+            raise ValueError(f"masses sum to {Fraction(sum(masses), scale)}, not 1")
         ordered = dict(sorted(clean.items(), key=lambda kv: (kv[0][0].d, kv[0][1])))
         object.__setattr__(self, "mass", ordered)
 
@@ -297,7 +303,7 @@ def construct_outcome(PY: OutcomeDistribution) -> OutcomeResponseMeasure:
             f"witness table would hold up to {n_types * len(ys) ** config.J} entries, cap is {TABLE_CAP}"
         )
     # scale is L; cell[z][j][y] and every density below are integers over it
-    scale, cell = _integer_cells(PY)
+    scale, cell = PY.scale, PY.scaled
     columns = {}
     num = []
     for k in range(config.J):

@@ -527,7 +527,14 @@ def phase_one_columns(columns: list[list[int]], b: list[Fraction], m: int) -> li
     structural column is negative; ``phase_one_fraction`` and
     ``phase_one_scan`` go on entering artificial columns, and comparing
     it with them checks that stopping early loses nothing."""
-    return solution_vector(lp._phase_one(ScanColumns(columns), b, m), range(len(columns)))
+    return solution_vector(lp._phase_one(ScanColumns(columns), *scaled_rhs(b), m), range(len(columns)))
+
+
+def scaled_rhs(b: list[Fraction]) -> tuple[list[int], int]:
+    """``b`` as ``lp._phase_one`` takes it: its entries times the lcm L
+    of their denominators, and L."""
+    scale = lcm(*(v.denominator for v in b))
+    return [v.numerator * (scale // v.denominator) for v in b], scale
 
 
 def solution_vector(solution: dict | None, keys) -> list[Fraction] | None:
@@ -558,8 +565,9 @@ def solved_by_lp(solver, table):
     calls = []
     fast = lp._phase_one
 
-    def recorded(columns, b, m):
-        calls.append((columns, b, m, fast(columns, b, m)))
+    def recorded(columns, rhs, scale, m):
+        b = [Fraction(n, scale) for n in rhs]
+        calls.append((columns, b, m, fast(columns, rhs, scale, m)))
         return calls[-1][-1]
 
     lp._phase_one = recorded
@@ -697,6 +705,24 @@ def z_index_by_fork(config: DesignConfig, z: int) -> int:
     elif config.J0 <= z < config.J:
         return z - config.J0 + 1
     raise ValueError(f"instrument value {z} not in support {z_support_by_fork(config)}")
+
+
+def assert_integer_form(table) -> None:
+    """The table's ``scale`` is the lcm of its cells' denominators and
+    each of its ``scaled`` cells is that cell's Fraction times the scale,
+    as an int; checked from ``table.p`` over every coordinate."""
+    config = table.config
+    if isinstance(table, OutcomeDistribution):
+        coords = [(z, j, y) for z in config.z_support for j in range(config.J) for y in table.y_support]
+        scaled = [table.scaled[z][j][y] for z, j, y in coords]
+    else:
+        coords = [(z, j) for z in config.z_support for j in range(config.J)]
+        scaled = [table.scaled[z][j] for z, j in coords]
+    values = [table.p(*c) for c in coords]
+    scale = lcm(*(v.denominator for v in values))
+    assert table.scale == scale and type(table.scale) is int
+    assert all(type(n) is int for n in scaled)
+    assert [Fraction(n) for n in scaled] == [v * scale for v in values]
 
 
 def spec_slack(spec: InequalitySpec, table) -> Fraction:

@@ -981,6 +981,49 @@ def test_construct_builds_a_type_only_for_what_it_reports(tmp_path, capsys):
     assert peak < 20e6, peak
 
 
+def test_check_answers_a_base_state_design_past_the_family_cap(tmp_path, capsys):
+    # (1002, 1) has 1001 * 1001 pairwise rows: check built them all and
+    # exited 4 on the family cap; it now reads the columns
+    config = DesignConfig(1002, 1)
+    rows = {str(z): {"0": "1"} for z in config.z_support}
+    path = write_json(tmp_path / "one_row.json", {"J": 1002, "J0": 1, "p": rows})
+    assert run(["check", "--input", path]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {"passed": True, "min_slack": "0", "violations": []}
+    # p(5, 7) = 1/2 > p(0, 7) = 0 breaks one row
+    rows["5"] = {"0": "1/2", "7": "1/2"}
+    path = write_json(tmp_path / "one_row.json", {"J": 1002, "J0": 1, "p": rows})
+    assert run(["check", "--input", path]) == EXIT_VERDICT
+    spec = {"lhs": [[5, 7]], "rhs": [[0, 7]], "bound": "0", "tag": "pairwise-base", "pair": [7, 5]}
+    assert json.loads(capsys.readouterr().out) == {
+        "passed": False,
+        "min_slack": "-1/2",
+        "violations": [{"spec": spec, "slack": "-1/2"}],
+    }
+
+
+def test_base_state_outcome_test_meets_the_family_cap_before_counting(tmp_path, capsys, monkeypatch):
+    # nothing capped it before estimate: numpy refused a 58.2 TiB bincount
+    # at J = 2e6, and J = 1e8 ran out of memory
+    path = tmp_path / "two.csv"
+    path.write_text("y,d,z\n0,0,0\n1,1,1\n")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cell was counted")
+
+    monkeypatch.setattr(stats, "estimate", refuse)
+    tracemalloc.start()
+    try:
+        code = run(["test", "--data", str(path), "--y", "--J", "2000000", "--J0", "1", "--B", "99"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == EXIT_CAPACITY and captured.out == ""
+    assert captured.err == "capacity error: family would hold more than 1000000 inequalities\n"
+    # an array of J int64s would take 16 MB
+    assert peak < 10e6, peak
+
+
 def test_stdout_is_byte_identical_across_invocations(tmp_path, capsys):
     src = write_json(tmp_path / "p.json", UNIFORM3)
     run(["construct", "--input", src, "--trace"])

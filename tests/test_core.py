@@ -278,6 +278,32 @@ UNIT_ROWS = {0: (F(1), F(0)), 1: (F(0), F(1))}
             lambda c: ResponseMeasure(c, {(0, 1): F(3, 2), (0, 0): F(-1, 2)}),
             "negative mass -1/2 on (0, 0)",
         ),
+        # several faults: the first row's first fault is named, and a
+        # range fault before its row's sum
+        (
+            lambda c: ObservedDistribution(c, {0: (F(1, 3), F(-1, 2)), 1: (F(2), "x")}),
+            "probability -1/2 outside [0, 1] at z=0",
+        ),
+        (
+            lambda c: ObservedDistribution(c, {0: (F(1, 2), F(5, 3)), 1: (F(-1), F(2))}),
+            "probability 5/3 outside [0, 1] at z=0",
+        ),
+        (
+            lambda c: ObservedDistribution(c, {0: ("1/2", "1/3"), 1: (F(-1), F(2))}),
+            "row for z=0 sums to 5/6, not 1",
+        ),
+        (
+            lambda c: ObservedDistribution(c, {0: (F(1), F(0)), 1: ("2/3", "1/2")}),
+            "row for z=1 sums to 7/6, not 1",
+        ),
+        (
+            lambda c: ObservedDistribution(c, {0: (F(1, 2), F(1, 3)), 1: (F(1), F(0), F(0))}),
+            "row for z=0 sums to 5/6, not 1",
+        ),
+        (
+            lambda c: ObservedDistribution(c, {0: (F(1), F(0)), 1: (F(3, 2), F(-1, 4), F(0))}),
+            "row for z=1 must have 2 entries",
+        ),
         # refused before Fraction builds 10**9999999, which takes seconds
         (
             lambda c: ObservedDistribution(c, {0: ("1e-9999999", "1"), 1: (F(0), F(1))}),

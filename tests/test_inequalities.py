@@ -359,6 +359,28 @@ def _edit(change):
         ),
         ((0, 1), _edit(lambda c: c[1][1].update({1: F(1, 4)})), "slice for z=1 sums to 3/4, not 1"),
         ((0, 1), _edit(lambda c: c.update({2: c[0]})), "cells contain instrument values outside the support"),
+        # several faults: the first slice's first fault is named, and a
+        # cell's fault before its slice's sum
+        (
+            (0, 1),
+            _edit(lambda c: (c[0][0].update({0: F(1, 3)}), c[1][1].update({1: F(-1, 2)}))),
+            "slice for z=0 sums to 5/6, not 1",
+        ),
+        (
+            (0, 1),
+            _edit(lambda c: c[0].update({0: {0: F(3, 2)}, 1: {1: F(-1, 3), 0: F(-1, 6)}})),
+            "negative probability at (z=0, j=1, y=1)",
+        ),
+        (
+            (0, 1),
+            _edit(lambda c: c[1].update({1: {7: F(0), 1: F(-1, 2)}})),
+            "outcome 7 not in support at z=1",
+        ),
+        (
+            (0, 1),
+            _edit(lambda c: (c[0][1].update({1: F(2, 3)}), c[1].update({3: {}}))),
+            "slice for z=0 sums to 7/6, not 1",
+        ),
         # the keys are checked before any slice
         ((0, 1), _edit(lambda c: (c.pop(1), c[0][0].update({0: F(3, 4)}))), "missing slice for instrument value 1"),
         (
@@ -368,6 +390,7 @@ def _edit(change):
         ),
     ],
     ids=["empty", "duplicate", "missing-z", "choice", "outcome", "negative", "sum", "extra-z",
+         "sum-first", "negative-first", "outcome-first", "sum-before-choice",
          "missing-z-first", "extra-z-first"],
 )
 def test_outcome_distribution_rejects_malformed_tables(ys, cells, message):

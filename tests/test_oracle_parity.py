@@ -43,6 +43,7 @@ from encdesign.witness import (
 from helpers import (
     ScanColumns,
     admissible_by_filter,
+    assert_integer_form,
     assert_same_report,
     boundary_measure,
     check_by_family,
@@ -66,6 +67,7 @@ from helpers import (
     random_outcome_table,
     random_table,
     region_points_by_box_rejection,
+    scaled_rhs,
     solution_vector,
     solved_by_lp,
     targeted_outcome_table,
@@ -85,8 +87,11 @@ def phase_one_pairs(monkeypatch):
     seen = []
     fast = lp._phase_one
 
-    def compared(columns, b, m):
-        got = fast(columns, b, m)
+    def compared(columns, rhs, scale, m):
+        got = fast(columns, rhs, scale, m)
+        b = [F(n, scale) for n in rhs]
+        # the table's L is the lcm of the right-hand side's denominators
+        assert scaled_rhs(b) == (rhs, scale)
         keys = type_column_keys(columns)
         explicit = [columns.rows(key) for key in keys]
         want = phase_one_fraction(explicit, b, m)
@@ -164,7 +169,7 @@ def test_lexicographic_ratio_test_on_degenerate_systems():
                  for _ in range(m)]
         pivots = []
         want = phase_one_fraction(columns, b, m, pivots)
-        got = lp._phase_one(ScanColumns(columns), b, m)
+        got = lp._phase_one(ScanColumns(columns), *scaled_rhs(b), m)
         assert solution_vector(got, range(n)) == want
         if got is not None:
             basis = pivots[-1][1] if pivots else frozenset()
@@ -282,6 +287,7 @@ def test_certificates_match_explicit_column_lp(J, J0, copies):
     rng = Random(421 + 10 * J + J0)
     verdicts = set()
     for P in _tables(config, rng, copies):
+        assert_integer_form(P)
         ok, cert = lp.feasible(P)
         want_ok, want = feasible_by_scan(P)
         assert ok == want_ok
@@ -304,6 +310,7 @@ def test_outcome_verdicts_match_explicit_column_lp(J, J0, ys):
             PY = feasible_outcome_table(config, ys, rng)
         else:
             PY = random_outcome_table(config, ys, rng)
+        assert_integer_form(PY)
         got = lp.feasible_outcome(PY)
         assert got == feasible_outcome_by_scan(PY)
         verdicts.add(got)
@@ -333,8 +340,10 @@ def test_enumeration_matches_brute_force_filter():
         (6, 0, False, 1),
         (3, 1, True, 6),
         (3, 2, True, 6),
+        (4, 1, True, 4),
         (4, 2, True, 4),
         (5, 2, True, 2),
+        (6, 3, True, 1),
     ],
 )
 def test_check_matches_explicit_family(J, J0, full, copies):
@@ -344,6 +353,7 @@ def test_check_matches_explicit_family(J, J0, full, copies):
     rng = Random(229 + 10 * J + J0)
     verdicts, boundary = set(), 0
     for P in _tables(config, rng, copies):
+        assert_integer_form(P)
         got = check(P)
         want = check_by_family(P)
         assert got.passed == want.passed
@@ -368,6 +378,7 @@ def test_check_outcome_matches_explicit_family(J, J0, ny):
     verdicts = set()
     for make in (random_outcome_table, feasible_outcome_table) * 3:
         PY = make(config, ys, rng)
+        assert_integer_form(PY)
         got, want = check_outcome(PY), check_outcome_by_family(PY)
         assert got.passed == want.passed
         assert got.min_slack == want.min_slack and type(got.min_slack) is F
@@ -377,7 +388,7 @@ def test_check_outcome_matches_explicit_family(J, J0, ny):
     assert verdicts == {True, False}
 
 
-@pytest.mark.parametrize("J, J0", [(4, 0), (5, 0)])
+@pytest.mark.parametrize("J, J0", [(4, 0), (5, 0), (4, 1), (5, 2)])
 def test_check_cap_bounds_the_violations_listed(monkeypatch, J, J0):
     config = DesignConfig(J, J0)
     rng = Random(233 + 10 * J + J0)
@@ -681,6 +692,24 @@ def test_test_model_cap_refuses_before_building_rows(monkeypatch, J, J0, ny, mes
     with pytest.raises(CapacityError) as got:
         stats.test_model(data, config, B=99)
     assert str(got.value) == message
+
+
+@pytest.mark.parametrize("J, J0, ny", [(3, 1, 3), (4, 2, 3), (5, 1, 2)])
+def test_outcome_test_caps_its_static_family_at_its_size(monkeypatch, J, J0, ny):
+    # with a base state no product family bounds J or |Y|; the static
+    # family's size is counted once |Y| is known, before a row is built
+    config, data = _micro(J, J0, ny, 2000, seed=11)
+    size = len(inequalities.generate_outcome(config, tuple(range(ny))))
+    monkeypatch.setattr(inequalities, "FAMILY_CAP", size)
+    assert stats.test_model(data, config, B=99).slacks.shape == (size,)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a moment row was built")
+
+    monkeypatch.setattr(inequalities, "FAMILY_CAP", size - 1)
+    monkeypatch.setattr(stats, "generate_outcome", refuse)
+    with pytest.raises(CapacityError, match=f"^family would hold more than {size - 1} inequalities$"):
+        stats.test_model(data, config, B=99)
 
 
 def _test_model_peak(config, data, B):

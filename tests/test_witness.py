@@ -12,6 +12,7 @@ import pytest
 from encdesign import witness
 from encdesign.admissible import is_admissible
 from encdesign.core import (
+    ZERO,
     DesignConfig,
     ObservedDistribution,
     ResponseType,
@@ -190,6 +191,8 @@ def test_trace_types_follow_the_orderings():
                     assert trace.rtype(e) == want, (J, J0, e)
                     types.append(want)
                 assert len(set(types)) == len(types), (J, J0)
+                # a zero mass is the shared ZERO, not a Fraction of its own
+                assert all(e.mass is ZERO for e in trace.entries if not e.mass), (J, J0)
                 if make is feasible_table:
                     masses = {t: e.mass for t, e in zip(types, trace.entries) if e.mass}
                     assert construct(P).mass == masses, (J, J0)
