@@ -10,10 +10,13 @@ with an independent exact-LP oracle and Monte Carlo simulation.
 from .core import (
     DesignConfig,
     ObservedDistribution,
+    OutcomeDistribution,
+    OutcomeResponseMeasure,
     ResponseMeasure,
     ResponseType,
     as_fraction,
     pushforward,
+    pushforward_outcome,
 )
 from .admissible import (
     default_choice,
@@ -23,20 +26,13 @@ from .admissible import (
 from .errors import CapacityError, ConstructionError
 from .inequalities import (
     CheckReport,
-    OutcomeDistribution,
     check,
     check_outcome,
     generate,
     generate_outcome,
 )
 from .lp import feasible, feasible_outcome
-from .witness import (
-    OutcomeResponseMeasure,
-    construct,
-    construct_outcome,
-    diagnose,
-    pushforward_outcome,
-)
+from .witness import construct, construct_outcome, diagnose
 
 __version__ = "0.1.0"
 

@@ -24,13 +24,18 @@ from .errors import CapacityError
 ENUMERATION_CAP = 1_000_000
 
 
-def is_admissible(config: DesignConfig, rt: ResponseType) -> bool:
-    """True iff the fallback entries, d_z != z or z the base state, share
-    at most one value: some default j* gives d_z in {z, j*} at every
-    targeting z and d_z = j* at the base state."""
+def _fallback(config: DesignConfig, rt: ResponseType) -> frozenset[int]:
+    """Validate the type, then return the values of its fallback entries,
+    those with d_z != z or z the base state."""
     rt.validate(config)
     base = config.base
-    return len({d for z, d in zip(config.z_support, rt.d) if d != z or z == base}) <= 1
+    return frozenset(d for z, d in zip(config.z_support, rt.d) if d != z or z == base)
+
+
+def is_admissible(config: DesignConfig, rt: ResponseType) -> bool:
+    """True iff the fallback entries share at most one value, a default
+    j* with d_z in {z, j*} at every targeting z and j* at the base state."""
+    return len(_fallback(config, rt)) <= 1
 
 
 def enumerate_admissible(config: DesignConfig) -> tuple[ResponseType, ...]:
@@ -62,9 +67,7 @@ def default_choice(config: DesignConfig, rt: ResponseType) -> frozenset[int]:
     comply and which takes the full choice set (nothing pins the default
     there). Callers must not assume a canonical default for the diagonal.
     """
-    rt.validate(config)
-    base = config.base
-    fallback = frozenset(d for z, d in zip(config.z_support, rt.d) if d != z or z == base)
+    fallback = _fallback(config, rt)
     if len(fallback) > 1:
         raise ValueError(f"response type {rt.d} is not admissible")
     return fallback or frozenset(range(config.J))

@@ -29,6 +29,8 @@ from .core import (
     EPS_FAMILIES,
     DesignConfig,
     ObservedDistribution,
+    OutcomeDistribution,
+    OutcomeResponseMeasure,
     ResponseMeasure,
     ResponseType,
     _check_instrument_keys,
@@ -36,8 +38,6 @@ from .core import (
     as_fraction,
 )
 from .errors import CapacityError, ConstructionError
-from .inequalities import OutcomeDistribution
-from .witness import OutcomeResponseMeasure
 
 # numpy, simulate and stats are imported by the commands that use them,
 # so the exact commands start without loading numpy.

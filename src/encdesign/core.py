@@ -1,4 +1,4 @@
-"""Design configuration, exact probability tables, and the pushforward.
+"""Design configuration, the exact tables and measures, and the pushforwards.
 
 Everything on this path is exact: probabilities are `fractions.Fraction`
 and floats are rejected outright, so no value ever passes through binary
@@ -7,7 +7,8 @@ representation ("0.3" becomes 3/10, not the nearest double).
 
 Each table class decides, once, its integer form: ``scale``, the lcm L
 of the cells' denominators, and ``scaled``, every cell times L. The
-inequality check, the witness and the LP all read that form.
+three exact oracles (check, witness, LP) read that form and import the
+tables and measures from here, never from one another.
 """
 
 from __future__ import annotations
@@ -261,7 +262,66 @@ class ObservedDistribution:
 
     def p(self, z: int, j: int) -> Fraction:
         self.config.z_index(z)
+        # a row is a tuple, where a negative j would read from its end
+        if not 0 <= j < self.config.J:
+            raise ValueError(f"choice {j} out of range for J={self.config.J}")
         return self.rows[z][j]
+
+
+@dataclass(frozen=True)
+class OutcomeDistribution:
+    """Exact table of P{Y=y, D=j | Z=z} over a finite outcome alphabet.
+
+    ``cells`` maps z -> j -> {y: probability}; missing outcome keys are
+    zero. Each z-slice sums to exactly 1. As in ``ObservedDistribution``,
+    ``scaled[z][j][y]`` is ``scale`` * p[z][j][y], the table's integer form.
+    """
+
+    config: DesignConfig
+    y_support: tuple[int, ...]
+    cells: Mapping[int, Mapping[int, Mapping[int, Fraction]]]
+    scale: int = field(init=False, repr=False, compare=False)
+    scaled: Mapping[int, Mapping[int, Mapping[int, int]]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        ys = _outcome_support(self.y_support)
+        object.__setattr__(self, "y_support", ys)
+        yset = set(ys)
+        _check_instrument_keys(self.config, self.cells, "slice", "cells")
+        clean, parts = {}, {}
+        for z in self.config.z_support:
+            slice_ = {j: {y: ZERO for y in ys} for j in range(self.config.J)}
+            for j, by_y in self.cells[z].items():
+                j = _as_int(j, "choice key")
+                if not 0 <= j < self.config.J:
+                    raise ValueError(f"choice {j} out of range at z={z}")
+                for y, v in by_y.items():
+                    y = _as_int(y, "outcome key")
+                    if y not in yset:
+                        raise ValueError(f"outcome {y} not in support at z={z}")
+                    v = as_fraction(v)
+                    if v.numerator < 0:
+                        raise ValueError(f"negative probability at (z={z}, j={j}, y={y})")
+                    slice_[j][y] = v
+            parts[z] = scale, ints = _integers([v for by_y in slice_.values() for v in by_y.values()])
+            if sum(ints) != scale:
+                raise ValueError(f"slice for z={z} sums to {Fraction(sum(ints), scale)}, not 1")
+            clean[z] = slice_
+        scale, flat = _common_scale(parts)
+        n = len(ys)
+        nested = {z: {j: dict(zip(ys, ns[j * n : j * n + n])) for j in clean[z]} for z, ns in flat.items()}
+        object.__setattr__(self, "cells", clean)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "scaled", nested)
+
+    def p(self, z: int, j: int, y: int) -> Fraction:
+        self.config.z_index(z)
+        if not 0 <= j < self.config.J:
+            raise ValueError(f"choice {j} out of range for J={self.config.J}")
+        if y not in self.y_support:
+            raise ValueError(f"outcome {y} not in support {self.y_support}")
+        return self.cells[z][j][y]
+
 
 
 @dataclass(frozen=True)
@@ -295,6 +355,54 @@ class ResponseMeasure:
         return tuple(rt for rt, m in self.mass.items() if m > 0)
 
 
+@dataclass(frozen=True)
+class OutcomeResponseMeasure:
+    """Exact measure over (response type, potential-outcome vector) pairs.
+
+    The outcome vector has one entry per choice; only admissible response
+    types may carry mass. Each distinct response type is validated once,
+    however many outcome vectors it carries, and the masses are summed on
+    the lcm of their denominators.
+    """
+
+    config: DesignConfig
+    y_support: tuple[int, ...]
+    mass: Mapping[tuple[ResponseType, tuple[int, ...]], Fraction]
+
+    def __post_init__(self):
+        from .admissible import is_admissible
+
+        config = self.config
+        object.__setattr__(self, "y_support", _outcome_support(self.y_support))
+        ys = frozenset(self.y_support)
+        checked: set[ResponseType] = set()
+        clean: dict[tuple[ResponseType, tuple[int, ...]], Fraction] = {}
+        masses: list[Fraction] = []
+        for (rt, yvec), m in self.mass.items():
+            if not isinstance(rt, ResponseType):
+                rt = ResponseType(tuple(rt))
+            if rt not in checked:
+                # is_admissible validates the type first
+                if not is_admissible(config, rt):
+                    raise ValueError(f"response type {rt.d} is not admissible")
+                checked.add(rt)
+            yvec = _as_ints(yvec, "outcome vector entry")
+            if len(yvec) != config.J or not ys.issuperset(yvec):
+                raise ValueError(f"outcome vector {yvec} invalid for support {self.y_support}")
+            m = as_fraction(m)
+            if m.numerator < 0:
+                raise ValueError(f"negative mass on {(rt.d, yvec)}")
+            if m.numerator:
+                key = (rt, yvec)
+                clean[key] = clean[key] + m if key in clean else m
+            masses.append(m)
+        scale, masses = _integers(masses)
+        if sum(masses) != scale:
+            raise ValueError(f"masses sum to {Fraction(sum(masses), scale)}, not 1")
+        ordered = dict(sorted(clean.items(), key=lambda kv: (kv[0][0].d, kv[0][1])))
+        object.__setattr__(self, "mass", ordered)
+
+
 def pushforward(q: ResponseMeasure) -> ObservedDistribution:
     """The observed table induced by q through the observation map:
     p[z][j] = sum of q over response types with d_z = j, exactly."""
@@ -310,3 +418,20 @@ def pushforward(q: ResponseMeasure) -> ObservedDistribution:
         config,
         {z: tuple(Fraction(n, scale) for n in row) for z, row in zip(config.z_support, rows)},
     )
+
+
+def pushforward_outcome(q: OutcomeResponseMeasure) -> OutcomeDistribution:
+    """Observed outcome table induced by the measure: p[z][j][y] sums
+    the mass with d_z = j and j-th outcome y, exactly."""
+    config = q.config
+    # as in pushforward: integer masses over their lcm, one Fraction per cell
+    scale, masses = _integers(q.mass.values())
+    slices = [{j: dict.fromkeys(q.y_support, 0) for j in range(config.J)} for _ in config.z_support]
+    for (rt, yvec), n in zip(q.mass, masses):
+        for slice_, j in zip(slices, rt.d):
+            slice_[j][yvec[j]] += n
+    cells = {
+        z: {j: {y: Fraction(n, scale) for y, n in by_y.items()} for j, by_y in slice_.items()}
+        for z, slice_ in zip(config.z_support, slices)
+    }
+    return OutcomeDistribution(config, q.y_support, cells)

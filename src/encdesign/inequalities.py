@@ -8,7 +8,8 @@ dominance plus a partition inequality. The selector and partition
 families are one product over choices, listed and capped by
 ``product_family``. Every check evaluates its slacks on the table's
 integer form, integers over its common denominator, and reports them
-as ``Fraction``s; no tolerance parameter exists in this module.
+as ``Fraction``s; no tolerance parameter exists in this module. The
+tables are ``core``'s, and no other oracle is imported.
 """
 
 from __future__ import annotations
@@ -17,20 +18,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice, product
-from typing import Callable, Mapping
+from typing import Callable
 
-from .core import (
-    ONE,
-    ZERO,
-    DesignConfig,
-    ObservedDistribution,
-    _as_int,
-    _check_instrument_keys,
-    _common_scale,
-    _integers,
-    _outcome_support,
-    as_fraction,
-)
+# perfbench/inputs.py imports ``OutcomeDistribution`` from this module
+from .core import ONE, ZERO, DesignConfig, ObservedDistribution, OutcomeDistribution
 from .errors import CapacityError
 
 FAMILY_CAP = 1_000_000
@@ -232,57 +223,6 @@ def _violated_selectors(levels, hi, bound):
         stack.extend(
             (j + 1, prefix + v, selector + (z,)) for z, v in reversed(levels[j])
         )
-
-
-@dataclass(frozen=True)
-class OutcomeDistribution:
-    """Exact table of P{Y=y, D=j | Z=z} over a finite outcome alphabet.
-
-    ``cells`` maps z -> j -> {y: probability}; missing outcome keys are
-    zero. Each z-slice sums to exactly 1. As in ``ObservedDistribution``,
-    ``scaled[z][j][y]`` is ``scale`` * p[z][j][y], the table's integer form.
-    """
-
-    config: DesignConfig
-    y_support: tuple[int, ...]
-    cells: Mapping[int, Mapping[int, Mapping[int, Fraction]]]
-    scale: int = field(init=False, repr=False, compare=False)
-    scaled: Mapping[int, Mapping[int, Mapping[int, int]]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        ys = _outcome_support(self.y_support)
-        object.__setattr__(self, "y_support", ys)
-        yset = set(ys)
-        _check_instrument_keys(self.config, self.cells, "slice", "cells")
-        clean, parts = {}, {}
-        for z in self.config.z_support:
-            slice_ = {j: {y: ZERO for y in ys} for j in range(self.config.J)}
-            for j, by_y in self.cells[z].items():
-                j = _as_int(j, "choice key")
-                if not 0 <= j < self.config.J:
-                    raise ValueError(f"choice {j} out of range at z={z}")
-                for y, v in by_y.items():
-                    y = _as_int(y, "outcome key")
-                    if y not in yset:
-                        raise ValueError(f"outcome {y} not in support at z={z}")
-                    v = as_fraction(v)
-                    if v.numerator < 0:
-                        raise ValueError(f"negative probability at (z={z}, j={j}, y={y})")
-                    slice_[j][y] = v
-            parts[z] = scale, ints = _integers([v for by_y in slice_.values() for v in by_y.values()])
-            if sum(ints) != scale:
-                raise ValueError(f"slice for z={z} sums to {Fraction(sum(ints), scale)}, not 1")
-            clean[z] = slice_
-        scale, flat = _common_scale(parts)
-        n = len(ys)
-        nested = {z: {j: dict(zip(ys, ns[j * n : j * n + n])) for j in clean[z]} for z, ns in flat.items()}
-        object.__setattr__(self, "cells", clean)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "scaled", nested)
-
-    def p(self, z: int, j: int, y: int) -> Fraction:
-        self.config.z_index(z)
-        return self.cells[z][j][y]
 
 
 def generate_outcome(

@@ -5,7 +5,8 @@ admissible set by solving the linear system (one nonnegative mass per
 admissible response type, one equality per table coordinate) over exact
 rationals. No tolerances, no external solver: exactness keeps the
 oracle's verdict unambiguous. Cross-validates the inequality check and
-the constructive witness; it shares no code path with either.
+the constructive witness; it shares no code path with either, and
+imports neither: the tables it reads are ``core``'s.
 
 The LP never lists its columns. The column of least reduced cost enters,
 ties going to the first in the lexicographic order of the response types
@@ -54,9 +55,8 @@ from math import inf
 # per-layer tracing (perfbench/tracing.py) wraps it here. The LP itself
 # no longer enumerates the admissible set.
 from .admissible import enumerate_admissible  # noqa: F401
-from .core import ObservedDistribution, ResponseMeasure, ResponseType
+from .core import ObservedDistribution, OutcomeDistribution, ResponseMeasure, ResponseType
 from .errors import CapacityError
-from .inequalities import OutcomeDistribution
 
 LP_CAP = 200_000
 

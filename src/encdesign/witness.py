@@ -16,8 +16,8 @@ its mixing weights from the tops of those same orderings. It runs on one
 integer scale: every cell and mixing weight is an integer over a common
 denominator, each completion of the unpinned outcomes carries a
 precomputed integer weight, and each mass becomes a Fraction once, at
-the end. ``OutcomeResponseMeasure`` checks each distinct response type
-once, however many outcome vectors it carries.
+the end. The tables it reads and the measures it builds are ``core``'s;
+it imports neither of the other two oracles.
 """
 
 from __future__ import annotations
@@ -25,22 +25,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
-from .admissible import closed_form_count, is_admissible
+from .admissible import closed_form_count
 from .core import (
     ZERO,
     DesignConfig,
     ObservedDistribution,
+    OutcomeDistribution,
+    OutcomeResponseMeasure,
     ResponseMeasure,
     ResponseType,
-    _as_ints,
-    _integers,
-    _outcome_support,
-    as_fraction,
 )
 from .errors import CapacityError, ConstructionError
-from .inequalities import OutcomeDistribution
 
 TABLE_CAP = 1_000_000
 
@@ -107,8 +104,7 @@ def _negative_assignment(rtype, mass, target, step, y=None) -> ConstructionError
     )
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     """One assignment of the construction: its target, its step and its
     mass. The type it goes to is not stored; ``ConstructionTrace.rtype``
     derives it from the target's ordering."""
@@ -195,67 +191,6 @@ def construct(P: ObservedDistribution) -> ResponseMeasure:
             raise RuntimeError(f"two assignments hit {rtype.d}; construction bug")
         mass[rtype] = entry.mass
     return ResponseMeasure(P.config, mass)
-
-
-@dataclass(frozen=True)
-class OutcomeResponseMeasure:
-    """Exact measure over (response type, potential-outcome vector) pairs.
-
-    The outcome vector has one entry per choice; only admissible response
-    types may carry mass. Each distinct response type is validated once,
-    however many outcome vectors it carries, and the masses are summed on
-    the lcm of their denominators.
-    """
-
-    config: DesignConfig
-    y_support: tuple[int, ...]
-    mass: Mapping[tuple[ResponseType, tuple[int, ...]], Fraction]
-
-    def __post_init__(self):
-        config = self.config
-        object.__setattr__(self, "y_support", _outcome_support(self.y_support))
-        ys = frozenset(self.y_support)
-        checked: set[ResponseType] = set()
-        clean: dict[tuple[ResponseType, tuple[int, ...]], Fraction] = {}
-        masses: list[Fraction] = []
-        for (rt, yvec), m in self.mass.items():
-            if not isinstance(rt, ResponseType):
-                rt = ResponseType(tuple(rt))
-            if rt not in checked:
-                # is_admissible validates the type first
-                if not is_admissible(config, rt):
-                    raise ValueError(f"response type {rt.d} is not admissible")
-                checked.add(rt)
-            yvec = _as_ints(yvec, "outcome vector entry")
-            if len(yvec) != config.J or not ys.issuperset(yvec):
-                raise ValueError(f"outcome vector {yvec} invalid for support {self.y_support}")
-            m = as_fraction(m)
-            if m.numerator < 0:
-                raise ValueError(f"negative mass on {(rt.d, yvec)}")
-            if m.numerator:
-                key = (rt, yvec)
-                clean[key] = clean[key] + m if key in clean else m
-            masses.append(m)
-        scale, masses = _integers(masses)
-        if sum(masses) != scale:
-            raise ValueError(f"masses sum to {Fraction(sum(masses), scale)}, not 1")
-        ordered = dict(sorted(clean.items(), key=lambda kv: (kv[0][0].d, kv[0][1])))
-        object.__setattr__(self, "mass", ordered)
-
-
-def pushforward_outcome(q: OutcomeResponseMeasure) -> OutcomeDistribution:
-    """Observed outcome table induced by the measure:
-    p[z][j][y] accumulates mass with d_z = j and j-th outcome y."""
-    config = q.config
-    cells = {
-        z: {j: {y: ZERO for y in q.y_support} for j in range(config.J)}
-        for z in config.z_support
-    }
-    for (rt, yvec), m in q.mass.items():
-        for i, z in enumerate(config.z_support):
-            j = rt.d[i]
-            cells[z][j][yvec[j]] += m
-    return OutcomeDistribution(config, q.y_support, cells)
 
 
 def _weighted_vectors(factors) -> list[tuple[tuple[int, ...], int]]:

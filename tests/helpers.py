@@ -29,10 +29,12 @@ from encdesign.core import (
     ZERO,
     DesignConfig,
     ObservedDistribution,
+    OutcomeResponseMeasure,
     ResponseMeasure,
     ResponseType,
     as_fraction,
     pushforward,
+    pushforward_outcome,
 )
 from encdesign.errors import CapacityError, ConstructionError
 from encdesign.inequalities import (
@@ -47,7 +49,7 @@ from encdesign.inequalities import (
 )
 from encdesign.simulate import MicroData, Region, RegionMixture
 from encdesign.stats import SE_FLOOR, EstimatedTables, TestReport, estimate
-from encdesign.witness import TABLE_CAP, OutcomeResponseMeasure, pushforward_outcome
+from encdesign.witness import TABLE_CAP
 
 
 def random_measure(config: DesignConfig, rng: Random, max_weight: int = 8) -> ResponseMeasure:

@@ -18,13 +18,14 @@ from encdesign.core import (
     ObservedDistribution,
     ResponseType,
     pushforward,
+    pushforward_outcome,
 )
 from encdesign.errors import ConstructionError
 from encdesign.inequalities import check, generate, generate_outcome
 from encdesign.lp import feasible
 from encdesign.simulate import RumSpec, build_epsilon_mixture, simulate, verify_mixture
 from encdesign.stats import test_model as run_model_test
-from encdesign.witness import construct, construct_outcome, pushforward_outcome
+from encdesign.witness import construct, construct_outcome
 from helpers import (
     boundary_measure,
     brute_force_partition_check,

@@ -295,7 +295,7 @@ def test_outcome_commands(tmp_path, capsys):
     code, doc = run_json(capsys, ["construct", "--input", src, "--output", str(out)])
     assert code == EXIT_OK
     qstar = load_outcome_measure(str(out))
-    from encdesign.witness import pushforward_outcome
+    from encdesign.core import pushforward_outcome
 
     assert pushforward_outcome(qstar).cells == PY.cells
     code, doc = run_json(capsys, ["lp-check", "--input", src])

@@ -1,8 +1,11 @@
 """Core objects: configurations, exact tables, the observation map, and
-the pushforward."""
+the pushforward; and the package's import graph, in which the exact
+oracles take these objects from core alone."""
 
+import ast
 import dataclasses
 from fractions import Fraction as F
+from pathlib import Path
 from random import Random
 
 import numpy as np
@@ -10,9 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import encdesign
 from encdesign.core import (
     DesignConfig,
     ObservedDistribution,
+    OutcomeDistribution,
     ResponseMeasure,
     ResponseType,
     as_fraction,
@@ -253,6 +258,7 @@ def test_response_measure_requires_unit_total():
 
 
 UNIT_ROWS = {0: (F(1), F(0)), 1: (F(0), F(1))}
+UNIT_SLICES = {0: {0: {0: F(1)}}, 1: {1: {1: F(1)}}}
 
 
 @pytest.mark.parametrize(
@@ -309,6 +315,13 @@ UNIT_ROWS = {0: (F(1), F(0)), 1: (F(0), F(1))}
             lambda c: ObservedDistribution(c, {0: ("1e-9999999", "1"), 1: (F(0), F(1))}),
             "probability '1e-9999999' needs more than 4300 digits",
         ),
+        # a cell outside the table: a row is a tuple, so p(0, -1) once
+        # read p(0, 1)
+        (lambda c: ObservedDistribution(c, UNIT_ROWS).p(0, -1), "choice -1 out of range for J=2"),
+        (lambda c: ObservedDistribution(c, UNIT_ROWS).p(0, 2), "choice 2 out of range for J=2"),
+        (lambda c: OutcomeDistribution(c, (0, 1), UNIT_SLICES).p(0, -1, 0), "choice -1 out of range for J=2"),
+        (lambda c: OutcomeDistribution(c, (0, 1), UNIT_SLICES).p(0, 2, 0), "choice 2 out of range for J=2"),
+        (lambda c: OutcomeDistribution(c, (0, 1), UNIT_SLICES).p(0, 0, 5), "outcome 5 not in support (0, 1)"),
     ],
 )
 def test_core_input_checks_name_the_fault(build, message):
@@ -326,3 +339,45 @@ def test_response_measure_keeps_zero_masses_and_merges_repeated_types():
         ResponseMeasure(config, {(0, 1, 2): F(1, 2), (0, 0, 0): F(1, 3)})
     with pytest.raises(ValueError, match=r"^masses sum to 0, not 1$"):
         ResponseMeasure(config, {})
+
+
+ORACLES = {"inequalities", "witness", "lp"}
+# every private name one module of src/encdesign imports from another
+PRIVATE_IMPORTS = {
+    ("cli", "core", "_check_instrument_keys"),
+    ("cli", "core", "_validate_pz"),
+    ("simulate", "core", "_validate_pz"),
+    ("stats", "inequalities", "_cap_family"),
+    ("stats", "simulate", "_chunk_rng"),
+}
+
+
+def _package_imports(path: Path):
+    """(module, name) for each name a module imports from the package,
+    name None for a whole module, at any depth of the file."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:  # absolute: keep only encdesign's own modules
+                if module != "encdesign" and not module.startswith("encdesign."):
+                    continue
+                module = module[len("encdesign.") :]
+            for alias in node.names:
+                # from . import witness, or from .core import ZERO
+                yield (module.rpartition(".")[2], alias.name) if module else (alias.name, None)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("encdesign."):
+                    yield alias.name.rpartition(".")[2], None
+
+
+def test_the_exact_oracles_import_only_core():
+    src = Path(encdesign.__file__).parent
+    imports = {path.stem: set(_package_imports(path)) for path in src.glob("*.py")}
+    assert ORACLES | {"core"} <= imports.keys()
+    for name in ORACLES | {"core"}:
+        assert not {m for m, _ in imports[name]} & (ORACLES - {name}), name
+    for name in ("inequalities", "witness"):
+        assert not {n for m, n in imports[name] if m == "core" and n.startswith("_")}, name
+    private = {(name, m, n) for name, pairs in imports.items() for m, n in pairs if n and n.startswith("_")}
+    assert private <= PRIVATE_IMPORTS

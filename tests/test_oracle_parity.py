@@ -24,7 +24,13 @@ import pytest
 
 from encdesign import inequalities, lp, simulate, stats
 from encdesign.admissible import enumerate_admissible, is_admissible
-from encdesign.core import DesignConfig, ResponseType, pushforward
+from encdesign.core import (
+    DesignConfig,
+    OutcomeResponseMeasure,
+    ResponseType,
+    pushforward,
+    pushforward_outcome,
+)
 from encdesign.errors import CapacityError, ConstructionError
 from encdesign.inequalities import OutcomeDistribution, check, check_outcome
 from encdesign.simulate import (
@@ -35,11 +41,7 @@ from encdesign.simulate import (
     build_epsilon_mixture,
     verify_mixture,
 )
-from encdesign.witness import (
-    OutcomeResponseMeasure,
-    construct_outcome,
-    pushforward_outcome,
-)
+from encdesign.witness import construct_outcome
 from helpers import (
     ScanColumns,
     admissible_by_filter,

@@ -15,18 +15,18 @@ from encdesign.core import (
     ZERO,
     DesignConfig,
     ObservedDistribution,
+    OutcomeResponseMeasure,
     ResponseType,
     pushforward,
+    pushforward_outcome,
 )
 from encdesign.errors import CapacityError, ConstructionError
 from encdesign.inequalities import OutcomeDistribution, check, check_outcome
 from encdesign.witness import (
-    OutcomeResponseMeasure,
     construct,
     construct_outcome,
     diagnose,
     instrument_ordering,
-    pushforward_outcome,
 )
 from helpers import (
     construct_outcome_by_fractions,
